@@ -12,8 +12,9 @@ and rebuilds the resulting projector/gate pairs.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -25,6 +26,7 @@ from .linalg import (
     dagger,
     kron,
     mat,
+    max_abs_diff,
     mul,
     outer,
     transpose,
@@ -117,21 +119,16 @@ class GateCoefficients:
     @classmethod
     def diagonal(cls, assignment) -> "GateCoefficients":
         mu = _as_mu(assignment)
-        table = {}
-        for a in BIT_PAIRS:
-            for b in BIT_PAIRS:
-                table[(a, b)] = mu[a] if a == b else 0.0
-        return cls(table)
+        return cls({(a, b): mu[a] if a == b else 0.0 for a in BIT_PAIRS for b in BIT_PAIRS})
 
     @classmethod
     def from_matrix(cls, mat4: np.ndarray) -> "GateCoefficients":
         """Read coefficients off a 4x4 array indexed by flattened bit pairs."""
         mat4 = np.asarray(mat4, dtype=complex)
-        table = {}
-        for a in BIT_PAIRS:
-            for b in BIT_PAIRS:
-                table[(a, b)] = complex(mat4[2 * a[0] + a[1], 2 * b[0] + b[1]])
-        return cls(table)
+        return cls({
+            (a, b): complex(mat4[2 * a[0] + a[1], 2 * b[0] + b[1]])
+            for a in BIT_PAIRS for b in BIT_PAIRS
+        })
 
     def assemble(self, basis: UnitaryBasis) -> np.ndarray:
         total = np.zeros((4, 4), dtype=complex)
@@ -145,8 +142,77 @@ class GateCoefficients:
         return bool(np.max(np.abs(g @ dagger(g) - np.eye(4))) <= tol)
 
 
-def _max_entry(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a)))
+def _constraint_table(g, forms, scale: float = 0.5):
+    """Residuals of the four quadratic constraints for a coefficient table.
+
+    forms maps each constraint id to per-pair tables (left, mid, right, rhs);
+    the first three hold factor tuples.  At free index ij1 the constraint is
+    sum scale g[ij1,kl1] g[ij2,kl2] left[ij2] mid[kl1] right[kl2] = rhs[ij1],
+    summed over the non-zero coefficient pairs in lexicographic order.
+    Returns {constraint id: {ij1: max-entry residual}}.
+    """
+    terms = [(a, b, g[(a, b)]) for a in BIT_PAIRS for b in BIT_PAIRS if g[(a, b)] != 0]
+    table: dict[int, dict[tuple[int, int], float]] = {}
+    for c, (left, mid, right, rhs) in forms.items():
+        table[c] = {}
+        for ij1 in BIT_PAIRS:
+            acc = np.zeros((2, 2), dtype=complex)
+            for row, kl1, g1 in terms:
+                if row != ij1:
+                    continue
+                for ij2, kl2, g2 in terms:
+                    acc += scale * g1 * g2 * mul(*left[ij2], *mid[kl1], *right[kl2])
+            table[c][ij1] = max_abs_diff(acc, rhs[ij1])
+    return table
+
+
+def _chain_forms(a, b, c, d):
+    """Constraint tables from four per-pair factor tables.
+
+    The constraints chain a.d.c, b.c.d, a.b.c and b.a.d; each right-hand
+    side is the product of the middle factors at the free index.
+    """
+    def product(t):
+        return {p: mul(*t[p]) for p in BIT_PAIRS}
+
+    return {
+        1: (a, d, c, product(d)),
+        2: (b, c, d, product(c)),
+        3: (a, b, c, product(b)),
+        4: (b, a, d, product(a)),
+    }
+
+
+def _u_forms(basis: UnitaryBasis, m: int, n: int):
+    """The constraints in the U_ab notation, with U_mn as separate factors."""
+    u = {p: np.asarray(basis.u[p], dtype=complex) for p in BIT_PAIRS}
+    umn = u[(m, n)]
+    return _chain_forms(
+        {p: (dagger(umn), u[p]) for p in BIT_PAIRS},
+        {p: (conj(umn), transpose(u[p])) for p in BIT_PAIRS},
+        {p: (dagger(u[p]), umn) for p in BIT_PAIRS},
+        {p: (conj(u[p]), transpose(umn)) for p in BIT_PAIRS},
+    )
+
+
+def _o_forms(basis: UnitaryBasis, m: int, n: int):
+    """The same constraints through O_ab = U_mn^dag U_ab and its skew-transpose."""
+    u = {p: np.asarray(basis.u[p], dtype=complex) for p in BIT_PAIRS}
+    umn = u[(m, n)]
+    o = {p: dagger(umn) @ u[p] for p in BIT_PAIRS}
+    ost = {p: skew_transpose(dagger(umn), u[p]) for p in BIT_PAIRS}
+    return _chain_forms(
+        {p: (o[p],) for p in BIT_PAIRS},
+        {p: (ost[p],) for p in BIT_PAIRS},
+        {p: (dagger(o[p]),) for p in BIT_PAIRS},
+        {p: (dagger(ost[p]),) for p in BIT_PAIRS},
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _pauli_forms(m: int, n: int):
+    """U-notation tables of the Pauli basis, shared by every caller; never mutated."""
+    return _u_forms(UnitaryBasis.pauli(), m, n)
 
 
 def concrete_constraint_residuals(phi: float, lambdas=None):
@@ -159,20 +225,23 @@ def concrete_constraint_residuals(phi: float, lambdas=None):
     lam = dict(B_EIGENVALUES if lambdas is None else lambdas)
     m = {p: m_gate(*p, phi) for p in BIT_PAIRS}
     m00 = m[(0, 0)]
-    table: dict[int, dict[tuple[int, int], float]] = {c: {} for c in CONSTRAINT_IDS}
-    for ij in BIT_PAIRS:
-        acc = {c: np.zeros((2, 2), dtype=complex) for c in CONSTRAINT_IDS}
-        for kl in BIT_PAIRS:
-            w = lam[ij] * lam[kl]
-            acc[1] += w * mul(m[kl], conj(m[ij]), transpose(m00), dagger(m[kl]))
-            acc[2] += w * mul(transpose(m[kl]), dagger(m[ij]), m00, conj(m[kl]))
-            acc[3] += w * mul(m[kl], conj(m00), transpose(m[ij]), dagger(m[kl]))
-            acc[4] += w * mul(transpose(m[kl]), dagger(m00), m[ij], conj(m[kl]))
-        table[1][ij] = _max_entry(acc[1] - 2.0 * m00 @ conj(m[ij]))
-        table[2][ij] = _max_entry(acc[2] - 2.0 * transpose(m00) @ dagger(m[ij]))
-        table[3][ij] = _max_entry(acc[3] - 2.0 * transpose(m[ij]) @ dagger(m00))
-        table[4][ij] = _max_entry(acc[4] - 2.0 * m[ij] @ conj(m00))
-    return table
+
+    def per_pair(rule):
+        return {p: rule(m[p]) for p in BIT_PAIRS}
+
+    plain, flipped = per_pair(lambda a: (a,)), per_pair(lambda a: (transpose(a),))
+    adjoint, conjugate = per_pair(lambda a: (dagger(a),)), per_pair(lambda a: (conj(a),))
+    forms = {
+        1: (plain, per_pair(lambda a: (conj(a), transpose(m00))), adjoint,
+            per_pair(lambda a: 2.0 * m00 @ conj(a))),
+        2: (flipped, per_pair(lambda a: (dagger(a), m00)), conjugate,
+            per_pair(lambda a: 2.0 * transpose(m00) @ dagger(a))),
+        3: (plain, per_pair(lambda a: (conj(m00), transpose(a))), adjoint,
+            per_pair(lambda a: 2.0 * transpose(a) @ dagger(m00))),
+        4: (flipped, per_pair(lambda a: (dagger(m00), a)), conjugate,
+            per_pair(lambda a: 2.0 * a @ conj(m00))),
+    }
+    return _constraint_table(GateCoefficients.diagonal(lam).g, forms, scale=1.0)
 
 
 def projector_teleportation_residuals(phi: float, seed: int = 42) -> dict[int, float]:
@@ -223,33 +292,7 @@ def spectral_constraint_residuals(basis: UnitaryBasis, assignment, m: int, n: in
     The gate is sum mu_ij |Psi_ij><Psi_ij| and the projector singles out
     the (m,n) basis state.  Returns {constraint id: {(i,j): residual}}.
     """
-    mu = _as_mu(assignment)
-    u = {p: np.asarray(basis.u[p], dtype=complex) for p in BIT_PAIRS}
-    umn = u[(m, n)]
-    table: dict[int, dict[tuple[int, int], float]] = {c: {} for c in CONSTRAINT_IDS}
-    for ij in BIT_PAIRS:
-        acc = {c: np.zeros((2, 2), dtype=complex) for c in CONSTRAINT_IDS}
-        for kl in BIT_PAIRS:
-            w = 0.5 * mu[ij] * mu[kl]
-            acc[1] += w * mul(
-                dagger(umn), u[kl], conj(u[ij]), transpose(umn), dagger(u[kl]), umn
-            )
-            acc[2] += w * mul(
-                conj(umn), transpose(u[kl]), dagger(u[ij]), umn, conj(u[kl]),
-                transpose(umn),
-            )
-            acc[3] += w * mul(
-                dagger(umn), u[kl], conj(umn), transpose(u[ij]), dagger(u[kl]), umn
-            )
-            acc[4] += w * mul(
-                conj(umn), transpose(u[kl]), dagger(umn), u[ij], conj(u[kl]),
-                transpose(umn),
-            )
-        table[1][ij] = _max_entry(acc[1] - conj(u[ij]) @ transpose(umn))
-        table[2][ij] = _max_entry(acc[2] - dagger(u[ij]) @ umn)
-        table[3][ij] = _max_entry(acc[3] - conj(umn) @ transpose(u[ij]))
-        table[4][ij] = _max_entry(acc[4] - dagger(umn) @ u[ij])
-    return table
+    return general_constraint_residuals(GateCoefficients.diagonal(assignment), basis, m, n)
 
 
 def general_constraint_residuals(coeffs: GateCoefficients, basis: UnitaryBasis,
@@ -259,38 +302,7 @@ def general_constraint_residuals(coeffs: GateCoefficients, basis: UnitaryBasis,
     Each constraint carries a double sum over coefficient pairs; the free
     index is the first one.  Returns {constraint id: {(i1,j1): residual}}.
     """
-    u = {p: np.asarray(basis.u[p], dtype=complex) for p in BIT_PAIRS}
-    umn = u[(m, n)]
-    table: dict[int, dict[tuple[int, int], float]] = {c: {} for c in CONSTRAINT_IDS}
-    for ij1 in BIT_PAIRS:
-        acc = {c: np.zeros((2, 2), dtype=complex) for c in CONSTRAINT_IDS}
-        for kl1 in BIT_PAIRS:
-            for ij2 in BIT_PAIRS:
-                for kl2 in BIT_PAIRS:
-                    w = 0.5 * coeffs.g[(ij1, kl1)] * coeffs.g[(ij2, kl2)]
-                    if w == 0:
-                        continue
-                    acc[1] += w * mul(
-                        dagger(umn), u[ij2], conj(u[kl1]), transpose(umn),
-                        dagger(u[kl2]), umn,
-                    )
-                    acc[2] += w * mul(
-                        conj(umn), transpose(u[ij2]), dagger(u[kl1]), umn,
-                        conj(u[kl2]), transpose(umn),
-                    )
-                    acc[3] += w * mul(
-                        dagger(umn), u[ij2], conj(umn), transpose(u[kl1]),
-                        dagger(u[kl2]), umn,
-                    )
-                    acc[4] += w * mul(
-                        conj(umn), transpose(u[ij2]), dagger(umn), u[kl1],
-                        conj(u[kl2]), transpose(umn),
-                    )
-        table[1][ij1] = _max_entry(acc[1] - conj(u[ij1]) @ transpose(umn))
-        table[2][ij1] = _max_entry(acc[2] - dagger(u[ij1]) @ umn)
-        table[3][ij1] = _max_entry(acc[3] - conj(umn) @ transpose(u[ij1]))
-        table[4][ij1] = _max_entry(acc[4] - dagger(umn) @ u[ij1])
-    return table
+    return _constraint_table(coeffs.g, _u_forms(basis, m, n))
 
 
 def skew_transpose(b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -298,65 +310,14 @@ def skew_transpose(b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return transpose(b) @ transpose(c)
 
 
-def _simplified_spectral(basis: UnitaryBasis, mu, m: int, n: int):
-    """Spectral constraints written through O_ab and its skew-transpose."""
-    u = {p: np.asarray(basis.u[p], dtype=complex) for p in BIT_PAIRS}
-    umn = u[(m, n)]
-    o = {p: dagger(umn) @ u[p] for p in BIT_PAIRS}
-    ost = {p: skew_transpose(dagger(umn), u[p]) for p in BIT_PAIRS}
-    table: dict[int, dict[tuple[int, int], float]] = {c: {} for c in CONSTRAINT_IDS}
-    for ij in BIT_PAIRS:
-        acc = {c: np.zeros((2, 2), dtype=complex) for c in CONSTRAINT_IDS}
-        for kl in BIT_PAIRS:
-            eta = 0.5 * mu[ij] * mu[kl]
-            acc[1] += eta * mul(o[kl], dagger(ost[ij]), dagger(o[kl]))
-            acc[2] += eta * mul(ost[kl], dagger(o[ij]), dagger(ost[kl]))
-            acc[3] += eta * mul(o[kl], ost[ij], dagger(o[kl]))
-            acc[4] += eta * mul(ost[kl], o[ij], dagger(ost[kl]))
-        table[1][ij] = _max_entry(acc[1] - dagger(ost[ij]))
-        table[2][ij] = _max_entry(acc[2] - dagger(o[ij]))
-        table[3][ij] = _max_entry(acc[3] - ost[ij])
-        table[4][ij] = _max_entry(acc[4] - o[ij])
-    return table
-
-
-def _simplified_general(basis: UnitaryBasis, coeffs: GateCoefficients,
-                        m: int, n: int):
-    """General constraints written through O_ab and its skew-transpose."""
-    u = {p: np.asarray(basis.u[p], dtype=complex) for p in BIT_PAIRS}
-    umn = u[(m, n)]
-    o = {p: dagger(umn) @ u[p] for p in BIT_PAIRS}
-    ost = {p: skew_transpose(dagger(umn), u[p]) for p in BIT_PAIRS}
-    table: dict[int, dict[tuple[int, int], float]] = {c: {} for c in CONSTRAINT_IDS}
-    for ij1 in BIT_PAIRS:
-        acc = {c: np.zeros((2, 2), dtype=complex) for c in CONSTRAINT_IDS}
-        for kl1 in BIT_PAIRS:
-            for ij2 in BIT_PAIRS:
-                for kl2 in BIT_PAIRS:
-                    eta = 0.5 * coeffs.g[(ij1, kl1)] * coeffs.g[(ij2, kl2)]
-                    if eta == 0:
-                        continue
-                    acc[1] += eta * mul(o[ij2], dagger(ost[kl1]), dagger(o[kl2]))
-                    acc[2] += eta * mul(ost[ij2], dagger(o[kl1]), dagger(ost[kl2]))
-                    acc[3] += eta * mul(o[ij2], ost[kl1], dagger(o[kl2]))
-                    acc[4] += eta * mul(ost[ij2], o[kl1], dagger(ost[kl2]))
-        table[1][ij1] = _max_entry(acc[1] - dagger(ost[ij1]))
-        table[2][ij1] = _max_entry(acc[2] - dagger(o[ij1]))
-        table[3][ij1] = _max_entry(acc[3] - ost[ij1])
-        table[4][ij1] = _max_entry(acc[4] - o[ij1])
-    return table
-
-
 def skew_agreement_deviation(basis: UnitaryBasis, assignment_or_coeffs,
                              m: int, n: int) -> float:
     """Largest cell-wise gap between the O-notation and original residuals."""
-    if isinstance(assignment_or_coeffs, GateCoefficients):
-        original = general_constraint_residuals(assignment_or_coeffs, basis, m, n)
-        simplified = _simplified_general(basis, assignment_or_coeffs, m, n)
-    else:
-        mu = _as_mu(assignment_or_coeffs)
-        original = spectral_constraint_residuals(basis, mu, m, n)
-        simplified = _simplified_spectral(basis, mu, m, n)
+    coeffs = assignment_or_coeffs
+    if not isinstance(coeffs, GateCoefficients):
+        coeffs = GateCoefficients.diagonal(coeffs)
+    original = _constraint_table(coeffs.g, _u_forms(basis, m, n))
+    simplified = _constraint_table(coeffs.g, _o_forms(basis, m, n))
     return max(
         abs(original[c][p] - simplified[c][p])
         for c in CONSTRAINT_IDS
@@ -393,14 +354,9 @@ def pauli_scalar_coefficient(i: int, j: int, k: int, l: int,
     equation per (i,j); this extracts the plus-minus coefficient by a
     trace against the expected right-hand side.
     """
-    u = {p: pauli_w(*p) for p in BIT_PAIRS}
-    umn = u[(m, n)]
-    chain = mul(
-        dagger(umn), u[(k, l)], conj(u[(i, j)]), transpose(umn),
-        dagger(u[(k, l)]), umn,
-    )
-    rhs = conj(u[(i, j)]) @ transpose(umn)
-    value = 0.5 * np.trace(dagger(rhs) @ chain)
+    left, mid, right, rhs = _pauli_forms(m, n)[1]
+    chain = mul(*left[(k, l)], *mid[(i, j)], *right[(k, l)])
+    value = 0.5 * np.trace(dagger(rhs[(i, j)]) @ chain)
     rounded = int(round(value.real))
     if abs(value - rounded) > STRICT_TOL or rounded not in (-1, 1):
         raise AssertionError("scalar reduction does not produce a sign")
@@ -465,18 +421,16 @@ def solve_pauli_eigenvalues(m: int, n: int, tol: float = DEFAULT_TOL
     """
     if (m, n) not in BIT_PAIRS:
         raise ValueError("base index must be a bit pair")
-    basis = UnitaryBasis.pauli()
+    forms = _pauli_forms(m, n)
     survivors = []
     for tail in itertools.product(((1, 1), (1, -1), (-1, 1), (-1, -1)), repeat=3):
         pattern = ((1, 1),) + tail
         probe = SolutionClass(0, (m, n), (-1) ** n, pattern)
-        ok = True
-        for phi in _SAMPLE_PHIS:
-            table = spectral_constraint_residuals(basis, probe.mu_of_phi(phi), m, n)
-            if table_max(table) > tol:
-                ok = False
-                break
-        if ok:
+        if all(
+            table_max(_constraint_table(GateCoefficients.diagonal(probe.mu_of_phi(phi)).g, forms))
+            <= tol
+            for phi in _SAMPLE_PHIS
+        ):
             survivors.append(pattern)
 
     def footprint(pattern):
@@ -566,7 +520,7 @@ def build_representation(solution: SolutionClass, phi: float,
     if epsilon is not None and epsilon != solution.epsilon:
         raise ValueError("epsilon does not match the solution's base index")
     e4 = outer(bell_state(m, n), bell_state(m, n))
-    if _max_entry(e4 - printed_projector(m, n)) > STRICT_TOL:
+    if max_abs_diff(e4, printed_projector(m, n)) > STRICT_TOL:
         raise AssertionError("projector deviates from its closed form")
     mu = solution.mu_of_phi(phi)
     u4 = np.zeros((4, 4), dtype=complex)
@@ -574,7 +528,7 @@ def build_representation(solution: SolutionClass, phi: float,
         b = bell_state(*p)
         u4 += mu.mu[p] * outer(b, b)
     forms = printed_gate_forms(m, n, phi)
-    if all(_max_entry(u4 - f) > STRICT_TOL for f in forms.values()):
+    if all(max_abs_diff(u4, f) > STRICT_TOL for f in forms.values()):
         raise AssertionError("gate deviates from every printed closed form")
     return e4, u4
 
@@ -584,7 +538,7 @@ def matched_form(solution: SolutionClass, phi: float = 0.3) -> str:
     _, u4 = build_representation(solution, phi)
     forms = printed_gate_forms(*solution.base_index, phi)
     for name, f in forms.items():
-        if _max_entry(u4 - f) <= STRICT_TOL:
+        if max_abs_diff(u4, f) <= STRICT_TOL:
             return name
     raise AssertionError("no printed form matched")
 
