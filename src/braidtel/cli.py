@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import brauer_teleportation_residuals, check_all, check_brauer, derive_params
-from .entanglement import braid_projector_forms, canonical_params, entangling_power
+from .entanglement import braid_projector_forms, canonical_params
 from .gate_teleport import clifford_check, r_gate, teleport_single_gate, teleport_two_qubit
 from .gates import (
     B_EIGENVALUES,
@@ -418,7 +418,7 @@ def _cmd_analyze(cfg: RunConfig) -> list[dict]:
             c=_fmt(params.c),
             in_pi_units=f"({_fmt(params.a / pi)}, {_fmt(params.b / pi)}, {_fmt(params.c / pi)})",
         ),
-        _info("entangling-power", value=_fmt(entangling_power(u))),
+        _info("entangling-power", value=_fmt(params.entangling_power())),
     ]
     if cfg.gate in ("B", "B0"):
         ok, table = clifford_check(u)
@@ -576,8 +576,12 @@ def main(argv=None) -> int:
                 parser.error(f"BMW_TOL is not a number: {raw!r}")
         else:
             tolerance = _DEFAULT_TOL
-    if tolerance <= 0:
-        parser.error("tolerance must be positive")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        parser.error(f"tolerance must be positive and finite, got {tolerance}")
+    if not math.isfinite(args.phi):
+        parser.error(f"phi must be finite, got {args.phi}")
+    if args.seed < 0:
+        parser.error(f"seed must be non-negative, got {args.seed}")
     if not 2 <= args.sites <= 10:
         parser.error("sites must be between 2 and 10")
     count = getattr(args, "count", 100)
@@ -606,8 +610,11 @@ def main(argv=None) -> int:
     doc = _document(cfg, results, overall)
     rendered = _render_json(doc) if cfg.fmt == "json" else _render_text(doc)
     if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+        try:
+            with open(cfg.output, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
+        except OSError as exc:
+            parser.error(f"cannot write --output {cfg.output}: {exc.strerror}")
     else:
         sys.stdout.write(rendered)
     return 0 if overall else 1

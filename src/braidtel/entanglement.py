@@ -64,6 +64,20 @@ class CanonicalParams:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.a, self.b, self.c)
 
+    def entangling_power(self) -> float:
+        """1 - cos^2 cos^2 cos^2 - sin^2 sin^2 sin^2 of the doubled triple.
+
+        Ranges over [0, 1]; 1 for perfect entanglers that also maximize the
+        average, 0 for local gates and SWAP.
+        """
+        a2, b2, c2 = 2 * self.a, 2 * self.b, 2 * self.c
+        value = (
+            1.0
+            - math.cos(a2) ** 2 * math.cos(b2) ** 2 * math.cos(c2) ** 2
+            - math.sin(a2) ** 2 * math.sin(b2) ** 2 * math.sin(c2) ** 2
+        )
+        return min(1.0, max(0.0, value))
+
 
 # Simultaneous eigenvalue signs of (XX, YY, ZZ) on each magic column.
 _MAGIC_SIGNS = ((1, -1, 1), (-1, 1, 1), (-1, -1, -1), (1, 1, -1))
@@ -156,19 +170,8 @@ def canonical_params(u: np.ndarray, tol: float = 1e-8) -> CanonicalParams:
 
 
 def entangling_power(u: np.ndarray) -> float:
-    """1 - cos^2 cos^2 cos^2 - sin^2 sin^2 sin^2 of the doubled triple.
-
-    Ranges over [0, 1]; 1 for perfect entanglers that also maximize the
-    average, 0 for local gates and SWAP.
-    """
-    p = canonical_params(u)
-    a2, b2, c2 = 2 * p.a, 2 * p.b, 2 * p.c
-    value = (
-        1.0
-        - math.cos(a2) ** 2 * math.cos(b2) ** 2 * math.cos(c2) ** 2
-        - math.sin(a2) ** 2 * math.sin(b2) ** 2 * math.sin(c2) ** 2
-    )
-    return min(1.0, max(0.0, value))
+    """Entangling power of a two-qubit gate; see CanonicalParams.entangling_power."""
+    return canonical_params(u).entangling_power()
 
 
 def _resource_states(phi: float) -> tuple[np.ndarray, np.ndarray]:

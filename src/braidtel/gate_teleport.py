@@ -29,7 +29,7 @@ from .linalg import (
     mul,
     outer,
 )
-from .gates import I2, X, Y, Z, H, t_gate, pauli_w, yb_clifford
+from .gates import I2, X, Y, Z, H, t_gate, pauli_w, x_pow, yb_clifford, z_pow
 from .teleport import (
     BIT_PAIRS,
     MeasurementOutcome,
@@ -125,14 +125,6 @@ def clifford_check(u: np.ndarray, tol: float = DEFAULT_TOL):
     return True, table
 
 
-def _x_pow(n: int) -> np.ndarray:
-    return X if n % 2 else I2
-
-
-def _z_pow(n: int) -> np.ndarray:
-    return Z if n % 2 else I2
-
-
 def _sign(exponent: int) -> float:
     return -1.0 if exponent % 2 else 1.0
 
@@ -154,7 +146,7 @@ def r_gate(u: np.ndarray, i: int, j: int, k: int, l: int) -> np.ndarray:
 
 def r_gate_hadamard(i: int, j: int, k: int, l: int) -> np.ndarray:
     """Closed form of R for U = H: (-1)^{jl+ij+k} Z^{j+k+1} X^{i+l+1}."""
-    return _sign(j * l + i * j + k) * mul(_z_pow(j + k + 1), _x_pow(i + l + 1))
+    return _sign(j * l + i * j + k) * mul(z_pow(j + k + 1), x_pow(i + l + 1))
 
 
 def r_gate_t(i: int, j: int, k: int, l: int) -> np.ndarray:
@@ -166,7 +158,7 @@ def r_gate_t(i: int, j: int, k: int, l: int) -> np.ndarray:
     """
     rotated = (X - 1j * Y) / math.sqrt(2)
     front = rotated if (j + k + 1) % 2 else I2
-    return _sign(j * l + i * j + k) * mul(front, _z_pow(i + l + 1))
+    return _sign(j * l + i * j + k) * mul(front, z_pow(i + l + 1))
 
 
 def b0_forward_residual(seed: int = 42) -> float:
@@ -249,13 +241,13 @@ class DoubleOutcome:
 def q_correction(i1, j1, k1, l1, i2, j2, k2, l2) -> np.ndarray:
     """Left middle-register correction of the double protocol."""
     sign = _sign((k1 + 1) * (i1 + l1 + 1) + 1)
-    return sign * mul(_x_pow(i1 + i2 + l1 + l2), _z_pow(j2 + k2 + 1))
+    return sign * mul(x_pow(i1 + i2 + l1 + l2), z_pow(j2 + k2 + 1))
 
 
 def p_correction(i1, j1, k1, l1, i2, j2, k2, l2) -> np.ndarray:
     """Right middle-register correction of the double protocol."""
     sign = _sign(i2 * (k2 + j2 + 1) + 1)
-    return sign * mul(_z_pow(i1 + l1 + 1), _x_pow(j1 + k1 + j2 + k2))
+    return sign * mul(z_pow(i1 + l1 + 1), x_pow(j1 + k1 + j2 + k2))
 
 
 def qp_from_conjugation(i1, j1, k1, l1, i2, j2, k2, l2) -> np.ndarray:

@@ -38,6 +38,17 @@ S = mat([[1, 0], [0, 1j]])
 CZ = np.diag([1, 1, 1, -1]).astype(complex)
 SWAP = mat([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
 
+
+def x_pow(n: int) -> np.ndarray:
+    """X^n: the module's own X or I2 array, which callers must not modify."""
+    return X if n % 2 else I2
+
+
+def z_pow(n: int) -> np.ndarray:
+    """Z^n: the module's own Z or I2 array, which callers must not modify."""
+    return Z if n % 2 else I2
+
+
 EPR = ket([1, 0, 0, 1], normalize=True)
 
 # Eigenvalues of B indexed like the projectors E_ij; the (0,1)/(1,0) pair

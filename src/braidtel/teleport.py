@@ -32,7 +32,9 @@ from .gates import (
     pauli_w,
     phase_shift,
     tl_projector,
+    x_pow,
     yb_gate,
+    z_pow,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -203,14 +205,14 @@ def v_gate(k: int, l: int, table: PhaseTable) -> np.ndarray:
     """V_kl with B = sum_kl (1 (x) V_kl)|Psi><kl|."""
     r = phase_shift(table.phi)
     phase = cmath.exp(1j * table.alpha_b[(k, l)])
-    return phase * mul(r, H, _x_pow(l), _z_pow(k), r)
+    return phase * mul(r, H, x_pow(l), z_pow(k), r)
 
 
 def u_gate(i: int, j: int, table: PhaseTable) -> np.ndarray:
     """U_ij with B = sum_ij |ij><Psi|(1 (x) U_ij)."""
     r = phase_shift(table.phi)
     phase = cmath.exp(-1j * table.alpha_b_dagger[(i, j)])
-    return phase * mul(dagger(r), _z_pow(i + 1), _x_pow(j + 1), H, dagger(r))
+    return phase * mul(dagger(r), z_pow(i + 1), x_pow(j + 1), H, dagger(r))
 
 
 def _rebuild_from_v(table: PhaseTable) -> np.ndarray:
@@ -239,7 +241,7 @@ def w_braid_closed_form(i: int, j: int, k: int, l: int, table: PhaseTable) -> np
     r = phase_shift(table.phi)
     sign = (-1.0) ** (l * (k + j + 1))
     phase = cmath.exp(1j * (table.alpha_b[(k, l)] - table.alpha_b_dagger[(i, j)]))
-    return sign * phase * mul(r, _x_pow(j + k + 1), _z_pow(i + l + 1), dagger(r))
+    return sign * phase * mul(r, x_pow(j + k + 1), z_pow(i + l + 1), dagger(r))
 
 
 def teleport_with_yb(alpha: np.ndarray, k: int, l: int, phi: float, rng_seed: int = 42):
@@ -404,11 +406,3 @@ def _vector_identity_residual(probes, lhs_fn, rhs_fn) -> float:
     for a in probes:
         worst = max(worst, max_abs_diff(lhs_fn(a), rhs_fn(a)))
     return worst
-
-
-def _x_pow(n: int) -> np.ndarray:
-    return np.linalg.matrix_power(np.array([[0, 1], [1, 0]], dtype=complex), n % 2)
-
-
-def _z_pow(n: int) -> np.ndarray:
-    return np.linalg.matrix_power(np.diag([1.0, -1.0]).astype(complex), n % 2)

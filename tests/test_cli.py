@@ -138,3 +138,31 @@ def test_parser_knows_all_subcommands():
     for argv in (["verify", "bmw"], ["teleport", "standard"], ["solve"], ["analyze"]):
         args = parser.parse_args(argv)
         assert args.command == argv[0]
+
+
+@pytest.mark.parametrize(
+    "argv, bmw_tol",
+    [
+        (["teleport", "standard", "--seed", "-1"], None),
+        (["verify", "bmw", "--phi", "nan"], None),
+        (["verify", "bmw", "--phi", "inf"], None),
+        (["verify", "bmw", "--tolerance", "nan"], None),
+        (["verify", "bmw"], "nan"),
+        (["verify", "bmw", "--tolerance", "inf"], None),
+        (["verify", "constraints", "--output", "{missing}/report.json"], None),
+    ],
+    ids=["seed-negative", "phi-nan", "phi-inf", "tolerance-nan", "env-tolerance-nan",
+         "tolerance-inf", "output-missing-dir"],
+)
+def test_bad_values_are_usage_errors(argv, bmw_tol, tmp_path, monkeypatch, capsys):
+    if bmw_tol is None:
+        monkeypatch.delenv("BMW_TOL", raising=False)
+    else:
+        monkeypatch.setenv("BMW_TOL", bmw_tol)
+    argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
