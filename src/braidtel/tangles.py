@@ -226,20 +226,19 @@ def concrete_constraint_residuals(phi: float, lambdas=None):
     m = {p: m_gate(*p, phi) for p in BIT_PAIRS}
     m00 = m[(0, 0)]
 
-    def per_pair(rule):
-        return {p: rule(m[p]) for p in BIT_PAIRS}
+    def constraint(*rules):
+        """(left, mid, right, rhs) tables, each rule applied to every M_ij."""
+        return tuple({p: rule(m[p]) for p in BIT_PAIRS} for rule in rules)
 
-    plain, flipped = per_pair(lambda a: (a,)), per_pair(lambda a: (transpose(a),))
-    adjoint, conjugate = per_pair(lambda a: (dagger(a),)), per_pair(lambda a: (conj(a),))
     forms = {
-        1: (plain, per_pair(lambda a: (conj(a), transpose(m00))), adjoint,
-            per_pair(lambda a: 2.0 * m00 @ conj(a))),
-        2: (flipped, per_pair(lambda a: (dagger(a), m00)), conjugate,
-            per_pair(lambda a: 2.0 * transpose(m00) @ dagger(a))),
-        3: (plain, per_pair(lambda a: (conj(m00), transpose(a))), adjoint,
-            per_pair(lambda a: 2.0 * transpose(a) @ dagger(m00))),
-        4: (flipped, per_pair(lambda a: (dagger(m00), a)), conjugate,
-            per_pair(lambda a: 2.0 * a @ conj(m00))),
+        1: constraint(lambda a: (a,), lambda a: (conj(a), transpose(m00)),
+                      lambda a: (dagger(a),), lambda a: 2.0 * m00 @ conj(a)),
+        2: constraint(lambda a: (transpose(a),), lambda a: (dagger(a), m00),
+                      lambda a: (conj(a),), lambda a: 2.0 * transpose(m00) @ dagger(a)),
+        3: constraint(lambda a: (a,), lambda a: (conj(m00), transpose(a)),
+                      lambda a: (dagger(a),), lambda a: 2.0 * transpose(a) @ dagger(m00)),
+        4: constraint(lambda a: (transpose(a),), lambda a: (dagger(m00), a),
+                      lambda a: (conj(a),), lambda a: 2.0 * a @ conj(m00)),
     }
     return _constraint_table(GateCoefficients.diagonal(lam).g, forms, scale=1.0)
 
