@@ -33,11 +33,14 @@ CASES = (
     + [case for kind in ("spectral", "general", "skew-transpose") for case in _basis_cases(kind)]
     + [["solve", "--mn", mn] for mn in ("00", "01", "10", "11")]
     + [["analyze", "--gate", gate, *_PHI] for gate in ("B", "B0", "I", "SWAP", "CZ")]
+    + [["verify", "bmw", "--sites", n, "--phi", phi] for n in ("3", "4") for phi in ("0.3", "-2.1")]
+    + [["verify", "brauer", "--sites", n] for n in ("3", "4")]
+    + [["verify", "b-forms", *_PHI]]
 )
 
 
 def golden_name(argv: list[str]) -> str:
-    return "-".join(arg.lstrip("-") for arg in argv) + ".json"
+    return "-".join(arg.removeprefix("--") for arg in argv) + ".json"
 
 
 @pytest.mark.parametrize("argv", CASES, ids=lambda argv: golden_name(argv)[:-5])
