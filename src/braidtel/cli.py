@@ -587,6 +587,10 @@ def main(argv=None) -> int:
     count = getattr(args, "count", 100)
     if count < 1:
         parser.error("count must be at least 1")
+    if args.output:
+        directory = os.path.dirname(os.path.abspath(args.output))
+        if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+            parser.error(f"cannot write --output {args.output}: {directory} is not a writable directory")
 
     mn_raw = getattr(args, "mn", "00")
     cfg = RunConfig(

@@ -115,7 +115,7 @@ def _fold(x: float) -> float:
     y = (x + _QUARTER) % _HALF - _QUARTER
     if y <= -_QUARTER + 1e-14:
         y = _QUARTER
-    return y
+    return float(y)
 
 
 def _chamber_candidates(a: float, b: float, c: float):

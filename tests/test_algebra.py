@@ -18,8 +18,8 @@ from braidtel.algebra import (
     derive_params,
     swap_cup_cap_expansion,
 )
-from braidtel.gates import SWAP, tl_projector, yb_gate
-from braidtel.linalg import max_abs_diff
+from braidtel.gates import SWAP, brauer_projector, permutation_p, tl_projector, yb_gate
+from braidtel.linalg import MAX_SITES, dagger, identity, is_unitary, max_abs_diff
 
 TOL = 1e-10
 
@@ -86,6 +86,16 @@ def test_build_rep_requires_two_sites():
         build_rep(np.eye(4), np.eye(4), 1)
 
 
+def test_build_rep_keeps_the_site_cap_and_local_shapes():
+    with pytest.raises(ValueError):
+        build_rep(np.eye(4), np.eye(4), MAX_SITES + 1)
+    with pytest.raises(ValueError):
+        build_rep(np.eye(8), np.eye(4), 3)
+    rep = build_rep(np.eye(4), SWAP, 4)
+    assert rep.E.shape == (4, 4)
+    assert rep.b_at(2).shape == (16, 16)
+
+
 def test_relation_report_bookkeeping():
     report = RelationReport(family="demo", site_count=3, tolerance=1e-10)
     report.add("ok", 1e-14)
@@ -119,3 +129,116 @@ def test_brauer_state_identities():
     assert set(residuals) == {"projector", "swap", "tangle", "cup-cap"}
     for name, value in residuals.items():
         assert value < 1e-12, name
+
+
+# ------------------------------------------------------- dense oracle
+#
+# The checkers evaluate each relation on its minimal window.  The oracle
+# below rebuilds every relation from the dense 2^n x 2^n generators
+# instead, with the same relation ids in the same order.
+
+
+def _dense_reports(rep, params):
+    """(family, [(relation id, residual)]) per family, and the far-commutator ids.
+
+    params=None selects the Brauer suite (d = 2, no mixed family).
+    """
+    n = rep.n
+    sites = range(1, n)
+    e = {i: rep.e_at(i) for i in sites}
+    b = {i: rep.b_at(i) for i in sites}
+    assert is_unitary(rep.B, 1e-12)
+    b_inv = {i: dagger(b[i]) for i in sites}
+    adjacent = [(i, j) for i in sites for j in (i + 1, i - 1) if j in e]
+    far = [(i, j) for i in sites for j in range(i + 2, n)]
+    far_ids = {f"{prefix}.{s}{i}{s}{j}={s}{j}{s}{i}" for prefix, s in (("TL", "e"), ("braid", "b")) for i, j in far}
+    d, one = (params.d if params else 2.0), identity(2**n)
+
+    def commutators(prefix, g, s):
+        return [(f"{prefix}.{s}{i}{s}{j}={s}{j}{s}{i}", max_abs_diff(g[i] @ g[j], g[j] @ g[i])) for i, j in far]
+
+    tl = [(f"TL.e{i}^2=e{i}", max_abs_diff(e[i] @ e[i], e[i])) for i in sites]
+    tl += [(f"TL.e{i}e{j}e{i}=d^-2.e{i}", max_abs_diff(e[i] @ e[j] @ e[i], 1.0 / (d * d) * e[i])) for i, j in adjacent]
+    tl += commutators("TL", e, "e")
+    braid = [
+        (f"braid.b{i}b{i + 1}b{i}=b{i + 1}b{i}b{i + 1}", max_abs_diff(b[i] @ b[i + 1] @ b[i], b[i + 1] @ b[i] @ b[i + 1]))
+        for i in range(1, n - 1)
+    ]
+    braid += commutators("braid", b, "b")
+    tangle = []
+    for i, j in adjacent:
+        rhs = d * (e[i] @ e[j])
+        tangle.append((f"tangle.{j - i:+d}.left.b{j}b{i}e{j}", max_abs_diff(b[j] @ b[i] @ e[j], rhs)))
+        tangle.append((f"tangle.{j - i:+d}.right.e{i}b{j}b{i}", max_abs_diff(e[i] @ b[j] @ b[i], rhs)))
+    if n >= 3:
+        tangle += [
+            ("tangle.matrix.1", max_abs_diff(b[1] @ b[2] @ e[1], d * (e[2] @ e[1]))),
+            ("tangle.matrix.2", max_abs_diff(b[2] @ b[1] @ e[2], d * (e[1] @ e[2]))),
+            ("tangle.matrix.3", max_abs_diff(e[1] @ b[2] @ b[1], d * (e[1] @ e[2]))),
+            ("tangle.matrix.4", max_abs_diff(e[2] @ b[1] @ b[2], d * (e[2] @ e[1]))),
+        ]
+    if params:
+        mixed = []
+        for i in sites:
+            mixed.append((f"mixed.b{i}-b{i}^-1=w(1-d.e{i})", max_abs_diff(b[i] - b_inv[i], params.w * (one - d * e[i]))))
+            mixed.append((f"mixed.e{i}b{i}=sigma.e{i}", max_abs_diff(e[i] @ b[i], params.sigma * e[i])))
+            mixed.append((f"mixed.b{i}e{i}=sigma.e{i}", max_abs_diff(b[i] @ e[i], params.sigma * e[i])))
+        mixed += [
+            (f"mixed.b{j}e{i}b{j}=b{i}^-1e{j}b{i}^-1", max_abs_diff(b[j] @ e[i] @ b[j], b_inv[i] @ e[j] @ b_inv[i]))
+            for i, j in adjacent
+        ]
+        return [("TL", tl), ("Braid", braid), ("Mixed", mixed), ("Tangle", tangle)], far_ids
+    brauer = []
+    for i in sites:
+        brauer.append((f"brauer.v{i}^2=1", max_abs_diff(b[i] @ b[i], one)))
+        brauer.append((f"brauer.e{i}v{i}=e{i}", max_abs_diff(e[i] @ b[i], e[i])))
+        brauer.append((f"brauer.v{i}e{i}=e{i}", max_abs_diff(b[i] @ e[i], e[i])))
+    return [("TL", tl), ("Braid", braid), ("Tangle", tangle), ("Brauer", brauer)], far_ids
+
+
+# Integer E and a monomial unitary B: no relation holds, so every residual is
+# O(1) and differs between the two placements of an adjacent pair, and every
+# product is exact in floating point.
+_GENERIC_E = np.array([[1, 2j, 0, -1], [0, 1 + 1j, 2, 0], [-2, 0, 1j, 1], [1, -1, 0, 2]])
+_GENERIC_B = np.array([[0, 1j, 0, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 0, -1j, 0]])
+_GENERIC_PARAMS = BmwParams(sigma=1j, w=2.0, d=3.0, lambdas=(1j, 1.0, -1.0))
+
+
+def _windowed_and_dense(case, n):
+    """check_all (check_brauer for "brauer") and its dense oracle."""
+    if case == "brauer":
+        return check_brauer(n=n, tol=TOL), _dense_reports(build_rep(brauer_projector(), permutation_p(), n), None)
+    if case == "generic":
+        e, b, params = _GENERIC_E, _GENERIC_B, _GENERIC_PARAMS
+    else:
+        e, b = tl_projector(0, 0, float(case)), yb_gate(float(case))
+        params = derive_params(b)
+    return check_all(e, b, params, n=n, tol=TOL), _dense_reports(build_rep(e, b, n), params)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("case", ["0.3", "-2.1", "1.234", "brauer", "generic"])
+def test_windowed_relations_match_the_dense_oracle(case, n):
+    reports, (dense, far_ids) = _windowed_and_dense(case, n)
+    assert [r.family for r in reports] == [family for family, _ in dense]
+    for report, (_, entries) in zip(reports, dense):
+        assert report.site_count == n
+        assert [rid for rid, _ in report.entries] == [rid for rid, _ in entries]
+        for (rid, got), (_, want) in zip(report.entries, entries):
+            assert abs(got - want) <= 1e-15, rid
+    far_values = [value for r in reports for rid, value in r.entries if rid in far_ids]
+    assert len(far_values) == len(far_ids) == (n - 2) * (n - 3)
+    assert all(value == 0.0 for value in far_values)
+
+
+@pytest.mark.parametrize("phi", [0.3, None], ids=["0.3", "brauer"])
+def test_eight_site_worst_residuals_match_three_sites(phi):
+    def worst(n):
+        if phi is None:
+            return {r.family: r.max_residual for r in check_brauer(n=n, tol=TOL)}
+        return {r.family: r.max_residual for r in _suite(phi, n)}
+
+    big, small = worst(8), worst(3)
+    assert big.keys() == small.keys()
+    for family, residual in big.items():
+        assert abs(residual - small[family]) <= 1e-14, family

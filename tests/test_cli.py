@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from braidtel import cli
 from braidtel.cli import _fmt, build_parser, main
 
 
@@ -166,3 +167,13 @@ def test_bad_values_are_usage_errors(argv, bmw_tol, tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+
+
+def test_unwritable_output_is_rejected_before_the_report(monkeypatch):
+    def handler(cfg):
+        raise AssertionError("the report was computed before --output was checked")
+
+    monkeypatch.setitem(cli._COMMAND_HANDLERS, "verify", handler)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "constraints", "--output", "/nonexistent/x.json"])
+    assert exc.value.code == 2

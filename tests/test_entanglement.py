@@ -129,6 +129,11 @@ def test_canonical_params_namedtuple_interface():
     assert params.as_tuple() == (0.3, 0.2, 0.1)
 
 
+@pytest.mark.parametrize("gate", [yb_gate(0.0), CZ], ids=["B", "CZ"])
+def test_canonical_params_are_python_floats(gate):
+    assert [type(x) for x in canonical_params(gate).as_tuple()] == [float, float, float]
+
+
 @pytest.mark.parametrize("phi", [0.0, 0.45, 1.7, 3.0])
 def test_braid_projector_forms(phi):
     forms = braid_projector_forms(phi)
