@@ -19,6 +19,7 @@ from braidtel.cli import main
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 _PHI = ["--phi", "0.3"]
+_TELEPORT = [*_PHI, "--seed", "7", "--count", "32"]
 
 
 def _basis_cases(kind: str) -> list[list[str]]:
@@ -36,6 +37,8 @@ CASES = (
     + [["verify", "bmw", "--sites", n, "--phi", phi] for n in ("3", "4") for phi in ("0.3", "-2.1")]
     + [["verify", "brauer", "--sites", n] for n in ("3", "4")]
     + [["verify", "b-forms", *_PHI]]
+    + [["teleport", variant, *_TELEPORT] for variant in ("standard", "bell-like", "yang-baxter", "two-qubit")]
+    + [["teleport", "gate", "--gate", gate, *_TELEPORT] for gate in ("H", "T")]
 )
 
 
