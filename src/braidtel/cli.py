@@ -32,6 +32,7 @@ from .gates import (
     B_EIGENVALUES,
     CZ,
     SWAP,
+    _b0,
     decompose_b,
     elementary,
     tl_projector,
@@ -318,7 +319,7 @@ def _run_instance(cfg: RunConfig, index: int):
     i1, j1 = outcome.first
     i2, j2 = outcome.second
     key = f"{i1}{j1},{i2}{j2}"
-    target = yb_clifford() @ alphabeta
+    target = _b0() @ alphabeta
     return key, f"{key}|{k1}{l1},{k2}{l2}", "(Q x P)^dag", outcome.probability, fidelity(target, corrected)
 
 

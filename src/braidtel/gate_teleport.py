@@ -10,6 +10,7 @@ performs B_0 itself on an unknown two-qubit state.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,24 +21,18 @@ from .linalg import (
     DEFAULT_TOL,
     approx_eq_phase,
     basis_ket,
+    conj,
     dagger,
     embed,
+    frozen,
     identity,
     is_unitary,
     ket,
     kron,
     mul,
-    outer,
 )
-from .gates import I2, X, Y, Z, H, t_gate, pauli_w, x_pow, yb_clifford, z_pow
-from .teleport import (
-    BIT_PAIRS,
-    MeasurementOutcome,
-    _factor_after,
-    _measure_front,
-    _sample_index,
-    probe_states,
-)
+from .gates import I2, X, Y, Z, H, _b0, t_gate, pauli_w, x_pow, z_pow
+from .teleport import BIT_PAIRS, MeasurementOutcome, _measure, _product_kets, probe_states
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
 
@@ -167,7 +162,7 @@ def b0_forward_residual(seed: int = 42) -> float:
     Checks (B_0 x 1)(1 x B_0)|alpha>|kl> against the Pauli-corrected sum
     (1/2) sum_ij |ij> (x) K_{i,j,k,l}|alpha> for every resource pair.
     """
-    b0 = yb_clifford()
+    b0 = _b0()
     op = mul(kron(b0, I2), kron(I2, b0))
     worst = 0.0
     for alpha in probe_states(seed):
@@ -187,7 +182,7 @@ def b0_reverse_residual(seed: int = 42) -> float:
     Here the unknown state enters on the right:
     (1 x B_0)(B_0 x 1)|kl>|alpha> = (1/2) sum_ij L_{i,j,k,l}|alpha> (x) |ij>.
     """
-    b0 = yb_clifford()
+    b0 = _b0()
     op = mul(kron(I2, b0), kron(b0, I2))
     worst = 0.0
     for alpha in probe_states(seed):
@@ -213,19 +208,13 @@ def teleport_single_gate(u: np.ndarray, alpha: np.ndarray, k: int, l: int,
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2) or not is_unitary(u):
         raise ValueError("gate must be a 2x2 unitary")
-    alpha = ket(alpha)
-    rng = np.random.default_rng(rng_seed)
-    b0 = yb_clifford()
+    b0 = _b0()
     state = mul(
         kron(b0, I2), kron(identity(4), u), kron(I2, b0)
-    ) @ kron(alpha, basis_ket(2 * k + l, 4))
-    kets = [basis_ket(2 * i + j, 4) for i, j in BIT_PAIRS]
-    projectors = [outer(v, v) for v in kets]
-    idx, probs, post = _measure_front(state, projectors, rng)
-    i, j = BIT_PAIRS[idx]
-    survivor = _factor_after(post, kets[idx])
-    corrected = dagger(r_gate(u, i, j, k, l)) @ survivor
-    return MeasurementOutcome(i, j, probs[idx], post), corrected
+    ) @ kron(ket(alpha), basis_ket(2 * k + l, 4))
+    m, p, survivor = _measure(conj(_product_kets()) @ state.reshape(4, -1), np.random.default_rng(rng_seed))
+    i, j = BIT_PAIRS[m]
+    return MeasurementOutcome(i, j, p, survivor), dagger(r_gate(u, i, j, k, l)) @ survivor
 
 
 @dataclass(frozen=True)
@@ -252,7 +241,7 @@ def p_correction(i1, j1, k1, l1, i2, j2, k2, l2) -> np.ndarray:
 
 def qp_from_conjugation(i1, j1, k1, l1, i2, j2, k2, l2) -> np.ndarray:
     """The same correction via B_0 (K x L) B_0^dag."""
-    b0 = yb_clifford()
+    b0 = _b0()
     inner = kron(k_gate(i1, j1, k1, l1), l_gate(i2, j2, k2, l2))
     return mul(b0, inner, dagger(b0))
 
@@ -286,6 +275,7 @@ def _double_input(alphabeta: np.ndarray, k1, l1, k2, l2) -> np.ndarray:
     return state
 
 
+@functools.lru_cache(maxsize=None)
 def _double_layers(doubled_middle: bool = False) -> np.ndarray:
     """Operator for the full double protocol on 6 qubits.
 
@@ -293,14 +283,14 @@ def _double_layers(doubled_middle: bool = False) -> np.ndarray:
     layer two couples state-to-resource at sites 1-2 and 5-6 and fuses the
     two resources at sites 3-4.  With doubled_middle the 3-4 gate is also
     applied during preparation, which tests the alternative reading of the
-    protocol description.
+    protocol description.  Built once per reading and shared read-only.
     """
-    b0 = yb_clifford()
+    b0 = _b0()
     prepare = mul(embed(b0, 2, 6), embed(b0, 4, 6))
     if doubled_middle:
         prepare = mul(embed(b0, 3, 6), prepare)
     fuse = mul(embed(b0, 1, 6), embed(b0, 3, 6), embed(b0, 5, 6))
-    return mul(fuse, prepare)
+    return frozen(mul(fuse, prepare))
 
 
 def double_protocol_residuals(seed: int = 42) -> dict[str, float]:
@@ -310,7 +300,7 @@ def double_protocol_residuals(seed: int = 42) -> dict[str, float]:
     (1/4) sum |i1 j1> (x) (Q x P) B_0|alphabeta> (x) |i2 j2> over probe
     states and all resource settings.  Only one reading should vanish.
     """
-    b0 = yb_clifford()
+    b0 = _b0()
     ops = {
         "single-middle": _double_layers(doubled_middle=False),
         "doubled-middle": _double_layers(doubled_middle=True),
@@ -339,20 +329,6 @@ def double_protocol_residuals(seed: int = 42) -> dict[str, float]:
     return out
 
 
-def _measure_ends(state: np.ndarray, rng: np.random.Generator):
-    """Measure registers (1,2) and (5,6) of a 6-qubit state jointly.
-
-    Returns (m1, m2, probability, normalized middle 2-qubit state).
-    """
-    grid = state.reshape(4, 4, 4)
-    probs = np.sum(np.abs(grid) ** 2, axis=1)
-    flat = _sample_index(rng, probs.reshape(-1).tolist())
-    m1, m2 = divmod(flat, 4)
-    p = float(probs[m1, m2])
-    middle = grid[m1, :, m2] / math.sqrt(p)
-    return m1, m2, p, middle
-
-
 def teleport_two_qubit(alphabeta: np.ndarray, k1: int, l1: int,
                        k2: int, l2: int, rng_seed: int = 42):
     """Perform B_0 on an unknown two-qubit state by double teleportation.
@@ -364,16 +340,15 @@ def teleport_two_qubit(alphabeta: np.ndarray, k1: int, l1: int,
     alphabeta = ket(alphabeta)
     if alphabeta.size != 4:
         raise ValueError("expected a 2-qubit state")
-    rng = np.random.default_rng(rng_seed)
     state = _double_layers() @ _double_input(alphabeta, k1, l1, k2, l2)
-    m1, m2, p, middle = _measure_ends(state, rng)
-    i1, j1 = divmod(m1, 2)
-    i2, j2 = divmod(m2, 2)
+    # row 4 m1 + m2 holds the middle pair left by end outcomes |m1> and |m2>
+    ends = state.reshape(4, 4, 4).transpose(0, 2, 1).reshape(16, 4)
+    m, p, middle = _measure(ends, np.random.default_rng(rng_seed))
+    (i1, j1), (i2, j2) = BIT_PAIRS[m // 4], BIT_PAIRS[m % 4]
     q = q_correction(i1, j1, k1, l1, i2, j2, k2, l2)
     pc = p_correction(i1, j1, k1, l1, i2, j2, k2, l2)
     corrected = dagger(kron(q, pc)) @ middle
-    outcome = DoubleOutcome((i1, j1), (i2, j2), p, middle)
-    return outcome, corrected
+    return DoubleOutcome((i1, j1), (i2, j2), p, middle), corrected
 
 
 def single_gate_closed_form_residuals() -> dict[str, float]:

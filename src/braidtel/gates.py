@@ -10,6 +10,7 @@ other rather than trusting either alone.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from .linalg import (
     identity,
     ket,
     kron,
+    frozen,
     mat,
     max_abs_diff,
     mul,
@@ -212,6 +214,12 @@ def yb_clifford() -> np.ndarray:
     if not approx_eq(B_GLOBAL_PHASE * b0, _yb_closed_form(0.0), STRICT_TOL):
         raise AssertionError("B_0 does not match yb_gate(0) up to the fixed phase")
     return b0
+
+
+@functools.lru_cache(maxsize=None)
+def _b0() -> np.ndarray:
+    """yb_clifford(), built and checked once per process and shared read-only."""
+    return frozen(yb_clifford())
 
 
 def decompose_b(phi: float):

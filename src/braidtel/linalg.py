@@ -94,6 +94,13 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
 
+def frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only view of a, for arrays that a cache shares between callers."""
+    view = np.asarray(a).view()
+    view.flags.writeable = False
+    return view
+
+
 def embed(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
     """Place a 4x4 operator on neighbouring qubits (site, site+1) of n_sites.
 

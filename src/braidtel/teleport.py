@@ -1,4 +1,4 @@
-"""Teleportation protocols driven by Bell projectors and the braid gate.
+"""Teleportation protocols driven by Bell-type bases and the braid gate.
 
 Three protocol families are simulated end to end (resource preparation,
 projective measurement, classical correction):
@@ -7,6 +7,12 @@ projective measurement, classical correction):
   bell-like  resource |Psi_M00>, measurement {E_ij}, correction (M00 M*_ij)^dag
   braid      resource built by the gate pair (B x 1)(1 x B), product-basis
              measurement, correction W_{i,j,k,l}
+
+Every protocol measures its leading two-qubit register by projecting onto
+the kets v_m of an orthonormal basis: _measure samples m from the table of
+survivors (<v_m| (x) 1)|state> by the Born rule, and the protocol corrects
+the survivor.  The bases and the other phi-fixed operators are built and
+self-checked once per phi and shared read-only.
 
 The identities behind the protocols are also exposed directly as residual
 checks so they can be verified as exact vector/operator equations instead
@@ -17,6 +23,7 @@ generator; probabilities themselves come from the Born rule exactly.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,10 +45,12 @@ from .gates import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    STRICT_TOL,
     approx_eq_phase,
     basis_ket,
     conj,
     dagger,
+    frozen,
     identity,
     ket,
     kron,
@@ -66,6 +75,8 @@ PAULI_EIGENSTATES = (
 
 @dataclass(frozen=True)
 class MeasurementOutcome:
+    """Outcome |ij> of the front register and the normalized, uncorrected survivor."""
+
     i: int
     j: int
     probability: float
@@ -103,34 +114,51 @@ def _sample_index(rng: np.random.Generator, probabilities) -> int:
     return int(rng.choice(len(probabilities), p=np.asarray(probabilities) / total))
 
 
-def _factor_after(state: np.ndarray, front: np.ndarray) -> np.ndarray:
-    """Split state = front (x) rest and return rest (<front| applied)."""
-    front = np.asarray(front)
-    rest_dim = state.size // front.size
-    block = state.reshape(front.size, rest_dim)
-    rest = conj(front) @ block
-    norm = np.linalg.norm(rest)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError("state does not factor over the measured register")
-    return rest / norm
+def _measure(branches: np.ndarray, rng: np.random.Generator):
+    """Born-rule step of every protocol.
 
-
-def _measure_front(state: np.ndarray, projectors, rng: np.random.Generator):
-    """Projectively measure the leading 2-qubit register of a 3-qubit state.
-
-    Returns (index, probability list, normalized post state).
+    Row m of branches is the unnormalized survivor (<v_m| (x) 1)|state> of
+    outcome m.  Returns (m, p_m, normalized survivor).
     """
-    dim_rest = state.size // 4
-    probs = []
-    posts = []
-    for proj in projectors:
-        branch = kron(proj, identity(dim_rest)) @ state
-        p = float(np.vdot(branch, branch).real)
-        probs.append(p)
-        posts.append(branch)
-    idx = _sample_index(rng, probs)
-    post = posts[idx] / math.sqrt(probs[idx])
-    return idx, probs, post
+    probs = np.sum(np.abs(branches) ** 2, axis=1)
+    m = _sample_index(rng, probs)
+    p = float(probs[m])
+    return m, p, branches[m] / math.sqrt(p)
+
+
+def _basis(kets) -> np.ndarray:
+    """Measurement kets as read-only rows, checked to be orthonormal."""
+    rows = np.array(kets, dtype=complex)
+    drift = max_abs_diff(conj(rows) @ rows.T, identity(len(rows)))
+    if drift > STRICT_TOL:
+        raise ValueError(f"measurement kets are not orthonormal: drift {drift:.3e}")
+    return frozen(rows)
+
+
+@functools.lru_cache(maxsize=None)
+def _bell_kets() -> np.ndarray:
+    return _basis([bell_state(i, j) for i, j in BIT_PAIRS])
+
+
+@functools.lru_cache(maxsize=None)
+def _product_kets() -> np.ndarray:
+    return _basis([basis_ket(2 * i + j, 4) for i, j in BIT_PAIRS])
+
+
+@functools.lru_cache(maxsize=64)
+def _bell_like_kets(phi: float) -> np.ndarray:
+    """|Psi_{M_ij}> as rows; row 0 is also the resource of the protocol."""
+    tl_projector(0, 0, phi)  # raises unless E_00 matches its closed form
+    return _basis([bell_like_state(i, j, phi) for i, j in BIT_PAIRS])
+
+
+@functools.lru_cache(maxsize=64)
+def _braid_protocol(phi: float):
+    """(B x 1)(1 x B) and W_{i,j,k,l} stacked at [2k + l, 2i + j], built once per phi."""
+    table = extract_phases(phi)
+    b = yb_gate(phi)
+    corrections = [[w_braid_correction(i, j, k, l, table) for i, j in BIT_PAIRS] for k, l in BIT_PAIRS]
+    return frozen(kron(b, I2) @ kron(I2, b)), frozen(np.array(corrections))
 
 
 def teleport_standard(alpha: np.ndarray, rng_seed: int = 42):
@@ -138,29 +166,20 @@ def teleport_standard(alpha: np.ndarray, rng_seed: int = 42):
 
     Returns (MeasurementOutcome, corrected Bob qubit).
     """
-    alpha = ket(alpha)
-    rng = np.random.default_rng(rng_seed)
-    state = kron(alpha, EPR)
-    bells = [bell_state(i, j) for i, j in BIT_PAIRS]
-    projectors = [outer(b, b) for b in bells]
-    idx, probs, post = _measure_front(state, projectors, rng)
-    i, j = BIT_PAIRS[idx]
-    bob = _factor_after(post, bells[idx])
-    corrected = dagger(pauli_w(i, j)) @ bob
-    return MeasurementOutcome(i, j, probs[idx], post), corrected
+    state = kron(ket(alpha), EPR)
+    m, p, bob = _measure(conj(_bell_kets()) @ state.reshape(4, -1), np.random.default_rng(rng_seed))
+    i, j = BIT_PAIRS[m]
+    return MeasurementOutcome(i, j, p, bob), dagger(pauli_w(i, j)) @ bob
 
 
 def teleport_bell_like(alpha: np.ndarray, phi: float, rng_seed: int = 42):
     """Teleport through the Bell-like resource |Psi_M00> with E_ij measurement."""
-    alpha = ket(alpha)
-    rng = np.random.default_rng(rng_seed)
-    state = kron(alpha, bell_like_state(0, 0, phi))
-    projectors = [tl_projector(i, j, phi) for i, j in BIT_PAIRS]
-    idx, probs, post = _measure_front(state, projectors, rng)
-    i, j = BIT_PAIRS[idx]
-    bob = _factor_after(post, bell_like_state(i, j, phi))
+    kets = _bell_like_kets(phi)
+    state = kron(ket(alpha), kets[0])
+    m, p, bob = _measure(conj(kets) @ state.reshape(4, -1), np.random.default_rng(rng_seed))
+    i, j = BIT_PAIRS[m]
     correction = dagger(m_gate(0, 0, phi) @ conj(m_gate(i, j, phi)))
-    return MeasurementOutcome(i, j, probs[idx], post), correction @ bob
+    return MeasurementOutcome(i, j, p, bob), correction @ bob
 
 
 def extract_phases(phi: float, tol: float = DEFAULT_TOL) -> PhaseTable:
@@ -250,36 +269,25 @@ def teleport_with_yb(alpha: np.ndarray, k: int, l: int, phi: float, rng_seed: in
     Alice measures her two qubits in the product basis; Bob corrects with
     W^dag_{i,j,k,l}.  Returns (MeasurementOutcome, corrected qubit).
     """
-    alpha = ket(alpha)
     if (k, l) not in BIT_PAIRS:
         raise ValueError(f"resource bits must be 0/1, got {(k, l)}")
-    rng = np.random.default_rng(rng_seed)
-    table = extract_phases(phi)
-    b = yb_gate(phi)
-    op = kron(b, I2) @ kron(I2, b)
-    state = op @ kron(alpha, basis_ket(2 * k + l, 4))
-    projectors = [outer(basis_ket(2 * i + j, 4), basis_ket(2 * i + j, 4)) for i, j in BIT_PAIRS]
-    idx, probs, post = _measure_front(state, projectors, rng)
-    i, j = BIT_PAIRS[idx]
-    bob = _factor_after(post, basis_ket(2 * i + j, 4))
-    corrected = dagger(w_braid_correction(i, j, k, l, table)) @ bob
-    return MeasurementOutcome(i, j, probs[idx], post), corrected
+    op, corrections = _braid_protocol(phi)
+    state = op @ kron(ket(alpha), basis_ket(2 * k + l, 4))
+    m, p, bob = _measure(conj(_product_kets()) @ state.reshape(4, -1), np.random.default_rng(rng_seed))
+    i, j = BIT_PAIRS[m]
+    return MeasurementOutcome(i, j, p, bob), dagger(corrections[2 * k + l, m]) @ bob
 
 
 def braid_teleportation_residual(phi: float, seed: int = 42) -> float:
     """Residual of (B x 1)(1 x B)|alpha>|kl> = 1/2 sum |ij> (x) W_ijkl|alpha>."""
-    table = extract_phases(phi)
-    b = yb_gate(phi)
-    op = kron(b, I2) @ kron(I2, b)
+    op, corrections = _braid_protocol(phi)
     worst = 0.0
     for alpha in probe_states(seed):
         for k, l in BIT_PAIRS:
             lhs = op @ kron(alpha, basis_ket(2 * k + l, 4))
             rhs = np.zeros_like(lhs)
-            for i, j in BIT_PAIRS:
-                rhs += 0.5 * kron(
-                    basis_ket(2 * i + j, 4), w_braid_correction(i, j, k, l, table) @ alpha
-                )
+            for m, w in enumerate(corrections[2 * k + l]):
+                rhs += 0.5 * kron(basis_ket(m, 4), w @ alpha)
             worst = max(worst, max_abs_diff(lhs, rhs))
     return worst
 
