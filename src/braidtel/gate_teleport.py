@@ -163,17 +163,7 @@ def b0_forward_residual(seed: int = 42) -> float:
     (1/2) sum_ij |ij> (x) K_{i,j,k,l}|alpha> for every resource pair.
     """
     b0 = _b0()
-    op = mul(kron(b0, I2), kron(I2, b0))
-    worst = 0.0
-    for alpha in probe_states(seed):
-        for k, l in BIT_PAIRS:
-            lhs = op @ kron(alpha, basis_ket(2 * k + l, 4))
-            rhs = sum(
-                0.5 * kron(basis_ket(2 * i + j, 4), k_gate(i, j, k, l) @ alpha)
-                for i, j in BIT_PAIRS
-            )
-            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return worst
+    return _b0_identity_residual(mul(kron(b0, I2), kron(I2, b0)), k_gate, kron, seed)
 
 
 def b0_reverse_residual(seed: int = 42) -> float:
@@ -183,13 +173,17 @@ def b0_reverse_residual(seed: int = 42) -> float:
     (1 x B_0)(B_0 x 1)|kl>|alpha> = (1/2) sum_ij L_{i,j,k,l}|alpha> (x) |ij>.
     """
     b0 = _b0()
-    op = mul(kron(I2, b0), kron(b0, I2))
+    return _b0_identity_residual(mul(kron(I2, b0), kron(b0, I2)), l_gate, lambda a, b: kron(b, a), seed)
+
+
+def _b0_identity_residual(op, correction, pair, seed: int) -> float:
+    """Worst norm of op pair(alpha, |kl>) - (1/2) sum_ij pair(|ij>, C_ijkl alpha) over probes."""
     worst = 0.0
     for alpha in probe_states(seed):
         for k, l in BIT_PAIRS:
-            lhs = op @ kron(basis_ket(2 * k + l, 4), alpha)
+            lhs = op @ pair(alpha, basis_ket(2 * k + l, 4))
             rhs = sum(
-                0.5 * kron(l_gate(i, j, k, l) @ alpha, basis_ket(2 * i + j, 4))
+                0.5 * pair(basis_ket(2 * i + j, 4), correction(i, j, k, l) @ alpha)
                 for i, j in BIT_PAIRS
             )
             worst = max(worst, float(np.linalg.norm(lhs - rhs)))
@@ -268,11 +262,7 @@ def _double_input(alphabeta: np.ndarray, k1, l1, k2, l2) -> np.ndarray:
     """
     coeff = ket(alphabeta).reshape(2, 2)
     anc = kron(basis_ket(2 * k1 + l1, 4), basis_ket(2 * k2 + l2, 4))
-    state = np.zeros(64, dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            state += coeff[a, b] * kron(basis_ket(a, 2), anc, basis_ket(b, 2))
-    return state
+    return np.einsum("ab,m->amb", coeff, anc).reshape(64)
 
 
 @functools.lru_cache(maxsize=None)

@@ -322,14 +322,14 @@ def check_teleportation_identity(variant: str, phi: float = 0.0, seed: int = 42)
     """
     probes = probe_states(seed)
     if variant == "standard":
-        return _vector_identity_residual(
+        return _identity_residual(
             probes,
             lambda a: kron(a, EPR),
             lambda a: 0.5
             * sum(kron(bell_state(i, j), pauli_w(i, j) @ a) for i, j in BIT_PAIRS),
         )
     if variant == "standard-transpose":
-        return _vector_identity_residual(
+        return _identity_residual(
             probes,
             lambda a: kron(EPR, a),
             lambda a: 0.5
@@ -337,7 +337,7 @@ def check_teleportation_identity(variant: str, phi: float = 0.0, seed: int = 42)
         )
     if variant == "bell-like":
         m00 = m_gate(0, 0, phi)
-        return _vector_identity_residual(
+        return _identity_residual(
             probes,
             lambda a: kron(a, bell_like_state(0, 0, phi)),
             lambda a: 0.5
@@ -348,7 +348,7 @@ def check_teleportation_identity(variant: str, phi: float = 0.0, seed: int = 42)
         )
     if variant == "bell-like-transpose":
         m00 = m_gate(0, 0, phi)
-        return _vector_identity_residual(
+        return _identity_residual(
             probes,
             lambda a: kron(bell_like_state(0, 0, phi), a),
             lambda a: 0.5
@@ -361,23 +361,19 @@ def check_teleportation_identity(variant: str, phi: float = 0.0, seed: int = 42)
             ),
         )
     if variant == "projector-channel":
-        e00 = tl_projector(0, 0, phi)
-        psi = bell_like_state(0, 0, phi)
-        worst = 0.0
-        for a in probes:
-            lhs = kron(e00, I2) @ kron(a.reshape(2, 1), e00)
-            rhs = 0.5 * outer(kron(psi, a), psi)
-            worst = max(worst, max_abs_diff(lhs, rhs))
-        return worst
+        e00, psi = tl_projector(0, 0, phi), bell_like_state(0, 0, phi)
+        return _identity_residual(
+            probes,
+            lambda a: kron(e00, I2) @ kron(a.reshape(2, 1), e00),
+            lambda a: 0.5 * outer(kron(psi, a), psi),
+        )
     if variant == "projector-channel-transpose":
-        e00 = tl_projector(0, 0, phi)
-        psi = bell_like_state(0, 0, phi)
-        worst = 0.0
-        for a in probes:
-            lhs = kron(I2, e00) @ kron(e00, a.reshape(2, 1))
-            rhs = 0.5 * outer(kron(a, psi), psi)
-            worst = max(worst, max_abs_diff(lhs, rhs))
-        return worst
+        e00, psi = tl_projector(0, 0, phi), bell_like_state(0, 0, phi)
+        return _identity_residual(
+            probes,
+            lambda a: kron(I2, e00) @ kron(e00, a.reshape(2, 1)),
+            lambda a: 0.5 * outer(kron(a, psi), psi),
+        )
     if variant == "flow":
         rng = np.random.default_rng(seed)
         worst = 0.0
@@ -409,7 +405,7 @@ def transpose_asymmetry_margin(phi: float) -> float:
     return margin
 
 
-def _vector_identity_residual(probes, lhs_fn, rhs_fn) -> float:
+def _identity_residual(probes, lhs_fn, rhs_fn) -> float:
     worst = 0.0
     for a in probes:
         worst = max(worst, max_abs_diff(lhs_fn(a), rhs_fn(a)))
