@@ -285,8 +285,9 @@ def _cmd_verify(cfg: RunConfig) -> list[dict]:
 
 def _run_instance(cfg: RunConfig, index: int):
     """One protocol run; returns (outcome key, correction key, label, p, fidelity)."""
-    inst_seed = cfg.seed * _SEED_STRIDE + index
-    rng = np.random.default_rng(inst_seed)
+    # the input state and the measurement draw from independent child streams
+    ket_seed, inst_seed = np.random.SeedSequence(cfg.seed * _SEED_STRIDE + index).spawn(2)
+    rng = np.random.default_rng(ket_seed)
     variant = cfg.action
     if variant == "standard":
         alpha = random_ket(rng)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from braidtel import cli
@@ -177,3 +178,19 @@ def test_unwritable_output_is_rejected_before_the_report(monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "constraints", "--output", "/nonexistent/x.json"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("variant", cli.TELEPORT_VARIANTS)
+def test_input_and_measurement_streams_are_independent(variant, monkeypatch, capsys):
+    real = np.random.default_rng
+    starts = []
+
+    def recording_rng(seed=None):
+        rng = real(seed)
+        starts.append(rng.bit_generator.state["state"])
+        return rng
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    assert main(["teleport", variant, "--count", "1", "--format", "json"]) == 0
+    ket_stream, measure_stream = starts
+    assert ket_stream != measure_stream
