@@ -340,20 +340,23 @@ def brauer_teleportation_residuals(seed: int = 42, count: int = 20) -> dict:
         "cup-cap": max_abs_diff(swap_cup_cap_expansion(), P),
     }
     basis2 = [np.eye(4)[:, k] for k in range(4)]
+    e_left, e_right = kron(E, I2), kron(I2, E)
+    swap_right_left = mul(kron(I2, P), kron(P, I2))
+    swap_left_right = mul(kron(P, I2), kron(I2, P))
     for _ in range(count):
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         alpha = v / np.linalg.norm(v)
-        lhs = kron(E, I2) @ kron(alpha, EPR)
+        lhs = e_left @ kron(alpha, EPR)
         res["projector"] = max(
             res["projector"], float(np.linalg.norm(lhs - 0.5 * kron(EPR, alpha)))
         )
         for pair in basis2:
-            moved = mul(kron(I2, P), kron(P, I2)) @ kron(alpha, pair)
+            moved = swap_right_left @ kron(alpha, pair)
             res["swap"] = max(
                 res["swap"], float(np.linalg.norm(moved - kron(pair, alpha)))
             )
-        left = mul(kron(P, I2), kron(I2, P)) @ kron(EPR, alpha)
-        right = 2.0 * kron(I2, E) @ kron(EPR, alpha)
+        left = swap_left_right @ kron(EPR, alpha)
+        right = 2.0 * e_right @ kron(EPR, alpha)
         res["tangle"] = max(res["tangle"], float(np.linalg.norm(left - right)))
     return res
 
