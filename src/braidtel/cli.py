@@ -16,6 +16,7 @@ check passed, 1 a check failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -350,14 +351,8 @@ def _cmd_teleport(cfg: RunConfig) -> list[dict]:
     ]
     if cfg.action == "gate":
         u = elementary(cfg.gate, cfg.phi)
-        bits = (0, 1)
-        all_clifford = all(
-            clifford_check(r_gate(u, i, j, k, l))[0]
-            for i in bits
-            for j in bits
-            for k in bits
-            for l in bits
-        )
+        bits = itertools.product((0, 1), repeat=4)
+        all_clifford = all(clifford_check(r_gate(u, i, j, k, l))[0] for i, j, k, l in bits)
         results.append(_info("correction-clifford", gate=cfg.gate, value=bool(all_clifford)))
     return results
 

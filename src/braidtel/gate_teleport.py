@@ -335,9 +335,8 @@ def teleport_two_qubit(alphabeta: np.ndarray, k1: int, l1: int,
     ends = state.reshape(4, 4, 4).transpose(0, 2, 1).reshape(16, 4)
     m, p, middle = _measure(ends, np.random.default_rng(rng_seed))
     (i1, j1), (i2, j2) = BIT_PAIRS[m // 4], BIT_PAIRS[m % 4]
-    q = q_correction(i1, j1, k1, l1, i2, j2, k2, l2)
-    pc = p_correction(i1, j1, k1, l1, i2, j2, k2, l2)
-    corrected = dagger(kron(q, pc)) @ middle
+    bits = (i1, j1, k1, l1, i2, j2, k2, l2)
+    corrected = dagger(kron(q_correction(*bits), p_correction(*bits))) @ middle
     return DoubleOutcome((i1, j1), (i2, j2), p, middle), corrected
 
 

@@ -193,28 +193,19 @@ def extract_phases(phi: float, tol: float = DEFAULT_TOL) -> PhaseTable:
     alpha_b = {}
     alpha_bd = {}
     worst = 0.0
-    for i, j in BIT_PAIRS:
-        col = b @ basis_ket(2 * i + j, 4)
-        target = local @ bell_state(j, i)
-        theta = approx_eq_phase(col, target, tol)
-        if theta is None:
-            raise ValueError(f"B|{i}{j}> is not a phased Bell state at phi={phi}")
-        worst = max(worst, max_abs_diff(col, theta * target))
-        alpha_b[(i, j)] = math.atan2(theta.imag, theta.real)
-
-        col_d = dagger(b) @ basis_ket(2 * i + j, 4)
-        target_d = local @ bell_state((j + 1) % 2, (i + 1) % 2)
-        theta_d = approx_eq_phase(col_d, target_d, tol)
-        if theta_d is None:
-            raise ValueError(f"B^dag|{i}{j}> is not a phased Bell state at phi={phi}")
-        worst = max(worst, max_abs_diff(col_d, theta_d * target_d))
-        alpha_bd[(i, j)] = math.atan2(theta_d.imag, theta_d.real)
+    # B|ij> lands on psi(ji), B^dag|ij> on psi(j+1, i+1)
+    for name, op, phases, shift in (("B", b, alpha_b, 0), ("B^dag", dagger(b), alpha_bd, 1)):
+        for i, j in BIT_PAIRS:
+            col = op @ basis_ket(2 * i + j, 4)
+            target = local @ bell_state((j + shift) % 2, (i + shift) % 2)
+            theta = approx_eq_phase(col, target, tol)
+            if theta is None:
+                raise ValueError(f"{name}|{i}{j}> is not a phased Bell state at phi={phi}")
+            worst = max(worst, max_abs_diff(col, theta * target))
+            phases[(i, j)] = math.atan2(theta.imag, theta.real)
 
     table = PhaseTable(phi=phi, alpha_b=alpha_b, alpha_b_dagger=alpha_bd, max_residual=worst)
-    rebuilt = _rebuild_from_v(table)
-    drift = max_abs_diff(rebuilt, b)
-    rebuilt_u = _rebuild_from_u(table)
-    drift = max(drift, max_abs_diff(rebuilt_u, b))
+    drift = max(max_abs_diff(_rebuild_from_v(table), b), max_abs_diff(_rebuild_from_u(table), b))
     if drift > tol:
         raise ValueError(f"phase table does not reproduce B: drift {drift:.3e}")
     return table
@@ -285,9 +276,8 @@ def braid_teleportation_residual(phi: float, seed: int = 42) -> float:
     for alpha in probe_states(seed):
         for k, l in BIT_PAIRS:
             lhs = op @ kron(alpha, basis_ket(2 * k + l, 4))
-            rhs = np.zeros_like(lhs)
-            for m, w in enumerate(corrections[2 * k + l]):
-                rhs += 0.5 * kron(basis_ket(m, 4), w @ alpha)
+            # row m of W_kl alpha is the qubit beside |ij> = |m>
+            rhs = 0.5 * (corrections[2 * k + l] @ alpha).reshape(-1)
             worst = max(worst, max_abs_diff(lhs, rhs))
     return worst
 
