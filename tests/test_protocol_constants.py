@@ -1,12 +1,15 @@
 """The phi-fixed protocol operators: cached, read-only, still self-checked."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from braidtel import gate_teleport, gates, teleport
 from braidtel.gate_teleport import teleport_single_gate, teleport_two_qubit
 from braidtel.gates import H
-from braidtel.teleport import teleport_bell_like, teleport_with_yb
+from braidtel.linalg import basis_ket, kron
+from braidtel.teleport import BIT_PAIRS, extract_phases, teleport_bell_like, teleport_with_yb, w_braid_correction
 
 CACHES = (
     teleport._bell_kets,
@@ -83,3 +86,22 @@ def test_cached_constants_are_read_only(constant):
 def test_measurement_bases_must_be_orthonormal():
     with pytest.raises(ValueError, match="orthonormal"):
         teleport._basis([[1, 0], [1, 0]])
+
+
+def test_braid_corrections_are_stacked_by_resource_then_outcome():
+    table = extract_phases(-2.1)
+    _, stacked = teleport._braid_protocol(-2.1)
+    for (k, l), (i, j) in itertools.product(BIT_PAIRS, repeat=2):
+        assert np.array_equal(stacked[2 * k + l, 2 * i + j], w_braid_correction(i, j, k, l, table))
+
+
+def test_double_input_matches_the_summed_layout():
+    alphabeta = np.array([0.1, 0.7j, -0.5, 0.5 + 0.0j])
+    alphabeta /= np.linalg.norm(alphabeta)
+    coeff = alphabeta.reshape(2, 2)
+    for k1, l1, k2, l2 in itertools.product((0, 1), repeat=4):
+        anc = kron(basis_ket(2 * k1 + l1, 4), basis_ket(2 * k2 + l2, 4))
+        expected = sum(
+            coeff[a, b] * kron(basis_ket(a, 2), anc, basis_ket(b, 2)) for a in (0, 1) for b in (0, 1)
+        )
+        assert np.array_equal(gate_teleport._double_input(alphabeta, k1, l1, k2, l2), expected)
