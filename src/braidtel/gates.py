@@ -19,10 +19,10 @@ from .linalg import (
     STRICT_TOL,
     approx_eq,
     dagger,
+    frozen,
     identity,
     ket,
     kron,
-    frozen,
     mat,
     max_abs_diff,
     mul,
