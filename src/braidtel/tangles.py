@@ -24,6 +24,7 @@ from .linalg import (
     STRICT_TOL,
     conj,
     dagger,
+    frozen,
     kron,
     mat,
     max_abs_diff,
@@ -407,30 +408,48 @@ _SAMPLE_PHIS = (0.3, 0.7, 1.9)
 
 _DEDUP_PHI = 0.3
 
+# mu_00 = exp(i phi); the other three entries take every (sign, frequency)
+_PATTERNS = tuple(
+    ((1, 1),) + tail
+    for tail in itertools.product(((1, 1), (1, -1), (-1, 1), (-1, -1)), repeat=3)
+)
 
-def solve_pauli_eigenvalues(m: int, n: int, tol: float = DEFAULT_TOL
-                            ) -> list[SolutionClass]:
-    """Enumerate sign-pattern solutions of the Pauli-basis constraints.
 
-    mu_00 is normalized to exp(i phi); the remaining entries range over
-    all sign and frequency choices.  A pattern survives only if all four
-    constraints hold at every sampled phi.  Surviving patterns are
-    deduplicated by their value at phi=0.3 and sorted by that value,
-    flattened to (real, imag) pairs, in descending order.
+@functools.lru_cache(maxsize=None)
+def _pauli_chain(m: int, n: int):
+    """Stacked Pauli tables: chain[c, p, q] = left[q] mid[p] right[q] and rhs[c, p].
+
+    Shapes (4, 4, 4, 2, 2) and (4, 4, 2, 2), constraints in CONSTRAINT_IDS
+    order and pairs in BIT_PAIRS order; shared read-only.
     """
-    if (m, n) not in BIT_PAIRS:
-        raise ValueError("base index must be a bit pair")
     forms = _pauli_forms(m, n)
-    survivors = []
-    for tail in itertools.product(((1, 1), (1, -1), (-1, 1), (-1, -1)), repeat=3):
-        pattern = ((1, 1),) + tail
-        probe = SolutionClass(0, (m, n), (-1) ** n, pattern)
-        if all(
-            table_max(_constraint_table(GateCoefficients.diagonal(probe.mu_of_phi(phi)).g, forms))
-            <= tol
-            for phi in _SAMPLE_PHIS
-        ):
-            survivors.append(pattern)
+    chain = np.array([
+        [[mul(*left[q], *mid[p], *right[q]) for q in BIT_PAIRS] for p in BIT_PAIRS]
+        for left, mid, right, _ in forms.values()
+    ])
+    rhs = np.array([[table[p] for p in BIT_PAIRS] for *_, table in forms.values()])
+    return frozen(chain), frozen(rhs)
+
+
+def _pattern_residuals(m: int, n: int, phis=_SAMPLE_PHIS) -> np.ndarray:
+    """Worst Pauli-basis constraint residual of each of _PATTERNS at each phi.
+
+    With g diagonal the constraint at free index p reads
+    (1/2) mu_p sum_q mu_q chain[c, p, q] = rhs[c, p], so every pattern and
+    phi is tested in one einsum over mu.  Returns shape (64, len(phis)).
+    """
+    chain, rhs = _pauli_chain(m, n)
+    signs, freqs = np.array(_PATTERNS).transpose(2, 0, 1)
+    mu = signs[:, None, :] * np.exp(1j * freqs[:, None, :] * np.asarray(phis)[:, None])
+    mu = mu.reshape(-1, len(BIT_PAIRS))
+    cells = 0.5 * np.einsum("xp,xq,cpqij->xcpij", mu, mu, chain) - rhs
+    return np.abs(cells).max(axis=(1, 2, 3, 4)).reshape(len(_PATTERNS), len(phis))
+
+
+@functools.lru_cache(maxsize=None)
+def _solved_classes(m: int, n: int, tol: float) -> tuple[SolutionClass, ...]:
+    passed = (_pattern_residuals(m, n) <= tol).all(axis=1)
+    survivors = [pattern for pattern, ok in zip(_PATTERNS, passed) if ok]
 
     def footprint(pattern):
         values = SolutionClass(0, (m, n), (-1) ** n, pattern).mu_of_phi(_DEDUP_PHI)
@@ -443,10 +462,33 @@ def solve_pauli_eigenvalues(m: int, n: int, tol: float = DEFAULT_TOL
     for pattern in survivors:
         unique.setdefault(footprint(pattern), pattern)
     ordered = sorted(unique.items(), key=lambda kv: kv[0], reverse=True)
-    return [
+    return tuple(
         SolutionClass(idx, (m, n), (-1) ** n, pattern)
         for idx, (_, pattern) in enumerate(ordered, start=1)
-    ]
+    )
+
+
+def solve_pauli_eigenvalues(m: int, n: int, tol: float = DEFAULT_TOL
+                            ) -> list[SolutionClass]:
+    """Enumerate sign-pattern solutions of the Pauli-basis constraints.
+
+    mu_00 is normalized to exp(i phi); the remaining entries range over
+    all sign and frequency choices.  A pattern survives only if all four
+    constraints hold at every sampled phi.  Surviving patterns are
+    deduplicated by their value at phi=0.3 and sorted by that value,
+    flattened to (real, imag) pairs, in descending order.
+
+    Three samples decide the identity exactly.  With Pauli factors every
+    chain and right-hand side is constant in phi, and mu_p mu_q =
+    s_p s_q z^(f_p + f_q) with z = exp(i phi), so each constraint entry is
+    a Laurent polynomial A z^-2 + B + C z^2.  Times z^2 it is a quadratic in
+    w = z^2, which vanishes identically once it vanishes at three distinct
+    w; phi = 0.3, 0.7 and 1.9 give three distinct exp(2 i phi).  The classes
+    are computed once per (m, n, tol); each call returns a fresh list.
+    """
+    if (m, n) not in BIT_PAIRS:
+        raise ValueError("base index must be a bit pair")
+    return list(_solved_classes(m, n, tol))
 
 
 def printed_projector(m: int, n: int) -> np.ndarray:

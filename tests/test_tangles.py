@@ -1,13 +1,16 @@
 """Constraint systems that decide which bases support teleportation."""
 
 import cmath
+import itertools
 
 import numpy as np
 import pytest
 
+from braidtel import tangles
 from braidtel.algebra import build_rep, check_braid, check_tangle, check_temperley_lieb
 from braidtel.gates import B_EIGENVALUES, yb_gate
-from braidtel.linalg import is_unitary, max_abs_diff, transpose
+from braidtel.cli import main
+from braidtel.linalg import DEFAULT_TOL, conj, dagger, is_unitary, max_abs_diff, mul, transpose
 from braidtel.tangles import (
     CONSTRAINT_IDS,
     EigenAssignment,
@@ -40,6 +43,42 @@ PRINTED_CLASSES = (
     ((1, 1), (1, -1), (-1, 1), (1, -1)),
     ((1, 1), (-1, 1), (1, -1), (1, -1)),
 )
+
+
+def _loop_table(g, forms, scale=0.5):
+    """The per-pair loop the stacked evaluator replaced, kept as its oracle.
+
+    forms maps each constraint to (left, mid, right, rhs) dicts over bit
+    pairs; the first three hold factor tuples.
+    """
+    terms = [(a, b, g[(a, b)]) for a, b in itertools.product(BIT_PAIRS, repeat=2) if g[(a, b)] != 0]
+    table = {}
+    for c, (left, mid, right, rhs) in forms.items():
+        table[c] = {}
+        for ij1 in BIT_PAIRS:
+            acc = np.zeros((2, 2), dtype=complex)
+            for row, kl1, g1 in terms:
+                if row == ij1:
+                    for ij2, kl2, g2 in terms:
+                        acc += scale * g1 * g2 * mul(*left[ij2], *mid[kl1], *right[kl2])
+            table[c][ij1] = max_abs_diff(acc, rhs[ij1])
+    return table
+
+
+def _loop_u_forms(basis, m, n):
+    """The four constraints in U_ab notation, as per-pair factor tuples."""
+    u = basis.u
+    umn = u[(m, n)]
+    a = {p: (dagger(umn), u[p]) for p in BIT_PAIRS}
+    b = {p: (conj(umn), transpose(u[p])) for p in BIT_PAIRS}
+    c = {p: (dagger(u[p]), umn) for p in BIT_PAIRS}
+    d = {p: (conj(u[p]), transpose(umn)) for p in BIT_PAIRS}
+
+    def product(t):
+        return {p: mul(*t[p]) for p in BIT_PAIRS}
+
+    return {1: (a, d, c, product(d)), 2: (b, c, d, product(c)),
+            3: (a, b, c, product(b)), 4: (b, a, d, product(a))}
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +139,42 @@ def test_solver_reproduces_printed_classes(pauli_basis):
 def test_solver_epsilon_tracks_second_bit():
     assert all(sol.epsilon == -1 for sol in solve_pauli_eigenvalues(0, 1))
     assert all(sol.epsilon == 1 for sol in solve_pauli_eigenvalues(1, 0))
+
+
+@pytest.mark.parametrize("m,n", BIT_PAIRS)
+def test_batched_filter_matches_the_pattern_loop(pauli_basis, m, n):
+    forms = _loop_u_forms(pauli_basis, m, n)
+    batched = tangles._pattern_residuals(m, n)
+    assert batched.shape == (64, len(tangles._SAMPLE_PHIS))
+    for x, pattern in enumerate(tangles._PATTERNS):
+        probe = SolutionClass(0, (m, n), (-1) ** n, pattern)
+        for y, phi in enumerate(tangles._SAMPLE_PHIS):
+            coeffs = GateCoefficients.diagonal(probe.mu_of_phi(phi))
+            looped = table_max(_loop_table(coeffs.g, forms))
+            assert (looped <= DEFAULT_TOL) == (batched[x, y] <= DEFAULT_TOL)
+            assert abs(looped - batched[x, y]) < 1e-12
+
+
+@pytest.mark.parametrize("m,n", BIT_PAIRS)
+def test_three_sample_phis_decide_every_pattern(m, n):
+    grid = np.linspace(-3.1, 3.1, 25)
+    at_samples = (tangles._pattern_residuals(m, n) <= DEFAULT_TOL).all(axis=1)
+    on_grid = (tangles._pattern_residuals(m, n, grid) <= DEFAULT_TOL).all(axis=1)
+    assert at_samples.tolist() == on_grid.tolist()
+    assert 3 <= at_samples.sum() < 64
+
+
+def test_solver_memo_hands_out_fresh_lists_and_solves_once(monkeypatch, capsys):
+    solve_pauli_eigenvalues(0, 1).clear()
+    assert len(solve_pauli_eigenvalues(0, 1)) == 3
+    tangles._solved_classes.cache_clear()
+    calls = []
+    real = tangles._pattern_residuals
+    monkeypatch.setattr(tangles, "_pattern_residuals", lambda *a: calls.append(a) or real(*a))
+    for kind in ("spectral", "general", "skew-transpose"):
+        assert main(["verify", kind, "--mn", "10", "--class", "2", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert calls == [(1, 0)]
 
 
 def test_solver_rejects_bad_index():
