@@ -70,11 +70,13 @@ def mul(*ops: np.ndarray) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return np.conj(np.asarray(a)).T
+    return np.conj(transpose(a))
 
 
 def transpose(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a).T
+    """Matrix transpose; a stack of matrices is transposed matrix by matrix."""
+    a = np.asarray(a)
+    return a.swapaxes(-1, -2) if a.ndim > 2 else a.T
 
 
 def conj(a: np.ndarray) -> np.ndarray:

@@ -131,6 +131,10 @@ class GateCoefficients:
             for a in BIT_PAIRS for b in BIT_PAIRS
         })
 
+    def matrix(self) -> np.ndarray:
+        """The 4x4 array from_matrix reads, indexed by flattened bit pairs."""
+        return np.array([[self.g[(a, b)] for b in BIT_PAIRS] for a in BIT_PAIRS], dtype=complex)
+
     def assemble(self, basis: UnitaryBasis) -> np.ndarray:
         total = np.zeros((4, 4), dtype=complex)
         for a in BIT_PAIRS:
@@ -143,77 +147,62 @@ class GateCoefficients:
         return bool(np.max(np.abs(g @ dagger(g) - np.eye(4))) <= tol)
 
 
-def _constraint_table(g, forms, scale: float = 0.5):
-    """Residuals of the four quadratic constraints for a coefficient table.
+def _constraint_table(g: np.ndarray, forms, scale: float = 0.5):
+    """Residuals of the four quadratic constraints for a coefficient matrix.
 
-    forms maps each constraint id to per-pair tables (left, mid, right, rhs);
-    the first three hold factor tuples.  At free index ij1 the constraint is
-    sum scale g[ij1,kl1] g[ij2,kl2] left[ij2] mid[kl1] right[kl2] = rhs[ij1],
-    summed over the non-zero coefficient pairs in lexicographic order.
-    Returns {constraint id: {ij1: max-entry residual}}.
+    g is the 4x4 coefficient matrix (GateCoefficients.matrix) and forms the
+    stacked tables (left, mid, right, rhs), each of shape (4 constraints,
+    4 pairs, 2, 2).  At constraint e and free index a the constraint is
+    scale sum_{b,c,d} g[a,b] g[c,d] left[e,c] mid[e,b] right[e,d] = rhs[e,a],
+    contracted in two steps:
+        t[e,i,j,k,l] = sum_{c,d} g[c,d] left[e,c,i,j] right[e,d,k,l]
+        s[e,a,i,l] = sum_{b,j,k} g[a,b] mid[e,b,j,k] t[e,i,j,k,l]
+    (a single five-operand einsum runs without a contraction path and is
+    slower than the loop it replaced).  Returns {constraint id: {pair:
+    max-entry residual of scale s - rhs}}.
     """
-    terms = [(a, b, g[(a, b)]) for a in BIT_PAIRS for b in BIT_PAIRS if g[(a, b)] != 0]
-    table: dict[int, dict[tuple[int, int], float]] = {}
-    for c, (left, mid, right, rhs) in forms.items():
-        table[c] = {}
-        for ij1 in BIT_PAIRS:
-            acc = np.zeros((2, 2), dtype=complex)
-            for row, kl1, g1 in terms:
-                if row != ij1:
-                    continue
-                for ij2, kl2, g2 in terms:
-                    acc += scale * g1 * g2 * mul(*left[ij2], *mid[kl1], *right[kl2])
-            table[c][ij1] = max_abs_diff(acc, rhs[ij1])
-    return table
+    left, mid, right, rhs = forms
+    t = np.einsum("cd,ecij,edkl->eijkl", g, left, right)
+    cells = scale * np.einsum("ab,ebjk,eijkl->eail", g, mid, t) - rhs
+    worst = np.abs(cells).max(axis=(2, 3))
+    return {c: dict(zip(BIT_PAIRS, row)) for c, row in zip(CONSTRAINT_IDS, worst.tolist())}
 
 
 def _chain_forms(a, b, c, d):
-    """Constraint tables from four per-pair factor tables.
+    """Stacked constraint tables from four (4, 2, 2) per-pair factor tables.
 
     The constraints chain a.d.c, b.c.d, a.b.c and b.a.d; each right-hand
-    side is the product of the middle factors at the free index.
+    side is the middle factor at the free index.
     """
-    def product(t):
-        return {p: mul(*t[p]) for p in BIT_PAIRS}
+    mid = np.stack((d, c, b, a))
+    return np.stack((a, b, a, b)), mid, np.stack((c, d, c, d)), mid
 
-    return {
-        1: (a, d, c, product(d)),
-        2: (b, c, d, product(c)),
-        3: (a, b, c, product(b)),
-        4: (b, a, d, product(a)),
-    }
+
+def _stacked_basis(basis: UnitaryBasis, m: int, n: int):
+    """The basis gates as one (4, 2, 2) array, and U_mn."""
+    u = np.stack([np.asarray(basis.u[p], dtype=complex) for p in BIT_PAIRS])
+    return u, u[2 * m + n]
 
 
 def _u_forms(basis: UnitaryBasis, m: int, n: int):
-    """The constraints in the U_ab notation, with U_mn as separate factors."""
-    u = {p: np.asarray(basis.u[p], dtype=complex) for p in BIT_PAIRS}
-    umn = u[(m, n)]
-    return _chain_forms(
-        {p: (dagger(umn), u[p]) for p in BIT_PAIRS},
-        {p: (conj(umn), transpose(u[p])) for p in BIT_PAIRS},
-        {p: (dagger(u[p]), umn) for p in BIT_PAIRS},
-        {p: (conj(u[p]), transpose(umn)) for p in BIT_PAIRS},
-    )
+    """The constraints in the U_ab notation, each factor pair multiplied out."""
+    u, umn = _stacked_basis(basis, m, n)
+    return _chain_forms(dagger(umn) @ u, conj(umn) @ transpose(u),
+                        dagger(u) @ umn, conj(u) @ transpose(umn))
 
 
 def _o_forms(basis: UnitaryBasis, m: int, n: int):
     """The same constraints through O_ab = U_mn^dag U_ab and its skew-transpose."""
-    u = {p: np.asarray(basis.u[p], dtype=complex) for p in BIT_PAIRS}
-    umn = u[(m, n)]
-    o = {p: dagger(umn) @ u[p] for p in BIT_PAIRS}
-    ost = {p: skew_transpose(dagger(umn), u[p]) for p in BIT_PAIRS}
-    return _chain_forms(
-        {p: (o[p],) for p in BIT_PAIRS},
-        {p: (ost[p],) for p in BIT_PAIRS},
-        {p: (dagger(o[p]),) for p in BIT_PAIRS},
-        {p: (dagger(ost[p]),) for p in BIT_PAIRS},
-    )
+    u, umn = _stacked_basis(basis, m, n)
+    o = dagger(umn) @ u
+    ost = skew_transpose(dagger(umn), u)
+    return _chain_forms(o, ost, dagger(o), dagger(ost))
 
 
 @functools.lru_cache(maxsize=None)
 def _pauli_forms(m: int, n: int):
-    """U-notation tables of the Pauli basis, shared by every caller; never mutated."""
-    return _u_forms(UnitaryBasis.pauli(), m, n)
+    """Stacked U-notation tables of the Pauli basis, shared read-only."""
+    return tuple(frozen(t) for t in _u_forms(UnitaryBasis.pauli(), m, n))
 
 
 def concrete_constraint_residuals(phi: float, lambdas=None):
@@ -224,24 +213,16 @@ def concrete_constraint_residuals(phi: float, lambdas=None):
     Returns {constraint id: {(i,j): max-entry residual}}.
     """
     lam = dict(B_EIGENVALUES if lambdas is None else lambdas)
-    m = {p: m_gate(*p, phi) for p in BIT_PAIRS}
-    m00 = m[(0, 0)]
-
-    def constraint(*rules):
-        """(left, mid, right, rhs) tables, each rule applied to every M_ij."""
-        return tuple({p: rule(m[p]) for p in BIT_PAIRS} for rule in rules)
-
-    forms = {
-        1: constraint(lambda a: (a,), lambda a: (conj(a), transpose(m00)),
-                      lambda a: (dagger(a),), lambda a: 2.0 * m00 @ conj(a)),
-        2: constraint(lambda a: (transpose(a),), lambda a: (dagger(a), m00),
-                      lambda a: (conj(a),), lambda a: 2.0 * transpose(m00) @ dagger(a)),
-        3: constraint(lambda a: (a,), lambda a: (conj(m00), transpose(a)),
-                      lambda a: (dagger(a),), lambda a: 2.0 * transpose(a) @ dagger(m00)),
-        4: constraint(lambda a: (transpose(a),), lambda a: (dagger(m00), a),
-                      lambda a: (conj(a),), lambda a: 2.0 * a @ conj(m00)),
-    }
-    return _constraint_table(GateCoefficients.diagonal(lam).g, forms, scale=1.0)
+    m = np.stack([m_gate(*p, phi) for p in BIT_PAIRS])
+    m00 = m[0]
+    mt, mc, md = transpose(m), conj(m), dagger(m)
+    forms = (
+        np.stack((m, mt, m, mt)),
+        np.stack((mc @ transpose(m00), md @ m00, conj(m00) @ mt, dagger(m00) @ m)),
+        np.stack((md, mc, md, mc)),
+        2.0 * np.stack((m00 @ mc, transpose(m00) @ md, mt @ dagger(m00), m @ conj(m00))),
+    )
+    return _constraint_table(GateCoefficients.diagonal(lam).matrix(), forms, scale=1.0)
 
 
 def projector_teleportation_residuals(phi: float, seed: int = 42) -> dict[int, float]:
@@ -302,7 +283,7 @@ def general_constraint_residuals(coeffs: GateCoefficients, basis: UnitaryBasis,
     Each constraint carries a double sum over coefficient pairs; the free
     index is the first one.  Returns {constraint id: {(i1,j1): residual}}.
     """
-    return _constraint_table(coeffs.g, _u_forms(basis, m, n))
+    return _constraint_table(coeffs.matrix(), _u_forms(basis, m, n))
 
 
 def skew_transpose(b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -316,8 +297,9 @@ def skew_agreement_deviation(basis: UnitaryBasis, assignment_or_coeffs,
     coeffs = assignment_or_coeffs
     if not isinstance(coeffs, GateCoefficients):
         coeffs = GateCoefficients.diagonal(coeffs)
-    original = _constraint_table(coeffs.g, _u_forms(basis, m, n))
-    simplified = _constraint_table(coeffs.g, _o_forms(basis, m, n))
+    g = coeffs.matrix()
+    original = _constraint_table(g, _u_forms(basis, m, n))
+    simplified = _constraint_table(g, _o_forms(basis, m, n))
     return max(
         abs(original[c][p] - simplified[c][p])
         for c in CONSTRAINT_IDS
@@ -354,24 +336,16 @@ def pauli_scalar_coefficient(i: int, j: int, k: int, l: int,
     equation per (i,j); this extracts the plus-minus coefficient by a
     trace against the expected right-hand side.
     """
-    left, mid, right, rhs = _pauli_forms(m, n)[1]
-    chain = mul(*left[(k, l)], *mid[(i, j)], *right[(k, l)])
-    value = 0.5 * np.trace(dagger(rhs[(i, j)]) @ chain)
-    rounded = int(round(value.real))
-    if abs(value - rounded) > STRICT_TOL or rounded not in (-1, 1):
-        raise AssertionError("scalar reduction does not produce a sign")
-    return rounded
+    return int(_pauli_signs(m, n)[2 * i + j, 2 * k + l])
 
 
 def scalar_system_residual(assignment, m: int, n: int) -> float:
     """Residual of the scalar eigenvalue system sum mu mu (sign) = 2."""
     mu = _as_mu(assignment)
+    signs = _pauli_signs(m, n).tolist()
     worst = 0.0
-    for ij in BIT_PAIRS:
-        total = sum(
-            mu[ij] * mu[kl] * pauli_scalar_coefficient(*ij, *kl, m, n)
-            for kl in BIT_PAIRS
-        )
+    for ij, row in zip(BIT_PAIRS, signs):
+        total = sum(mu[ij] * mu[kl] * sign for kl, sign in zip(BIT_PAIRS, row))
         worst = max(worst, abs(total - 2.0))
     return float(worst)
 
@@ -422,13 +396,19 @@ def _pauli_chain(m: int, n: int):
     Shapes (4, 4, 4, 2, 2) and (4, 4, 2, 2), constraints in CONSTRAINT_IDS
     order and pairs in BIT_PAIRS order; shared read-only.
     """
-    forms = _pauli_forms(m, n)
-    chain = np.array([
-        [[mul(*left[q], *mid[p], *right[q]) for q in BIT_PAIRS] for p in BIT_PAIRS]
-        for left, mid, right, _ in forms.values()
-    ])
-    rhs = np.array([[table[p] for p in BIT_PAIRS] for *_, table in forms.values()])
-    return frozen(chain), frozen(rhs)
+    left, mid, right, rhs = _pauli_forms(m, n)
+    return frozen(np.einsum("eqij,epjk,eqkl->epqil", left, mid, right)), rhs
+
+
+@functools.lru_cache(maxsize=None)
+def _pauli_signs(m: int, n: int) -> np.ndarray:
+    """The scalar system's 4x4 sign matrix, (1/2) tr(rhs[p]^dag chain[p, q]) of constraint 1."""
+    chain, rhs = _pauli_chain(m, n)
+    values = 0.5 * np.einsum("pil,pqil->pq", conj(rhs[0]), chain[0])
+    signs = np.round(values.real)
+    if max_abs_diff(values, signs) > STRICT_TOL or not np.all(np.abs(signs) == 1):
+        raise AssertionError("scalar reduction does not produce a sign")
+    return frozen(signs.astype(int))
 
 
 def _pattern_residuals(m: int, n: int, phis=_SAMPLE_PHIS) -> np.ndarray:

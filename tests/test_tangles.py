@@ -8,7 +8,7 @@ import pytest
 
 from braidtel import tangles
 from braidtel.algebra import build_rep, check_braid, check_tangle, check_temperley_lieb
-from braidtel.gates import B_EIGENVALUES, yb_gate
+from braidtel.gates import B_EIGENVALUES, m_gate, yb_gate
 from braidtel.cli import main
 from braidtel.linalg import DEFAULT_TOL, conj, dagger, is_unitary, max_abs_diff, mul, transpose
 from braidtel.tangles import (
@@ -73,12 +73,58 @@ def _loop_u_forms(basis, m, n):
     b = {p: (conj(umn), transpose(u[p])) for p in BIT_PAIRS}
     c = {p: (dagger(u[p]), umn) for p in BIT_PAIRS}
     d = {p: (conj(u[p]), transpose(umn)) for p in BIT_PAIRS}
+    return _loop_chain(a, b, c, d)
 
+
+def _loop_chain(a, b, c, d):
+    """Chain a.d.c, b.c.d, a.b.c and b.a.d; each rhs is the middle product."""
     def product(t):
         return {p: mul(*t[p]) for p in BIT_PAIRS}
 
     return {1: (a, d, c, product(d)), 2: (b, c, d, product(c)),
             3: (a, b, c, product(b)), 4: (b, a, d, product(a))}
+
+
+def _loop_o_forms(basis, m, n):
+    """The same constraints through O_ab = U_mn^dag U_ab and its skew-transpose."""
+    umn = basis.u[(m, n)]
+    o = {p: dagger(umn) @ basis.u[p] for p in BIT_PAIRS}
+    ost = {p: skew_transpose(dagger(umn), basis.u[p]) for p in BIT_PAIRS}
+    a = {p: (o[p],) for p in BIT_PAIRS}
+    b = {p: (ost[p],) for p in BIT_PAIRS}
+    c = {p: (dagger(o[p]),) for p in BIT_PAIRS}
+    d = {p: (dagger(ost[p]),) for p in BIT_PAIRS}
+    return _loop_chain(a, b, c, d)
+
+
+def _loop_concrete_forms(phi):
+    """The concrete basis's four constraints, with its M_ij gates as factors."""
+    m = {p: m_gate(*p, phi) for p in BIT_PAIRS}
+    m00 = m[(0, 0)]
+
+    def constraint(*rules):
+        return tuple({p: rule(m[p]) for p in BIT_PAIRS} for rule in rules)
+
+    return {
+        1: constraint(lambda a: (a,), lambda a: (conj(a), transpose(m00)),
+                      lambda a: (dagger(a),), lambda a: 2.0 * m00 @ conj(a)),
+        2: constraint(lambda a: (transpose(a),), lambda a: (dagger(a), m00),
+                      lambda a: (conj(a),), lambda a: 2.0 * transpose(m00) @ dagger(a)),
+        3: constraint(lambda a: (a,), lambda a: (conj(m00), transpose(a)),
+                      lambda a: (dagger(a),), lambda a: 2.0 * transpose(a) @ dagger(m00)),
+        4: constraint(lambda a: (transpose(a),), lambda a: (dagger(m00), a),
+                      lambda a: (conj(a),), lambda a: 2.0 * a @ conj(m00)),
+    }
+
+
+def _table_gap(table, oracle):
+    """Largest cell gap, in units of max(1, oracle cell): the ulps of O(1) residuals."""
+    assert set(table) == set(oracle) == set(CONSTRAINT_IDS)
+    assert all(list(table[c]) == list(BIT_PAIRS) for c in CONSTRAINT_IDS)
+    return max(
+        abs(table[c][p] - oracle[c][p]) / max(1.0, oracle[c][p])
+        for c in CONSTRAINT_IDS for p in BIT_PAIRS
+    )
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +308,31 @@ def test_skew_forms_agree_with_originals(pauli_basis, m, n):
         mu = sol.mu_of_phi(0.7)
         assert skew_agreement_deviation(pauli_basis, mu, m, n) < 1e-12
         assert skew_transpose_check(pauli_basis, GateCoefficients.diagonal(mu), m, n)
+
+
+@pytest.mark.parametrize("basis", [UnitaryBasis.pauli(), UnitaryBasis.bell_like(0.4),
+                                   UnitaryBasis.bell_like(-2.1)], ids=["pauli", "bell-like-0.4", "bell-like--2.1"])
+@pytest.mark.parametrize("m,n", BIT_PAIRS)
+def test_stacked_evaluator_matches_the_loop(basis, m, n):
+    rng = np.random.default_rng(2 * m + n)
+    for _ in range(3):
+        coeffs = random_gate_coefficients(rng)
+        u_loop = _loop_table(coeffs.g, _loop_u_forms(basis, m, n))
+        o_loop = _loop_table(coeffs.g, _loop_o_forms(basis, m, n))
+        assert table_max(u_loop) > 0.1
+        assert _table_gap(general_constraint_residuals(coeffs, basis, m, n), u_loop) <= 1e-15
+        deviation = max(abs(u_loop[c][p] - o_loop[c][p]) for c in CONSTRAINT_IDS for p in BIT_PAIRS)
+        assert abs(skew_agreement_deviation(basis, coeffs, m, n) - deviation) <= 1e-15
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.3, -2.1])
+def test_stacked_concrete_evaluator_matches_the_loop(phi):
+    rng = np.random.default_rng(11)
+    lambdas = {p: cmath.exp(1j * rng.uniform(-np.pi, np.pi)) for p in BIT_PAIRS}
+    for lam in (dict(B_EIGENVALUES), lambdas):
+        oracle = _loop_table(GateCoefficients.diagonal(lam).g, _loop_concrete_forms(phi), scale=1.0)
+        assert _table_gap(concrete_constraint_residuals(phi, lambdas=lam), oracle) <= 1e-15
+    assert table_max(oracle) > 0.1
 
 
 @pytest.mark.parametrize("m,n", BIT_PAIRS)
