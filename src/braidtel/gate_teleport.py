@@ -156,14 +156,21 @@ def r_gate_t(i: int, j: int, k: int, l: int) -> np.ndarray:
     return _sign(j * l + i * j + k) * mul(front, z_pow(i + l + 1))
 
 
+@functools.lru_cache(maxsize=None)
+def _b0_layers() -> tuple[np.ndarray, np.ndarray]:
+    """The three-qubit layers (B_0 x 1, 1 x B_0), built once and shared read-only."""
+    b0 = _b0()
+    return frozen(kron(b0, I2)), frozen(kron(I2, b0))
+
+
 def b0_forward_residual(seed: int = 42) -> float:
     """Worst residual of the forward protocol identity over probes.
 
     Checks (B_0 x 1)(1 x B_0)|alpha>|kl> against the Pauli-corrected sum
     (1/2) sum_ij |ij> (x) K_{i,j,k,l}|alpha> for every resource pair.
     """
-    b0 = _b0()
-    return _b0_identity_residual(mul(kron(b0, I2), kron(I2, b0)), k_gate, kron, seed)
+    front, back = _b0_layers()
+    return _b0_identity_residual(mul(front, back), k_gate, kron, seed)
 
 
 def b0_reverse_residual(seed: int = 42) -> float:
@@ -172,8 +179,8 @@ def b0_reverse_residual(seed: int = 42) -> float:
     Here the unknown state enters on the right:
     (1 x B_0)(B_0 x 1)|kl>|alpha> = (1/2) sum_ij L_{i,j,k,l}|alpha> (x) |ij>.
     """
-    b0 = _b0()
-    return _b0_identity_residual(mul(kron(I2, b0), kron(b0, I2)), l_gate, lambda a, b: kron(b, a), seed)
+    front, back = _b0_layers()
+    return _b0_identity_residual(mul(back, front), l_gate, lambda a, b: kron(b, a), seed)
 
 
 def _b0_identity_residual(op, correction, pair, seed: int) -> float:
@@ -202,10 +209,8 @@ def teleport_single_gate(u: np.ndarray, alpha: np.ndarray, k: int, l: int,
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2) or not is_unitary(u):
         raise ValueError("gate must be a 2x2 unitary")
-    b0 = _b0()
-    state = mul(
-        kron(b0, I2), kron(identity(4), u), kron(I2, b0)
-    ) @ kron(ket(alpha), basis_ket(2 * k + l, 4))
+    front, back = _b0_layers()
+    state = mul(front, kron(identity(4), u), back) @ kron(ket(alpha), basis_ket(2 * k + l, 4))
     m, p, survivor = _measure(conj(_product_kets()) @ state.reshape(4, -1), np.random.default_rng(rng_seed))
     i, j = BIT_PAIRS[m]
     return MeasurementOutcome(i, j, p, survivor), dagger(r_gate(u, i, j, k, l)) @ survivor

@@ -17,6 +17,7 @@ CACHES = (
     teleport._bell_like_kets,
     teleport._braid_protocol,
     gates._b0,
+    gate_teleport._b0_layers,
     gate_teleport._double_layers,
 )
 
@@ -72,15 +73,24 @@ def test_phase_table_is_extracted_once_per_phi(cold_caches, monkeypatch):
         lambda: teleport._braid_protocol(0.3)[0],
         lambda: teleport._braid_protocol(0.3)[1],
         gates._b0,
+        lambda: gate_teleport._b0_layers()[0],
+        lambda: gate_teleport._b0_layers()[1],
         gate_teleport._double_layers,
         lambda: gate_teleport._double_layers(True),
     ],
-    ids=["bell", "product", "bell-like", "braid-op", "braid-w", "b0", "double", "double-middle"],
+    ids=["bell", "product", "bell-like", "braid-op", "braid-w", "b0", "b0-front", "b0-back", "double",
+         "double-middle"],
 )
 def test_cached_constants_are_read_only(constant):
     array = constant()
     with pytest.raises(ValueError):
         array[(0,) * array.ndim] = 0
+
+
+def test_b0_layers_are_the_three_qubit_krons():
+    front, back = gate_teleport._b0_layers()
+    assert np.array_equal(front, kron(gates._b0(), gates.I2))
+    assert np.array_equal(back, kron(gates.I2, gates._b0()))
 
 
 def test_measurement_bases_must_be_orthonormal():
