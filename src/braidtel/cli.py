@@ -16,6 +16,7 @@ check passed, 1 a check failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -551,6 +552,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process; parse_args reads it without changing it."""
+    return build_parser()
+
+
 _COMMAND_HANDLERS = {
     "verify": _cmd_verify,
     "teleport": _cmd_teleport,
@@ -560,7 +567,7 @@ _COMMAND_HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
 
     tolerance = args.tolerance

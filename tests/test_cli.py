@@ -142,6 +142,25 @@ def test_parser_knows_all_subcommands():
         assert args.command == argv[0]
 
 
+def test_back_to_back_runs_share_no_arguments(capsys):
+    assert cli._parser() is cli._parser()
+    class_one = cli.solve_pauli_eigenvalues(0, 0)[0].describe()
+    runs = [
+        (["verify", "spectral", "--class", "3"], "class", 3),
+        (["verify", "spectral"], "class", 1),
+        (["teleport", "gate", "--gate", "H", "--count", "2"], "gate", "H"),
+        (["teleport", "gate", "--count", "2"], "gate", "T"),
+    ]
+    docs = []
+    for argv, key, want in runs:
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        docs.append(json.loads(out))
+        assert docs[-1]["config"][key] == want
+    assert docs[1]["results"][0]["value"] == class_one != docs[0]["results"][0]["value"]
+    assert docs[3]["results"][-1]["gate"] == "T"
+
+
 @pytest.mark.parametrize(
     "argv, bmw_tol",
     [
