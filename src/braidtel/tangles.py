@@ -307,16 +307,6 @@ def skew_agreement_deviation(basis: UnitaryBasis, assignment_or_coeffs,
     )
 
 
-def skew_transpose_check(basis: UnitaryBasis, assignment_or_coeffs, m: int, n: int,
-                         tol: float = STRICT_TOL) -> bool:
-    """Confirm the O-notation constraint forms agree with the originals.
-
-    Evaluates both formulations cell by cell and requires the residuals to
-    match within tol.
-    """
-    return skew_agreement_deviation(basis, assignment_or_coeffs, m, n) <= tol
-
-
 def table_max(table) -> float:
     """Largest residual in a {constraint: {pair: value}} table."""
     return max(table[c][p] for c in table for p in table[c])
