@@ -552,10 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """build_parser() once per process; parse_args reads it without changing it."""
-    return build_parser()
+_parser = functools.lru_cache(maxsize=None)(build_parser)  # one parser per process; parse_args leaves it as is
 
 
 _COMMAND_HANDLERS = {

@@ -68,13 +68,9 @@ class UnitaryBasis:
         return kron(I2, self.u[(i, j)]) @ EPR
 
     def orthonormality_residual(self) -> float:
-        worst = 0.0
-        for a in BIT_PAIRS:
-            for b in BIT_PAIRS:
-                value = 0.5 * np.trace(dagger(self.u[b]) @ self.u[a])
-                want = 1.0 if a == b else 0.0
-                worst = max(worst, abs(value - want))
-        return float(worst)
+        u = np.stack([np.asarray(self.u[p], dtype=complex) for p in BIT_PAIRS])
+        gram = 0.5 * np.einsum("bji,aji->ab", conj(u), u)  # (1/2) tr(U_b^dag U_a)
+        return float(np.max(np.abs(gram - np.eye(4))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,11 +132,9 @@ class GateCoefficients:
         return np.array([[self.g[(a, b)] for b in BIT_PAIRS] for a in BIT_PAIRS], dtype=complex)
 
     def assemble(self, basis: UnitaryBasis) -> np.ndarray:
-        total = np.zeros((4, 4), dtype=complex)
-        for a in BIT_PAIRS:
-            for b in BIT_PAIRS:
-                total += self.g[(a, b)] * outer(basis.state(*a), basis.state(*b))
-        return total
+        """sum g_ab |Psi_a><Psi_b|, as S^T G conj(S) with the states as rows of S."""
+        states = np.stack([basis.state(*p) for p in BIT_PAIRS])
+        return transpose(states) @ self.matrix() @ conj(states)
 
     def is_gate(self, basis: UnitaryBasis, tol: float = DEFAULT_TOL) -> bool:
         g = self.assemble(basis)
@@ -300,11 +294,7 @@ def skew_agreement_deviation(basis: UnitaryBasis, assignment_or_coeffs,
     g = coeffs.matrix()
     original = _constraint_table(g, _u_forms(basis, m, n))
     simplified = _constraint_table(g, _o_forms(basis, m, n))
-    return max(
-        abs(original[c][p] - simplified[c][p])
-        for c in CONSTRAINT_IDS
-        for p in BIT_PAIRS
-    )
+    return max(abs(original[c][p] - simplified[c][p]) for c in CONSTRAINT_IDS for p in BIT_PAIRS)
 
 
 def table_max(table) -> float:
@@ -332,9 +322,8 @@ def pauli_scalar_coefficient(i: int, j: int, k: int, l: int,
 def scalar_system_residual(assignment, m: int, n: int) -> float:
     """Residual of the scalar eigenvalue system sum mu mu (sign) = 2."""
     mu = _as_mu(assignment)
-    signs = _pauli_signs(m, n).tolist()
     worst = 0.0
-    for ij, row in zip(BIT_PAIRS, signs):
+    for ij, row in zip(BIT_PAIRS, _pauli_signs(m, n).tolist()):
         total = sum(mu[ij] * mu[kl] * sign for kl, sign in zip(BIT_PAIRS, row))
         worst = max(worst, abs(total - 2.0))
     return float(worst)
@@ -381,11 +370,7 @@ _PATTERNS = tuple(
 
 @functools.lru_cache(maxsize=None)
 def _pauli_chain(m: int, n: int):
-    """Stacked Pauli tables: chain[c, p, q] = left[q] mid[p] right[q] and rhs[c, p].
-
-    Shapes (4, 4, 4, 2, 2) and (4, 4, 2, 2), constraints in CONSTRAINT_IDS
-    order and pairs in BIT_PAIRS order; shared read-only.
-    """
+    """Read-only Pauli chain[c, p, q] = left[q] mid[p] right[q], shape (4, 4, 4, 2, 2), and rhs."""
     left, mid, right, rhs = _pauli_forms(m, n)
     return frozen(np.einsum("eqij,epjk,eqkl->epqil", left, mid, right)), rhs
 
@@ -410,8 +395,7 @@ def _pattern_residuals(m: int, n: int, phis=_SAMPLE_PHIS) -> np.ndarray:
     """
     chain, rhs = _pauli_chain(m, n)
     signs, freqs = np.array(_PATTERNS).transpose(2, 0, 1)
-    mu = signs[:, None, :] * np.exp(1j * freqs[:, None, :] * np.asarray(phis)[:, None])
-    mu = mu.reshape(-1, len(BIT_PAIRS))
+    mu = (signs[:, None] * np.exp(1j * freqs[:, None] * np.asarray(phis)[:, None])).reshape(-1, 4)
     cells = 0.5 * np.einsum("xp,xq,cpqij->xcpij", mu, mu, chain) - rhs
     return np.abs(cells).max(axis=(1, 2, 3, 4)).reshape(len(_PATTERNS), len(phis))
 
@@ -419,23 +403,13 @@ def _pattern_residuals(m: int, n: int, phis=_SAMPLE_PHIS) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _solved_classes(m: int, n: int, tol: float) -> tuple[SolutionClass, ...]:
     passed = (_pattern_residuals(m, n) <= tol).all(axis=1)
-    survivors = [pattern for pattern, ok in zip(_PATTERNS, passed) if ok]
-
-    def footprint(pattern):
-        values = SolutionClass(0, (m, n), (-1) ** n, pattern).mu_of_phi(_DEDUP_PHI)
-        flat = []
-        for v in values.values():
-            flat.extend((round(v.real, 12), round(v.imag, 12)))
-        return tuple(flat)
-
-    unique = {}
-    for pattern in survivors:
-        unique.setdefault(footprint(pattern), pattern)
-    ordered = sorted(unique.items(), key=lambda kv: kv[0], reverse=True)
-    return tuple(
-        SolutionClass(idx, (m, n), (-1) ** n, pattern)
-        for idx, (_, pattern) in enumerate(ordered, start=1)
-    )
+    unique = {}  # survivors keyed by their rounded mu at _DEDUP_PHI
+    for pattern in itertools.compress(_PATTERNS, passed):
+        mu = SolutionClass(0, (m, n), (-1) ** n, pattern).mu_of_phi(_DEDUP_PHI).values()
+        unique.setdefault(tuple(round(x, 12) for v in mu for x in (v.real, v.imag)), pattern)
+    ordered = sorted(unique.items(), reverse=True)
+    return tuple(SolutionClass(idx, (m, n), (-1) ** n, pattern)
+                 for idx, (_, pattern) in enumerate(ordered, start=1))
 
 
 def solve_pauli_eigenvalues(m: int, n: int, tol: float = DEFAULT_TOL
