@@ -21,6 +21,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -494,8 +495,19 @@ def _render_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Also reads -6e-05, as repr(float) writes small phases, as a value; argparse takes it for an option.
+
+    argparse accepts only negatives like -12 and -1.5; the subcommand parsers are built from this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--phi", type=float, default=0.0, help="phase of the rotated-basis family (default 0)")
     common.add_argument("--sites", type=int, default=3, help="tensor sites for relation suites, 2..10 (default 3)")
     common.add_argument("--seed", type=int, default=42, help="seed for all randomness (default 42)")
@@ -508,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json"), default="text", dest="fmt", help="report format")
     common.add_argument("--output", default=None, help="write the report to this path instead of stdout")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="braidtel",
         description="verify braid/projector algebra relations and run the teleportation protocols they encode",
     )

@@ -142,6 +142,13 @@ def test_parser_knows_all_subcommands():
         assert args.command == argv[0]
 
 
+@pytest.mark.parametrize("phi", ["-6.02704727539205e-05", "-1E-7", "-.5", "-3"])
+def test_negative_phi_in_any_float_form_is_a_value(capsys, phi):
+    code, out = run_cli(capsys, "verify", "bmw", "--phi", phi, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["config"]["phi"] == _fmt(float(phi))
+
+
 def test_back_to_back_runs_share_no_arguments(capsys):
     assert cli._parser() is cli._parser()
     class_one = cli.solve_pauli_eigenvalues(0, 0)[0].describe()
