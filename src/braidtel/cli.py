@@ -232,22 +232,19 @@ def _verify_general(cfg: RunConfig) -> list[dict]:
     return results
 
 
-def _verify_b_forms(cfg: RunConfig) -> list[dict]:
-    results = []
-    forms = braid_projector_forms(cfg.phi)
-    for name in ("projector-sum", "dyad-sum", "unitary-part"):
-        results.append(_check(name, forms[name], cfg.tolerance))
-    phase, factors = decompose_b(cfg.phi)
+def _b_checks(phi: float):
+    """B's projector-form residuals by name, and its elementary product's residual, factor names and phase."""
+    residuals = braid_projector_forms(phi)
+    phase, factors = decompose_b(phi)
     product = phase * mul(*[mat for _, mat in factors])
-    results.append(
-        _check(
-            "elementary-product",
-            max_abs_diff(product, yb_gate(cfg.phi)),
-            cfg.tolerance,
-            factors=" | ".join(name for name, _ in factors),
-            phase=_fmt_complex(phase),
-        )
-    )
+    forms = [(name, residuals[name]) for name in ("projector-sum", "dyad-sum", "unitary-part")]
+    return forms, max_abs_diff(product, yb_gate(phi)), " | ".join(name for name, _ in factors), phase
+
+
+def _verify_b_forms(cfg: RunConfig) -> list[dict]:
+    forms, residual, names, phase = _b_checks(cfg.phi)
+    results = [_check(name, value, cfg.tolerance) for name, value in forms]
+    results.append(_check("elementary-product", residual, cfg.tolerance, factors=names, phase=_fmt_complex(phase)))
     return results
 
 
@@ -427,19 +424,9 @@ def _cmd_analyze(cfg: RunConfig) -> list[dict]:
         else:
             results.append(_info("pauli-conjugation", value="not a Clifford gate"))
     if cfg.gate == "B":
-        phase, factors = decompose_b(cfg.phi)
-        product = phase * mul(*[mat for _, mat in factors])
-        results.append(
-            _check(
-                "decomposition",
-                max_abs_diff(product, u),
-                cfg.tolerance,
-                factors=" | ".join(name for name, _ in factors),
-            )
-        )
-        forms = braid_projector_forms(cfg.phi)
-        for name in ("projector-sum", "dyad-sum", "unitary-part"):
-            results.append(_check(f"form-{name}", forms[name], cfg.tolerance))
+        forms, residual, names, _ = _b_checks(cfg.phi)
+        results.append(_check("decomposition", residual, cfg.tolerance, factors=names))
+        results.extend(_check(f"form-{name}", value, cfg.tolerance) for name, value in forms)
     return results
 
 
