@@ -483,9 +483,10 @@ def _render_text(doc: dict) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Also reads -6e-05, as repr(float) writes small phases, as a value; argparse takes it for an option.
+    """An ArgumentParser that reads exponent-form negatives such as -6e-05 as values.
 
-    argparse accepts only negatives like -12 and -1.5; the subcommand parsers are built from this class too.
+    argparse takes only -12 or -1.5 for a negative number and -6e-05 for an option, but repr(float)
+    writes small phases that way.  The subcommand parsers are built from this class too.
     """
 
     def __init__(self, *args, **kwargs):
