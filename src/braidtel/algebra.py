@@ -29,7 +29,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .gates import EPR, I2, brauer_projector, pauli_w, permutation_p
+from .gates import EPR, I2, bell_state, brauer_projector, permutation_p
+from .teleport import BIT_PAIRS, _paired, _transfer_residual, _worst_norm, random_ket
 from .linalg import (
     DEFAULT_TOL,
     MAX_SITES,
@@ -41,6 +42,7 @@ from .linalg import (
     max_abs_diff,
     mul,
     outer,
+    transpose,
 )
 
 
@@ -312,13 +314,7 @@ def check_brauer(n: int = 3, tol: float = DEFAULT_TOL) -> list[RelationReport]:
 
 def swap_cup_cap_expansion() -> np.ndarray:
     """SWAP written as a signed sum of dressed Bell cups and caps."""
-    total = np.zeros((4, 4), dtype=complex)
-    for i in (0, 1):
-        for j in (0, 1):
-            w = pauli_w(i, j)
-            dressed = kron(I2, w) @ EPR
-            total += (-1) ** (i * j) * outer(dressed, dressed)
-    return total
+    return sum((-1) ** (i * j) * outer(bell_state(i, j), bell_state(i, j)) for i, j in BIT_PAIRS)
 
 
 def brauer_teleportation_residuals(seed: int = 42, count: int = 20) -> dict:
@@ -328,37 +324,21 @@ def brauer_teleportation_residuals(seed: int = 42, count: int = 20) -> dict:
     state through the resource with weight 1/2; the double swap moving a
     state across a basis pair; and the tangle product collapsing to twice
     the nested projector action.  Also reports the cup-cap expansion of
-    SWAP as a matrix identity.
+    SWAP as a matrix identity.  Each residual is a worst 2-norm.
     """
     rng = np.random.default_rng(seed)
-    E = brauer_projector()
-    P = permutation_p()
-    res = {
-        "projector": 0.0,
-        "swap": 0.0,
-        "tangle": 0.0,
+    alphas = np.array([random_ket(rng) for _ in range(count)])
+    E, P = brauer_projector(), permutation_p()
+    # |alpha>|kl> and |kl>|alpha> for every state and basis pair kl
+    pairs = np.einsum("pi,qj->pqij", alphas, identity(4)).reshape(-1, 8)
+    swapped = np.einsum("pi,qj->pqji", alphas, identity(4)).reshape(-1, 8)
+    ahead, behind = _paired(alphas, EPR), _paired(alphas, EPR, front=False)
+    return {
+        "projector": _transfer_residual(ahead @ transpose(kron(E, I2)), EPR[None], I2[None], alphas),
+        "swap": _worst_norm(pairs @ transpose(mul(kron(I2, P), kron(P, I2))) - swapped),
+        "tangle": _worst_norm(behind @ transpose(mul(kron(P, I2), kron(I2, P))) - behind @ transpose(2.0 * kron(I2, E))),
         "cup-cap": max_abs_diff(swap_cup_cap_expansion(), P),
     }
-    basis2 = [np.eye(4)[:, k] for k in range(4)]
-    e_left, e_right = kron(E, I2), kron(I2, E)
-    swap_right_left = mul(kron(I2, P), kron(P, I2))
-    swap_left_right = mul(kron(P, I2), kron(I2, P))
-    for _ in range(count):
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        alpha = v / np.linalg.norm(v)
-        lhs = e_left @ kron(alpha, EPR)
-        res["projector"] = max(
-            res["projector"], float(np.linalg.norm(lhs - 0.5 * kron(EPR, alpha)))
-        )
-        for pair in basis2:
-            moved = swap_right_left @ kron(alpha, pair)
-            res["swap"] = max(
-                res["swap"], float(np.linalg.norm(moved - kron(pair, alpha)))
-            )
-        left = swap_left_right @ kron(EPR, alpha)
-        right = 2.0 * e_right @ kron(EPR, alpha)
-        res["tangle"] = max(res["tangle"], float(np.linalg.norm(left - right)))
-    return res
 
 
 def _far_commutators(report: RelationReport, prefix: str, op: np.ndarray, symbol: str) -> None:

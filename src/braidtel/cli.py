@@ -47,6 +47,7 @@ from .tangles import (
     EigenAssignment,
     GateCoefficients,
     UnitaryBasis,
+    _pattern_residuals,
     concrete_constraint_residuals,
     eigenvalue_sum,
     general_constraint_residuals,
@@ -57,7 +58,6 @@ from .tangles import (
     skew_transpose,
     solve_pauli_eigenvalues,
     spectral_constraint_residuals,
-    table_max,
 )
 from .teleport import (
     BIT_PAIRS,
@@ -361,16 +361,11 @@ def _cmd_teleport(cfg: RunConfig) -> list[dict]:
 
 def _cmd_solve(cfg: RunConfig) -> list[dict]:
     m, n = cfg.mn
-    basis = UnitaryBasis.pauli()
     classes = solve_pauli_eigenvalues(m, n)
     results = [{"label": "class-count", "value": len(classes), "pass": len(classes) == 3}]
-    for sol in classes:
-        worst = 0.0
-        completeness = 0.0
-        for p in _PHI_GRID:
-            mu = sol.mu_of_phi(p)
-            worst = max(worst, table_max(spectral_constraint_residuals(basis, mu, m, n)))
-            completeness = max(completeness, abs(eigenvalue_sum(mu, m, n) - 1))
+    grid = _pattern_residuals(m, n, _PHI_GRID, [sol.pattern for sol in classes]).max(axis=1)
+    for sol, worst in zip(classes, grid.tolist()):
+        completeness = max(abs(eigenvalue_sum(sol.mu_of_phi(p), m, n) - 1) for p in _PHI_GRID)
         mu_here = sol.mu_of_phi(cfg.phi)
         results.append(
             {

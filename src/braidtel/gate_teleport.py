@@ -31,8 +31,17 @@ from .linalg import (
     kron,
     mul,
 )
-from .gates import I2, X, Y, Z, H, _b0, t_gate, pauli_w, x_pow, z_pow
-from .teleport import BIT_PAIRS, MeasurementOutcome, _measure, _product_kets, probe_states
+from .gates import I2, X, Y, Z, H, _b0, _check_bits, t_gate, pauli_w, x_pow, z_pow
+from .teleport import (
+    BIT_PAIRS,
+    MeasurementOutcome,
+    _correction_table,
+    _measure,
+    _product_kets,
+    _resource_residual,
+    probe_states,
+    random_ket,
+)
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
 
@@ -164,37 +173,23 @@ def _b0_layers() -> tuple[np.ndarray, np.ndarray]:
 
 
 def b0_forward_residual(seed: int = 42) -> float:
-    """Worst residual of the forward protocol identity over probes.
+    """Worst 2-norm of the forward protocol identity's residual over probes.
 
     Checks (B_0 x 1)(1 x B_0)|alpha>|kl> against the Pauli-corrected sum
     (1/2) sum_ij |ij> (x) K_{i,j,k,l}|alpha> for every resource pair.
     """
     front, back = _b0_layers()
-    return _b0_identity_residual(mul(front, back), k_gate, kron, seed)
+    return _resource_residual(mul(front, back), _correction_table(k_gate), np.array(probe_states(seed)))
 
 
 def b0_reverse_residual(seed: int = 42) -> float:
-    """Same check for the reversed operator order and the L corrections.
+    """Same check, with the same 2-norm, for the reversed order and the L corrections.
 
     Here the unknown state enters on the right:
     (1 x B_0)(B_0 x 1)|kl>|alpha> = (1/2) sum_ij L_{i,j,k,l}|alpha> (x) |ij>.
     """
     front, back = _b0_layers()
-    return _b0_identity_residual(mul(back, front), l_gate, lambda a, b: kron(b, a), seed)
-
-
-def _b0_identity_residual(op, correction, pair, seed: int) -> float:
-    """Worst norm of op pair(alpha, |kl>) - (1/2) sum_ij pair(|ij>, C_ijkl alpha) over probes."""
-    worst = 0.0
-    for alpha in probe_states(seed):
-        for k, l in BIT_PAIRS:
-            lhs = op @ pair(alpha, basis_ket(2 * k + l, 4))
-            rhs = sum(
-                0.5 * pair(basis_ket(2 * i + j, 4), correction(i, j, k, l) @ alpha)
-                for i, j in BIT_PAIRS
-            )
-            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return worst
+    return _resource_residual(mul(back, front), _correction_table(l_gate), np.array(probe_states(seed)), front=False)
 
 
 def teleport_single_gate(u: np.ndarray, alpha: np.ndarray, k: int, l: int,
@@ -209,6 +204,7 @@ def teleport_single_gate(u: np.ndarray, alpha: np.ndarray, k: int, l: int,
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2) or not is_unitary(u):
         raise ValueError("gate must be a 2x2 unitary")
+    _check_bits(k, l)
     front, back = _b0_layers()
     state = mul(front, kron(identity(4), u), back) @ kron(ket(alpha), basis_ket(2 * k + l, 4))
     m, p, survivor = _measure(conj(_product_kets()) @ state.reshape(4, -1), np.random.default_rng(rng_seed))
@@ -300,9 +296,7 @@ def double_protocol_residuals(seed: int = 42) -> dict[str, float]:
         "single-middle": _double_layers(doubled_middle=False),
         "doubled-middle": _double_layers(doubled_middle=True),
     }
-    rng = np.random.default_rng(seed)
-    vec = rng.normal(size=4) + 1j * rng.normal(size=4)
-    probes = [ket([1, 0, 0, 0]), ket(vec, normalize=True)]
+    probes = [ket([1, 0, 0, 0]), random_ket(np.random.default_rng(seed), dim=4)]
     out = {}
     for name, op in ops.items():
         worst = 0.0
@@ -335,6 +329,7 @@ def teleport_two_qubit(alphabeta: np.ndarray, k1: int, l1: int,
     alphabeta = ket(alphabeta)
     if alphabeta.size != 4:
         raise ValueError("expected a 2-qubit state")
+    _check_bits(k1, l1, k2, l2)
     state = _double_layers() @ _double_input(alphabeta, k1, l1, k2, l2)
     # row 4 m1 + m2 holds the middle pair left by end outcomes |m1> and |m2>
     ends = state.reshape(4, 4, 4).transpose(0, 2, 1).reshape(16, 4)

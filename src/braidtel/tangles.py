@@ -25,15 +25,13 @@ from .linalg import (
     conj,
     dagger,
     frozen,
-    kron,
     mat,
     max_abs_diff,
-    mul,
     outer,
     transpose,
 )
-from .gates import EPR, I2, B_EIGENVALUES, bell_state, m_gate, pauli_w
-from .teleport import BIT_PAIRS
+from .gates import B_EIGENVALUES, bell_state, m_gate, pauli_w, state_with_gate
+from .teleport import BIT_PAIRS, _bell_like_corrections, _bell_like_kets, _flow_residual, probe_states
 
 CONSTRAINT_IDS = (1, 2, 3, 4)
 
@@ -65,7 +63,7 @@ class UnitaryBasis:
         return cls({(i, j): m_gate(i, j, phi) for i, j in BIT_PAIRS})
 
     def state(self, i: int, j: int) -> np.ndarray:
-        return kron(I2, self.u[(i, j)]) @ EPR
+        return state_with_gate(self.u[(i, j)])
 
     def orthonormality_residual(self) -> float:
         u = np.stack([np.asarray(self.u[p], dtype=complex) for p in BIT_PAIRS])
@@ -222,43 +220,19 @@ def concrete_constraint_residuals(phi: float, lambdas=None):
 def projector_teleportation_residuals(phi: float, seed: int = 42) -> dict[int, float]:
     """The four state-level identities tied to the quadratic constraints.
 
-    Two are ket equations moving an unknown state across the Bell-like
-    resource; the other two are their bra counterparts.  Residuals are
-    worst-case norms over a probe set.
+    Identities 1 and 2 are ket equations moving an unknown state across the
+    Bell-like resource in either direction; 3 and 4 are their bra
+    counterparts, the same equations with every ket, probe and correction
+    conjugated.  Residuals are worst 2-norms over a probe set.
     """
-    from .teleport import probe_states
-
-    m = {p: m_gate(*p, phi) for p in BIT_PAIRS}
-    states = {p: kron(I2, m[p]) @ EPR for p in BIT_PAIRS}
-    s00 = states[(0, 0)]
-    m00 = m[(0, 0)]
-    worst = {c: 0.0 for c in CONSTRAINT_IDS}
-    for alpha in probe_states(seed):
-        lhs1 = kron(alpha, s00)
-        rhs1 = sum(
-            0.5 * kron(states[p], mul(m00, conj(m[p])) @ alpha) for p in BIT_PAIRS
-        )
-        lhs2 = kron(s00, alpha)
-        rhs2 = sum(
-            0.5 * kron(mul(transpose(m00), dagger(m[p])) @ alpha, states[p])
-            for p in BIT_PAIRS
-        )
-        bra = conj(alpha)
-        lhs3 = kron(bra, conj(s00))
-        rhs3 = sum(
-            0.5 * kron(conj(states[p]), bra @ mul(transpose(m[p]), dagger(m00)))
-            for p in BIT_PAIRS
-        )
-        lhs4 = kron(conj(s00), bra)
-        rhs4 = sum(
-            0.5 * kron(bra @ mul(m[p], conj(m00)), conj(states[p]))
-            for p in BIT_PAIRS
-        )
-        for c, (lhs, rhs) in enumerate(
-            ((lhs1, rhs1), (lhs2, rhs2), (lhs3, rhs3), (lhs4, rhs4)), start=1
-        ):
-            worst[c] = max(worst[c], float(np.linalg.norm(lhs - rhs)))
-    return worst
+    kets, probes = _bell_like_kets(phi), np.array(probe_states(seed))
+    flows = np.stack(_bell_like_corrections(phi))  # the front and mirror corrections
+    values = [
+        _flow_residual(v, gates, x, front)
+        for v, x, stacks in ((kets, probes, flows), (conj(kets), conj(probes), conj(flows)))
+        for front, gates in zip((True, False), stacks)
+    ]
+    return dict(zip(CONSTRAINT_IDS, values))
 
 
 def spectral_constraint_residuals(basis: UnitaryBasis, assignment, m: int, n: int):
@@ -386,18 +360,18 @@ def _pauli_signs(m: int, n: int) -> np.ndarray:
     return frozen(signs.astype(int))
 
 
-def _pattern_residuals(m: int, n: int, phis=_SAMPLE_PHIS) -> np.ndarray:
-    """Worst Pauli-basis constraint residual of each of _PATTERNS at each phi.
+def _pattern_residuals(m: int, n: int, phis=_SAMPLE_PHIS, patterns=_PATTERNS) -> np.ndarray:
+    """Worst Pauli-basis constraint residual of each sign pattern at each phi.
 
     With g diagonal the constraint at free index p reads
     (1/2) mu_p sum_q mu_q chain[c, p, q] = rhs[c, p], so every pattern and
-    phi is tested in one einsum over mu.  Returns shape (64, len(phis)).
+    phi is tested in one einsum over mu.  Returns shape (len(patterns), len(phis)).
     """
     chain, rhs = _pauli_chain(m, n)
-    signs, freqs = np.array(_PATTERNS).transpose(2, 0, 1)
+    signs, freqs = np.array(patterns).transpose(2, 0, 1)
     mu = (signs[:, None] * np.exp(1j * freqs[:, None] * np.asarray(phis)[:, None])).reshape(-1, 4)
     cells = 0.5 * np.einsum("xp,xq,cpqij->xcpij", mu, mu, chain) - rhs
-    return np.abs(cells).max(axis=(1, 2, 3, 4)).reshape(len(_PATTERNS), len(phis))
+    return np.abs(cells).max(axis=(1, 2, 3, 4)).reshape(len(patterns), len(phis))
 
 
 @functools.lru_cache(maxsize=None)

@@ -33,6 +33,7 @@ from .gates import (
     EPR,
     H,
     I2,
+    _check_bits,
     bell_like_state,
     bell_state,
     m_gate,
@@ -107,6 +108,48 @@ def probe_states(seed: int = 42, extra: int = 2) -> list[np.ndarray]:
     return probes
 
 
+def _paired(x: np.ndarray, r: np.ndarray, front: bool = True) -> np.ndarray:
+    """Rows x_p (x) r of a (P, d) stack x, or r (x) x_p with front=False."""
+    pairs = x[:, :, None] * r if front else r[:, None] * x[:, None, :]
+    return pairs.reshape(len(x), -1)
+
+
+def _transfer_residual(lhs, kets, gates, probes, front: bool = True) -> float:
+    """Worst 2-norm over probes p of lhs_p - (1/2) sum_m v_m (x) C_m x_p.
+
+    Every transfer identity has this right-hand side: probes is the (P, 2)
+    stack of x_p, kets holds the measurement kets v_m as rows and gates the
+    (M, 2, 2) corrections C_m.  With front=False the corrected qubit stands
+    in front, C_m x_p (x) v_m.  lhs is the (P, D) stack of left-hand sides.
+    """
+    moved = np.einsum("mij,pj->pmi", gates, probes)
+    rhs = 0.5 * np.einsum("mk,pmi->pki" if front else "mk,pmi->pik", kets, moved)
+    return _worst_norm(lhs - rhs.reshape(len(probes), -1))
+
+
+def _worst_norm(rows: np.ndarray) -> float:
+    """Largest 2-norm among the rows of a stack."""
+    return float(np.linalg.norm(rows, axis=1).max())
+
+
+def _flow_residual(kets, gates, probes, front: bool = True) -> float:
+    """Transfer residual of x (x) v_0 = 1/2 sum_m v_m (x) C_m x: the resource is row 0 of kets."""
+    return _transfer_residual(_paired(probes, kets[0], front), kets, gates, probes, front)
+
+
+def _resource_residual(op, corrections, probes, front: bool = True) -> float:
+    """Worst transfer residual of op acting on x_p and the resource |kl>, over kl.
+
+    The measurement kets are the product basis and corrections[kl] is the
+    (M, 2, 2) stack of C_m for resource |kl>.
+    """
+    kets = _product_kets()
+    return max(
+        _transfer_residual(_paired(probes, kets[kl], front) @ transpose(op), kets, corrections[kl], probes, front)
+        for kl in range(4)
+    )
+
+
 def _sample_index(rng: np.random.Generator, probabilities) -> int:
     total = float(np.sum(probabilities))
     if abs(total - 1.0) > 1e-9:
@@ -153,12 +196,22 @@ def _bell_like_kets(phi: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
+def _bell_like_corrections(phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """M00 M*_ij and M00^T M^dag_ij stacked over ij: the corrections of both flows."""
+    m = np.stack([m_gate(i, j, phi) for i, j in BIT_PAIRS])
+    return frozen(m[0] @ conj(m)), frozen(transpose(m[0]) @ dagger(m))
+
+
+@functools.lru_cache(maxsize=64)
 def _braid_protocol(phi: float):
-    """(B x 1)(1 x B) and W_{i,j,k,l} stacked at [2k + l, 2i + j], built once per phi."""
-    table = extract_phases(phi)
+    """(B x 1)(1 x B) and the W_{i,j,k,l} table, built once per phi."""
     b = yb_gate(phi)
-    corrections = [[w_braid_correction(i, j, k, l, table) for i, j in BIT_PAIRS] for k, l in BIT_PAIRS]
-    return frozen(kron(b, I2) @ kron(I2, b)), frozen(np.array(corrections))
+    return frozen(kron(b, I2) @ kron(I2, b)), frozen(_correction_table(w_braid_correction, extract_phases(phi)))
+
+
+def _correction_table(correction, *args) -> np.ndarray:
+    """correction(i, j, k, l, *args) stacked at [2k + l, 2i + j]."""
+    return np.array([[correction(i, j, k, l, *args) for i, j in BIT_PAIRS] for k, l in BIT_PAIRS])
 
 
 def teleport_standard(alpha: np.ndarray, rng_seed: int = 42):
@@ -178,8 +231,7 @@ def teleport_bell_like(alpha: np.ndarray, phi: float, rng_seed: int = 42):
     state = kron(ket(alpha), kets[0])
     m, p, bob = _measure(conj(kets) @ state.reshape(4, -1), np.random.default_rng(rng_seed))
     i, j = BIT_PAIRS[m]
-    correction = dagger(m_gate(0, 0, phi) @ conj(m_gate(i, j, phi)))
-    return MeasurementOutcome(i, j, p, bob), correction @ bob
+    return MeasurementOutcome(i, j, p, bob), dagger(_bell_like_corrections(phi)[0][m]) @ bob
 
 
 def extract_phases(phi: float, tol: float = DEFAULT_TOL) -> PhaseTable:
@@ -260,8 +312,7 @@ def teleport_with_yb(alpha: np.ndarray, k: int, l: int, phi: float, rng_seed: in
     Alice measures her two qubits in the product basis; Bob corrects with
     W^dag_{i,j,k,l}.  Returns (MeasurementOutcome, corrected qubit).
     """
-    if (k, l) not in BIT_PAIRS:
-        raise ValueError(f"resource bits must be 0/1, got {(k, l)}")
+    _check_bits(k, l)
     op, corrections = _braid_protocol(phi)
     state = op @ kron(ket(alpha), basis_ket(2 * k + l, 4))
     m, p, bob = _measure(conj(_product_kets()) @ state.reshape(4, -1), np.random.default_rng(rng_seed))
@@ -270,16 +321,12 @@ def teleport_with_yb(alpha: np.ndarray, k: int, l: int, phi: float, rng_seed: in
 
 
 def braid_teleportation_residual(phi: float, seed: int = 42) -> float:
-    """Residual of (B x 1)(1 x B)|alpha>|kl> = 1/2 sum |ij> (x) W_ijkl|alpha>."""
+    """Worst 2-norm of (B x 1)(1 x B)|alpha>|kl> - 1/2 sum |ij> (x) W_ijkl|alpha>.
+
+    Taken over the probe states and all four resource pairs kl.
+    """
     op, corrections = _braid_protocol(phi)
-    worst = 0.0
-    for alpha in probe_states(seed):
-        for k, l in BIT_PAIRS:
-            lhs = op @ kron(alpha, basis_ket(2 * k + l, 4))
-            # row m of W_kl alpha is the qubit beside |ij> = |m>
-            rhs = 0.5 * (corrections[2 * k + l] @ alpha).reshape(-1)
-            worst = max(worst, max_abs_diff(lhs, rhs))
-    return worst
+    return _resource_residual(op, corrections, np.array(probe_states(seed)))
 
 
 def completeness_residuals(phi: float) -> dict:
@@ -304,52 +351,20 @@ IDENTITY_VARIANTS = (
 
 
 def check_teleportation_identity(variant: str, phi: float = 0.0, seed: int = 42) -> float:
-    """Max residual of one teleportation identity over the probe set.
+    """Residual of one teleportation identity over the probe set.
 
-    Vector identities run over the Pauli eigenstates plus random probes;
-    the projector-channel forms are operator identities from the 2-qubit
-    space into the 3-qubit space and are checked entrywise.
+    Vector identities run over the Pauli eigenstates plus random probes and
+    report the worst 2-norm of lhs - rhs; the projector-channel forms are
+    operator identities from the 2-qubit space into the 3-qubit space and
+    report the worst entry.
     """
-    probes = probe_states(seed)
-    if variant == "standard":
-        return _identity_residual(
-            probes,
-            lambda a: kron(a, EPR),
-            lambda a: 0.5
-            * sum(kron(bell_state(i, j), pauli_w(i, j) @ a) for i, j in BIT_PAIRS),
-        )
-    if variant == "standard-transpose":
-        return _identity_residual(
-            probes,
-            lambda a: kron(EPR, a),
-            lambda a: 0.5
-            * sum(kron(transpose(pauli_w(i, j)) @ a, bell_state(i, j)) for i, j in BIT_PAIRS),
-        )
-    if variant == "bell-like":
-        m00 = m_gate(0, 0, phi)
-        return _identity_residual(
-            probes,
-            lambda a: kron(a, bell_like_state(0, 0, phi)),
-            lambda a: 0.5
-            * sum(
-                kron(bell_like_state(i, j, phi), mul(m00, conj(m_gate(i, j, phi))) @ a)
-                for i, j in BIT_PAIRS
-            ),
-        )
-    if variant == "bell-like-transpose":
-        m00 = m_gate(0, 0, phi)
-        return _identity_residual(
-            probes,
-            lambda a: kron(bell_like_state(0, 0, phi), a),
-            lambda a: 0.5
-            * sum(
-                kron(
-                    mul(transpose(m00), dagger(m_gate(i, j, phi))) @ a,
-                    bell_like_state(i, j, phi),
-                )
-                for i, j in BIT_PAIRS
-            ),
-        )
+    probes = np.array(probe_states(seed))
+    front = not variant.endswith("-transpose")
+    if variant in ("standard", "standard-transpose"):
+        paulis = np.stack([pauli_w(i, j) for i, j in BIT_PAIRS])
+        return _flow_residual(_bell_kets(), paulis if front else transpose(paulis), probes, front)
+    if variant in ("bell-like", "bell-like-transpose"):
+        return _flow_residual(_bell_like_kets(phi), _bell_like_corrections(phi)[not front], probes, front)
     if variant == "projector-channel":
         e00, psi = tl_projector(0, 0, phi), bell_like_state(0, 0, phi)
         return _identity_residual(

@@ -1,0 +1,246 @@
+"""The one stacked evaluator behind every teleportation transfer identity.
+
+Each routed identity is checked against the per-term kron loop it
+replaced, which is kept here as its oracle (with the same 2-norm metric).
+A mutated evaluator, with the flow direction flipped or two corrections
+exchanged, must push every family to an O(1) residual.
+"""
+
+import numpy as np
+import pytest
+
+from braidtel import algebra, cli, tangles, teleport
+from braidtel.algebra import brauer_teleportation_residuals
+from braidtel.gate_teleport import (
+    _b0_layers,
+    b0_forward_residual,
+    b0_reverse_residual,
+    k_gate,
+    l_gate,
+    teleport_single_gate,
+    teleport_two_qubit,
+)
+from braidtel.gates import EPR, I2, bell_like_state, bell_state, brauer_projector, m_gate, pauli_w, permutation_p, t_gate
+from braidtel.linalg import basis_ket, conj, dagger, kron, mul, transpose
+from braidtel.teleport import (
+    BIT_PAIRS,
+    _braid_protocol,
+    braid_teleportation_residual,
+    check_teleportation_identity,
+    probe_states,
+    random_ket,
+    teleport_with_yb,
+)
+
+PHIS = (0.0, 0.3, -2.1)
+SEEDS = (5, 42)
+VECTOR_VARIANTS = ("standard", "standard-transpose", "bell-like", "bell-like-transpose")
+
+
+def _oracle(probes, lhs_fn, rhs_fn) -> float:
+    return max(float(np.linalg.norm(lhs_fn(a) - rhs_fn(a))) for a in probes)
+
+
+def _identity_oracle(variant, phi, seed):
+    probes = probe_states(seed)
+    m00 = m_gate(0, 0, phi)
+    if variant == "standard":
+        return _oracle(probes, lambda a: kron(a, EPR),
+                       lambda a: 0.5 * sum(kron(bell_state(i, j), pauli_w(i, j) @ a) for i, j in BIT_PAIRS))
+    if variant == "standard-transpose":
+        return _oracle(probes, lambda a: kron(EPR, a),
+                       lambda a: 0.5 * sum(kron(transpose(pauli_w(i, j)) @ a, bell_state(i, j)) for i, j in BIT_PAIRS))
+    if variant == "bell-like":
+        return _oracle(probes, lambda a: kron(a, bell_like_state(0, 0, phi)),
+                       lambda a: 0.5 * sum(kron(bell_like_state(i, j, phi), mul(m00, conj(m_gate(i, j, phi))) @ a)
+                                           for i, j in BIT_PAIRS))
+    return _oracle(probes, lambda a: kron(bell_like_state(0, 0, phi), a),
+                   lambda a: 0.5 * sum(kron(mul(transpose(m00), dagger(m_gate(i, j, phi))) @ a, bell_like_state(i, j, phi))
+                                       for i, j in BIT_PAIRS))
+
+
+def _projector_oracle(phi, seed):
+    """The four identities written as the ket and bra equations they are."""
+    m = {p: m_gate(*p, phi) for p in BIT_PAIRS}
+    states = {p: kron(I2, m[p]) @ EPR for p in BIT_PAIRS}
+    s00, m00 = states[(0, 0)], m[(0, 0)]
+    probes = probe_states(seed)
+    return {
+        1: _oracle(probes, lambda a: kron(a, s00),
+                   lambda a: sum(0.5 * kron(states[p], mul(m00, conj(m[p])) @ a) for p in BIT_PAIRS)),
+        2: _oracle(probes, lambda a: kron(s00, a),
+                   lambda a: sum(0.5 * kron(mul(transpose(m00), dagger(m[p])) @ a, states[p]) for p in BIT_PAIRS)),
+        3: _oracle(probes, lambda a: kron(conj(a), conj(s00)),
+                   lambda a: sum(0.5 * kron(conj(states[p]), conj(a) @ mul(transpose(m[p]), dagger(m00)))
+                                 for p in BIT_PAIRS)),
+        4: _oracle(probes, lambda a: kron(conj(s00), conj(a)),
+                   lambda a: sum(0.5 * kron(conj(a) @ mul(m[p], conj(m00)), conj(states[p])) for p in BIT_PAIRS)),
+    }
+
+
+def _resource_oracle(op, correction, pair, seed):
+    """Worst norm of op pair(alpha, |kl>) - (1/2) sum_ij pair(|ij>, C_ijkl alpha)."""
+    worst = 0.0
+    for alpha in probe_states(seed):
+        for k, l in BIT_PAIRS:
+            lhs = op @ pair(alpha, basis_ket(2 * k + l, 4))
+            rhs = sum(0.5 * pair(basis_ket(2 * i + j, 4), correction(i, j, k, l) @ alpha) for i, j in BIT_PAIRS)
+            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    return worst
+
+
+def _braid_oracle(phi, seed):
+    op, corrections = _braid_protocol(phi)
+    return _resource_oracle(op, lambda i, j, k, l: corrections[2 * k + l, 2 * i + j], kron, seed)
+
+
+def _brauer_draws(seed, count):
+    """The per-state draws of the loop the stacked Brauer check replaced."""
+    rng = np.random.default_rng(seed)
+    alphas = []
+    for _ in range(count):
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        alphas.append(v / np.linalg.norm(v))
+    return alphas
+
+
+def _brauer_oracle(seed, count=20):
+    E, P = brauer_projector(), permutation_p()
+    res = {"projector": 0.0, "swap": 0.0, "tangle": 0.0}
+    swap_right_left = mul(kron(I2, P), kron(P, I2))
+    swap_left_right = mul(kron(P, I2), kron(I2, P))
+    for alpha in _brauer_draws(seed, count):
+        lhs = kron(E, I2) @ kron(alpha, EPR)
+        res["projector"] = max(res["projector"], float(np.linalg.norm(lhs - 0.5 * kron(EPR, alpha))))
+        for pair in np.eye(4):
+            moved = swap_right_left @ kron(alpha, pair)
+            res["swap"] = max(res["swap"], float(np.linalg.norm(moved - kron(pair, alpha))))
+        left = swap_left_right @ kron(EPR, alpha)
+        right = 2.0 * kron(I2, E) @ kron(EPR, alpha)
+        res["tangle"] = max(res["tangle"], float(np.linalg.norm(left - right)))
+    return res
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("phi", PHIS)
+def test_routed_identities_match_their_kron_oracles(phi, seed):
+    for variant in VECTOR_VARIANTS:
+        assert abs(check_teleportation_identity(variant, phi, seed) - _identity_oracle(variant, phi, seed)) <= 1e-15
+    stacked, oracle = tangles.projector_teleportation_residuals(phi, seed), _projector_oracle(phi, seed)
+    assert set(stacked) == set(oracle)
+    for c in oracle:
+        assert abs(stacked[c] - oracle[c]) <= 1e-15, c
+    assert abs(braid_teleportation_residual(phi, seed) - _braid_oracle(phi, seed)) <= 1e-15
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_b0_residuals_match_their_kron_oracles(seed):
+    front, back = _b0_layers()
+    forward = _resource_oracle(mul(front, back), k_gate, kron, seed)
+    reverse = _resource_oracle(mul(back, front), l_gate, lambda a, b: kron(b, a), seed)
+    assert abs(b0_forward_residual(seed) - forward) <= 1e-15
+    assert abs(b0_reverse_residual(seed) - reverse) <= 1e-15
+
+
+@pytest.mark.parametrize("seed", (3, 7, 42, 1200))
+def test_stacked_brauer_draws_equal_the_loop_draws(seed):
+    rng = np.random.default_rng(seed)
+    stacked = np.array([random_ket(rng) for _ in range(20)])
+    assert np.array_equal(stacked, np.array(_brauer_draws(seed, 20)))
+    residuals = brauer_teleportation_residuals(seed=seed)
+    assert {name: residuals[name] for name in ("projector", "swap", "tangle")} == _brauer_oracle(seed)
+
+
+# --------------------------------------------------------- mutation
+
+
+def _families():
+    """Every routed identity as a zero-argument call, at a generic phase."""
+    phi = 0.3
+    calls = {variant: (lambda v=variant: check_teleportation_identity(v, phi)) for variant in VECTOR_VARIANTS}
+    calls.update({
+        f"transfer-{c}": (lambda c=c: tangles.projector_teleportation_residuals(phi)[c]) for c in (1, 2, 3, 4)
+    })
+    calls["braid"] = lambda: braid_teleportation_residual(phi)
+    calls["b0-forward"] = b0_forward_residual
+    calls["b0-reverse"] = b0_reverse_residual
+    calls["brauer-projector"] = lambda: brauer_teleportation_residuals()["projector"]
+    return calls
+
+
+FAMILIES = tuple(_families())
+
+
+def _patch_evaluator(monkeypatch, mutated):
+    original = teleport._transfer_residual
+    for module in (teleport, algebra):
+        monkeypatch.setattr(module, "_transfer_residual", lambda *args, **kw: mutated(original, *args, **kw))
+
+
+def _flipped(original, lhs, kets, gates, probes, front=True):
+    return original(lhs, kets, gates, probes, not front)
+
+
+def _exchanged(original, lhs, kets, gates, probes, front=True):
+    return original(lhs, kets, np.asarray(gates)[[1, 0, *range(2, len(gates))]], probes, front)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_unmutated_families_hold(family):
+    assert _families()[family]() < 1e-14
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_flipped_flow_direction_breaks_every_family(monkeypatch, family):
+    _patch_evaluator(monkeypatch, _flipped)
+    assert _families()[family]() > 0.25
+
+
+# The Brauer projector identity has a single term (v = EPR, C = 1), so
+# exchanging two of its corrections has nothing to exchange.
+@pytest.mark.parametrize("family", [f for f in FAMILIES if f != "brauer-projector"])
+def test_exchanged_corrections_break_every_family(monkeypatch, family):
+    _patch_evaluator(monkeypatch, _exchanged)
+    assert _families()[family]() > 0.25
+
+
+# ------------------------------------------------------ resource bits
+
+_ALPHA = random_ket(np.random.default_rng(4))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: teleport_single_gate(t_gate(), _ALPHA, 0, -1),
+        lambda: teleport_single_gate(t_gate(), _ALPHA, 2, 0),
+        lambda: teleport_two_qubit(basis_ket(0, 4), 0, -1, 0, 0),
+        lambda: teleport_two_qubit(basis_ket(0, 4), 2, 0, 0, 0),
+        lambda: teleport_two_qubit(basis_ket(0, 4), 0, 0, 1, 2),
+        lambda: teleport_with_yb(_ALPHA, 0, -1, 0.3),
+        lambda: teleport_with_yb(_ALPHA, 2, 0, 0.3),
+    ],
+    ids=["single-(0,-1)", "single-(2,0)", "double-(0,-1,0,0)", "double-(2,0,0,0)", "double-(0,0,1,2)",
+         "yb-(0,-1)", "yb-(2,0)"],
+)
+def test_resource_bits_must_be_bits(run):
+    with pytest.raises(ValueError, match="bit index must be 0 or 1"):
+        run()
+
+
+# ----------------------------------------------------------- solve grid
+
+
+@pytest.mark.parametrize("mn", BIT_PAIRS)
+def test_solve_grid_matches_the_per_phi_loop(mn, monkeypatch):
+    m, n = mn
+    basis = tangles.UnitaryBasis.pauli()
+    for sol in tangles.solve_pauli_eigenvalues(m, n):
+        loop = max(tangles.table_max(tangles.spectral_constraint_residuals(basis, sol.mu_of_phi(p), m, n))
+                   for p in cli._PHI_GRID)
+        batched = float(tangles._pattern_residuals(m, n, cli._PHI_GRID, [sol.pattern]).max())
+        assert abs(batched - loop) <= 1e-15, sol.class_id
+    calls = []
+    monkeypatch.setattr(cli, "spectral_constraint_residuals", lambda *args: calls.append(args))
+    assert cli.main(["solve", "--mn", f"{m}{n}", "--format", "json"]) == 0
+    assert calls == []
