@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, is_unitary, kron, outer
-from .gates import EPR, B_GLOBAL_PHASE, I2, bell_state, phase_shift, tl_projector, yb_gate
+from .linalg import DEFAULT_TOL, dagger, is_unitary, kron, mat, outer
+from .gates import EPR, B_GLOBAL_PHASE, I2, X, bell_state, phase_shift, tl_projector, yb_gate
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
