@@ -33,7 +33,6 @@ from .gates import EPR, I2, bell_state, brauer_projector, permutation_p
 from .teleport import BIT_PAIRS, _paired, _transfer_residual, _worst_norm, random_ket
 from .linalg import (
     DEFAULT_TOL,
-    MAX_SITES,
     dagger,
     embed,
     identity,
@@ -86,18 +85,13 @@ class RelationReport:
 class Representation:
     """Generators e_i = 1 (x) E (x) 1 and b_i = 1 (x) B (x) 1 on n sites.
 
-    Only the 4x4 E and B are stored; e_at/b_at embed a generator on demand.
+    Only the 4x4 E and B are stored, with their adjacent placements on a
+    3-site window; no 2^n x 2^n generator is ever built, so n is unbounded.
     """
 
     n: int
     E: np.ndarray
     B: np.ndarray
-
-    def e_at(self, i: int) -> np.ndarray:
-        return embed(self.E, i, self.n)
-
-    def b_at(self, i: int) -> np.ndarray:
-        return embed(self.B, i, self.n)
 
     @cached_property
     def e_pairs(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -111,8 +105,8 @@ class Representation:
 
 
 def build_rep(E: np.ndarray, B: np.ndarray, n: int) -> Representation:
-    if not 2 <= n <= MAX_SITES:
-        raise ValueError(f"sites must be in [2, {MAX_SITES}], got {n}")
+    if n < 2:
+        raise ValueError(f"sites must be at least 2, got {n}")
     E = np.asarray(E, dtype=complex)
     B = np.asarray(B, dtype=complex)
     if E.shape != (4, 4) or B.shape != (4, 4):

@@ -13,8 +13,6 @@ import numpy as np
 DEFAULT_TOL = 1e-10
 STRICT_TOL = 1e-12
 
-MAX_SITES = 10
-
 
 def mat(rows) -> np.ndarray:
     """Build a complex matrix from nested rows (finite entries required)."""
@@ -107,29 +105,18 @@ def embed(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
     """Place a 4x4 operator on neighbouring qubits (site, site+1) of n_sites.
 
     Sites count from 1 and qubit 1 is the most significant bit, so the
-    result is 1^(site-1) (x) op (x) 1^(n_sites-site-1).
+    result is 1^(site-1) (x) op (x) 1^(n_sites-site-1), a dense
+    2^n_sites x 2^n_sites matrix: callers keep n_sites to a small window.
     """
     op = np.asarray(op, dtype=complex)
     if op.shape != (4, 4):
         raise ValueError(f"embed expects a 4x4 operator, got {op.shape}")
-    if n_sites < 2 or n_sites > MAX_SITES:
-        raise ValueError(f"n_sites must be in [2, {MAX_SITES}], got {n_sites}")
+    if n_sites < 2:
+        raise ValueError(f"n_sites must be at least 2, got {n_sites}")
     if not 1 <= site <= n_sites - 1:
         raise ValueError(f"site {site} out of range for {n_sites} sites")
     left = identity(2 ** (site - 1))
     right = identity(2 ** (n_sites - site - 1))
-    return kron(left, op, right)
-
-
-def embed_single(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
-    """Place a 2x2 operator on one qubit (1-based, MSB first)."""
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (2, 2):
-        raise ValueError(f"embed_single expects a 2x2 operator, got {op.shape}")
-    if not 1 <= site <= n_sites:
-        raise ValueError(f"site {site} out of range for {n_sites} sites")
-    left = identity(2 ** (site - 1))
-    right = identity(2 ** (n_sites - site))
     return kron(left, op, right)
 
 

@@ -39,10 +39,21 @@ def test_unknown_kind_is_a_usage_error():
     assert exc.value.code == 2
 
 
-def test_sites_range_is_enforced():
+def test_sites_range_is_enforced(capsys):
+    code, out = run_cli(capsys, "verify", "bmw", "--sites", "128")
+    assert code == 0 and "overall: PASS" in out
+    for sites in ("129", "1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "bmw", "--sites", sites])
+        assert exc.value.code == 2
+
+
+def test_sites_help_reads_the_bound_that_main_checks(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "bmw", "--sites", "11"])
-    assert exc.value.code == 2
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert cli.MAX_SITES == 128
+    assert f"2..{cli.MAX_SITES}" in capsys.readouterr().out
 
 
 def test_json_schema_keys(capsys):

@@ -36,6 +36,7 @@ CASES = (
     + [["analyze", "--gate", gate, *_PHI] for gate in ("B", "B0", "I", "SWAP", "CZ")]
     + [["verify", "bmw", "--sites", n, "--phi", phi] for n in ("3", "4") for phi in ("0.3", "-2.1")]
     + [["verify", "brauer", "--sites", n] for n in ("3", "4")]
+    + [["verify", "bmw", "--sites", "64", *_PHI], ["verify", "brauer", "--sites", "64"]]
     + [["verify", "b-forms", *_PHI]]
     + [["teleport", variant, *_TELEPORT] for variant in ("standard", "bell-like", "yang-baxter", "two-qubit")]
     + [["teleport", "gate", "--gate", gate, *_TELEPORT] for gate in ("H", "T")]

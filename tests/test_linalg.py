@@ -13,7 +13,6 @@ from braidtel.linalg import (
     basis_ket,
     dagger,
     embed,
-    embed_single,
     fidelity,
     identity,
     is_unitary,
@@ -58,13 +57,6 @@ def test_embed_matches_manual_kron():
 def test_embed_rejects_out_of_range_site():
     with pytest.raises(ValueError):
         embed(identity(4), 3, 3)
-
-
-@pytest.mark.parametrize("site", [1, 2, 3])
-def test_embed_single_anticommutes_locally(site):
-    x = embed_single(X, site, 3)
-    z = embed_single(Z, site, 3)
-    assert max_abs_diff(x @ z, -z @ x) < 1e-14
 
 
 def test_outer_shape_and_rank():
