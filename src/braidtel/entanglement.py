@@ -17,16 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, dagger, is_unitary, kron, mat, outer
-from .gates import EPR, B_GLOBAL_PHASE, I2, X, bell_state, phase_shift, tl_projector, yb_gate
+from .linalg import DEFAULT_TOL, dagger, identity, is_unitary, kron, mat, max_abs_diff, outer
+from .gates import EPR, B_GLOBAL_PHASE, I2, X, Z, bell_state, phase_shift, tl_projector, yb_gate
 
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)  # sigma_y; gates.Y is ZX
 
-XX = kron(_SX, _SX)
+XX = kron(X, X)
 YY = kron(_SY, _SY)
-ZZ = kron(_SZ, _SZ)
+ZZ = kron(Z, Z)
 
 # Columns are the Bell-phase states; conjugating into this basis turns the
 # canonical exponential into a diagonal matrix.
@@ -193,7 +191,7 @@ def braid_projector_forms(phi: float) -> dict[str, float]:
     u_tilde = B_GLOBAL_PHASE * np.eye(4) + math.sqrt(2) * (
         outer(flipped, flipped) + outer(rotated, rotated)
     )
-    first = float(np.max(np.abs(b - (u_tilde + 2j * B_GLOBAL_PHASE * e))))
+    first = max_abs_diff(b, u_tilde + 2j * B_GLOBAL_PHASE * e)
     second_form = B_GLOBAL_PHASE * (
         np.eye(4)
         - outer(flipped, flipped)
@@ -201,8 +199,6 @@ def braid_projector_forms(phi: float) -> dict[str, float]:
         - cmath.exp(-1j * phi) * outer(rotated, flipped)
         + cmath.exp(1j * phi) * outer(flipped, rotated)
     )
-    second = float(np.max(np.abs(b - second_form)))
-    unitary_part = float(
-        np.max(np.abs(u_tilde @ dagger(u_tilde) - np.eye(4)))
-    )
+    second = max_abs_diff(b, second_form)
+    unitary_part = max_abs_diff(u_tilde @ dagger(u_tilde), identity(4))
     return {"projector-sum": first, "dyad-sum": second, "unitary-part": unitary_part}

@@ -29,6 +29,7 @@ from .linalg import (
     is_unitary,
     ket,
     kron,
+    max_abs_diff,
     mul,
 )
 from .gates import I2, X, Y, Z, H, _b0, _check_bits, t_gate, pauli_w, x_pow, z_pow
@@ -250,8 +251,7 @@ def qp_factorization_residual() -> float:
     for bits in itertools.product((0, 1), repeat=8):
         q = q_correction(*bits)
         p = p_correction(*bits)
-        diff = kron(q, p) - qp_from_conjugation(*bits)
-        worst = max(worst, float(np.max(np.abs(diff))))
+        worst = max(worst, max_abs_diff(kron(q, p), qp_from_conjugation(*bits)))
     return worst
 
 
@@ -348,6 +348,6 @@ def single_gate_closed_form_residuals() -> dict[str, float]:
     for i, j, k, l in itertools.product((0, 1), repeat=4):
         via_h = r_gate(H, i, j, k, l)
         via_t = r_gate(t, i, j, k, l)
-        worst_h = max(worst_h, float(np.max(np.abs(via_h - r_gate_hadamard(i, j, k, l)))))
-        worst_t = max(worst_t, float(np.max(np.abs(via_t - r_gate_t(i, j, k, l)))))
+        worst_h = max(worst_h, max_abs_diff(via_h, r_gate_hadamard(i, j, k, l)))
+        worst_t = max(worst_t, max_abs_diff(via_t, r_gate_t(i, j, k, l)))
     return {"hadamard": worst_h, "t": worst_t}

@@ -25,6 +25,7 @@ from .linalg import (
     conj,
     dagger,
     frozen,
+    is_unitary,
     mat,
     max_abs_diff,
     outer,
@@ -135,8 +136,7 @@ class GateCoefficients:
         return transpose(states) @ self.matrix() @ conj(states)
 
     def is_gate(self, basis: UnitaryBasis, tol: float = DEFAULT_TOL) -> bool:
-        g = self.assemble(basis)
-        return bool(np.max(np.abs(g @ dagger(g) - np.eye(4))) <= tol)
+        return is_unitary(self.assemble(basis), tol)
 
 
 def _constraint_table(g: np.ndarray, forms, scale: float = 0.5):
@@ -223,7 +223,9 @@ def projector_teleportation_residuals(phi: float, seed: int = 42) -> dict[int, f
     Identities 1 and 2 are ket equations moving an unknown state across the
     Bell-like resource in either direction; 3 and 4 are their bra
     counterparts, the same equations with every ket, probe and correction
-    conjugated.  Residuals are worst 2-norms over a probe set.
+    conjugated.  Conjugation is exact in floating point, so 3 and 4 return
+    the same bits as 1 and 2: they restate the bra form, they add no
+    independent check.  Residuals are worst 2-norms over a probe set.
     """
     kets, probes = _bell_like_kets(phi), np.array(probe_states(seed))
     flows = np.stack(_bell_like_corrections(phi))  # the front and mirror corrections

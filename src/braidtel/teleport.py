@@ -351,12 +351,13 @@ IDENTITY_VARIANTS = (
 
 
 def check_teleportation_identity(variant: str, phi: float = 0.0, seed: int = 42) -> float:
-    """Residual of one teleportation identity over the probe set.
+    """Residual of one teleportation identity: the worst 2-norm of lhs - rhs.
 
-    Vector identities run over the Pauli eigenstates plus random probes and
-    report the worst 2-norm of lhs - rhs; the projector-channel forms are
-    operator identities from the 2-qubit space into the 3-qubit space and
-    report the worst entry.
+    The vector identities run over the Pauli eigenstates plus random probes.
+    The projector-channel forms (E00 (x) 1)(a (x) E00) = 1/2 |psi (x) a><psi|
+    and their mirror are that vector identity times <psi|, because
+    E00 = |psi><psi|, so they are checked on (E00 (x) 1)(a (x) psi).  flow
+    compares (1 (x) u)|EPR> with (u^T (x) 1)|EPR> over 8 seeded random unitaries.
     """
     probes = np.array(probe_states(seed))
     front = not variant.endswith("-transpose")
@@ -365,31 +366,15 @@ def check_teleportation_identity(variant: str, phi: float = 0.0, seed: int = 42)
         return _flow_residual(_bell_kets(), paulis if front else transpose(paulis), probes, front)
     if variant in ("bell-like", "bell-like-transpose"):
         return _flow_residual(_bell_like_kets(phi), _bell_like_corrections(phi)[not front], probes, front)
-    if variant == "projector-channel":
+    if variant in ("projector-channel", "projector-channel-transpose"):
         e00, psi = tl_projector(0, 0, phi), bell_like_state(0, 0, phi)
-        return _identity_residual(
-            probes,
-            lambda a: kron(e00, I2) @ kron(a.reshape(2, 1), e00),
-            lambda a: 0.5 * outer(kron(psi, a), psi),
-        )
-    if variant == "projector-channel-transpose":
-        e00, psi = tl_projector(0, 0, phi), bell_like_state(0, 0, phi)
-        return _identity_residual(
-            probes,
-            lambda a: kron(I2, e00) @ kron(e00, a.reshape(2, 1)),
-            lambda a: 0.5 * outer(kron(a, psi), psi),
-        )
+        op = kron(e00, I2) if front else kron(I2, e00)
+        return _transfer_residual(_paired(probes, psi, front) @ transpose(op), psi[None], I2[None], probes, front)
     if variant == "flow":
         rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(8):
-            raw = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            u, _ = np.linalg.qr(raw)
-            worst = max(
-                worst,
-                max_abs_diff(kron(I2, u) @ EPR, kron(transpose(u), I2) @ EPR),
-            )
-        return worst
+        draws = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(8)]
+        unitaries = [np.linalg.qr(raw)[0] for raw in draws]
+        return _worst_norm(np.stack([kron(I2, u) @ EPR - kron(transpose(u), I2) @ EPR for u in unitaries]))
     raise ValueError(f"unknown identity variant {variant!r}")
 
 
@@ -408,10 +393,3 @@ def transpose_asymmetry_margin(phi: float) -> float:
         rhs = mul(transpose(m00), dagger(mij))
         margin = max(margin, max_abs_diff(lhs, rhs))
     return margin
-
-
-def _identity_residual(probes, lhs_fn, rhs_fn) -> float:
-    worst = 0.0
-    for a in probes:
-        worst = max(worst, max_abs_diff(lhs_fn(a), rhs_fn(a)))
-    return worst

@@ -20,8 +20,10 @@ from braidtel.gate_teleport import (
     teleport_single_gate,
     teleport_two_qubit,
 )
-from braidtel.gates import EPR, I2, bell_like_state, bell_state, brauer_projector, m_gate, pauli_w, permutation_p, t_gate
-from braidtel.linalg import basis_ket, conj, dagger, kron, mul, transpose
+from braidtel.gates import (
+    EPR, I2, bell_like_state, bell_state, brauer_projector, m_gate, pauli_w, permutation_p, t_gate, tl_projector,
+)
+from braidtel.linalg import basis_ket, conj, dagger, kron, mul, outer, transpose
 from braidtel.teleport import (
     BIT_PAIRS,
     _braid_protocol,
@@ -76,6 +78,23 @@ def _projector_oracle(phi, seed):
         4: _oracle(probes, lambda a: kron(conj(s00), conj(a)),
                    lambda a: sum(0.5 * kron(conj(a) @ mul(m[p], conj(m00)), conj(states[p])) for p in BIT_PAIRS)),
     }
+
+
+def _channel_oracle(variant, phi, seed):
+    """The projector-channel operator identities and flow, one probe or draw at a time."""
+    e00, psi = tl_projector(0, 0, phi), bell_like_state(0, 0, phi)
+    if variant == "projector-channel":
+        return _oracle(probe_states(seed), lambda a: kron(e00, I2) @ kron(a.reshape(2, 1), e00),
+                       lambda a: 0.5 * outer(kron(psi, a), psi))
+    if variant == "projector-channel-transpose":
+        return _oracle(probe_states(seed), lambda a: kron(I2, e00) @ kron(e00, a.reshape(2, 1)),
+                       lambda a: 0.5 * outer(kron(a, psi), psi))
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(8):
+        u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        worst = max(worst, float(np.linalg.norm(kron(I2, u) @ EPR - kron(transpose(u), I2) @ EPR)))
+    return worst
 
 
 def _resource_oracle(op, correction, pair, seed):
@@ -133,6 +152,24 @@ def test_routed_identities_match_their_kron_oracles(phi, seed):
     assert abs(braid_teleportation_residual(phi, seed) - _braid_oracle(phi, seed)) <= 1e-15
 
 
+# The operator residual D = d <psi| of a projector-channel form has rank one,
+# so its Frobenius norm is the 2-norm |d| of the vector residual.
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("phi", PHIS)
+def test_channel_and_flow_identities_match_their_loop_oracles(phi, seed):
+    for variant in ("projector-channel", "projector-channel-transpose", "flow"):
+        got, want = check_teleportation_identity(variant, phi, seed), _channel_oracle(variant, phi, seed)
+        assert abs(got - want) <= 1e-15, variant
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("phi", PHIS)
+def test_bra_identities_repeat_the_ket_bits(phi, seed):
+    r = tangles.projector_teleportation_residuals(phi, seed)
+    assert r[3] == r[1]
+    assert r[4] == r[2]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_b0_residuals_match_their_kron_oracles(seed):
     front, back = _b0_layers()
@@ -154,10 +191,13 @@ def test_stacked_brauer_draws_equal_the_loop_draws(seed):
 # --------------------------------------------------------- mutation
 
 
+_SINGLE = ("projector-channel", "projector-channel-transpose")
+
+
 def _families():
     """Every routed identity as a zero-argument call, at a generic phase."""
     phi = 0.3
-    calls = {variant: (lambda v=variant: check_teleportation_identity(v, phi)) for variant in VECTOR_VARIANTS}
+    calls = {variant: (lambda v=variant: check_teleportation_identity(v, phi)) for variant in VECTOR_VARIANTS + _SINGLE}
     calls.update({
         f"transfer-{c}": (lambda c=c: tangles.projector_teleportation_residuals(phi)[c]) for c in (1, 2, 3, 4)
     })
@@ -196,9 +236,10 @@ def test_flipped_flow_direction_breaks_every_family(monkeypatch, family):
     assert _families()[family]() > 0.25
 
 
-# The Brauer projector identity has a single term (v = EPR, C = 1), so
-# exchanging two of its corrections has nothing to exchange.
-@pytest.mark.parametrize("family", [f for f in FAMILIES if f != "brauer-projector"])
+# The Brauer projector identity and the projector-channel forms have a
+# single term (v = EPR or psi, C = 1), so exchanging two of their
+# corrections has nothing to exchange.
+@pytest.mark.parametrize("family", [f for f in FAMILIES if f != "brauer-projector" and f not in _SINGLE])
 def test_exchanged_corrections_break_every_family(monkeypatch, family):
     _patch_evaluator(monkeypatch, _exchanged)
     assert _families()[family]() > 0.25
