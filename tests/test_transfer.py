@@ -37,6 +37,7 @@ from braidtel.teleport import (
 PHIS = (0.0, 0.3, -2.1)
 SEEDS = (5, 42)
 VECTOR_VARIANTS = ("standard", "standard-transpose", "bell-like", "bell-like-transpose")
+CHANNEL_VARIANTS = ("projector-channel", "projector-channel-transpose")
 
 
 def _oracle(probes, lhs_fn, rhs_fn) -> float:
@@ -157,7 +158,7 @@ def test_routed_identities_match_their_kron_oracles(phi, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("phi", PHIS)
 def test_channel_and_flow_identities_match_their_loop_oracles(phi, seed):
-    for variant in ("projector-channel", "projector-channel-transpose", "flow"):
+    for variant in (*CHANNEL_VARIANTS, "flow"):
         got, want = check_teleportation_identity(variant, phi, seed), _channel_oracle(variant, phi, seed)
         assert abs(got - want) <= 1e-15, variant
 
@@ -191,13 +192,10 @@ def test_stacked_brauer_draws_equal_the_loop_draws(seed):
 # --------------------------------------------------------- mutation
 
 
-_SINGLE = ("projector-channel", "projector-channel-transpose")
-
-
 def _families():
     """Every routed identity as a zero-argument call, at a generic phase."""
     phi = 0.3
-    calls = {variant: (lambda v=variant: check_teleportation_identity(v, phi)) for variant in VECTOR_VARIANTS + _SINGLE}
+    calls = {variant: (lambda v=variant: check_teleportation_identity(v, phi)) for variant in VECTOR_VARIANTS + CHANNEL_VARIANTS}
     calls.update({
         f"transfer-{c}": (lambda c=c: tangles.projector_teleportation_residuals(phi)[c]) for c in (1, 2, 3, 4)
     })
@@ -239,7 +237,7 @@ def test_flipped_flow_direction_breaks_every_family(monkeypatch, family):
 # The Brauer projector identity and the projector-channel forms have a
 # single term (v = EPR or psi, C = 1), so exchanging two of their
 # corrections has nothing to exchange.
-@pytest.mark.parametrize("family", [f for f in FAMILIES if f != "brauer-projector" and f not in _SINGLE])
+@pytest.mark.parametrize("family", [f for f in FAMILIES if f not in ("brauer-projector", *CHANNEL_VARIANTS)])
 def test_exchanged_corrections_break_every_family(monkeypatch, family):
     _patch_evaluator(monkeypatch, _exchanged)
     assert _families()[family]() > 0.25
