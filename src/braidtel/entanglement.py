@@ -1,23 +1,28 @@
 """Nonlocal content of two-qubit gates.
 
 Every two-qubit unitary is locally equivalent to exp(i(a XX + b YY + c ZZ))
-for a real triple in the Weyl alcove.  The triple is recovered from the
-spectrum of m^T m with m the gate written in the magic basis, validated by
-matching local invariants of a reconstructed gate, and reduced to the
-chamber pi/4 >= a >= b >= c >= 0 (chirality is folded away; the mirror
-class with c < 0 shares all quantities computed here).
+for a real triple in the Weyl alcove (Kraus & Cirac, PRA 63, 062309, 2001;
+Zhang, Vala, Sastry & Whaley, PRA 67, 042313, 2003).  With m the special
+unitary written in the magic basis, the eigenvalues of m^T m are
+exp(2i(a - b + c)), exp(2i(-a + b + c)), exp(-2i(a + b + c)) and
+exp(2i(a + b - c)), so the triple is read off three halved eigenphases in
+closed form.  Any order of the eigenvalues, and any pi on a halved phase,
+only permutes the triple, flips an even number of its signs or shifts two
+coefficients by pi/2; all are local moves, so folding each coefficient into
+(-pi/4, pi/4] and sorting the magnitudes gives the chamber point
+pi/4 >= a >= b >= c >= 0 (chirality is folded away; the mirror class with
+c < 0 shares all quantities computed here).
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, dagger, identity, is_unitary, kron, mat, max_abs_diff, outer
+from .linalg import dagger, identity, is_unitary, kron, max_abs_diff, outer
 from .gates import EPR, B_GLOBAL_PHASE, I2, X, Z, bell_state, phase_shift, tl_projector, yb_gate
 
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)  # sigma_y; gates.Y is ZX
@@ -42,14 +47,6 @@ MAGIC = (
 
 _QUARTER = math.pi / 4
 _HALF = math.pi / 2
-
-_EVEN_FLIPS = (
-    (1, 1, 1),
-    (-1, -1, 1),
-    (-1, 1, -1),
-    (1, -1, -1),
-)
-
 
 @dataclass(frozen=True)
 class CanonicalParams:
@@ -103,9 +100,10 @@ def _local_invariants(su: np.ndarray) -> tuple[complex, complex]:
 
 def local_invariants(u: np.ndarray) -> tuple[complex, complex]:
     """The two numbers conserved by one-qubit gates on either side."""
+    u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4) or not is_unitary(u):
         raise ValueError("expected a 4x4 unitary")
-    return _local_invariants(_special_unitary(np.asarray(u, dtype=complex)))
+    return _local_invariants(_special_unitary(u))
 
 
 def _fold(x: float) -> float:
@@ -116,34 +114,15 @@ def _fold(x: float) -> float:
     return float(y)
 
 
-def _chamber_candidates(a: float, b: float, c: float):
-    """Orbit of a triple under the moves that preserve the local class."""
-    for perm in itertools.permutations((a, b, c)):
-        for flips in _EVEN_FLIPS:
-            first = tuple(_fold(s * x) for s, x in zip(flips, perm))
-            for flips2 in _EVEN_FLIPS:
-                yield tuple(_fold(s * x) for s, x in zip(flips2, first))
-
-
-def _reduce_to_chamber(a: float, b: float, c: float, tol: float = 1e-9):
-    best = None
-    for cand in _chamber_candidates(a, b, c):
-        x, y, z = cand
-        if x >= y - tol and y >= abs(z) - tol:
-            folded = (x, y, abs(z))
-            if best is None or folded > best:
-                best = folded
-    if best is None:
-        raise AssertionError("chamber reduction found no representative")
-    return best
-
-
 def canonical_params(u: np.ndarray, tol: float = 1e-8) -> CanonicalParams:
-    """Recover the interaction triple of a two-qubit gate.
+    """Recover the chamber-reduced interaction triple of a two-qubit gate.
 
-    Works from the eigenphases of m^T m in the magic basis; every
-    assignment of phases to the linear system is tried and kept only if a
-    gate rebuilt from the solved triple reproduces the local invariants.
+    Three of the halved eigenphases l1, l2, l4 of m^T m, in the order the
+    solver returns them, give (a, b, c) = ((l1 + l4)/2, (l2 + l4)/2,
+    (l1 + l2)/2); det(m^T m) = 1 fixes the fourth.  Any other order or pi
+    branch is a local move of that triple (see the module docstring), so a
+    gate rebuilt from it must share the local invariants of u; that is
+    checked once, and the folded magnitudes are sorted into the chamber.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4) or not is_unitary(u):
@@ -151,20 +130,12 @@ def canonical_params(u: np.ndarray, tol: float = 1e-8) -> CanonicalParams:
     su = _special_unitary(u)
     target = _local_invariants(su)
     m = dagger(MAGIC) @ su @ MAGIC
-    phases = np.angle(np.linalg.eigvals(m.T @ m)) / 2.0
-    for combo in itertools.permutations(range(4), 3):
-        for shifts in itertools.product((0.0, math.pi), repeat=3):
-            l1 = phases[combo[0]] + shifts[0]
-            l2 = phases[combo[1]] + shifts[1]
-            l4 = phases[combo[2]] + shifts[2]
-            a = (l1 + l4) / 2.0
-            b = (l2 + l4) / 2.0
-            c = (l1 + l2) / 2.0
-            rebuilt = _local_invariants(canonical_gate(a, b, c))
-            if abs(rebuilt[0] - target[0]) <= tol and abs(rebuilt[1] - target[1]) <= tol:
-                x, y, z = _reduce_to_chamber(a, b, c)
-                return CanonicalParams(x, y, z)
-    raise AssertionError("no phase assignment reproduced the local invariants")
+    l1, l2, _, l4 = np.angle(np.linalg.eigvals(m.T @ m)) / 2.0
+    a, b, c = (l1 + l4) / 2.0, (l2 + l4) / 2.0, (l1 + l2) / 2.0
+    rebuilt = _local_invariants(canonical_gate(a, b, c))
+    if abs(rebuilt[0] - target[0]) > tol or abs(rebuilt[1] - target[1]) > tol:
+        raise AssertionError("the eigenphase triple does not reproduce the local invariants")
+    return CanonicalParams(*sorted((abs(_fold(x)) for x in (a, b, c)), reverse=True))
 
 
 def entangling_power(u: np.ndarray) -> float:

@@ -25,6 +25,7 @@ from .linalg import (
     conj,
     dagger,
     frozen,
+    identity,
     is_unitary,
     mat,
     max_abs_diff,
@@ -69,7 +70,7 @@ class UnitaryBasis:
     def orthonormality_residual(self) -> float:
         u = np.stack([np.asarray(self.u[p], dtype=complex) for p in BIT_PAIRS])
         gram = 0.5 * np.einsum("bji,aji->ab", conj(u), u)  # (1/2) tr(U_b^dag U_a)
-        return float(np.max(np.abs(gram - np.eye(4))))
+        return max_abs_diff(gram, identity(4))
 
 
 @dataclass(frozen=True, eq=False)

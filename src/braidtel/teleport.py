@@ -385,11 +385,5 @@ def transpose_asymmetry_margin(phi: float) -> float:
     directions; the Bell-like protocol does not, and this margin is the
     entrywise witness of that asymmetry.
     """
-    m00 = m_gate(0, 0, phi)
-    margin = 0.0
-    for i, j in BIT_PAIRS:
-        mij = m_gate(i, j, phi)
-        lhs = transpose(mul(m00, conj(mij)))
-        rhs = mul(transpose(m00), dagger(mij))
-        margin = max(margin, max_abs_diff(lhs, rhs))
-    return margin
+    front, mirror = _bell_like_corrections(phi)
+    return max_abs_diff(transpose(front), mirror)

@@ -1,6 +1,7 @@
 """Nonlocal invariants, canonical interaction triples, entangling power."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidtel import entanglement
 from braidtel.entanglement import (
+    MAGIC,
     CanonicalParams,
     braid_projector_forms,
     canonical_gate,
@@ -26,8 +29,8 @@ CNOT = np.array(
 )
 
 
-def _random_local(rng) -> np.ndarray:
-    raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+def _random_local(rng, dim: int = 2) -> np.ndarray:
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(raw)
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
@@ -68,6 +71,12 @@ def test_local_invariants_require_a_two_qubit_unitary():
         local_invariants(np.ones((4, 4)))
 
 
+def test_local_invariants_accept_nested_lists():
+    assert local_invariants(yb_gate(0.4).tolist()) == local_invariants(yb_gate(0.4))
+    with pytest.raises(ValueError):
+        local_invariants(np.ones((4, 4)).tolist())
+
+
 @pytest.mark.parametrize(
     "gate,expected",
     [
@@ -106,6 +115,97 @@ def test_round_trip_through_the_chamber(raw):
     a, b, c = sorted(raw, reverse=True)
     recovered = canonical_params(canonical_gate(a, b, c))
     assert recovered.as_tuple() == pytest.approx((a, b, c), abs=1e-8)
+
+
+_EVEN_FLIPS = ((1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1))
+
+
+def _orbit_chamber_point(a: float, b: float, c: float) -> tuple[float, float, float]:
+    """Largest chamber point among the 96 permuted, sign-flipped, folded copies."""
+    fold = entanglement._fold
+    best = None
+    for perm in itertools.permutations((a, b, c)):
+        for flips in _EVEN_FLIPS:
+            first = [fold(s * x) for s, x in zip(flips, perm)]
+            for flips2 in _EVEN_FLIPS:
+                x, y, z = (fold(s * v) for s, v in zip(flips2, first))
+                if x >= y - 1e-9 and y >= abs(z) - 1e-9 and (best is None or (x, y, abs(z)) > best):
+                    best = (x, y, abs(z))
+    return best
+
+
+def _searched_params(u: np.ndarray, tol: float = 1e-8) -> tuple[float, float, float]:
+    """The exhaustive search the closed-form rule replaced, kept as its oracle.
+
+    Tries the 24 ordered picks x 8 pi shifts of the halved eigenphases until a
+    rebuilt gate matches the local invariants, then reduces that triple over
+    its Weyl orbit.
+    """
+    su = u / np.linalg.det(u) ** 0.25
+    target = local_invariants(su)
+    m = dagger(MAGIC) @ su @ MAGIC
+    phases = np.angle(np.linalg.eigvals(m.T @ m)) / 2.0
+    for combo in itertools.permutations(range(4), 3):
+        for shifts in itertools.product((0.0, math.pi), repeat=3):
+            l1, l2, l4 = (phases[k] + s for k, s in zip(combo, shifts))
+            triple = ((l1 + l4) / 2.0, (l2 + l4) / 2.0, (l1 + l2) / 2.0)
+            rebuilt = local_invariants(canonical_gate(*triple))
+            if abs(rebuilt[0] - target[0]) <= tol and abs(rebuilt[1] - target[1]) <= tol:
+                return _orbit_chamber_point(*triple)
+    raise AssertionError("no phase assignment reproduced the local invariants")
+
+
+def _oracle_gates():
+    rng = np.random.default_rng(2003)
+    for _ in range(500):
+        yield _random_local(rng, 4)  # Haar-random two-qubit gate
+    faces = [
+        (0.0, 0.0, 0.0), (QUARTER, 0.0, 0.0), (QUARTER, QUARTER, 0.0), (QUARTER, QUARTER, QUARTER),
+        (0.3, 0.3, 0.0), (0.3, 0.0, 0.0), (0.3, 0.3, 0.3), (QUARTER, 0.3, 0.0),
+        (QUARTER, 0.3, 0.3), (QUARTER, QUARTER, 0.3), (0.5, 0.2, 0.2), (0.5, 0.5, 0.2),
+    ]
+    for triple in faces:
+        for _ in range(10):
+            dressed = kron(_random_local(rng), _random_local(rng)) @ canonical_gate(*triple)
+            yield cmath.exp(1j * rng.uniform(-math.pi, math.pi)) * dressed @ kron(
+                _random_local(rng), _random_local(rng)
+            )
+    yield canonical_gate(0.5, 0.3, -0.1)
+    for phi in np.linspace(-math.pi, math.pi, 41):
+        yield yb_gate(float(phi))
+
+
+def test_closed_form_matches_the_searched_triple():
+    worst = 0.0
+    for gate in _oracle_gates():
+        got = canonical_params(gate).as_tuple()
+        worst = max(worst, max(abs(g - w) for g, w in zip(got, _searched_params(gate))))
+    assert worst <= 2e-15
+
+
+_WEYL_MOVES = st.tuples(
+    st.permutations(range(3)),
+    st.sampled_from(_EVEN_FLIPS),
+    st.tuples(*[st.sampled_from((-1, 0, 1))] * 3),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.tuples(*[st.floats(min_value=-1.5, max_value=1.5)] * 3),
+    _WEYL_MOVES,
+)
+def test_weyl_moves_keep_the_triple(triple, move):
+    perm, flips, shifts = move
+    moved = [flips[k] * triple[perm[k]] + shifts[k] * math.pi / 2 for k in range(3)]
+    got = canonical_params(canonical_gate(*moved)).as_tuple()
+    assert got == pytest.approx(canonical_params(canonical_gate(*triple)).as_tuple(), abs=1e-12)
+
+
+def test_invariant_check_rejects_a_wrong_rebuild(monkeypatch):
+    monkeypatch.setattr(entanglement, "canonical_gate", lambda a, b, c: np.eye(4, dtype=complex))
+    with pytest.raises(AssertionError):
+        canonical_params(CZ)
 
 
 def test_entangling_power_extremes():
