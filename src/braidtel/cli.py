@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -30,7 +29,7 @@ import numpy as np
 from . import __version__
 from .algebra import brauer_teleportation_residuals, check_all, check_brauer, derive_params
 from .entanglement import braid_projector_forms, canonical_params
-from .gate_teleport import clifford_check, r_gate, teleport_single_gate, teleport_two_qubit
+from .gate_teleport import _kl_tables, clifford_check, teleport_single_gate, teleport_two_qubit
 from .gates import (
     B_EIGENVALUES,
     CZ,
@@ -42,7 +41,7 @@ from .gates import (
     yb_clifford,
     yb_gate,
 )
-from .linalg import fidelity, max_abs_diff, mul, transpose
+from .linalg import dagger, fidelity, max_abs_diff, mul, transpose
 from .tangles import (
     EigenAssignment,
     GateCoefficients,
@@ -352,8 +351,7 @@ def _cmd_teleport(cfg: RunConfig) -> list[dict]:
     ]
     if cfg.action == "gate":
         u = elementary(cfg.gate, cfg.phi)
-        bits = itertools.product((0, 1), repeat=4)
-        all_clifford = all(clifford_check(r_gate(u, i, j, k, l))[0] for i, j, k, l in bits)
+        all_clifford = all(clifford_check(r)[0] for r in (u @ _kl_tables()[0] @ dagger(u)).reshape(16, 2, 2))
         results.append(_info("correction-clifford", gate=cfg.gate, value=bool(all_clifford)))
     return results
 

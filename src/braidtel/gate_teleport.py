@@ -6,6 +6,9 @@ up to a signed Pauli correction.  Routing a target gate U through the
 resource leg turns the correction into R = U K U^dag, which stays Clifford
 even when U is the non-Clifford T gate.  A six-qubit double protocol
 performs B_0 itself on an unknown two-qubit state.
+
+The corrections K, L and Q x P are stacked tables indexed [resource,
+outcome], built once and read by the sampled runs and the residuals alike.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .linalg import (
     DEFAULT_TOL,
     approx_eq_phase,
     basis_ket,
-    conj,
     dagger,
     embed,
     frozen,
@@ -31,15 +33,18 @@ from .linalg import (
     kron,
     max_abs_diff,
     mul,
+    transpose,
 )
 from .gates import I2, X, Y, Z, H, _b0, _check_bits, t_gate, pauli_w, x_pow, z_pow
 from .teleport import (
     BIT_PAIRS,
-    MeasurementOutcome,
     _correction_table,
     _measure,
     _product_kets,
+    _qubit,
     _resource_residual,
+    _teleport,
+    _worst_norm,
     probe_states,
     random_ket,
 )
@@ -90,7 +95,7 @@ def recognize_pauli(op: np.ndarray, tol: float = DEFAULT_TOL) -> PauliString | N
     """
     op = np.asarray(op, dtype=complex)
     n = op.shape[0].bit_length() - 1
-    if op.shape != (2**n, 2**n):
+    if n < 1 or op.shape != (2**n, 2**n):
         raise ValueError("operator is not square with power-of-two size")
     for labels in itertools.product(PAULI_LABELS, repeat=n):
         base = kron(*(_PAULI_BY_LABEL[f] for f in labels))
@@ -173,6 +178,12 @@ def _b0_layers() -> tuple[np.ndarray, np.ndarray]:
     return frozen(kron(b0, I2)), frozen(kron(I2, b0))
 
 
+@functools.lru_cache(maxsize=None)
+def _kl_tables() -> tuple[np.ndarray, np.ndarray]:
+    """K and L stacked at [2k + l, 2i + j], built once and shared read-only."""
+    return frozen(_correction_table(k_gate)), frozen(_correction_table(l_gate))
+
+
 def b0_forward_residual(seed: int = 42) -> float:
     """Worst 2-norm of the forward protocol identity's residual over probes.
 
@@ -180,7 +191,7 @@ def b0_forward_residual(seed: int = 42) -> float:
     (1/2) sum_ij |ij> (x) K_{i,j,k,l}|alpha> for every resource pair.
     """
     front, back = _b0_layers()
-    return _resource_residual(mul(front, back), _correction_table(k_gate), np.array(probe_states(seed)))
+    return _resource_residual(mul(front, back), _kl_tables()[0], probe_states(seed))
 
 
 def b0_reverse_residual(seed: int = 42) -> float:
@@ -190,7 +201,7 @@ def b0_reverse_residual(seed: int = 42) -> float:
     (1 x B_0)(B_0 x 1)|kl>|alpha> = (1/2) sum_ij L_{i,j,k,l}|alpha> (x) |ij>.
     """
     front, back = _b0_layers()
-    return _resource_residual(mul(back, front), _correction_table(l_gate), np.array(probe_states(seed)), front=False)
+    return _resource_residual(mul(back, front), _kl_tables()[1], probe_states(seed), front=False)
 
 
 def teleport_single_gate(u: np.ndarray, alpha: np.ndarray, k: int, l: int,
@@ -207,10 +218,8 @@ def teleport_single_gate(u: np.ndarray, alpha: np.ndarray, k: int, l: int,
         raise ValueError("gate must be a 2x2 unitary")
     _check_bits(k, l)
     front, back = _b0_layers()
-    state = mul(front, kron(identity(4), u), back) @ kron(ket(alpha), basis_ket(2 * k + l, 4))
-    m, p, survivor = _measure(conj(_product_kets()) @ state.reshape(4, -1), np.random.default_rng(rng_seed))
-    i, j = BIT_PAIRS[m]
-    return MeasurementOutcome(i, j, p, survivor), dagger(r_gate(u, i, j, k, l)) @ survivor
+    state = mul(front, kron(identity(4), u), back) @ kron(_qubit(alpha), basis_ket(2 * k + l, 4))
+    return _teleport(state, _product_kets(), u @ _kl_tables()[0][2 * k + l] @ dagger(u), rng_seed)
 
 
 @dataclass(frozen=True)
@@ -235,24 +244,25 @@ def p_correction(i1, j1, k1, l1, i2, j2, k2, l2) -> np.ndarray:
     return sign * mul(z_pow(i1 + l1 + 1), x_pow(j1 + k1 + j2 + k2))
 
 
-def qp_from_conjugation(i1, j1, k1, l1, i2, j2, k2, l2) -> np.ndarray:
-    """The same correction via B_0 (K x L) B_0^dag."""
-    b0 = _b0()
-    inner = kron(k_gate(i1, j1, k1, l1), l_gate(i2, j2, k2, l2))
-    return mul(b0, inner, dagger(b0))
+@functools.lru_cache(maxsize=None)
+def _qp_table() -> np.ndarray:
+    """Q x P stacked at [8 k1 + 4 l1 + 2 k2 + l2, 8 i1 + 4 j1 + 2 i2 + j2], built once."""
+    entries = [
+        kron(q_correction(i1, j1, k1, l1, i2, j2, k2, l2), p_correction(i1, j1, k1, l1, i2, j2, k2, l2))
+        for k1, l1, k2, l2, i1, j1, i2, j2 in itertools.product((0, 1), repeat=8)
+    ]
+    return frozen(np.array(entries).reshape(16, 16, 4, 4))
 
 
 def qp_factorization_residual() -> float:
-    """Max difference between the closed forms and the conjugation route.
+    """Max difference between the closed forms Q x P and B_0 (K x L) B_0^dag.
 
-    Scans all 256 index tuples.
+    Covers all 256 index tuples in one stacked comparison.
     """
-    worst = 0.0
-    for bits in itertools.product((0, 1), repeat=8):
-        q = q_correction(*bits)
-        p = p_correction(*bits)
-        worst = max(worst, max_abs_diff(kron(q, p), qp_from_conjugation(*bits)))
-    return worst
+    k_table, l_table = _kl_tables()
+    kl = np.einsum("abpq,cdrs->acbdprqs", k_table, l_table).reshape(16, 16, 4, 4)
+    b0 = _b0()
+    return max_abs_diff(_qp_table(), b0 @ kl @ dagger(b0))
 
 
 def _double_input(alphabeta: np.ndarray, k1, l1, k2, l2) -> np.ndarray:
@@ -291,30 +301,16 @@ def double_protocol_residuals(seed: int = 42) -> dict[str, float]:
     (1/4) sum |i1 j1> (x) (Q x P) B_0|alphabeta> (x) |i2 j2> over probe
     states and all resource settings.  Only one reading should vanish.
     """
-    b0 = _b0()
-    ops = {
-        "single-middle": _double_layers(doubled_middle=False),
-        "doubled-middle": _double_layers(doubled_middle=True),
-    }
-    probes = [ket([1, 0, 0, 0]), random_ket(np.random.default_rng(seed), dim=4)]
+    probes = np.stack([ket([1, 0, 0, 0]), random_ket(np.random.default_rng(seed), dim=4)])
+    # rhs[p, r] lays out |i1 j1> (x) (Q x P)[r, m] B_0|alphabeta_p> (x) |i2 j2> over m = 4 (i1 j1) + (i2 j2)
+    moved = np.einsum("rmij,pj->prmi", _qp_table(), probes @ transpose(_b0()))
+    rhs = 0.25 * moved.reshape(-1, 16, 4, 4, 4).transpose(0, 1, 2, 4, 3).reshape(-1, 16, 64)
+    # the input for resource r has amplitude alphabeta_p[2a + b] at register index (a, r, b)
+    coeffs = probes.reshape(-1, 2, 2)
     out = {}
-    for name, op in ops.items():
-        worst = 0.0
-        for alphabeta in probes:
-            rotated = b0 @ alphabeta
-            for k1, l1, k2, l2 in itertools.product((0, 1), repeat=4):
-                lhs = op @ _double_input(alphabeta, k1, l1, k2, l2)
-                rhs = np.zeros(64, dtype=complex)
-                for i1, j1, i2, j2 in itertools.product((0, 1), repeat=4):
-                    q = q_correction(i1, j1, k1, l1, i2, j2, k2, l2)
-                    p = p_correction(i1, j1, k1, l1, i2, j2, k2, l2)
-                    rhs += 0.25 * kron(
-                        basis_ket(2 * i1 + j1, 4),
-                        kron(q, p) @ rotated,
-                        basis_ket(2 * i2 + j2, 4),
-                    )
-                worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-        out[name] = worst
+    for name, doubled in (("single-middle", False), ("doubled-middle", True)):
+        lhs = np.einsum("xarb,pab->prx", _double_layers(doubled).reshape(64, 2, 16, 2), coeffs)
+        out[name] = _worst_norm((lhs - rhs).reshape(-1, 64))
     return out
 
 
@@ -334,20 +330,15 @@ def teleport_two_qubit(alphabeta: np.ndarray, k1: int, l1: int,
     # row 4 m1 + m2 holds the middle pair left by end outcomes |m1> and |m2>
     ends = state.reshape(4, 4, 4).transpose(0, 2, 1).reshape(16, 4)
     m, p, middle = _measure(ends, np.random.default_rng(rng_seed))
-    (i1, j1), (i2, j2) = BIT_PAIRS[m // 4], BIT_PAIRS[m % 4]
-    bits = (i1, j1, k1, l1, i2, j2, k2, l2)
-    corrected = dagger(kron(q_correction(*bits), p_correction(*bits))) @ middle
-    return DoubleOutcome((i1, j1), (i2, j2), p, middle), corrected
+    corrected = dagger(_qp_table()[8 * k1 + 4 * l1 + 2 * k2 + l2, m]) @ middle
+    return DoubleOutcome(BIT_PAIRS[m // 4], BIT_PAIRS[m % 4], p, middle), corrected
 
 
 def single_gate_closed_form_residuals() -> dict[str, float]:
-    """Compare r_gate against the printed closed forms for H and T."""
-    worst_h = 0.0
-    worst_t = 0.0
+    """Compare the stacked R = U K U^dag against the printed closed forms for H and T."""
+    k_table = _kl_tables()[0]
     t = t_gate()
-    for i, j, k, l in itertools.product((0, 1), repeat=4):
-        via_h = r_gate(H, i, j, k, l)
-        via_t = r_gate(t, i, j, k, l)
-        worst_h = max(worst_h, max_abs_diff(via_h, r_gate_hadamard(i, j, k, l)))
-        worst_t = max(worst_t, max_abs_diff(via_t, r_gate_t(i, j, k, l)))
-    return {"hadamard": worst_h, "t": worst_t}
+    return {
+        "hadamard": max_abs_diff(H @ k_table @ dagger(H), _correction_table(r_gate_hadamard)),
+        "t": max_abs_diff(t @ k_table @ dagger(t), _correction_table(r_gate_t)),
+    }

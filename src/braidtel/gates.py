@@ -119,7 +119,7 @@ def bell_state(i: int, j: int) -> np.ndarray:
 
 
 def state_with_gate(m: np.ndarray) -> np.ndarray:
-    """(1 (x) M)|Psi>: the EPR pair with a local gate on the second qubit."""
+    """(1 (x) M)|Psi>: the EPR pair with a local gate on the second qubit; a stack of M gives rows."""
     return kron(I2, np.asarray(m, dtype=complex)) @ EPR
 
 

@@ -122,6 +122,8 @@ class GateCoefficients:
     def from_matrix(cls, mat4: np.ndarray) -> "GateCoefficients":
         """Read coefficients off a 4x4 array indexed by flattened bit pairs."""
         mat4 = np.asarray(mat4, dtype=complex)
+        if mat4.shape != (4, 4):
+            raise ValueError(f"expected a 4x4 coefficient array, got shape {mat4.shape}")
         return cls({
             (a, b): complex(mat4[2 * a[0] + a[1], 2 * b[0] + b[1]])
             for a in BIT_PAIRS for b in BIT_PAIRS
@@ -228,7 +230,7 @@ def projector_teleportation_residuals(phi: float, seed: int = 42) -> dict[int, f
     the same bits as 1 and 2: they restate the bra form, they add no
     independent check.  Residuals are worst 2-norms over a probe set.
     """
-    kets, probes = _bell_like_kets(phi), np.array(probe_states(seed))
+    kets, probes = _bell_like_kets(phi), probe_states(seed)
     flows = np.stack(_bell_like_corrections(phi))  # the front and mirror corrections
     values = [
         _flow_residual(v, gates, x, front)

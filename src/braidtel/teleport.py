@@ -11,8 +11,10 @@ projective measurement, classical correction):
 Every protocol measures its leading two-qubit register by projecting onto
 the kets v_m of an orthonormal basis: _measure samples m from the table of
 survivors (<v_m| (x) 1)|state> by the Born rule, and the protocol corrects
-the survivor.  The bases and the other phi-fixed operators are built and
-self-checked once per phi and shared read-only.
+the survivor with C_m^dag, read from one stacked correction table per
+protocol, indexed [resource, outcome], that its identity residuals read
+too.  The bases, the tables and the other phi-fixed operators are built
+and self-checked once per phi and shared read-only.
 
 The identities behind the protocols are also exposed directly as residual
 checks so they can be verified as exact vector/operator equations instead
@@ -39,6 +41,7 @@ from .gates import (
     m_gate,
     pauli_w,
     phase_shift,
+    state_with_gate,
     tl_projector,
     x_pow,
     yb_gate,
@@ -100,12 +103,10 @@ def random_ket(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
     return ket(amps, normalize=True)
 
 
-def probe_states(seed: int = 42, extra: int = 2) -> list[np.ndarray]:
-    """Six Pauli eigenstates plus seeded random kets."""
+def probe_states(seed: int = 42) -> np.ndarray:
+    """(8, 2) stack of the six Pauli eigenstates plus two seeded random kets."""
     rng = np.random.default_rng(seed)
-    probes = [p.copy() for p in PAULI_EIGENSTATES]
-    probes.extend(random_ket(rng) for _ in range(extra))
-    return probes
+    return np.array([*PAULI_EIGENSTATES, random_ket(rng), random_ket(rng)])
 
 
 def _paired(x: np.ndarray, r: np.ndarray, front: bool = True) -> np.ndarray:
@@ -169,6 +170,20 @@ def _measure(branches: np.ndarray, rng: np.random.Generator):
     return m, p, branches[m] / math.sqrt(p)
 
 
+def _qubit(alpha) -> np.ndarray:
+    """The unknown input of a one-qubit protocol, as a ket."""
+    alpha = ket(alpha)
+    if alpha.size != 2:
+        raise ValueError("expected a 1-qubit state")
+    return alpha
+
+
+def _teleport(state: np.ndarray, kets: np.ndarray, corrections: np.ndarray, rng_seed: int):
+    """(MeasurementOutcome, corrected qubit): measure the leading pair in kets, undo corrections[m]."""
+    m, p, bob = _measure(conj(kets) @ state.reshape(4, -1), np.random.default_rng(rng_seed))
+    return MeasurementOutcome(*BIT_PAIRS[m], p, bob), dagger(corrections[m]) @ bob
+
+
 def _basis(kets) -> np.ndarray:
     """Measurement kets as read-only rows, checked to be orthonormal."""
     rows = np.array(kets, dtype=complex)
@@ -186,6 +201,12 @@ def _bell_kets() -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _product_kets() -> np.ndarray:
     return _basis([basis_ket(2 * i + j, 4) for i, j in BIT_PAIRS])
+
+
+@functools.lru_cache(maxsize=None)
+def _pauli_table() -> np.ndarray:
+    """W_ij stacked over ij: the corrections of the standard protocol."""
+    return frozen(np.stack([pauli_w(i, j) for i, j in BIT_PAIRS]))
 
 
 @functools.lru_cache(maxsize=64)
@@ -219,19 +240,13 @@ def teleport_standard(alpha: np.ndarray, rng_seed: int = 42):
 
     Returns (MeasurementOutcome, corrected Bob qubit).
     """
-    state = kron(ket(alpha), EPR)
-    m, p, bob = _measure(conj(_bell_kets()) @ state.reshape(4, -1), np.random.default_rng(rng_seed))
-    i, j = BIT_PAIRS[m]
-    return MeasurementOutcome(i, j, p, bob), dagger(pauli_w(i, j)) @ bob
+    return _teleport(kron(_qubit(alpha), EPR), _bell_kets(), _pauli_table(), rng_seed)
 
 
 def teleport_bell_like(alpha: np.ndarray, phi: float, rng_seed: int = 42):
     """Teleport through the Bell-like resource |Psi_M00> with E_ij measurement."""
     kets = _bell_like_kets(phi)
-    state = kron(ket(alpha), kets[0])
-    m, p, bob = _measure(conj(kets) @ state.reshape(4, -1), np.random.default_rng(rng_seed))
-    i, j = BIT_PAIRS[m]
-    return MeasurementOutcome(i, j, p, bob), dagger(_bell_like_corrections(phi)[0][m]) @ bob
+    return _teleport(kron(_qubit(alpha), kets[0]), kets, _bell_like_corrections(phi)[0], rng_seed)
 
 
 def extract_phases(phi: float, tol: float = DEFAULT_TOL) -> PhaseTable:
@@ -278,19 +293,13 @@ def u_gate(i: int, j: int, table: PhaseTable) -> np.ndarray:
 
 
 def _rebuild_from_v(table: PhaseTable) -> np.ndarray:
-    total = np.zeros((4, 4), dtype=complex)
-    for k, l in BIT_PAIRS:
-        total += outer(kron(I2, v_gate(k, l, table)) @ EPR, basis_ket(2 * k + l, 4))
-    return total
+    """sum_kl (1 (x) V_kl)|Psi><kl|: column kl is (1 (x) V_kl)|Psi>."""
+    return transpose(state_with_gate(np.stack([v_gate(k, l, table) for k, l in BIT_PAIRS])))
 
 
 def _rebuild_from_u(table: PhaseTable) -> np.ndarray:
-    total = np.zeros((4, 4), dtype=complex)
-    for i, j in BIT_PAIRS:
-        # |ij><Psi|(1 (x) U) has rows <Psi|(1 (x) U) = ((1 (x) U^dag)|Psi>)^dag
-        row_ket = kron(I2, dagger(u_gate(i, j, table))) @ EPR
-        total += outer(basis_ket(2 * i + j, 4), row_ket)
-    return total
+    """sum_ij |ij><Psi|(1 (x) U_ij): row ij is ((1 (x) U_ij^dag)|Psi>)^dag."""
+    return conj(state_with_gate(dagger(np.stack([u_gate(i, j, table) for i, j in BIT_PAIRS]))))
 
 
 def w_braid_correction(i: int, j: int, k: int, l: int, table: PhaseTable) -> np.ndarray:
@@ -314,10 +323,8 @@ def teleport_with_yb(alpha: np.ndarray, k: int, l: int, phi: float, rng_seed: in
     """
     _check_bits(k, l)
     op, corrections = _braid_protocol(phi)
-    state = op @ kron(ket(alpha), basis_ket(2 * k + l, 4))
-    m, p, bob = _measure(conj(_product_kets()) @ state.reshape(4, -1), np.random.default_rng(rng_seed))
-    i, j = BIT_PAIRS[m]
-    return MeasurementOutcome(i, j, p, bob), dagger(corrections[2 * k + l, m]) @ bob
+    state = op @ kron(_qubit(alpha), basis_ket(2 * k + l, 4))
+    return _teleport(state, _product_kets(), corrections[2 * k + l], rng_seed)
 
 
 def braid_teleportation_residual(phi: float, seed: int = 42) -> float:
@@ -326,7 +333,7 @@ def braid_teleportation_residual(phi: float, seed: int = 42) -> float:
     Taken over the probe states and all four resource pairs kl.
     """
     op, corrections = _braid_protocol(phi)
-    return _resource_residual(op, corrections, np.array(probe_states(seed)))
+    return _resource_residual(op, corrections, probe_states(seed))
 
 
 def completeness_residuals(phi: float) -> dict:
@@ -359,10 +366,10 @@ def check_teleportation_identity(variant: str, phi: float = 0.0, seed: int = 42)
     E00 = |psi><psi|, so they are checked on (E00 (x) 1)(a (x) psi).  flow
     compares (1 (x) u)|EPR> with (u^T (x) 1)|EPR> over 8 seeded random unitaries.
     """
-    probes = np.array(probe_states(seed))
+    probes = probe_states(seed)
     front = not variant.endswith("-transpose")
     if variant in ("standard", "standard-transpose"):
-        paulis = np.stack([pauli_w(i, j) for i, j in BIT_PAIRS])
+        paulis = _pauli_table()
         return _flow_residual(_bell_kets(), paulis if front else transpose(paulis), probes, front)
     if variant in ("bell-like", "bell-like-transpose"):
         return _flow_residual(_bell_like_kets(phi), _bell_like_corrections(phi)[not front], probes, front)

@@ -10,6 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
+from braidtel import gate_teleport, gates, teleport
 from braidtel.gate_teleport import (
     DoubleOutcome,
     PauliString,
@@ -30,8 +31,8 @@ from braidtel.gate_teleport import (
     teleport_single_gate,
     teleport_two_qubit,
 )
-from braidtel.gates import EPR, H, S, X, Z, elementary, t_gate, yb_clifford
-from braidtel.linalg import fidelity, is_unitary, kron, max_abs_diff
+from braidtel.gates import EPR, H, S, X, Z, elementary, pauli_w, t_gate, yb_clifford
+from braidtel.linalg import basis_ket, dagger, fidelity, is_unitary, ket, kron, max_abs_diff
 from braidtel.teleport import BIT_PAIRS, random_ket
 
 ALL_TUPLES = list(itertools.product((0, 1), repeat=4))
@@ -182,3 +183,103 @@ def test_two_qubit_teleportation_on_entangled_input():
     outcome, corrected = teleport_two_qubit(EPR, 1, 1, 0, 0, rng_seed=3)
     assert outcome.probability == pytest.approx(1 / 16, abs=1e-12)
     assert fidelity(yb_clifford() @ EPR, corrected) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_recognize_pauli_rejects_operators_on_no_qubits():
+    with pytest.raises(ValueError, match="power-of-two"):
+        recognize_pauli(np.array([[1]]))
+
+
+# ---------------------------------------------------------- stacked tables
+
+
+def _qp_from_conjugation(i1, j1, k1, l1, i2, j2, k2, l2):
+    """Per-tuple B_0 (K x L) B_0^dag, the route the stacked factorization replaced."""
+    b0 = gates._b0()
+    return b0 @ kron(k_gate(i1, j1, k1, l1), l_gate(i2, j2, k2, l2)) @ dagger(b0)
+
+
+def _double_protocol_oracle(seed):
+    """The per-term double-protocol expansion: 1,024 kron calls per reading."""
+    b0 = gates._b0()
+    probes = [ket([1, 0, 0, 0]), random_ket(np.random.default_rng(seed), dim=4)]
+    out = {}
+    for name, doubled in (("single-middle", False), ("doubled-middle", True)):
+        op = gate_teleport._double_layers(doubled)
+        worst = 0.0
+        for alphabeta in probes:
+            rotated = b0 @ alphabeta
+            for k1, l1, k2, l2 in ALL_TUPLES:
+                lhs = op @ gate_teleport._double_input(alphabeta, k1, l1, k2, l2)
+                rhs = np.zeros(64, dtype=complex)
+                for i1, j1, i2, j2 in ALL_TUPLES:
+                    q = q_correction(i1, j1, k1, l1, i2, j2, k2, l2)
+                    p = p_correction(i1, j1, k1, l1, i2, j2, k2, l2)
+                    rhs += 0.25 * kron(basis_ket(2 * i1 + j1, 4), kron(q, p) @ rotated, basis_ket(2 * i2 + j2, 4))
+                worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+        out[name] = worst
+    return out
+
+
+@pytest.mark.parametrize("seed", [8, 42, 1200])
+def test_double_protocol_residuals_match_the_per_term_expansion(seed):
+    stacked, oracle = double_protocol_residuals(seed), _double_protocol_oracle(seed)
+    assert stacked.keys() == oracle.keys()
+    for name in oracle:
+        assert abs(stacked[name] - oracle[name]) <= 1e-15, name
+    assert stacked["single-middle"] <= 1e-15
+    assert stacked["doubled-middle"] > 0.1
+
+
+def test_qp_factorization_matches_the_per_tuple_conjugation():
+    worst = max(
+        max_abs_diff(kron(q_correction(*bits), p_correction(*bits)), _qp_from_conjugation(*bits))
+        for bits in itertools.product((0, 1), repeat=8)
+    )
+    assert abs(qp_factorization_residual() - worst) <= 1e-15
+
+
+def test_qp_table_holds_every_closed_form_product():
+    table = gate_teleport._qp_table()
+    assert table.shape == (16, 16, 4, 4)
+    for i1, j1, k1, l1, i2, j2, k2, l2 in itertools.product((0, 1), repeat=8):
+        bits = (i1, j1, k1, l1, i2, j2, k2, l2)
+        entry = table[8 * k1 + 4 * l1 + 2 * k2 + l2, 8 * i1 + 4 * j1 + 2 * i2 + j2]
+        assert np.array_equal(entry, kron(q_correction(*bits), p_correction(*bits))), bits
+
+
+def test_kl_tables_hold_k_and_l():
+    k_table, l_table = gate_teleport._kl_tables()
+    for i, j, k, l in ALL_TUPLES:
+        assert np.array_equal(k_table[2 * k + l, 2 * i + j], k_gate(i, j, k, l))
+        assert np.array_equal(l_table[2 * k + l, 2 * i + j], l_gate(i, j, k, l))
+
+
+def test_pauli_table_holds_w():
+    table = teleport._pauli_table()
+    for i, j in BIT_PAIRS:
+        assert np.array_equal(table[2 * i + j], pauli_w(i, j))
+
+
+@pytest.mark.parametrize("u", [H, t_gate(), S, elementary("R", 0.3), elementary("R", -2.1)],
+                         ids=["H", "T", "S", "R(0.3)", "R(-2.1)"])
+def test_stacked_corrections_match_r_gate(u):
+    rows = u @ gate_teleport._kl_tables()[0] @ dagger(u)
+    alpha = random_ket(np.random.default_rng(4))
+    for i, j, k, l in ALL_TUPLES:
+        assert max_abs_diff(rows[2 * k + l, 2 * i + j], r_gate(u, i, j, k, l)) <= 1e-15
+    # the sampled run undoes the R of the outcome it drew
+    for (k, l), seed in itertools.product(BIT_PAIRS, range(4)):
+        outcome, corrected = teleport_single_gate(u, alpha, k, l, rng_seed=seed)
+        expected = dagger(r_gate(u, outcome.i, outcome.j, k, l)) @ outcome.post_state
+        assert max_abs_diff(corrected, expected) <= 1e-15
+
+
+def test_two_qubit_correction_is_the_closed_form_of_the_outcome():
+    alphabeta = random_ket(np.random.default_rng(30), dim=4)
+    for (k1, l1, k2, l2), seed in itertools.product(ALL_TUPLES, range(2)):
+        outcome, corrected = teleport_two_qubit(alphabeta, k1, l1, k2, l2, rng_seed=seed)
+        bits = (*outcome.first, k1, l1, *outcome.second, k2, l2)
+        expected = dagger(kron(q_correction(*bits), p_correction(*bits))) @ outcome.post_state
+        assert np.array_equal(corrected, expected), bits
+        assert fidelity(gates._b0() @ alphabeta, corrected) == pytest.approx(1.0, abs=1e-12)

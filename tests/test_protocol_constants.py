@@ -1,25 +1,32 @@
 """The phi-fixed protocol operators: cached, read-only, still self-checked."""
 
+import importlib
 import itertools
+import pkgutil
 
 import numpy as np
 import pytest
 
+import braidtel
 from braidtel import gate_teleport, gates, teleport
 from braidtel.gate_teleport import teleport_single_gate, teleport_two_qubit
 from braidtel.gates import H
 from braidtel.linalg import basis_ket, kron
 from braidtel.teleport import BIT_PAIRS, extract_phases, teleport_bell_like, teleport_with_yb, w_braid_correction
 
-CACHES = (
-    teleport._bell_kets,
-    teleport._product_kets,
-    teleport._bell_like_kets,
-    teleport._braid_protocol,
-    gates._b0,
-    gate_teleport._b0_layers,
-    gate_teleport._double_layers,
-)
+
+def _module_caches():
+    """Every lru_cache wrapper defined at module level in the braidtel package."""
+    found = {}
+    for info in pkgutil.iter_modules(braidtel.__path__):
+        module = importlib.import_module(f"braidtel.{info.name}")
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__:
+                found[f"{module.__name__}.{obj.__qualname__}"] = obj
+    return tuple(found[name] for name in sorted(found))
+
+
+CACHES = _module_caches()
 
 ALPHA = np.array([0.6, 0.8j])
 
@@ -64,6 +71,23 @@ def test_phase_table_is_extracted_once_per_phi(cold_caches, monkeypatch):
     assert calls == [0.3, -2.1]
 
 
+def test_cache_scan_finds_the_protocol_caches():
+    expected = {
+        teleport._bell_kets,
+        teleport._product_kets,
+        teleport._pauli_table,
+        teleport._bell_like_kets,
+        teleport._bell_like_corrections,
+        teleport._braid_protocol,
+        gates._b0,
+        gate_teleport._b0_layers,
+        gate_teleport._kl_tables,
+        gate_teleport._qp_table,
+        gate_teleport._double_layers,
+    }
+    assert expected <= set(CACHES)
+
+
 @pytest.mark.parametrize(
     "constant",
     [
@@ -77,9 +101,15 @@ def test_phase_table_is_extracted_once_per_phi(cold_caches, monkeypatch):
         lambda: gate_teleport._b0_layers()[1],
         gate_teleport._double_layers,
         lambda: gate_teleport._double_layers(True),
+        lambda: teleport._bell_like_corrections(0.3)[0],
+        lambda: teleport._bell_like_corrections(0.3)[1],
+        teleport._pauli_table,
+        lambda: gate_teleport._kl_tables()[0],
+        lambda: gate_teleport._kl_tables()[1],
+        gate_teleport._qp_table,
     ],
     ids=["bell", "product", "bell-like", "braid-op", "braid-w", "b0", "b0-front", "b0-back", "double",
-         "double-middle"],
+         "double-middle", "bell-like-front", "bell-like-mirror", "pauli", "k", "l", "qp"],
 )
 def test_cached_constants_are_read_only(constant):
     array = constant()

@@ -292,6 +292,12 @@ def test_coefficient_table_must_be_complete():
         GateCoefficients({((0, 0), (0, 0)): 1.0})
 
 
+@pytest.mark.parametrize("shape", [(5, 5), (3, 3), (4,), (4, 2), (2, 4, 4)])
+def test_coefficient_matrix_must_be_4x4(shape):
+    with pytest.raises(ValueError, match="4x4"):
+        GateCoefficients.from_matrix(np.ones(shape))
+
+
 def test_skew_transpose_keeps_order():
     rng = np.random.default_rng(3)
     b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from braidtel.gate_teleport import teleport_single_gate
+from braidtel.gates import H
 from braidtel.linalg import fidelity, is_unitary, max_abs_diff
 from braidtel.teleport import (
     BIT_PAIRS,
@@ -25,8 +27,8 @@ from braidtel.teleport import (
 
 
 def test_probe_states_cover_pauli_eigenbasis():
-    probes = probe_states(seed=3, extra=2)
-    assert len(probes) == 8
+    probes = probe_states(seed=3)
+    assert probes.shape == (8, 2)
     for state in probes:
         assert np.linalg.norm(state) == pytest.approx(1.0)
 
@@ -112,3 +114,18 @@ def test_transpose_route_differs_from_naive_transpose():
     # the reverse-flow correction is NOT the entrywise transpose of the
     # forward one; the margin certifies the test above is non-vacuous
     assert transpose_asymmetry_margin(0.9) > 0.05
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        teleport_standard,
+        lambda a: teleport_bell_like(a, 0.3),
+        lambda a: teleport_with_yb(a, 0, 1, 0.3),
+        lambda a: teleport_single_gate(H, a, 1, 0),
+    ],
+    ids=["standard", "bell-like", "yang-baxter", "single-gate"],
+)
+def test_one_qubit_protocols_reject_wider_inputs(run):
+    with pytest.raises(ValueError, match="expected a 1-qubit state"):
+        run(random_ket(np.random.default_rng(6), dim=4))
