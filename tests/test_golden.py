@@ -39,7 +39,7 @@ CASES = (
     + [["verify", "bmw", "--sites", "64", *_PHI], ["verify", "brauer", "--sites", "64"]]
     + [["verify", "b-forms", *_PHI]]
     + [["teleport", variant, *_TELEPORT] for variant in ("standard", "bell-like", "yang-baxter", "two-qubit")]
-    + [["teleport", "gate", "--gate", gate, *_TELEPORT] for gate in ("H", "T")]
+    + [["teleport", "gate", "--gate", gate, *_TELEPORT] for gate in ("H", "T", "R")]
 )
 
 
