@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .algebra import brauer_teleportation_residuals, check_all, check_brauer, derive_params
 from .entanglement import braid_projector_forms, canonical_params
-from .gate_teleport import _kl_tables, clifford_check, teleport_single_gate, teleport_two_qubit
+from .gate_teleport import _double_protocol, _gate_protocol, clifford_check
 from .gates import (
     B_EIGENVALUES,
     CZ,
@@ -41,7 +41,7 @@ from .gates import (
     yb_clifford,
     yb_gate,
 )
-from .linalg import dagger, fidelity, max_abs_diff, mul, transpose
+from .linalg import conj, max_abs_diff, mul, transpose
 from .tangles import (
     EigenAssignment,
     GateCoefficients,
@@ -58,18 +58,12 @@ from .tangles import (
     solve_pauli_eigenvalues,
     spectral_constraint_residuals,
 )
-from .teleport import (
-    BIT_PAIRS,
-    random_ket,
-    teleport_bell_like,
-    teleport_standard,
-    teleport_with_yb,
-)
+from .teleport import BIT_PAIRS, _bell_like_protocol, _braid_protocol, _product_kets, _standard_protocol, _teleport
 
 _DEFAULT_TOL = 1e-10
 # phi grid used to validate solved eigenvalue classes across the family
 _PHI_GRID = tuple(0.1 + 0.3 * k for k in range(10))
-_SEED_STRIDE = 100003  # prime, keeps per-instance seeds distinct
+_BLOCK = 1024  # instances per kernel call: peak memory stays flat at any --count
 # upper bound of --sites: a relation report lists O(n^2) entries, 17,396 at 128 sites (about 30 ms on 2 vCPUs)
 MAX_SITES = 128
 
@@ -284,76 +278,62 @@ def _cmd_verify(cfg: RunConfig) -> list[dict]:
 # --------------------------------------------------------------- teleport
 
 
-def _run_instance(cfg: RunConfig, index: int):
-    """One protocol run; returns (outcome key, correction key, label, p, fidelity)."""
-    # the input state and the measurement draw from independent child streams
-    ket_seed, inst_seed = np.random.SeedSequence(cfg.seed * _SEED_STRIDE + index).spawn(2)
-    rng = np.random.default_rng(ket_seed)
-    variant = cfg.action
-    if variant == "standard":
-        alpha = random_ket(rng)
-        outcome, corrected = teleport_standard(alpha, rng_seed=inst_seed)
-        key = f"{outcome.i}{outcome.j}"
-        return key, key, f"W^dag_{key}", outcome.probability, fidelity(alpha, corrected)
-    if variant == "bell-like":
-        alpha = random_ket(rng)
-        outcome, corrected = teleport_bell_like(alpha, cfg.phi, rng_seed=inst_seed)
-        key = f"{outcome.i}{outcome.j}"
-        return key, key, f"(M_00 conj(M_{key}))^dag", outcome.probability, fidelity(alpha, corrected)
-    if variant == "yang-baxter":
-        alpha = random_ket(rng)
-        k, l = (int(bit) for bit in rng.integers(0, 2, size=2))
-        outcome, corrected = teleport_with_yb(alpha, k, l, cfg.phi, rng_seed=inst_seed)
-        key = f"{outcome.i}{outcome.j}"
-        return key, f"{key}|{k}{l}", f"W^dag_{key}{k}{l}", outcome.probability, fidelity(alpha, corrected)
-    if variant == "gate":
+def _protocol(cfg: RunConfig):
+    """(protocol, gate it applies to the input, correction label, extra results) of a teleport variant."""
+    if cfg.action == "standard":
+        return _standard_protocol(), np.eye(2), "W^dag_{key}", []
+    if cfg.action == "bell-like":
+        return _bell_like_protocol(cfg.phi), np.eye(2), "(M_00 conj(M_{key}))^dag", []
+    if cfg.action == "yang-baxter":
+        return (*_braid_protocol(cfg.phi), _product_kets()), np.eye(2), "W^dag_{key}{res}", []
+    if cfg.action == "gate":
         u = elementary(cfg.gate, cfg.phi)
-        alpha = random_ket(rng)
-        k, l = (int(bit) for bit in rng.integers(0, 2, size=2))
-        outcome, corrected = teleport_single_gate(u, alpha, k, l, rng_seed=inst_seed)
-        key = f"{outcome.i}{outcome.j}"
-        label = f"R({cfg.gate})^dag_{key}{k}{l}"
-        return key, f"{key}|{k}{l}", label, outcome.probability, fidelity(u @ alpha, corrected)
-    # two-qubit
-    alphabeta = random_ket(rng, dim=4)
-    k1, l1, k2, l2 = (int(bit) for bit in rng.integers(0, 2, size=4))
-    outcome, corrected = teleport_two_qubit(alphabeta, k1, l1, k2, l2, rng_seed=inst_seed)
-    i1, j1 = outcome.first
-    i2, j2 = outcome.second
-    key = f"{i1}{j1},{i2}{j2}"
-    target = _b0() @ alphabeta
-    return key, f"{key}|{k1}{l1},{k2}{l2}", "(Q x P)^dag", outcome.probability, fidelity(target, corrected)
+        protocol = _gate_protocol(u)
+        clifford = all(clifford_check(c)[0] for c in protocol[1].reshape(-1, 2, 2))
+        extra = [_info("correction-clifford", gate=cfg.gate, value=clifford)]
+        return protocol, u, f"R({cfg.gate})^dag_{{key}}{{res}}", extra
+    return _double_protocol(), _b0(), "(Q x P)^dag", []
+
+
+def _pairs(index: int, count: int) -> str:
+    """index as count comma-separated bit pairs, most significant first."""
+    return ",".join(f"{index >> 2 * q & 3:02b}" for q in reversed(range(count)))
 
 
 def _cmd_teleport(cfg: RunConfig) -> list[dict]:
-    expected = 1 / 16 if cfg.action == "two-qubit" else 1 / 4
-    histogram: dict[str, int] = {}
-    corrections: dict[str, str] = {}
-    min_fid = 1.0
-    prob_dev = 0.0
-    for index in range(cfg.count):
-        key, ckey, label, prob, fid = _run_instance(cfg, index)
-        histogram[key] = histogram.get(key, 0) + 1
-        corrections[ckey] = label
-        min_fid = min(min_fid, fid)
-        prob_dev = max(prob_dev, abs(prob - expected))
-    results = [
+    protocol, gate, label, extra = _protocol(cfg)
+    op, table, kets = protocol
+    # inputs of dim amplitudes, R = 2^nbits resources, M = 4^pairs outcomes
+    dim, nbits, pairs = op.shape[1] // len(table), len(table).bit_length() - 1, len(kets).bit_length() // 2
+    counts = np.zeros(len(kets), dtype=int)
+    expected = 1 / len(kets)
+    # the input kets and resource bits, and the measurement draws, come from independent streams
+    ket_rng, measure_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(2))
+    seen, min_fid, prob_dev = set(), 1.0, 0.0  # (outcome, resource) pairs met, worst fidelity and deviation
+    for start in range(0, cfg.count, _BLOCK):
+        n = min(_BLOCK, cfg.count - start)
+        amps = ket_rng.standard_normal((n, dim)) + 1j * ket_rng.standard_normal((n, dim))
+        inputs = amps / np.linalg.norm(amps, axis=1, keepdims=True)
+        r = ket_rng.integers(0, 2, size=(n, nbits)) @ (1 << np.arange(nbits)[::-1])
+        m, p, _, corrected = _teleport(protocol, inputs, r, measure_rng.random(n))
+        fid = np.abs(np.einsum("ij,nj,ni->n", conj(gate), conj(inputs), corrected)) ** 2  # |<gate input|corrected>|^2
+        counts += np.bincount(m, minlength=len(counts))
+        seen.update(zip(m.tolist(), r.tolist()))
+        min_fid = min(min_fid, float(fid.min()))
+        prob_dev = max(prob_dev, float(np.abs(p - expected).max()))
+    key, res = [_pairs(m, pairs) for m in range(len(kets))], [_pairs(r, nbits // 2) for r in range(len(table))]
+    corrections = {  # keys are fixed-width, so numeric order is their sorted order
+        f"{key[m]}|{res[r]}" if nbits else key[m]: label.format(key=key[m], res=res[r]) for m, r in sorted(seen)
+    }
+    return [
         _info("instances", value=cfg.count),
         {"label": "min-fidelity", "value": _fmt(min_fid), "pass": bool(min_fid >= 1 - cfg.tolerance)},
-        {
-            "label": "max-probability-deviation",
-            "value": _fmt(prob_dev),
-            "pass": bool(prob_dev <= cfg.tolerance),
-            "expected": _fmt(expected),
-        },
-        _info("outcomes", histogram={k: histogram[k] for k in sorted(histogram)}),
-        _info("corrections", map={k: corrections[k] for k in sorted(corrections)}),
+        {"label": "max-probability-deviation", "value": _fmt(prob_dev), "pass": bool(prob_dev <= cfg.tolerance),
+         "expected": _fmt(expected)},
+        _info("outcomes", histogram={key[m]: int(c) for m, c in enumerate(counts) if c}),
+        _info("corrections", map=corrections),
+        *extra,
     ]
-    if cfg.action == "gate":
-        u = elementary(cfg.gate, cfg.phi)
-        all_clifford = all(clifford_check(r)[0] for r in (u @ _kl_tables()[0] @ dagger(u)).reshape(16, 2, 2))
-        results.append(_info("correction-clifford", gate=cfg.gate, value=bool(all_clifford)))
-    return results
 
 
 # ------------------------------------------------------------------ solve

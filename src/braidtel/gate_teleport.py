@@ -39,11 +39,10 @@ from .gates import I2, X, Y, Z, H, _b0, _check_bits, t_gate, pauli_w, x_pow, z_p
 from .teleport import (
     BIT_PAIRS,
     _correction_table,
-    _measure,
+    _one,
+    _one_qubit,
     _product_kets,
-    _qubit,
     _resource_residual,
-    _teleport,
     _worst_norm,
     probe_states,
     random_ket,
@@ -204,6 +203,15 @@ def b0_reverse_residual(seed: int = 42) -> float:
     return _resource_residual(mul(back, front), _kl_tables()[1], probe_states(seed), front=False)
 
 
+def _gate_protocol(u: np.ndarray):
+    """(op, table, kets) of gate teleportation: op = front (1 x 1 x u) back, table u K u^dag, product kets."""
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (2, 2) or not is_unitary(u):
+        raise ValueError("gate must be a 2x2 unitary")
+    front, back = _b0_layers()
+    return mul(front, kron(identity(4), u), back), u @ _kl_tables()[0] @ dagger(u), _product_kets()
+
+
 def teleport_single_gate(u: np.ndarray, alpha: np.ndarray, k: int, l: int,
                          rng_seed: int = 42):
     """Teleport alpha while applying the gate u, then undo the correction.
@@ -213,13 +221,8 @@ def teleport_single_gate(u: np.ndarray, alpha: np.ndarray, k: int, l: int,
     Returns (MeasurementOutcome, corrected qubit); the corrected qubit
     equals u|alpha> up to numerical noise.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2) or not is_unitary(u):
-        raise ValueError("gate must be a 2x2 unitary")
     _check_bits(k, l)
-    front, back = _b0_layers()
-    state = mul(front, kron(identity(4), u), back) @ kron(_qubit(alpha), basis_ket(2 * k + l, 4))
-    return _teleport(state, _product_kets(), u @ _kl_tables()[0][2 * k + l] @ dagger(u), rng_seed)
+    return _one_qubit(_gate_protocol(u), alpha, 2 * k + l, rng_seed)
 
 
 @dataclass(frozen=True)
@@ -314,6 +317,12 @@ def double_protocol_residuals(seed: int = 42) -> dict[str, float]:
     return out
 
 
+def _double_protocol():
+    """(op, table, kets) of the double protocol: op leaves the end registers, outcome 4 m1 + m2, in front."""
+    op = _double_layers().reshape(4, 4, 4, 64).transpose(0, 2, 1, 3).reshape(64, 64)
+    return op, _qp_table(), _product_kets(16)
+
+
 def teleport_two_qubit(alphabeta: np.ndarray, k1: int, l1: int,
                        k2: int, l2: int, rng_seed: int = 42):
     """Perform B_0 on an unknown two-qubit state by double teleportation.
@@ -322,15 +331,8 @@ def teleport_two_qubit(alphabeta: np.ndarray, k1: int, l1: int,
     (Q x P)^dag to the middle pair.  Returns (DoubleOutcome, corrected);
     corrected equals B_0|alphabeta>.
     """
-    alphabeta = ket(alphabeta)
-    if alphabeta.size != 4:
-        raise ValueError("expected a 2-qubit state")
     _check_bits(k1, l1, k2, l2)
-    state = _double_layers() @ _double_input(alphabeta, k1, l1, k2, l2)
-    # row 4 m1 + m2 holds the middle pair left by end outcomes |m1> and |m2>
-    ends = state.reshape(4, 4, 4).transpose(0, 2, 1).reshape(16, 4)
-    m, p, middle = _measure(ends, np.random.default_rng(rng_seed))
-    corrected = dagger(_qp_table()[8 * k1 + 4 * l1 + 2 * k2 + l2, m]) @ middle
+    m, p, middle, corrected = _one(_double_protocol(), alphabeta, 8 * k1 + 4 * l1 + 2 * k2 + l2, rng_seed)
     return DoubleOutcome(BIT_PAIRS[m // 4], BIT_PAIRS[m % 4], p, middle), corrected
 
 

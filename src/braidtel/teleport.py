@@ -8,13 +8,12 @@ projective measurement, classical correction):
   braid      resource built by the gate pair (B x 1)(1 x B), product-basis
              measurement, correction W_{i,j,k,l}
 
-Every protocol measures its leading two-qubit register by projecting onto
-the kets v_m of an orthonormal basis: _measure samples m from the table of
-survivors (<v_m| (x) 1)|state> by the Born rule, and the protocol corrects
-the survivor with C_m^dag, read from one stacked correction table per
-protocol, indexed [resource, outcome], that its identity residuals read
-too.  The bases, the tables and the other phi-fixed operators are built
-and self-checked once per phi and shared read-only.
+One kernel, _teleport, runs a batch of any protocol: it projects the leading
+register onto the kets v_m of an orthonormal basis, samples m by the Born rule
+from one uniform draw per instance, and corrects with C_m^dag from one stacked
+table per protocol, indexed [resource, outcome], that the identity residuals
+read too.  The teleport_* functions are its one-instance call.  The bases,
+tables and phi-fixed operators are built, self-checked and frozen once per phi.
 
 The identities behind the protocols are also exposed directly as residual
 checks so they can be verified as exact vector/operator equations instead
@@ -151,37 +150,46 @@ def _resource_residual(op, corrections, probes, front: bool = True) -> float:
     )
 
 
-def _sample_index(rng: np.random.Generator, probabilities) -> int:
-    total = float(np.sum(probabilities))
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {total}, expected 1")
-    return int(rng.choice(len(probabilities), p=np.asarray(probabilities) / total))
+def _teleport(protocol, inputs: np.ndarray, r, draws: np.ndarray):
+    """(outcomes m, probabilities, normalized survivors, corrected states) of a batch of instances.
 
-
-def _measure(branches: np.ndarray, rng: np.random.Generator):
-    """Born-rule step of every protocol.
-
-    Row m of branches is the unnormalized survivor (<v_m| (x) 1)|state> of
-    outcome m.  Returns (m, p_m, normalized survivor).
+    protocol is (op, table, kets): op acts on each input a (x) c with |r_n> after its first qubit, the
+    leading register is measured in the rows v_m of kets, and table[r_n, m] corrects outcome m, the
+    first whose cumulative probability exceeds the draw, as Generator.choice samples.
     """
-    probs = np.sum(np.abs(branches) ** 2, axis=1)
-    m = _sample_index(rng, probs)
-    p = float(probs[m])
-    return m, p, branches[m] / math.sqrt(p)
+    op, table, kets = protocol
+    n = len(inputs)
+    rows = np.arange(n)
+    padded = np.zeros((n, 2, len(table), inputs.shape[1] // 2), dtype=complex)
+    padded[rows, :, r] = inputs.reshape(n, 2, -1)
+    states = padded.reshape(n, -1) @ transpose(op)
+    branches = np.einsum("mk,nkj->nmj", conj(kets), states.reshape(n, len(kets), -1), optimize=True)
+    probs = np.sum(np.abs(branches) ** 2, axis=2)
+    total = np.sum(probs, axis=1)
+    if not np.all(np.abs(total - 1.0) <= 1e-9):
+        raise ValueError(f"probabilities sum to {total[np.argmax(np.abs(total - 1.0))]}, expected 1")
+    cdf = np.cumsum(probs / total[:, None], axis=1)
+    m = np.sum(cdf / cdf[:, -1:] <= draws[:, None], axis=1)  # searchsorted(cdf, draw, side="right") per row
+    p = probs[rows, m]
+    survivors = branches[rows, m] / np.sqrt(p)[:, None]
+    return m, p, survivors, (dagger(table[r, m]) @ survivors[:, :, None])[:, :, 0]
 
 
-def _qubit(alpha) -> np.ndarray:
-    """The unknown input of a one-qubit protocol, as a ket."""
+def _one(protocol, alpha, resource: int, rng_seed):
+    """(m, p, survivor, corrected) of one instance on the input ket alpha, drawn from default_rng(rng_seed)."""
+    op, table, _ = protocol
     alpha = ket(alpha)
-    if alpha.size != 2:
-        raise ValueError("expected a 1-qubit state")
-    return alpha
+    if alpha.size * len(table) != op.shape[1]:
+        raise ValueError(f"expected a {(op.shape[1] // len(table)).bit_length() - 1}-qubit state")
+    draw = np.random.default_rng(rng_seed).random(1)
+    m, p, survivor, corrected = _teleport(protocol, alpha[None], np.array([resource]), draw)
+    return int(m[0]), float(p[0]), survivor[0], corrected[0]
 
 
-def _teleport(state: np.ndarray, kets: np.ndarray, corrections: np.ndarray, rng_seed: int):
-    """(MeasurementOutcome, corrected qubit): measure the leading pair in kets, undo corrections[m]."""
-    m, p, bob = _measure(conj(kets) @ state.reshape(4, -1), np.random.default_rng(rng_seed))
-    return MeasurementOutcome(*BIT_PAIRS[m], p, bob), dagger(corrections[m]) @ bob
+def _one_qubit(protocol, alpha, resource: int, rng_seed):
+    """(MeasurementOutcome, corrected qubit) of one instance of a one-qubit protocol."""
+    m, p, bob, corrected = _one(protocol, alpha, resource, rng_seed)
+    return MeasurementOutcome(*BIT_PAIRS[m], p, bob), corrected
 
 
 def _basis(kets) -> np.ndarray:
@@ -199,8 +207,8 @@ def _bell_kets() -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _product_kets() -> np.ndarray:
-    return _basis([basis_ket(2 * i + j, 4) for i, j in BIT_PAIRS])
+def _product_kets(dim: int = 4) -> np.ndarray:
+    return _basis(identity(dim))
 
 
 @functools.lru_cache(maxsize=None)
@@ -225,9 +233,11 @@ def _bell_like_corrections(phi: float) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=64)
 def _braid_protocol(phi: float):
-    """(B x 1)(1 x B) and the W_{i,j,k,l} table, built once per phi."""
+    """(B x 1)(1 x B) and the W_{i,j,k,l} = V_kl U^T_ij table, built once per phi."""
     b = yb_gate(phi)
-    return frozen(kron(b, I2) @ kron(I2, b)), frozen(_correction_table(w_braid_correction, extract_phases(phi)))
+    phases = extract_phases(phi)
+    v, u = (np.stack([gate(k, l, phases) for k, l in BIT_PAIRS]) for gate in (v_gate, u_gate))
+    return frozen(kron(b, I2) @ kron(I2, b)), frozen(v[:, None] @ transpose(u))
 
 
 def _correction_table(correction, *args) -> np.ndarray:
@@ -235,18 +245,28 @@ def _correction_table(correction, *args) -> np.ndarray:
     return np.array([[correction(i, j, k, l, *args) for i, j in BIT_PAIRS] for k, l in BIT_PAIRS])
 
 
+def _standard_protocol():
+    """(op, table, kets) of the standard protocol: alpha -> alpha (x) EPR, W_ij, Bell kets."""
+    return kron(I2, EPR[:, None]), _pauli_table()[None], _bell_kets()
+
+
+def _bell_like_protocol(phi: float):
+    """(op, table, kets) of the Bell-like protocol: alpha -> alpha (x) |Psi_M00>, M00 M*_ij, E_ij kets."""
+    kets = _bell_like_kets(phi)
+    return kron(I2, kets[0][:, None]), _bell_like_corrections(phi)[0][None], kets
+
+
 def teleport_standard(alpha: np.ndarray, rng_seed: int = 42):
     """Teleport a qubit through the EPR pair with Bell measurement.
 
     Returns (MeasurementOutcome, corrected Bob qubit).
     """
-    return _teleport(kron(_qubit(alpha), EPR), _bell_kets(), _pauli_table(), rng_seed)
+    return _one_qubit(_standard_protocol(), alpha, 0, rng_seed)
 
 
 def teleport_bell_like(alpha: np.ndarray, phi: float, rng_seed: int = 42):
     """Teleport through the Bell-like resource |Psi_M00> with E_ij measurement."""
-    kets = _bell_like_kets(phi)
-    return _teleport(kron(_qubit(alpha), kets[0]), kets, _bell_like_corrections(phi)[0], rng_seed)
+    return _one_qubit(_bell_like_protocol(phi), alpha, 0, rng_seed)
 
 
 def extract_phases(phi: float, tol: float = DEFAULT_TOL) -> PhaseTable:
@@ -322,9 +342,7 @@ def teleport_with_yb(alpha: np.ndarray, k: int, l: int, phi: float, rng_seed: in
     W^dag_{i,j,k,l}.  Returns (MeasurementOutcome, corrected qubit).
     """
     _check_bits(k, l)
-    op, corrections = _braid_protocol(phi)
-    state = op @ kron(_qubit(alpha), basis_ket(2 * k + l, 4))
-    return _teleport(state, _product_kets(), corrections[2 * k + l], rng_seed)
+    return _one_qubit((*_braid_protocol(phi), _product_kets()), alpha, 2 * k + l, rng_seed)
 
 
 def braid_teleportation_residual(phi: float, seed: int = 42) -> float:

@@ -7,6 +7,7 @@ test name itself carries the criterion number for the -v listing.
 
 import cmath
 import itertools
+import json
 import math
 
 import numpy as np
@@ -279,3 +280,16 @@ def test_criterion_13_deterministic_reports(tmp_path, capsys):
         ok = ok and first.read_bytes() == second.read_bytes()
     capsys.readouterr()
     _verdict(13, "deterministic reports", ok)
+
+
+def test_criterion_14_batched_teleport_reports(capsys):
+    ok = True
+    variants = ("standard", "bell-like", "yang-baxter", "gate", "two-qubit")
+    for variant, phi in itertools.product(variants, ("0", "0.3", "-2.1")):
+        argv = ["teleport", variant, "--phi", phi, "--count", "1000", "--format", "json"]
+        ok = ok and cli_main(argv + (["--gate", "R"] if variant == "gate" else [])) == 0
+        results = {entry["label"]: entry for entry in json.loads(capsys.readouterr().out)["results"]}
+        ok = ok and float(results["max-probability-deviation"]["value"]) <= 1e-12
+        ok = ok and float(results["min-fidelity"]["value"]) >= 1 - 1e-12
+        ok = ok and sum(results["outcomes"]["histogram"].values()) == 1000
+    _verdict(14, "batched teleport reports", ok)

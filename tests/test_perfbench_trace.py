@@ -9,6 +9,7 @@ import importlib.util
 import os
 from pathlib import Path
 
+from braidtel import teleport
 from braidtel.cli import main
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
@@ -31,6 +32,9 @@ def test_per_layer_metrics_find_their_functions(monkeypatch, capsys):
     try:
         tracer.begin(0)
         assert main(["teleport", "yang-baxter", "--count", "2", "--format", "json"]) == 0
+        # the report runs its instances as one batch; teleport.instances counts calls of the one-instance functions
+        for seed in range(2):
+            teleport.teleport_with_yb([1, 0], 0, 1, 0.3, rng_seed=seed)
         tracer.end()
         metrics = runner.per_layer(tracer, [1.0, 1.0], [True, False])
     finally:
