@@ -22,8 +22,6 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    approx_eq_phase,
-    basis_ket,
     dagger,
     embed,
     frozen,
@@ -86,26 +84,36 @@ class PauliString:
         return sign + ".".join(self.factors)
 
 
-def recognize_pauli(op: np.ndarray, tol: float = DEFAULT_TOL) -> PauliString | None:
-    """Match op against a PauliString by enumeration, or return None.
+@functools.lru_cache(maxsize=None)
+def _pauli_strings(n: int) -> tuple[tuple, np.ndarray]:
+    """Every unsigned n-qubit Pauli string: the labels in itertools.product order and the read-only stack."""
+    names = tuple(itertools.product(PAULI_LABELS, repeat=n))
+    return names, frozen(np.array([kron(*(_PAULI_BY_LABEL[f] for f in labels)) for labels in names]))
 
-    The phase must land within tol of a fourth root of unity and the
-    remaining matrix residual must stay below tol as well.
+
+def recognize_pauli(op: np.ndarray, tol: float = DEFAULT_TOL) -> PauliString | None:
+    """Match op against a PauliString, or return None.
+
+    All 4^n strings P, a cached stack of 16^n entries, are tested in one pass,
+    each anchored at its one nonzero entry in row 0: theta is op over P there,
+    scaled to unit modulus, and P matches when max |op - theta P| <= tol.  The
+    first match in label order must have its theta within tol of 1, -1, i or -i.
     """
     op = np.asarray(op, dtype=complex)
     n = op.shape[0].bit_length() - 1
     if n < 1 or op.shape != (2**n, 2**n):
         raise ValueError("operator is not square with power-of-two size")
-    for labels in itertools.product(PAULI_LABELS, repeat=n):
-        base = kron(*(_PAULI_BY_LABEL[f] for f in labels))
-        theta = approx_eq_phase(op, base, tol)
-        if theta is None:
-            continue
-        snapped = min(_UNIT_PHASES, key=lambda u: abs(u - theta))
-        if abs(snapped - theta) > tol:
-            return None
-        return PauliString(snapped, labels)
-    return None
+    names, strings = _pauli_strings(n)
+    anchors = np.argmax(np.abs(strings[:, 0]), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero anchor in op gives nan: no match
+        theta = op[0, anchors] / strings[np.arange(len(strings)), 0, anchors]
+        theta = theta / np.abs(theta) if tol < 1 else np.ones_like(theta)  # |pivot| = 1 <= tol: theta is not read
+    hits = np.flatnonzero(np.abs(op - theta[:, None, None] * strings).max(axis=(1, 2)) <= tol)
+    if not hits.size:
+        return None
+    theta = theta[hits[0]]
+    snapped = min(_UNIT_PHASES, key=lambda u: abs(u - theta))
+    return PauliString(snapped, names[hits[0]]) if abs(snapped - theta) <= tol else None
 
 
 def clifford_check(u: np.ndarray, tol: float = DEFAULT_TOL):
@@ -124,9 +132,9 @@ def clifford_check(u: np.ndarray, tol: float = DEFAULT_TOL):
         raise ValueError("clifford_check needs a unitary input")
     table: dict[tuple[str, int], PauliString] = {}
     for site in range(1, n + 1):
-        for label, gen in (("X", X), ("Z", Z)):
-            wide = kron(*(gen if q == site else I2 for q in range(1, n + 1)))
-            image = mul(u, wide, dagger(u))
+        for label, index in (("X", 1), ("Z", 3)):
+            # the string with this label at site and I elsewhere; qubit 1 is the leading base-4 digit
+            image = mul(u, _pauli_strings(n)[1][index << 2 * (n - site)], dagger(u))
             found = recognize_pauli(image, tol)
             if found is None:
                 return False, {}
@@ -266,17 +274,6 @@ def qp_factorization_residual() -> float:
     kl = np.einsum("abpq,cdrs->acbdprqs", k_table, l_table).reshape(16, 16, 4, 4)
     b0 = _b0()
     return max_abs_diff(_qp_table(), b0 @ kl @ dagger(b0))
-
-
-def _double_input(alphabeta: np.ndarray, k1, l1, k2, l2) -> np.ndarray:
-    """Lay out a 6-qubit register: state qubit, pair A, pair B, state qubit.
-
-    The unknown two-qubit state may be entangled, so its two halves are
-    routed to registers 1 and 6 around the product ancillas.
-    """
-    coeff = ket(alphabeta).reshape(2, 2)
-    anc = kron(basis_ket(2 * k1 + l1, 4), basis_ket(2 * k2 + l2, 4))
-    return np.einsum("ab,m->amb", coeff, anc).reshape(64)
 
 
 @functools.lru_cache(maxsize=None)

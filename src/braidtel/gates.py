@@ -109,7 +109,7 @@ def elementary(name: str, phi: float | None = None) -> np.ndarray:
 def pauli_w(i: int, j: int) -> np.ndarray:
     """W_ij = X^i Z^j, the Pauli corrections labelling the Bell basis."""
     _check_bits(i, j)
-    return mul(np.linalg.matrix_power(X, i), np.linalg.matrix_power(Z, j))
+    return mul(x_pow(i), z_pow(j))
 
 
 def bell_state(i: int, j: int) -> np.ndarray:

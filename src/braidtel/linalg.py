@@ -52,10 +52,19 @@ def basis_ket(index: int, dim: int) -> np.ndarray:
 
 
 def kron(*ops: np.ndarray) -> np.ndarray:
-    """Tensor product of one or more matrices/vectors, left to right."""
+    """Tensor product of one or more matrices/vectors/stacks, left to right, with np.kron's bits.
+
+    Each step is np.kron's one broadcast multiply and reshape, without its axis bookkeeping: the
+    shorter shape is padded with leading ones and axis t of the result has length a_t * b_t.
+    """
     out = np.asarray(ops[0], dtype=complex)
     for op in ops[1:]:
-        out = np.kron(out, np.asarray(op, dtype=complex))
+        op = np.asarray(op, dtype=complex)
+        pad = out.ndim - op.ndim
+        a, b = (1,) * -pad + out.shape, (1,) * pad + op.shape
+        lead, tail = [1] * (2 * len(a)), [1] * (2 * len(b))
+        lead[::2], tail[1::2] = a, b
+        out = (out.reshape(lead) * op.reshape(tail)).reshape([s * t for s, t in zip(a, b)])
     return out
 
 

@@ -14,6 +14,8 @@ from one uniform draw per instance, and corrects with C_m^dag from one stacked
 table per protocol, indexed [resource, outcome], that the identity residuals
 read too.  The teleport_* functions are its one-instance call.  The bases,
 tables and phi-fixed operators are built, self-checked and frozen once per phi.
+The braid table reads the closed-form phases of phase_table; extract_phases
+fits the same phases numerically and is kept as its cross-check.
 
 The identities behind the protocols are also exposed directly as residual
 checks so they can be verified as exact vector/operator equations instead
@@ -26,7 +28,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,7 +90,7 @@ class MeasurementOutcome:
 
 @dataclass(frozen=True)
 class PhaseTable:
-    """Phases alpha(i,j) of the braid gate acting as a Bell transform."""
+    """Phases alpha(i,j) of the braid gate acting as a Bell transform, with the worst residual of their check."""
 
     phi: float
     alpha_b: dict
@@ -235,7 +237,7 @@ def _bell_like_corrections(phi: float) -> tuple[np.ndarray, np.ndarray]:
 def _braid_protocol(phi: float):
     """(B x 1)(1 x B) and the W_{i,j,k,l} = V_kl U^T_ij table, built once per phi."""
     b = yb_gate(phi)
-    phases = extract_phases(phi)
+    phases = phase_table(phi)
     v, u = (np.stack([gate(k, l, phases) for k, l in BIT_PAIRS]) for gate in (v_gate, u_gate))
     return frozen(kron(b, I2) @ kron(I2, b)), frozen(v[:, None] @ transpose(u))
 
@@ -269,11 +271,26 @@ def teleport_bell_like(alpha: np.ndarray, phi: float, rng_seed: int = 42):
     return _one_qubit(_bell_like_protocol(phi), alpha, 0, rng_seed)
 
 
+# alpha(ij) = offset + slope * phi (mod 2 pi), for B and for B^dag
+_ALPHA_B = {(0, 0): (3 * math.pi / 4, 0.0), (0, 1): (-math.pi / 4, -1.0),
+            (1, 0): (-math.pi / 4, -1.0), (1, 1): (-math.pi / 4, -2.0)}
+_ALPHA_B_DAGGER = {(0, 0): (-3 * math.pi / 4, 0.0), (0, 1): (-3 * math.pi / 4, -1.0),
+                   (1, 0): (-3 * math.pi / 4, -1.0), (1, 1): (math.pi / 4, -2.0)}
+
+
+def phase_table(phi: float, tol: float = DEFAULT_TOL) -> PhaseTable:
+    """The phases of extract_phases in closed form, affine in phi; max_residual is B's rebuild drift."""
+    alpha_b, alpha_bd = ({ij: a + slope * phi for ij, (a, slope) in affine.items()} for affine in (_ALPHA_B, _ALPHA_B_DAGGER))
+    table = PhaseTable(phi=phi, alpha_b=alpha_b, alpha_b_dagger=alpha_bd, max_residual=0.0)
+    return replace(table, max_residual=_rebuild_drift(table, yb_gate(phi), tol))
+
+
 def extract_phases(phi: float, tol: float = DEFAULT_TOL) -> PhaseTable:
     """Fit the phases in B|ij> = e^{i a}(R x RH)|psi(ji)> and its inverse.
 
     The phases are measured numerically per index pair (no closed form is
     assumed) and validated by rebuilding B from them in both directions.
+    The protocols read the closed form phase_table; this fit cross-checks it.
     """
     b = yb_gate(phi)
     local = kron(phase_shift(phi), phase_shift(phi) @ H)
@@ -292,10 +309,20 @@ def extract_phases(phi: float, tol: float = DEFAULT_TOL) -> PhaseTable:
             phases[(i, j)] = math.atan2(theta.imag, theta.real)
 
     table = PhaseTable(phi=phi, alpha_b=alpha_b, alpha_b_dagger=alpha_bd, max_residual=worst)
-    drift = max(max_abs_diff(_rebuild_from_v(table), b), max_abs_diff(_rebuild_from_u(table), b))
+    _rebuild_drift(table, b, tol)
+    return table
+
+
+def _rebuild_drift(table: PhaseTable, b: np.ndarray, tol: float) -> float:
+    """Worst drift of B rebuilt as sum_kl (1 (x) V_kl)|Psi><kl| and as sum_ij |ij><Psi|(1 (x) U_ij).
+
+    Column kl of the first is (1 (x) V_kl)|Psi>, row ij of the second ((1 (x) U_ij^dag)|Psi>)^dag.  Beyond tol: ValueError.
+    """
+    v, u = (np.stack([gate(k, l, table) for k, l in BIT_PAIRS]) for gate in (v_gate, u_gate))
+    drift = max(max_abs_diff(transpose(state_with_gate(v)), b), max_abs_diff(conj(state_with_gate(dagger(u))), b))
     if drift > tol:
         raise ValueError(f"phase table does not reproduce B: drift {drift:.3e}")
-    return table
+    return drift
 
 
 def v_gate(k: int, l: int, table: PhaseTable) -> np.ndarray:
@@ -310,16 +337,6 @@ def u_gate(i: int, j: int, table: PhaseTable) -> np.ndarray:
     r = phase_shift(table.phi)
     phase = cmath.exp(-1j * table.alpha_b_dagger[(i, j)])
     return phase * mul(dagger(r), z_pow(i + 1), x_pow(j + 1), H, dagger(r))
-
-
-def _rebuild_from_v(table: PhaseTable) -> np.ndarray:
-    """sum_kl (1 (x) V_kl)|Psi><kl|: column kl is (1 (x) V_kl)|Psi>."""
-    return transpose(state_with_gate(np.stack([v_gate(k, l, table) for k, l in BIT_PAIRS])))
-
-
-def _rebuild_from_u(table: PhaseTable) -> np.ndarray:
-    """sum_ij |ij><Psi|(1 (x) U_ij): row ij is ((1 (x) U_ij^dag)|Psi>)^dag."""
-    return conj(state_with_gate(dagger(np.stack([u_gate(i, j, table) for i, j in BIT_PAIRS]))))
 
 
 def w_braid_correction(i: int, j: int, k: int, l: int, table: PhaseTable) -> np.ndarray:

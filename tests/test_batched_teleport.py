@@ -18,6 +18,7 @@ from braidtel.gate_teleport import teleport_single_gate, teleport_two_qubit
 from braidtel.gates import EPR, _b0, elementary
 from braidtel.linalg import basis_ket, conj, dagger, fidelity, identity, kron, mul
 from braidtel.teleport import BIT_PAIRS, teleport_bell_like, teleport_standard, teleport_with_yb
+from registers import double_input
 
 VARIANTS = cli.TELEPORT_VARIANTS
 BITS = {"standard": 0, "bell-like": 0, "yang-baxter": 2, "gate": 2, "two-qubit": 4}
@@ -46,7 +47,7 @@ def _loop_instance(variant: str, phi: float, alpha, bits, rng):
     """One instance as the per-instance protocols ran it: (m, p, survivor, corrected)."""
     r = int(sum(bit << (len(bits) - 1 - q) for q, bit in enumerate(bits)))
     if variant == "two-qubit":
-        state = gate_teleport._double_layers() @ gate_teleport._double_input(alpha, *bits)
+        state = gate_teleport._double_layers() @ double_input(alpha, *bits)
         m, p, middle = _measure(state.reshape(4, 4, 4).transpose(0, 2, 1).reshape(16, 4), rng)
         return m, p, middle, dagger(gate_teleport._qp_table()[r, m]) @ middle
     if variant == "standard":
@@ -205,7 +206,7 @@ def test_kernel_checks_that_every_row_sums_to_one():
 def test_braid_table_is_the_per_entry_product_bit_for_bit():
     for phi in np.linspace(-3.1, 3.1, 41):
         phi = float(phi)
-        per_entry = teleport._correction_table(teleport.w_braid_correction, teleport.extract_phases(phi))
+        per_entry = teleport._correction_table(teleport.w_braid_correction, teleport.phase_table(phi))
         assert np.array_equal(teleport._braid_protocol(phi)[1], per_entry), phi
 
 

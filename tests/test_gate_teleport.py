@@ -34,6 +34,7 @@ from braidtel.gate_teleport import (
 from braidtel.gates import EPR, H, S, X, Z, elementary, pauli_w, t_gate, yb_clifford
 from braidtel.linalg import basis_ket, dagger, fidelity, is_unitary, ket, kron, max_abs_diff
 from braidtel.teleport import BIT_PAIRS, random_ket
+from registers import double_input
 
 ALL_TUPLES = list(itertools.product((0, 1), repeat=4))
 
@@ -210,7 +211,7 @@ def _double_protocol_oracle(seed):
         for alphabeta in probes:
             rotated = b0 @ alphabeta
             for k1, l1, k2, l2 in ALL_TUPLES:
-                lhs = op @ gate_teleport._double_input(alphabeta, k1, l1, k2, l2)
+                lhs = op @ double_input(alphabeta, k1, l1, k2, l2)
                 rhs = np.zeros(64, dtype=complex)
                 for i1, j1, i2, j2 in ALL_TUPLES:
                     q = q_correction(i1, j1, k1, l1, i2, j2, k2, l2)

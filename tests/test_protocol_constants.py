@@ -12,7 +12,8 @@ from braidtel import gate_teleport, gates, teleport
 from braidtel.gate_teleport import teleport_single_gate, teleport_two_qubit
 from braidtel.gates import H
 from braidtel.linalg import basis_ket, kron
-from braidtel.teleport import BIT_PAIRS, extract_phases, teleport_bell_like, teleport_with_yb, w_braid_correction
+from braidtel.teleport import BIT_PAIRS, phase_table, teleport_bell_like, teleport_with_yb, w_braid_correction
+from registers import double_input
 
 
 def _module_caches():
@@ -63,8 +64,8 @@ def test_protocols_run_the_closed_form_self_checks(run, cold_caches, monkeypatch
 
 def test_phase_table_is_extracted_once_per_phi(cold_caches, monkeypatch):
     calls = []
-    real = teleport.extract_phases
-    monkeypatch.setattr(teleport, "extract_phases", lambda phi: calls.append(phi) or real(phi))
+    real = teleport.phase_table
+    monkeypatch.setattr(teleport, "phase_table", lambda phi: calls.append(phi) or real(phi))
     for seed in range(3):
         teleport_with_yb(ALPHA, 1, 1, 0.3, rng_seed=seed)
     teleport_with_yb(ALPHA, 1, 1, -2.1)
@@ -129,7 +130,7 @@ def test_measurement_bases_must_be_orthonormal():
 
 
 def test_braid_corrections_are_stacked_by_resource_then_outcome():
-    table = extract_phases(-2.1)
+    table = phase_table(-2.1)
     _, stacked = teleport._braid_protocol(-2.1)
     for (k, l), (i, j) in itertools.product(BIT_PAIRS, repeat=2):
         assert np.array_equal(stacked[2 * k + l, 2 * i + j], w_braid_correction(i, j, k, l, table))
@@ -144,4 +145,24 @@ def test_double_input_matches_the_summed_layout():
         expected = sum(
             coeff[a, b] * kron(basis_ket(a, 2), anc, basis_ket(b, 2)) for a in (0, 1) for b in (0, 1)
         )
-        assert np.array_equal(gate_teleport._double_input(alphabeta, k1, l1, k2, l2), expected)
+        assert np.array_equal(double_input(alphabeta, k1, l1, k2, l2), expected)
+
+
+def test_closed_form_phases_agree_with_the_fit():
+    """Over 241 phi the closed form and the fit agree as unit phasors and as W tables."""
+    worst_phasor = worst_table = 0.0
+    for phi in np.linspace(-3.1, 3.1, 241):
+        closed, fitted = phase_table(float(phi)), teleport.extract_phases(float(phi))
+        for name in ("alpha_b", "alpha_b_dagger"):
+            a, b = getattr(closed, name), getattr(fitted, name)
+            worst_phasor = max(worst_phasor, *(abs(np.exp(1j * a[ij]) - np.exp(1j * b[ij])) for ij in BIT_PAIRS))
+        tables = [teleport._correction_table(w_braid_correction, t) for t in (closed, fitted)]
+        worst_table = max(worst_table, float(np.max(np.abs(tables[0] - tables[1]))))
+    assert worst_phasor <= 1e-15
+    assert worst_table <= 1e-15
+
+
+def test_a_wrong_closed_form_phase_fails_the_rebuild_check(cold_caches, monkeypatch):
+    monkeypatch.setitem(teleport._ALPHA_B, (1, 1), (-np.pi / 4, -1.0))
+    with pytest.raises(ValueError, match="does not reproduce B"):
+        teleport._braid_protocol(0.3)
