@@ -94,20 +94,21 @@ def _pauli_strings(n: int) -> tuple[tuple, np.ndarray]:
 def recognize_pauli(op: np.ndarray, tol: float = DEFAULT_TOL) -> PauliString | None:
     """Match op against a PauliString, or return None.
 
-    All 4^n strings P, a cached stack of 16^n entries, are tested in one pass,
-    each anchored at its one nonzero entry in row 0: theta is op over P there,
-    scaled to unit modulus, and P matches when max |op - theta P| <= tol.  The
-    first match in label order must have its theta within tol of 1, -1, i or -i.
+    All 4^n strings P of an op on 1..3 qubits, a cached stack of at most 64 8x8, are tested
+    in one pass, each anchored at its one nonzero entry in row 0: theta is op over P there,
+    scaled to unit modulus, and P matches when max |op - theta P| <= tol.  The first match
+    in label order must have its theta within tol of 1, -1, i or -i.
     """
     op = np.asarray(op, dtype=complex)
     n = op.shape[0].bit_length() - 1
-    if n < 1 or op.shape != (2**n, 2**n):
-        raise ValueError("operator is not square with power-of-two size")
+    if not 1 <= n <= 3 or op.shape != (2**n, 2**n):
+        raise ValueError("expected a square power-of-two operator on 1..3 qubits")
     names, strings = _pauli_strings(n)
     anchors = np.argmax(np.abs(strings[:, 0]), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero anchor in op gives nan: no match
         theta = op[0, anchors] / strings[np.arange(len(strings)), 0, anchors]
-        theta = theta / np.abs(theta) if tol < 1 else np.ones_like(theta)  # |pivot| = 1 <= tol: theta is not read
+        # approx_eq_phase matched without a phase when the pivot's modulus, 1 for every string, is <= tol
+        theta = theta / np.abs(theta) if tol < 1 else np.ones_like(theta)
     hits = np.flatnonzero(np.abs(op - theta[:, None, None] * strings).max(axis=(1, 2)) <= tol)
     if not hits.size:
         return None

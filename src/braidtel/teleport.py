@@ -28,7 +28,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,7 +90,7 @@ class MeasurementOutcome:
 
 @dataclass(frozen=True)
 class PhaseTable:
-    """Phases alpha(i,j) of the braid gate acting as a Bell transform, with the worst residual of their check."""
+    """Phases alpha(i,j) of the braid gate acting as a Bell transform, with the worst residual of their fit."""
 
     phi: float
     alpha_b: dict
@@ -235,10 +235,9 @@ def _bell_like_corrections(phi: float) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=64)
 def _braid_protocol(phi: float):
-    """(B x 1)(1 x B) and the W_{i,j,k,l} = V_kl U^T_ij table, built once per phi."""
+    """(B x 1)(1 x B) and the W_{i,j,k,l} = V_kl U^T_ij table, built once per phi from B-checked phases."""
     b = yb_gate(phi)
-    phases = phase_table(phi)
-    v, u = (np.stack([gate(k, l, phases) for k, l in BIT_PAIRS]) for gate in (v_gate, u_gate))
+    v, u = _checked_gates(phase_table(phi), b, DEFAULT_TOL)
     return frozen(kron(b, I2) @ kron(I2, b)), frozen(v[:, None] @ transpose(u))
 
 
@@ -278,11 +277,10 @@ _ALPHA_B_DAGGER = {(0, 0): (-3 * math.pi / 4, 0.0), (0, 1): (-3 * math.pi / 4, -
                    (1, 0): (-3 * math.pi / 4, -1.0), (1, 1): (math.pi / 4, -2.0)}
 
 
-def phase_table(phi: float, tol: float = DEFAULT_TOL) -> PhaseTable:
-    """The phases of extract_phases in closed form, affine in phi; max_residual is B's rebuild drift."""
+def phase_table(phi: float) -> PhaseTable:
+    """The phases of extract_phases in closed form, affine in phi; nothing is fitted, so max_residual is 0."""
     alpha_b, alpha_bd = ({ij: a + slope * phi for ij, (a, slope) in affine.items()} for affine in (_ALPHA_B, _ALPHA_B_DAGGER))
-    table = PhaseTable(phi=phi, alpha_b=alpha_b, alpha_b_dagger=alpha_bd, max_residual=0.0)
-    return replace(table, max_residual=_rebuild_drift(table, yb_gate(phi), tol))
+    return PhaseTable(phi=phi, alpha_b=alpha_b, alpha_b_dagger=alpha_bd, max_residual=0.0)
 
 
 def extract_phases(phi: float, tol: float = DEFAULT_TOL) -> PhaseTable:
@@ -309,20 +307,21 @@ def extract_phases(phi: float, tol: float = DEFAULT_TOL) -> PhaseTable:
             phases[(i, j)] = math.atan2(theta.imag, theta.real)
 
     table = PhaseTable(phi=phi, alpha_b=alpha_b, alpha_b_dagger=alpha_bd, max_residual=worst)
-    _rebuild_drift(table, b, tol)
+    _checked_gates(table, b, tol)
     return table
 
 
-def _rebuild_drift(table: PhaseTable, b: np.ndarray, tol: float) -> float:
-    """Worst drift of B rebuilt as sum_kl (1 (x) V_kl)|Psi><kl| and as sum_ij |ij><Psi|(1 (x) U_ij).
+def _checked_gates(table: PhaseTable, b: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The V_kl and U_ij stacks of table, once B rebuilt from them as below is within tol (else ValueError).
 
-    Column kl of the first is (1 (x) V_kl)|Psi>, row ij of the second ((1 (x) U_ij^dag)|Psi>)^dag.  Beyond tol: ValueError.
+    Column kl of sum_kl (1 (x) V_kl)|Psi><kl| is (1 (x) V_kl)|Psi>,
+    row ij of sum_ij |ij><Psi|(1 (x) U_ij) is ((1 (x) U_ij^dag)|Psi>)^dag.
     """
     v, u = (np.stack([gate(k, l, table) for k, l in BIT_PAIRS]) for gate in (v_gate, u_gate))
     drift = max(max_abs_diff(transpose(state_with_gate(v)), b), max_abs_diff(conj(state_with_gate(dagger(u))), b))
     if drift > tol:
         raise ValueError(f"phase table does not reproduce B: drift {drift:.3e}")
-    return drift
+    return v, u
 
 
 def v_gate(k: int, l: int, table: PhaseTable) -> np.ndarray:

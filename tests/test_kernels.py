@@ -125,6 +125,14 @@ def test_pauli_strings_are_read_only_and_in_label_order():
         strings[0, 0, 0] = 0
 
 
+def test_recognition_is_capped_at_three_qubits():
+    """A 4-qubit op is refused before the 256-string stack is built."""
+    gate_teleport._pauli_strings.cache_clear()
+    with pytest.raises(ValueError, match="1..3 qubits"):
+        recognize_pauli(np.eye(16))
+    assert gate_teleport._pauli_strings.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("i, j", itertools.product((0, 1), repeat=2))
 def test_pauli_w_gives_the_bits_of_matrix_powers(i, j):
     expected = np.linalg.matrix_power(X, i) @ np.linalg.matrix_power(Z, j)
