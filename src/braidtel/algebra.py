@@ -9,10 +9,12 @@ placements on 3 sites (8x8), and far commutators use a disjoint pair on 4
 sites (16x16), where they vanish exactly.  On the chain a window relation
 reads 1 (x) X (x) 1 = 1 (x) Y (x) 1, and max|1 (x) (X - Y) (x) 1| =
 max|X - Y|, so the window residual is the chain residual; every site
-carries the same (E, B), so one window residual serves every site.  The
-checkers still list one residual per relation and site in RelationReport
-records with stable relation-id strings, so reports can be diffed across
-runs; the cost no longer grows exponentially with n.
+carries the same (E, B), so one window residual serves every site.  A suite
+takes all of its window residuals in one stacked pass per window size, and a
+RelationReport keeps them as blocks of relation-id templates over a site
+set, so a suite costs the same at 3 and at 10^6 sites.  The blocks still
+expand to one stable relation id per relation and site, so reports can be
+diffed across runs.
 
 Relation families:
   TL      e^2 = e, e_i e_{i+-1} e_i = d^-2 e_i, far commutation
@@ -24,17 +26,18 @@ Relation families:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .gates import EPR, I2, bell_state, brauer_projector, permutation_p
-from .teleport import BIT_PAIRS, _paired, _transfer_residual, _worst_norm, random_ket
+from .teleport import BIT_PAIRS, _paired, _transfer_residual, _worst_norm
 from .linalg import (
     DEFAULT_TOL,
     dagger,
-    embed,
+    frozen,
     identity,
     is_unitary,
     kron,
@@ -59,49 +62,95 @@ class BmwParams:
         return abs(self.d - (1 - (self.sigma - 1 / self.sigma) / self.w))
 
 
+# Site sets of a relation block, by name: (sites on an n-site chain, lazy walk
+# over the sites (i, j) in report order).  No set is ever held as a list.
+_SITE_SETS = {
+    "once": (lambda n: 1, lambda n: [(0, 0)]),
+    "site": (lambda n: n - 1, lambda n: ((i, i + 1) for i in range(1, n))),
+    "braid": (lambda n: n - 2, lambda n: ((i, i + 1) for i in range(1, n - 1))),
+    "adjacent": (lambda n: 2 * (n - 2), lambda n: ((i, j) for i in range(1, n) for j in (i + 1, i - 1) if 1 <= j < n)),
+    "far": (lambda n: (n - 2) * (n - 3) // 2, lambda n: ((i, j) for i in range(1, n) for j in range(i + 2, n))),
+}
+
+
+class RelationBlock(NamedTuple):
+    """Relation forms checked on every site (i, j) of one site set.
+
+    Site (i, j) gives one entry per form, in form order: the id
+    form.format(i=i, j=j, step=j - i) with the residual residuals[j < i][k]
+    of form k, so only an adjacent pair with j = i - 1 reads the second row.
+    """
+
+    forms: tuple[str, ...]
+    residuals: tuple[tuple[float, ...], ...]
+    sites: str
+
+
 @dataclass
 class RelationReport:
+    """One family's residuals as blocks; entries expands them per relation and site."""
+
     family: str
     site_count: int
     tolerance: float
-    entries: list[tuple[str, float]] = field(default_factory=list)
+    blocks: list[RelationBlock] = field(default_factory=list)
 
     def add(self, relation_id: str, residual: float) -> None:
-        self.entries.append((relation_id, float(residual)))
+        """Append a relation checked once, not per site."""
+        form = relation_id.replace("{", "{{").replace("}", "}}")
+        self.blocks.append(RelationBlock((form,), ((float(residual),),), "once"))
+
+    def _filled(self) -> list[RelationBlock]:
+        return [b for b in self.blocks if _SITE_SETS[b.sites][0](self.site_count)]
+
+    def _walk(self, block: RelationBlock):
+        """(i, j, residual row) per site of a block, in report order."""
+        return ((i, j, block.residuals[j < i]) for i, j in _SITE_SETS[block.sites][1](self.site_count))
+
+    @property
+    def entries(self) -> list[tuple[str, float]]:
+        """(relation id, residual) per relation and site, in report order."""
+        walk = ((b.forms, i, j, row) for b in self.blocks for i, j, row in self._walk(b))
+        return [(form.format(i=i, j=j, step=j - i), r) for forms, i, j, row in walk for form, r in zip(forms, row)]
+
+    @property
+    def relations(self) -> int:
+        return sum(_SITE_SETS[b.sites][0](self.site_count) * len(b.forms) for b in self.blocks)
 
     @property
     def max_residual(self) -> float:
-        return max((r for _, r in self.entries), default=0.0)
+        return max((max(map(max, b.residuals)) for b in self._filled()), default=0.0)
 
     @property
     def passed(self) -> bool:
         return self.max_residual <= self.tolerance
 
-    def worst(self) -> tuple[str, float]:
-        return max(self.entries, key=lambda item: item[1])
+    def worst(self) -> tuple[str | None, float]:
+        """The first entry with the largest residual, or (None, 0.0) for a report with no relation.
+
+        Every residual row of a block first occurs within its first three
+        sites, so the walk stops there whatever the chain length.
+        """
+        top = self.max_residual
+        for block in self._filled():
+            if any(top in row for row in block.residuals):
+                for i, j, row in self._walk(block):
+                    if top in row:
+                        return block.forms[row.index(top)].format(i=i, j=j, step=j - i), top
+        return None, top
 
 
 @dataclass(frozen=True)
 class Representation:
     """Generators e_i = 1 (x) E (x) 1 and b_i = 1 (x) B (x) 1 on n sites.
 
-    Only the 4x4 E and B are stored, with their adjacent placements on a
-    3-site window; no 2^n x 2^n generator is ever built, so n is unbounded.
+    Only the 4x4 E and B are stored; no 2^n x 2^n generator is ever built,
+    so n is unbounded.
     """
 
     n: int
     E: np.ndarray
     B: np.ndarray
-
-    @cached_property
-    def e_pairs(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """{j - i: (e_i, e_j)} for adjacent generators, on their 3-site window."""
-        return _pairs(self.E)
-
-    @cached_property
-    def b_pairs(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """{j - i: (b_i, b_j)} for adjacent generators, on their 3-site window."""
-        return _pairs(self.B)
 
 
 def build_rep(E: np.ndarray, B: np.ndarray, n: int) -> Representation:
@@ -169,60 +218,87 @@ def _inverse(b: np.ndarray) -> np.ndarray:
     return np.linalg.inv(b)
 
 
-def _neighbours(n: int) -> list[tuple[int, int]]:
-    """Adjacent generator pairs (i, j = i +- 1) on n sites, in report order."""
-    return [(i, j) for i in range(1, n) for j in (i + 1, i - 1) if 1 <= j <= n - 1]
+@functools.lru_cache(maxsize=None)
+def _window_triples(m: int) -> np.ndarray:
+    """Palette rows (x, y, z) of each 3-site product x y z, for m operators on sites (1, 2), then on (2, 3).
+
+    The left-hand sides [TL wing, braid, tangle left and right, matrix forms, mixed wing if m = 3]
+    come first, then the right-hand sides that are triple products: the braid's and the mixed wing's.
+    """
+    e1, b1, e2, b2, v1, v2 = 0, 1, m, m + 1, 2, m + 2
+    lhs = [
+        (e1, e2, e1), (e2, e1, e2), (b1, b2, b1),
+        (b2, b1, e2), (e1, b2, b1), (b1, b2, e1), (e2, b1, b2),
+        (b1, b2, e1), (b2, b1, e2), (e1, b2, b1), (e2, b1, b2),
+    ]  # fmt: skip
+    mixed = m == 3
+    rows = lhs + [(b2, e1, b2), (b1, e2, b1)] * mixed + [(b2, b1, b2)] + [(v1, e2, v1), (v2, e1, v2)] * mixed
+    return frozen(np.array(rows))
 
 
-def _pairs(op: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """{j - i: (x_i, x_j)}: op as adjacent generators i, j on their 3-site window."""
-    left, right = embed(op, 1, 3), embed(op, 2, 3)
-    return {1: (left, right), -1: (right, left)}
+def _window_residuals(E: np.ndarray, B: np.ndarray, d: float, params: BmwParams | None):
+    """Every residual of one suite, in one stacked pass per window size.
+
+    Returns the 3-site rows of _window_triples, stepwise j = i + 1 then
+    i - 1; the 4x4 rows [e^2 = e, then the mixed (with params) or Brauer
+    single-generator relations]; and the far commutators of e and of b.
+    """
+    ops = np.stack([E, B] if params is None else [E, B, _inverse(B)])
+    palette = np.concatenate([kron(ops, I2), kron(I2, ops)])
+    triples = palette[_window_triples(len(ops))]
+    first = triples[:, 0] @ triples[:, 1]  # rows 0 and 1 are e1 e2 and e2 e1
+    products = first @ triples[:, 2]
+    k = len(products) - (1 if params is None else 3)  # the left-hand sides
+    tangle = d * first[[0, 0, 1, 1, 1, 0, 0, 1]]  # d e_i e_j: tangle left and right (j = i +- 1), matrix forms
+    right = np.concatenate([1.0 / (d * d) * triples[:2, 0], products[k : k + 1], tangle, products[k + 1 :]])
+    window = np.abs(products[:k] - right).max(axis=(1, 2))
+
+    pair = ops[:2]
+    local = pair[[0, 1, 0, 1]] @ pair[[0, 1, 1, 0]]  # e^2, b^2, e b, b e
+    if params is None:
+        local_rhs = np.stack([E, identity(4), E, E])
+    else:
+        local[1] = B - ops[2]
+        local_rhs = np.stack([E, params.w * (identity(4) - params.d * E), params.sigma * E, params.sigma * E])
+    squares = np.abs(local - local_rhs).max(axis=(1, 2))
+
+    xi, xj = kron(pair, identity(4)), kron(identity(4), pair)
+    far = np.abs(xi @ xj - xj @ xi).max(axis=(1, 2))
+    return window.tolist(), squares.tolist(), far.tolist()
+
+
+def _suite(rep: Representation, d: float, tol: float, params: BmwParams | None = None) -> dict[str, RelationReport]:
+    """Reports by family for one (E, B) pair: TL, Braid, Tangle, and Mixed with params or Brauer without."""
+    w, sq, far = _window_residuals(rep.E, rep.B, d, params)
+    table = [
+        ("TL", ["TL.e{i}^2=e{i}"], "site", [sq[:1]]),
+        ("TL", ["TL.e{i}e{j}e{i}=d^-2.e{i}"], "adjacent", [w[0:1], w[1:2]]),
+        ("TL", ["TL.e{i}e{j}=e{j}e{i}"], "far", [far[:1]]),
+        ("Braid", ["braid.b{i}b{j}b{i}=b{j}b{i}b{j}"], "braid", [w[2:3]]),
+        ("Braid", ["braid.b{i}b{j}=b{j}b{i}"], "far", [far[1:]]),
+        ("Tangle", ["tangle.{step:+d}.left.b{j}b{i}e{j}", "tangle.{step:+d}.right.e{i}b{j}b{i}"], "adjacent",
+         [w[3:5], w[5:7]]),
+    ]
+    if rep.n >= 3:
+        table.append(("Tangle", [f"tangle.matrix.{k}" for k in range(1, 5)], "once", [w[7:11]]))
+    if params is None:
+        table.append(("Brauer", ["brauer.v{i}^2=1", "brauer.e{i}v{i}=e{i}", "brauer.v{i}e{i}=e{i}"], "site", [sq[1:]]))
+    else:
+        forms = ["mixed.b{i}-b{i}^-1=w(1-d.e{i})", "mixed.e{i}b{i}=sigma.e{i}", "mixed.b{i}e{i}=sigma.e{i}"]
+        table.append(("Mixed", forms, "site", [sq[1:]]))
+        table.append(("Mixed", ["mixed.b{j}e{i}b{j}=b{i}^-1e{j}b{i}^-1"], "adjacent", [w[11:12], w[12:13]]))
+    blocks: dict[str, list[RelationBlock]] = {}
+    for family, forms, sites, rows in table:
+        blocks.setdefault(family, []).append(RelationBlock(tuple(forms), tuple(map(tuple, rows)), sites))
+    return {family: RelationReport(family, rep.n, tol, family_blocks) for family, family_blocks in blocks.items()}
 
 
 def check_temperley_lieb(rep: Representation, d: float, tol: float = DEFAULT_TOL) -> RelationReport:
-    report = RelationReport(family="TL", site_count=rep.n, tolerance=tol)
-    E = rep.E
-    square = max_abs_diff(E @ E, E)
-    for i in range(1, rep.n):
-        report.add(f"TL.e{i}^2=e{i}", square)
-    dinv2 = 1.0 / (d * d)
-    wing = {step: max_abs_diff(mul(ei, ej, ei), dinv2 * ei) for step, (ei, ej) in rep.e_pairs.items()}
-    for i, j in _neighbours(rep.n):
-        report.add(f"TL.e{i}e{j}e{i}=d^-2.e{i}", wing[j - i])
-    _far_commutators(report, "TL", E, "e")
-    return report
+    return _suite(rep, d, tol)["TL"]
 
 
 def check_braid(rep: Representation, tol: float = DEFAULT_TOL) -> RelationReport:
-    report = RelationReport(family="Braid", site_count=rep.n, tolerance=tol)
-    b1, b2 = rep.b_pairs[1]
-    residual = max_abs_diff(mul(b1, b2, b1), mul(b2, b1, b2))
-    for i in range(1, rep.n - 1):
-        report.add(f"braid.b{i}b{i + 1}b{i}=b{i + 1}b{i}b{i + 1}", residual)
-    _far_commutators(report, "braid", rep.B, "b")
-    return report
-
-
-def check_mixed(rep: Representation, params: BmwParams, tol: float = DEFAULT_TOL) -> RelationReport:
-    report = RelationReport(family="Mixed", site_count=rep.n, tolerance=tol)
-    E, B = rep.E, rep.B
-    B_inv = _inverse(B)
-    skein = max_abs_diff(B - B_inv, params.w * (identity(4) - params.d * E))
-    absorb_left = max_abs_diff(E @ B, params.sigma * E)
-    absorb_right = max_abs_diff(B @ E, params.sigma * E)
-    for i in range(1, rep.n):
-        report.add(f"mixed.b{i}-b{i}^-1=w(1-d.e{i})", skein)
-        report.add(f"mixed.e{i}b{i}=sigma.e{i}", absorb_left)
-        report.add(f"mixed.b{i}e{i}=sigma.e{i}", absorb_right)
-    inverse_pairs = _pairs(B_inv)
-    wing = {}
-    for step, (ei, ej) in rep.e_pairs.items():
-        (_, bj), (bi_inv, _) = rep.b_pairs[step], inverse_pairs[step]
-        wing[step] = max_abs_diff(mul(bj, ei, bj), mul(bi_inv, ej, bi_inv))
-    for i, j in _neighbours(rep.n):
-        report.add(f"mixed.b{j}e{i}b{j}=b{i}^-1e{j}b{i}^-1", wing[j - i])
-    return report
+    return _suite(rep, 2.0, tol)["Braid"]  # no braid relation reads d
 
 
 def check_tangle(rep: Representation, d: float, tol: float = DEFAULT_TOL) -> RelationReport:
@@ -233,34 +309,7 @@ def check_tangle(rep: Representation, d: float, tol: float = DEFAULT_TOL) -> Rel
     equivalent to four explicit 8x8 identities, which are re-checked
     independently as a guard against index bookkeeping errors.
     """
-    report = RelationReport(family="Tangle", site_count=rep.n, tolerance=tol)
-    left, right = {}, {}
-    for step, (ei, ej) in rep.e_pairs.items():
-        bi, bj = rep.b_pairs[step]
-        rhs = d * (ei @ ej)
-        left[step] = max_abs_diff(mul(bj, bi, ej), rhs)
-        right[step] = max_abs_diff(mul(ei, bj, bi), rhs)
-    for i, j in _neighbours(rep.n):
-        label = f"{j - i:+d}"
-        report.add(f"tangle.{label}.left.b{j}b{i}e{j}", left[j - i])
-        report.add(f"tangle.{label}.right.e{i}b{j}b{i}", right[j - i])
-    _append_matrix_tangle_forms(report, rep, d)
-    return report
-
-
-def _append_matrix_tangle_forms(report: RelationReport, rep: Representation, d: float) -> None:
-    if rep.n < 3:
-        return
-    e1, e2 = rep.e_pairs[1]
-    b1, b2 = rep.b_pairs[1]
-    forms = [
-        ("tangle.matrix.1", mul(b1, b2, e1), d * mul(e2, e1)),
-        ("tangle.matrix.2", mul(b2, b1, e2), d * mul(e1, e2)),
-        ("tangle.matrix.3", mul(e1, b2, b1), d * mul(e1, e2)),
-        ("tangle.matrix.4", mul(e2, b1, b2), d * mul(e2, e1)),
-    ]
-    for relation_id, lhs, rhs in forms:
-        report.add(relation_id, max_abs_diff(lhs, rhs))
+    return _suite(rep, d, tol)["Tangle"]
 
 
 def check_all(
@@ -271,13 +320,8 @@ def check_all(
     tol: float = DEFAULT_TOL,
 ) -> list[RelationReport]:
     """Run the four braid/TL/mixed/tangle families for one (E, B) pair."""
-    rep = build_rep(E, B, n)
-    return [
-        check_temperley_lieb(rep, params.d, tol),
-        check_braid(rep, tol),
-        check_mixed(rep, params, tol),
-        check_tangle(rep, params.d, tol),
-    ]
+    reports = _suite(build_rep(E, B, n), params.d, tol, params)
+    return [reports[family] for family in ("TL", "Braid", "Mixed", "Tangle")]
 
 
 def check_brauer(n: int = 3, tol: float = DEFAULT_TOL) -> list[RelationReport]:
@@ -287,28 +331,25 @@ def check_brauer(n: int = 3, tol: float = DEFAULT_TOL) -> list[RelationReport]:
     pointwise (e v = v e = e), so the mixed family is replaced by those
     two identities; everything else matches the deformed case with d = 2.
     """
-    rep = build_rep(brauer_projector(), permutation_p(), n)
-    reports = [
-        check_temperley_lieb(rep, 2.0, tol),
-        check_braid(rep, tol),
-        check_tangle(rep, 2.0, tol),
-    ]
-    mixed = RelationReport(family="Brauer", site_count=n, tolerance=tol)
-    E, V = rep.E, rep.B
-    involution = max_abs_diff(V @ V, identity(4))
-    absorb_left = max_abs_diff(E @ V, E)
-    absorb_right = max_abs_diff(V @ E, E)
-    for i in range(1, n):
-        mixed.add(f"brauer.v{i}^2=1", involution)
-        mixed.add(f"brauer.e{i}v{i}=e{i}", absorb_left)
-        mixed.add(f"brauer.v{i}e{i}=e{i}", absorb_right)
-    reports.append(mixed)
-    return reports
+    E, P = _brauer_operators()[:2]
+    reports = _suite(build_rep(E, P, n), 2.0, tol)
+    return [reports[family] for family in ("TL", "Braid", "Tangle", "Brauer")]
+
+
+@functools.lru_cache(maxsize=None)
+def _brauer_operators() -> tuple[np.ndarray, ...]:
+    """E, P, the Bell kets of the cup-cap sum and the four 8x8 state-identity operators
+    (transposed, to act on rows), built once and shared read-only."""
+    E, P = brauer_projector(), permutation_p()
+    bells = np.array([bell_state(i, j) for i, j in BIT_PAIRS])
+    operators = (kron(E, I2), mul(kron(I2, P), kron(P, I2)), mul(kron(P, I2), kron(I2, P)), 2.0 * kron(I2, E))
+    return tuple(frozen(a) for a in (E, P, bells, *(transpose(op) for op in operators)))
 
 
 def swap_cup_cap_expansion() -> np.ndarray:
     """SWAP written as a signed sum of dressed Bell cups and caps."""
-    return sum((-1) ** (i * j) * outer(bell_state(i, j), bell_state(i, j)) for i, j in BIT_PAIRS)
+    bells = _brauer_operators()[2]
+    return sum((-1) ** (i * j) * outer(bell, bell) for (i, j), bell in zip(BIT_PAIRS, bells))
 
 
 def brauer_teleportation_residuals(seed: int = 42, count: int = 20) -> dict:
@@ -320,27 +361,24 @@ def brauer_teleportation_residuals(seed: int = 42, count: int = 20) -> dict:
     the nested projector action.  Also reports the cup-cap expansion of
     SWAP as a matrix identity.  Each residual is a worst 2-norm.
     """
-    rng = np.random.default_rng(seed)
-    alphas = np.array([random_ket(rng) for _ in range(count)])
-    E, P = brauer_projector(), permutation_p()
+    _, P, _, project, swap, tangle, nested = _brauer_operators()
+    # the stream of count teleport.random_ket draws: real parts, then imaginary parts, per state
+    draws = np.random.default_rng(seed).standard_normal((count, 2, 2))
+    amps = draws[:, 0] + 1j * draws[:, 1]
+    if not np.all(np.isfinite(amps)):
+        raise ValueError("ket amplitudes must be finite")
+    re, im = amps.real[:, None], amps.imag[:, None]
+    norms = np.sqrt((re @ transpose(re) + im @ transpose(im))[:, 0, 0])  # np.linalg.norm's sum, bit for bit
+    if not np.all(norms > 0):
+        raise ValueError("cannot normalize the zero vector")
+    alphas = amps / norms[:, None]
     # |alpha>|kl> and |kl>|alpha> for every state and basis pair kl
     pairs = np.einsum("pi,qj->pqij", alphas, identity(4)).reshape(-1, 8)
     swapped = np.einsum("pi,qj->pqji", alphas, identity(4)).reshape(-1, 8)
     ahead, behind = _paired(alphas, EPR), _paired(alphas, EPR, front=False)
     return {
-        "projector": _transfer_residual(ahead @ transpose(kron(E, I2)), EPR[None], I2[None], alphas),
-        "swap": _worst_norm(pairs @ transpose(mul(kron(I2, P), kron(P, I2))) - swapped),
-        "tangle": _worst_norm(behind @ transpose(mul(kron(P, I2), kron(I2, P))) - behind @ transpose(2.0 * kron(I2, E))),
+        "projector": _transfer_residual(ahead @ project, EPR[None], I2[None], alphas),
+        "swap": _worst_norm(pairs @ swap - swapped),
+        "tangle": _worst_norm(behind @ tangle - behind @ nested),
         "cup-cap": max_abs_diff(swap_cup_cap_expansion(), P),
     }
-
-
-def _far_commutators(report: RelationReport, prefix: str, op: np.ndarray, symbol: str) -> None:
-    """[x_i, x_j] for |i - j| >= 2, on the 4-site window of two disjoint copies of op."""
-    pairs = [(i, j) for i in range(1, report.site_count) for j in range(i + 2, report.site_count)]
-    if not pairs:
-        return
-    xi, xj = kron(op, identity(4)), kron(identity(4), op)
-    residual = max_abs_diff(xi @ xj, xj @ xi)
-    for i, j in pairs:
-        report.add(f"{prefix}.{symbol}{i}{symbol}{j}={symbol}{j}{symbol}{i}", residual)

@@ -276,26 +276,10 @@ def skew_agreement_deviation(basis: UnitaryBasis, assignment_or_coeffs,
     return max(abs(original[c][p] - simplified[c][p]) for c in CONSTRAINT_IDS for p in BIT_PAIRS)
 
 
-def table_max(table) -> float:
-    """Largest residual in a {constraint: {pair: value}} table."""
-    return max(table[c][p] for c in table for p in table[c])
-
-
 def eigenvalue_sum(assignment, m: int, n: int) -> complex:
     """(1/2) mu_mn sum_kl mu_kl; equals 1 whenever the constraints hold."""
     mu = _as_mu(assignment)
     return 0.5 * mu[(m, n)] * sum(mu[p] for p in BIT_PAIRS)
-
-
-def pauli_scalar_coefficient(i: int, j: int, k: int, l: int,
-                             m: int, n: int) -> int:
-    """Sign carried by the (k,l) term when the basis gates are X^i Z^j.
-
-    With Pauli basis gates the first constraint collapses to a scalar
-    equation per (i,j); this extracts the plus-minus coefficient by a
-    trace against the expected right-hand side.
-    """
-    return int(_pauli_signs(m, n)[2 * i + j, 2 * k + l])
 
 
 def scalar_system_residual(assignment, m: int, n: int) -> float:
@@ -505,11 +489,3 @@ def matched_form(solution: SolutionClass, phi: float = 0.3) -> str:
         if max_abs_diff(u4, f) <= STRICT_TOL:
             return name
     raise AssertionError("no printed form matched")
-
-
-def random_gate_coefficients(rng: np.random.Generator) -> GateCoefficients:
-    """Coefficients of a Haar-ish random gate in a Bell-like basis."""
-    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    q, r = np.linalg.qr(z)
-    q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-    return GateCoefficients.from_matrix(q)

@@ -1,0 +1,28 @@
+"""Constraint-table helpers that only the tests read."""
+
+import numpy as np
+
+from braidtel.tangles import GateCoefficients, _pauli_signs
+
+
+def table_max(table) -> float:
+    """Largest residual in a {constraint: {pair: value}} table."""
+    return max(table[c][p] for c in table for p in table[c])
+
+
+def pauli_scalar_coefficient(i: int, j: int, k: int, l: int, m: int, n: int) -> int:
+    """Sign carried by the (k,l) term when the basis gates are X^i Z^j.
+
+    With Pauli basis gates the first constraint collapses to a scalar
+    equation per (i,j); this extracts the plus-minus coefficient by a
+    trace against the expected right-hand side.
+    """
+    return int(_pauli_signs(m, n)[2 * i + j, 2 * k + l])
+
+
+def random_gate_coefficients(rng: np.random.Generator) -> GateCoefficients:
+    """Coefficients of a Haar-ish random gate in a Bell-like basis."""
+    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    q, r = np.linalg.qr(z)
+    q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
+    return GateCoefficients.from_matrix(q)

@@ -62,7 +62,6 @@ from braidtel.tangles import (
     skew_transpose,
     solve_pauli_eigenvalues,
     spectral_constraint_residuals,
-    table_max,
 )
 from braidtel.teleport import (
     BIT_PAIRS,
@@ -73,6 +72,7 @@ from braidtel.teleport import (
     teleport_standard,
     teleport_with_yb,
 )
+from tables import table_max
 
 QUARTER = math.pi / 4
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,16 +11,19 @@ from hypothesis import strategies as st
 
 from braidtel.algebra import (
     BmwParams,
+    RelationBlock,
     RelationReport,
     brauer_teleportation_residuals,
     build_rep,
     check_all,
+    check_braid,
     check_brauer,
     derive_params,
     swap_cup_cap_expansion,
 )
-from braidtel.gates import SWAP, brauer_projector, permutation_p, tl_projector, yb_gate
-from braidtel.linalg import dagger, embed, identity, is_unitary, max_abs_diff
+from braidtel.gates import EPR, I2, SWAP, bell_state, brauer_projector, permutation_p, tl_projector, yb_gate
+from braidtel.linalg import dagger, embed, identity, is_unitary, kron, max_abs_diff, mul, outer, transpose
+from braidtel.teleport import BIT_PAIRS, _paired, _transfer_residual, _worst_norm, random_ket
 
 TOL = 1e-10
 
@@ -92,7 +96,8 @@ def test_build_rep_has_no_site_cap_and_keeps_local_shapes():
     rep = build_rep(np.eye(4), SWAP, 128)
     assert rep.n == 128
     assert rep.E.shape == rep.B.shape == (4, 4)
-    assert rep.b_pairs[1][0].shape == (8, 8)
+    braid = check_braid(rep)  # (n - 2) braid relations and (n - 2)(n - 3)/2 far commutators
+    assert braid.passed and braid.relations == 126 + 126 * 125 // 2
 
 
 def test_relation_report_bookkeeping():
@@ -128,6 +133,25 @@ def test_brauer_state_identities():
     assert set(residuals) == {"projector", "swap", "tangle", "cup-cap"}
     for name, value in residuals.items():
         assert value < 1e-12, name
+
+
+def test_batched_state_identities_match_the_per_state_reference():
+    """One (count, 2, 2) draw gives the states of count random_ket calls, bit for bit."""
+    E, P = brauer_projector(), permutation_p()
+    cup_cap = sum((-1) ** (i * j) * outer(bell_state(i, j), bell_state(i, j)) for i, j in BIT_PAIRS)
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        alphas = np.array([random_ket(rng) for _ in range(20)])
+        pairs = np.einsum("pi,qj->pqij", alphas, identity(4)).reshape(-1, 8)
+        swapped = np.einsum("pi,qj->pqji", alphas, identity(4)).reshape(-1, 8)
+        ahead, behind = _paired(alphas, EPR), _paired(alphas, EPR, front=False)
+        nested = behind @ transpose(2.0 * kron(I2, E))
+        assert brauer_teleportation_residuals(seed=seed) == {
+            "projector": _transfer_residual(ahead @ transpose(kron(E, I2)), EPR[None], I2[None], alphas),
+            "swap": _worst_norm(pairs @ transpose(mul(kron(I2, P), kron(P, I2))) - swapped),
+            "tangle": _worst_norm(behind @ transpose(mul(kron(P, I2), kron(I2, P))) - nested),
+            "cup-cap": max_abs_diff(cup_cap, P),
+        }
 
 
 # ------------------------------------------------------- dense oracle
@@ -246,3 +270,45 @@ def test_eight_site_worst_residuals_match_three_sites(phi):
         assert big.keys() == small.keys()
         for family, residual in big.items():
             assert abs(residual - small[family]) <= 1e-14, (n, family)
+
+
+def _tied_reports(n):
+    """Hand-built reports whose largest residual is tied across sites, forms, steps and blocks."""
+    block = RelationBlock
+    cases = [
+        [block(("a{i}", "b{i}"), ((0.5, 1.0),), "site"), block(("c{i}{j}",), ((1.0,), (1.0,)), "adjacent")],
+        [block(("c{i}{j}", "d{j}{i}"), ((0.5, 0.25), (1.0, 1.0)), "adjacent"), block(("f{i}{j}",), ((1.0,),), "far")],
+        [block(("g{i}",), ((0.0,),), "braid"), block(("f{i}{j}",), ((0.0,),), "far")],
+        [block(("h{i}",), ((0.5,),), "site"), block(("m.{step:+d}.{i}",), ((0.25,), (0.5,)), "adjacent")],
+    ]
+    reports = [RelationReport("ties", n, 1.0, blocks) for blocks in cases]
+    reports[0].add("once", 1.0)
+    reports[2].add("{literal}", 0.0)
+    return reports
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_blocks_agree_with_their_expanded_entries(n):
+    """worst() is the first entry with the largest residual, as max() over the per-site list picks it."""
+    reports = [r for case in ("0.3", "-2.1", "1.234", "brauer", "generic") for r in _windowed_and_dense(case, n)[0]]
+    for report in reports + _tied_reports(n):
+        entries = report.entries
+        assert report.relations == len(entries)
+        assert report.max_residual == max(r for _, r in entries)
+        assert report.worst() == max(entries, key=lambda item: item[1])
+
+
+def test_suite_memory_does_not_grow_with_the_chain():
+    e, b = tl_projector(0, 0, 0.3), yb_gate(0.3)
+    params = derive_params(b)
+    check_all(e, b, params, n=3)
+    peaks = []
+    for n in (3, 10**6):
+        tracemalloc.start()
+        try:
+            reports = check_all(e, b, params, n=n)
+            assert all(r.relations >= n - 2 and r.worst()[0] for r in reports)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 64 * 1024, peaks

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from braidtel import cli
+from braidtel.algebra import RelationReport
 from braidtel.cli import _fmt, build_parser, main
 
 
@@ -40,9 +41,9 @@ def test_unknown_kind_is_a_usage_error():
 
 
 def test_sites_range_is_enforced(capsys):
-    code, out = run_cli(capsys, "verify", "bmw", "--sites", "128")
+    code, out = run_cli(capsys, "verify", "bmw", "--sites", "129")
     assert code == 0 and "overall: PASS" in out
-    for sites in ("129", "1"):
+    for sites in ("1", "0", "-3"):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "bmw", "--sites", sites])
         assert exc.value.code == 2
@@ -52,8 +53,27 @@ def test_sites_help_reads_the_bound_that_main_checks(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--help"])
     assert exc.value.code == 0
-    assert cli.MAX_SITES == 128
-    assert f"2..{cli.MAX_SITES}" in capsys.readouterr().out
+    assert "relation suites, at least 2 (default 3)" in " ".join(capsys.readouterr().out.split())
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "bmw", "--sites", "1"])
+    assert exc.value.code == 2
+    assert "sites must be at least 2, got 1" in capsys.readouterr().err
+
+
+def test_a_million_sites_report_what_three_sites_do(monkeypatch, capsys):
+    def expand(report):
+        raise AssertionError(f"{report.family} expanded its per-site entries")
+
+    monkeypatch.setattr(RelationReport, "entries", property(expand))
+    families = {}
+    for sites in ("3", "1000000"):
+        code, out = run_cli(capsys, "verify", "bmw", "--sites", sites, "--phi", "0.3", "--format", "json")
+        assert code == 0
+        families[sites] = {r["label"]: r for r in json.loads(out)["results"] if "relations" in r}
+    residuals = {sites: {k: r["residual"] for k, r in reports.items()} for sites, reports in families.items()}
+    assert residuals["1000000"] == residuals["3"]
+    n = 10**6
+    assert families["1000000"]["Braid"]["relations"] == (n - 2) + (n - 2) * (n - 3) // 2
 
 
 def test_json_schema_keys(capsys):

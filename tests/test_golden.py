@@ -35,7 +35,8 @@ CASES = (
     + [["solve", "--mn", mn] for mn in ("00", "01", "10", "11")]
     + [["analyze", "--gate", gate, *_PHI] for gate in ("B", "B0", "I", "SWAP", "CZ")]
     + [["verify", "bmw", "--sites", n, "--phi", phi] for n in ("3", "4") for phi in ("0.3", "-2.1")]
-    + [["verify", "brauer", "--sites", n] for n in ("3", "4")]
+    + [["verify", "brauer", "--sites", n] for n in ("2", "3", "4")]
+    + [["verify", "bmw", "--sites", "2", *_PHI]]
     + [["verify", "bmw", "--sites", "64", *_PHI], ["verify", "brauer", "--sites", "64"]]
     + [["verify", "b-forms", *_PHI]]
     + [["teleport", variant, *_TELEPORT] for variant in ("standard", "bell-like", "yang-baxter", "two-qubit")]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import braidtel
-from braidtel import gate_teleport, gates, teleport
+from braidtel import algebra, gate_teleport, gates, teleport
 from braidtel.gate_teleport import teleport_single_gate, teleport_two_qubit
 from braidtel.gates import H
 from braidtel.linalg import basis_ket, kron
@@ -85,6 +85,7 @@ def test_cache_scan_finds_the_protocol_caches():
         gate_teleport._kl_tables,
         gate_teleport._qp_table,
         gate_teleport._double_layers,
+        algebra._brauer_operators,
     }
     assert expected <= set(CACHES)
 
@@ -108,9 +109,11 @@ def test_cache_scan_finds_the_protocol_caches():
         lambda: gate_teleport._kl_tables()[0],
         lambda: gate_teleport._kl_tables()[1],
         gate_teleport._qp_table,
+        *(lambda k=k: algebra._brauer_operators()[k] for k in range(7)),
     ],
     ids=["bell", "product", "bell-like", "braid-op", "braid-w", "b0", "b0-front", "b0-back", "double",
-         "double-middle", "bell-like-front", "bell-like-mirror", "pauli", "k", "l", "qp"],
+         "double-middle", "bell-like-front", "bell-like-mirror", "pauli", "k", "l", "qp",
+         "brauer-e", "brauer-p", "brauer-bells", "brauer-project", "brauer-swap", "brauer-tangle", "brauer-nested"],
 )
 def test_cached_constants_are_read_only(constant):
     array = constant()

@@ -22,19 +22,17 @@ from braidtel.tangles import (
     eigenvalue_sum,
     general_constraint_residuals,
     matched_form,
-    pauli_scalar_coefficient,
     printed_gate_forms,
     printed_projector,
     projector_teleportation_residuals,
-    random_gate_coefficients,
     scalar_system_residual,
     skew_agreement_deviation,
     skew_transpose,
     solve_pauli_eigenvalues,
     spectral_constraint_residuals,
-    table_max,
 )
 from braidtel.teleport import BIT_PAIRS
+from tables import pauli_scalar_coefficient, random_gate_coefficients, table_max
 
 # sign/frequency patterns printed for the (0,0) system, in solver order
 PRINTED_CLASSES = (

@@ -33,6 +33,7 @@ from braidtel.teleport import (
     random_ket,
     teleport_with_yb,
 )
+from tables import table_max
 
 PHIS = (0.0, 0.3, -2.1)
 SEEDS = (5, 42)
@@ -275,7 +276,7 @@ def test_solve_grid_matches_the_per_phi_loop(mn, monkeypatch):
     m, n = mn
     basis = tangles.UnitaryBasis.pauli()
     for sol in tangles.solve_pauli_eigenvalues(m, n):
-        loop = max(tangles.table_max(tangles.spectral_constraint_residuals(basis, sol.mu_of_phi(p), m, n))
+        loop = max(table_max(tangles.spectral_constraint_residuals(basis, sol.mu_of_phi(p), m, n))
                    for p in cli._PHI_GRID)
         batched = float(tangles._pattern_residuals(m, n, cli._PHI_GRID, [sol.pattern]).max())
         assert abs(batched - loop) <= 1e-15, sol.class_id
