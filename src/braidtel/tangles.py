@@ -15,6 +15,7 @@ import cmath
 import functools
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -58,7 +59,8 @@ class UnitaryBasis:
 
     @classmethod
     def pauli(cls) -> "UnitaryBasis":
-        return cls({(i, j): pauli_w(i, j) for i, j in BIT_PAIRS})
+        """The W_ij basis, one read-only instance per process."""
+        return _pauli_basis()
 
     @classmethod
     def bell_like(cls, phi: float) -> "UnitaryBasis":
@@ -89,6 +91,11 @@ class EigenAssignment:
 
     def values(self) -> tuple[complex, ...]:
         return tuple(complex(self.mu[p]) for p in BIT_PAIRS)
+
+
+@functools.lru_cache(maxsize=None)
+def _pauli_basis() -> UnitaryBasis:
+    return UnitaryBasis(MappingProxyType({(i, j): frozen(pauli_w(i, j)) for i, j in BIT_PAIRS}))
 
 
 def _as_mu(assignment) -> dict[tuple[int, int], complex]:
@@ -256,7 +263,8 @@ def general_constraint_residuals(coeffs: GateCoefficients, basis: UnitaryBasis,
     Each constraint carries a double sum over coefficient pairs; the free
     index is the first one.  Returns {constraint id: {(i1,j1): residual}}.
     """
-    return _constraint_table(coeffs.matrix(), _u_forms(basis, m, n))
+    forms = _pauli_forms(m, n) if basis is _pauli_basis() else _u_forms(basis, m, n)
+    return _constraint_table(coeffs.matrix(), forms)
 
 
 def skew_transpose(b: np.ndarray, c: np.ndarray) -> np.ndarray:

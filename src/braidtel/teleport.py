@@ -165,13 +165,14 @@ def _teleport(protocol, inputs: np.ndarray, r, draws: np.ndarray):
     padded = np.zeros((n, 2, len(table), inputs.shape[1] // 2), dtype=complex)
     padded[rows, :, r] = inputs.reshape(n, 2, -1)
     states = padded.reshape(n, -1) @ transpose(op)
-    branches = np.einsum("mk,nkj->nmj", conj(kets), states.reshape(n, len(kets), -1), optimize=True)
-    probs = np.sum(np.abs(branches) ** 2, axis=2)
-    total = np.sum(probs, axis=1)
-    if not np.all(np.abs(total - 1.0) <= 1e-9):
+    split = states.reshape(n, len(kets), -1).transpose(0, 2, 1)  # [n, j, k]: amplitude j of the kth measured row
+    branches = (split.reshape(-1, len(kets)) @ transpose(conj(kets))).reshape(split.shape).transpose(0, 2, 1)
+    probs = (np.abs(branches) ** 2).sum(axis=2)
+    total = probs.sum(axis=1)
+    if not (np.abs(total - 1.0) <= 1e-9).all():
         raise ValueError(f"probabilities sum to {total[np.argmax(np.abs(total - 1.0))]}, expected 1")
-    cdf = np.cumsum(probs / total[:, None], axis=1)
-    m = np.sum(cdf / cdf[:, -1:] <= draws[:, None], axis=1)  # searchsorted(cdf, draw, side="right") per row
+    cdf = (probs / total[:, None]).cumsum(axis=1)
+    m = (cdf / cdf[:, -1:] <= draws[:, None]).sum(axis=1)  # searchsorted(cdf, draw, side="right") per row
     p = probs[rows, m]
     survivors = branches[rows, m] / np.sqrt(p)[:, None]
     return m, p, survivors, (dagger(table[r, m]) @ survivors[:, :, None])[:, :, 0]

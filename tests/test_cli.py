@@ -251,3 +251,12 @@ def test_input_and_measurement_streams_are_independent(variant, monkeypatch, cap
     assert main(["teleport", variant, "--count", "1", "--format", "json"]) == 0
     ket_stream, measure_stream = starts
     assert ket_stream != measure_stream
+
+
+def test_text_report_writes_a_missing_worst_relation_as_json_does(capsys):
+    code, out = run_cli(capsys, "verify", "bmw", "--sites", "2")
+    assert code == 0
+    empty = [line for line in out.splitlines() if "relations=0" in line]
+    assert [line.split("]")[1].split()[0] for line in empty] == ["Braid", "Tangle"]
+    assert all(line.endswith("worst=null") for line in empty)
+    assert "None" not in out

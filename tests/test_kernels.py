@@ -2,8 +2,9 @@
 
 linalg.kron must give np.kron's bits, recognize_pauli the answer of the
 one-string-at-a-time enumeration it replaced (kept here as the oracle), and
-pauli_w the bits of its matrix_power build.  A static scan keeps every other
-tensor product in the package on linalg.kron.
+pauli_w the bits of its matrix_power build, and teleport._teleport, which
+measures with one matmul, the bits of the einsum it replaced.  A static scan
+keeps every other tensor product in the package on linalg.kron.
 """
 
 import ast
@@ -16,10 +17,10 @@ import numpy as np
 import pytest
 
 import braidtel
-from braidtel import gate_teleport
+from braidtel import gate_teleport, teleport
 from braidtel.gate_teleport import PAULI_LABELS, PauliString, recognize_pauli
 from braidtel.gates import I2, X, Y, Z, pauli_w
-from braidtel.linalg import DEFAULT_TOL, approx_eq_phase, identity, kron
+from braidtel.linalg import DEFAULT_TOL, approx_eq_phase, conj, dagger, identity, kron, transpose
 
 _RNG = np.random.default_rng(2024)
 
@@ -137,6 +138,45 @@ def test_recognition_is_capped_at_three_qubits():
 def test_pauli_w_gives_the_bits_of_matrix_powers(i, j):
     expected = np.linalg.matrix_power(X, i) @ np.linalg.matrix_power(Z, j)
     assert pauli_w(i, j).tobytes() == expected.tobytes()
+
+
+def _teleport_by_einsum(protocol, inputs, r, draws):
+    """teleport._teleport as it was, with the measurement as one optimized einsum."""
+    op, table, kets = protocol
+    n = len(inputs)
+    rows = np.arange(n)
+    padded = np.zeros((n, 2, len(table), inputs.shape[1] // 2), dtype=complex)
+    padded[rows, :, r] = inputs.reshape(n, 2, -1)
+    states = padded.reshape(n, -1) @ transpose(op)
+    branches = np.einsum("mk,nkj->nmj", conj(kets), states.reshape(n, len(kets), -1), optimize=True)
+    probs = np.sum(np.abs(branches) ** 2, axis=2)
+    total = np.sum(probs, axis=1)
+    cdf = np.cumsum(probs / total[:, None], axis=1)
+    m = np.sum(cdf / cdf[:, -1:] <= draws[:, None], axis=1)
+    p = probs[rows, m]
+    survivors = branches[rows, m] / np.sqrt(p)[:, None]
+    return m, p, survivors, (dagger(table[r, m]) @ survivors[:, :, None])[:, :, 0]
+
+
+MEASURED_PROTOCOLS = {
+    "bell": teleport._standard_protocol,
+    "bell-like": lambda: teleport._bell_like_protocol(0.3),
+    "product-16": gate_teleport._double_protocol,
+}
+
+
+@pytest.mark.parametrize("n", [1, 4, 32, 256, 1024])
+@pytest.mark.parametrize("name", MEASURED_PROTOCOLS)
+def test_measurement_matmul_gives_the_bits_of_the_einsum(name, n):
+    protocol = MEASURED_PROTOCOLS[name]()
+    op, table, _ = protocol
+    dim = op.shape[1] // len(table)
+    amps = _complex(n, dim)
+    inputs = amps / np.linalg.norm(amps, axis=1, keepdims=True)
+    r, draws = _RNG.integers(0, len(table), size=n), _RNG.random(n)
+    got, expected = teleport._teleport(protocol, inputs, r, draws), _teleport_by_einsum(protocol, inputs, r, draws)
+    for a, b in zip(got, expected, strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 MODULES = sorted(p for p in Path(braidtel.__file__).parent.glob("*.py") if p.name != "linalg.py")

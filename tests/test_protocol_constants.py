@@ -1,19 +1,25 @@
-"""The phi-fixed protocol operators: cached, read-only, still self-checked."""
+"""The phi-fixed protocol operators and report parts: cached, read-only, still self-checked."""
 
 import importlib
 import itertools
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
 import braidtel
-from braidtel import algebra, gate_teleport, gates, teleport
+from braidtel import algebra, cli, entanglement, gate_teleport, gates, tangles, teleport
 from braidtel.gate_teleport import teleport_single_gate, teleport_two_qubit
 from braidtel.gates import H
 from braidtel.linalg import basis_ket, kron
 from braidtel.teleport import BIT_PAIRS, phase_table, teleport_bell_like, teleport_with_yb, w_braid_correction
 from registers import double_input
+from test_golden import CASES, GOLDEN_DIR, golden_name
 
 
 def _module_caches():
@@ -86,6 +92,9 @@ def test_cache_scan_finds_the_protocol_caches():
         gate_teleport._qp_table,
         gate_teleport._double_layers,
         algebra._brauer_operators,
+        tangles._pauli_basis,
+        cli._solve_rows,
+        cli._fixed_analysis,
     }
     assert expected <= set(CACHES)
 
@@ -110,10 +119,12 @@ def test_cache_scan_finds_the_protocol_caches():
         lambda: gate_teleport._kl_tables()[1],
         gate_teleport._qp_table,
         *(lambda k=k: algebra._brauer_operators()[k] for k in range(7)),
+        *(lambda p=p: tangles.UnitaryBasis.pauli().u[p] for p in BIT_PAIRS),
     ],
     ids=["bell", "product", "bell-like", "braid-op", "braid-w", "b0", "b0-front", "b0-back", "double",
          "double-middle", "bell-like-front", "bell-like-mirror", "pauli", "k", "l", "qp",
-         "brauer-e", "brauer-p", "brauer-bells", "brauer-project", "brauer-swap", "brauer-tangle", "brauer-nested"],
+         "brauer-e", "brauer-p", "brauer-bells", "brauer-project", "brauer-swap", "brauer-tangle", "brauer-nested",
+         "pauli-basis-00", "pauli-basis-01", "pauli-basis-10", "pauli-basis-11"],
 )
 def test_cached_constants_are_read_only(constant):
     array = constant()
@@ -169,3 +180,97 @@ def test_a_wrong_closed_form_phase_fails_the_rebuild_check(cold_caches, monkeypa
     monkeypatch.setitem(teleport._ALPHA_B, (1, 1), (-np.pi / 4, -1.0))
     with pytest.raises(ValueError, match="does not reproduce B"):
         teleport._braid_protocol(0.3)
+
+
+@pytest.mark.parametrize(
+    "mapping",
+    [lambda: tangles.UnitaryBasis.pauli().u, lambda: cli._fixed_analysis("B0")[2]],
+    ids=["pauli-basis", "b0-conjugation"],
+)
+def test_cached_mappings_are_read_only(mapping):
+    table = mapping()
+    assert isinstance(table, MappingProxyType)
+    with pytest.raises(TypeError):
+        table[(0, 0)] = None
+
+
+def test_the_pauli_basis_is_built_once_and_keeps_the_general_residuals():
+    basis = tangles.UnitaryBasis.pauli()
+    assert basis is tangles.UnitaryBasis.pauli()
+    fresh = tangles.UnitaryBasis({p: gates.pauli_w(*p) for p in BIT_PAIRS})
+    coeffs = tangles.GateCoefficients.from_matrix(np.random.default_rng(5).normal(size=(4, 4)) + 0.5j)
+    for m, n in BIT_PAIRS:
+        assert tangles.general_constraint_residuals(coeffs, basis, m, n) == \
+            tangles.general_constraint_residuals(coeffs, fresh, m, n)
+
+
+# Reports at other phi, gates, index pairs and classes, run before a golden case in the warm variant.
+WARM_UP = (
+    [["solve", "--mn", mn, "--phi", "1.7"] for mn in ("00", "01", "10", "11")]
+    + [["analyze", "--gate", gate, "--phi", "-2.1"] for gate in cli.ANALYZE_GATES]
+    + [["verify", kind, "--mn", mn, "--class", "2", "--phi", "2.9"]
+       for kind in ("spectral", "general", "skew-transpose") for mn in ("01", "11")]
+    + [["teleport", variant, "--phi", "-0.4", "--seed", "3", "--count", "5"] for variant in cli.TELEPORT_VARIANTS]
+    + [["verify", "constraints", "--phi", "1.1"], ["verify", "bmw", "--phi", "0.9"], ["verify", "b-forms"]]
+)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("argv", CASES, ids=lambda argv: golden_name(argv)[:-5])
+def test_golden_reports_from_cold_and_warm_caches(argv, warm, cold_caches, capsys):
+    for other in WARM_UP if warm else ():
+        assert cli.main([*other, "--format", "json"]) == 0
+    capsys.readouterr()
+    assert cli.main([*argv, "--format", "json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN_DIR / golden_name(argv)).read_text(encoding="utf-8")
+
+
+def _wrong_forms(m, n, phi):
+    return {"rotating:+": np.eye(4, dtype=complex)}
+
+
+def _wrong_canonical_gate(a, b, c, real=entanglement.canonical_gate):
+    return real(a + 0.3, b, c)
+
+
+@pytest.mark.parametrize(
+    "module, name, fake, argv",
+    [(tangles, "printed_gate_forms", _wrong_forms, ["solve", "--mn", mn]) for mn in ("00", "01", "10", "11")]
+    + [(entanglement, "canonical_gate", _wrong_canonical_gate, ["analyze", "--gate", gate])
+       for gate in ("B0", "I", "SWAP", "CZ")],
+    ids=[f"solve-{mn}" for mn in ("00", "01", "10", "11")] + [f"analyze-{gate}" for gate in ("B0", "I", "SWAP", "CZ")],
+)
+def test_cached_report_parts_still_run_their_self_checks(module, name, fake, argv, cold_caches, monkeypatch, capsys):
+    monkeypatch.setattr(module, name, fake)
+    with pytest.raises(AssertionError):
+        cli.main([*argv, "--format", "json"])
+
+
+def test_phi_free_report_parts_are_computed_once(cold_caches, monkeypatch, capsys):
+    calls = []
+    for name in ("matched_form", "canonical_params", "clifford_check"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    for phi in ("0.3", "-2.1", "1.7"):
+        assert cli.main(["solve", "--mn", "01", "--phi", phi, "--format", "json"]) == 0
+        for gate in ("B0", "I", "SWAP", "CZ"):
+            assert cli.main(["analyze", "--gate", gate, "--phi", phi, "--format", "json"]) == 0
+    assert sorted(calls) == ["canonical_params"] * 4 + ["clifford_check"] + ["matched_form"] * 3
+
+
+def test_importing_the_cli_fills_no_cache():
+    """Nothing is precomputed at import, so a fresh process pays for each constant on first use only."""
+    script = (
+        "import importlib, pkgutil, braidtel, braidtel.cli\n"
+        "for info in pkgutil.iter_modules(braidtel.__path__):\n"
+        "    module = importlib.import_module('braidtel.' + info.name)\n"
+        "    for obj in vars(module).values():\n"
+        "        if hasattr(obj, 'cache_info') and obj.__module__ == module.__name__:\n"
+        "            print(module.__name__ + '.' + obj.__qualname__, obj.cache_info().currsize)\n"
+    )
+    src = str(Path(braidtel.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True, timeout=60)
+    sizes = dict(line.rsplit(" ", 1) for line in done.stdout.splitlines())
+    assert {"braidtel.cli._solve_rows", "braidtel.cli._fixed_analysis", "braidtel.tangles._pauli_basis"} <= set(sizes)
+    assert {name: size for name, size in sizes.items() if size != "0"} == {}
