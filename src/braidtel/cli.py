@@ -11,6 +11,10 @@ keys {command, config, results, pass}.  Residuals are serialized as
 15-significant-digit decimal strings, all randomness flows from --seed,
 and identical configs produce byte-identical JSON.  Exit codes: 0 every
 check passed, 1 a check failed, 2 usage error.
+
+argv is read in one pass by _known_args, off the cached argparse parser's own
+option actions, types and choices; help, --version, abbreviations and every
+argv that argparse has to reject or resolve go to parse_args unchanged.
 """
 
 from __future__ import annotations
@@ -548,6 +552,50 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.lru_cache(maxsize=None)(build_parser)  # one parser per process; parse_args leaves it as is
 
 
+@functools.lru_cache(maxsize=None)
+def _grammar() -> dict:
+    """{command: (subparser, its defaults, its positional actions)}, read off the cached parser."""
+    commands = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    return {
+        name: (sub, {a.dest: a.default for a in sub._actions if a.default is not argparse.SUPPRESS},
+               [a for a in sub._actions if not a.option_strings])
+        for name, sub in commands.items()
+    }
+
+
+def _known_args(argv) -> argparse.Namespace | None:
+    """The Namespace parse_args(argv) returns, read in one pass; None wherever argparse has to decide.
+
+    Reads a command, then exact option strings each followed by a separate value, and the positional
+    anywhere among them.  Help, abbreviations, --opt=value, a missing value, a value that starts with -
+    but is not a number, a failed type or choice, a missing or second positional and -- return None."""
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv or argv[0] not in _grammar():
+        return None
+    sub, defaults, positionals = _grammar()[argv[0]]
+    values, pending, tokens = {"command": argv[0], **defaults}, list(positionals), iter(argv[1:])
+    for token in tokens:
+        action = sub._option_string_actions.get(token)
+        if action is None and pending and pending[0].nargs is None:
+            action = pending.pop(0)
+        elif type(action) is argparse._StoreAction and action.nargs is None:
+            token = next(tokens, None)
+        else:
+            return None
+        if token is None or token.startswith("-") and (
+            sub._has_negative_number_optionals or not sub._negative_number_matcher.match(token)
+        ):
+            return None
+        try:
+            value = action.type(token) if action.type else token
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return None if pending else argparse.Namespace(**values)
+
+
 _COMMAND_HANDLERS = {
     "verify": _cmd_verify,
     "teleport": _cmd_teleport,
@@ -558,7 +606,7 @@ _COMMAND_HANDLERS = {
 
 def main(argv=None) -> int:
     parser = _parser()
-    args = parser.parse_args(argv)
+    args = _known_args(argv) or parser.parse_args(argv)
 
     tolerance = args.tolerance
     if tolerance is None:

@@ -98,6 +98,16 @@ def _pauli_basis() -> UnitaryBasis:
     return UnitaryBasis(MappingProxyType({(i, j): frozen(pauli_w(i, j)) for i, j in BIT_PAIRS}))
 
 
+def _states(basis: UnitaryBasis) -> np.ndarray:
+    return np.stack([basis.state(*p) for p in BIT_PAIRS])
+
+
+@functools.lru_cache(maxsize=None)
+def _pauli_states() -> np.ndarray:
+    """The four states of the shared Pauli basis as rows, once per process and read-only."""
+    return frozen(_states(_pauli_basis()))
+
+
 def _as_mu(assignment) -> dict[tuple[int, int], complex]:
     if isinstance(assignment, EigenAssignment):
         return {p: complex(assignment.mu[p]) for p in BIT_PAIRS}
@@ -142,7 +152,7 @@ class GateCoefficients:
 
     def assemble(self, basis: UnitaryBasis) -> np.ndarray:
         """sum g_ab |Psi_a><Psi_b|, as S^T G conj(S) with the states as rows of S."""
-        states = np.stack([basis.state(*p) for p in BIT_PAIRS])
+        states = _pauli_states() if basis is _pauli_basis() else _states(basis)
         return transpose(states) @ self.matrix() @ conj(states)
 
     def is_gate(self, basis: UnitaryBasis, tol: float = DEFAULT_TOL) -> bool:

@@ -93,6 +93,7 @@ def test_cache_scan_finds_the_protocol_caches():
         gate_teleport._double_layers,
         algebra._brauer_operators,
         tangles._pauli_basis,
+        tangles._pauli_states,
         cli._solve_rows,
         cli._fixed_analysis,
     }
@@ -120,11 +121,12 @@ def test_cache_scan_finds_the_protocol_caches():
         gate_teleport._qp_table,
         *(lambda k=k: algebra._brauer_operators()[k] for k in range(7)),
         *(lambda p=p: tangles.UnitaryBasis.pauli().u[p] for p in BIT_PAIRS),
+        tangles._pauli_states,
     ],
     ids=["bell", "product", "bell-like", "braid-op", "braid-w", "b0", "b0-front", "b0-back", "double",
          "double-middle", "bell-like-front", "bell-like-mirror", "pauli", "k", "l", "qp",
          "brauer-e", "brauer-p", "brauer-bells", "brauer-project", "brauer-swap", "brauer-tangle", "brauer-nested",
-         "pauli-basis-00", "pauli-basis-01", "pauli-basis-10", "pauli-basis-11"],
+         "pauli-basis-00", "pauli-basis-01", "pauli-basis-10", "pauli-basis-11", "pauli-states"],
 )
 def test_cached_constants_are_read_only(constant):
     array = constant()
@@ -202,6 +204,8 @@ def test_the_pauli_basis_is_built_once_and_keeps_the_general_residuals():
     for m, n in BIT_PAIRS:
         assert tangles.general_constraint_residuals(coeffs, basis, m, n) == \
             tangles.general_constraint_residuals(coeffs, fresh, m, n)
+    assert np.array_equal(coeffs.assemble(basis), coeffs.assemble(fresh))
+    assert np.array_equal(tangles._pauli_states(), np.stack([fresh.state(*p) for p in BIT_PAIRS]))
 
 
 # Reports at other phi, gates, index pairs and classes, run before a golden case in the warm variant.
@@ -272,5 +276,6 @@ def test_importing_the_cli_fills_no_cache():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True, timeout=60)
     sizes = dict(line.rsplit(" ", 1) for line in done.stdout.splitlines())
-    assert {"braidtel.cli._solve_rows", "braidtel.cli._fixed_analysis", "braidtel.tangles._pauli_basis"} <= set(sizes)
+    assert {"braidtel.cli._solve_rows", "braidtel.cli._fixed_analysis", "braidtel.cli._grammar",
+            "braidtel.tangles._pauli_basis", "braidtel.tangles._pauli_states"} <= set(sizes)
     assert {name: size for name, size in sizes.items() if size != "0"} == {}
