@@ -293,25 +293,6 @@ def _suite(rep: Representation, d: float, tol: float, params: BmwParams | None =
     return {family: RelationReport(family, rep.n, tol, family_blocks) for family, family_blocks in blocks.items()}
 
 
-def check_temperley_lieb(rep: Representation, d: float, tol: float = DEFAULT_TOL) -> RelationReport:
-    return _suite(rep, d, tol)["TL"]
-
-
-def check_braid(rep: Representation, tol: float = DEFAULT_TOL) -> RelationReport:
-    return _suite(rep, 2.0, tol)["Braid"]  # no braid relation reads d
-
-
-def check_tangle(rep: Representation, d: float, tol: float = DEFAULT_TOL) -> RelationReport:
-    """Tangle relations on the chain, plus their 3-site matrix forms.
-
-    The chain relations are b_{i+-1} b_i e_{i+-1} = e_i b_{i+-1} b_i
-    = d e_i e_{i+-1}.  On 3 sites with local matrices (E, B) they are
-    equivalent to four explicit 8x8 identities, which are re-checked
-    independently as a guard against index bookkeeping errors.
-    """
-    return _suite(rep, d, tol)["Tangle"]
-
-
 def check_all(
     E: np.ndarray,
     B: np.ndarray,

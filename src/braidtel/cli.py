@@ -14,7 +14,10 @@ check passed, 1 a check failed, 2 usage error.
 
 argv is read in one pass by _known_args, off the cached argparse parser's own
 option actions, types and choices; help, --version, abbreviations and every
-argv that argparse has to reject or resolve go to parse_args unchanged.
+argv that argparse has to reject or resolve go to parse_args unchanged.  The
+parsed Namespace, with _CONFIG_DEFAULTS for the options a command does not
+take, is the config every report reads; _REPORTS is the one dispatch table,
+from verify kind or command to report.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from types import MappingProxyType
 
@@ -82,25 +84,8 @@ VERIFY_KINDS = (
 TELEPORT_VARIANTS = ("standard", "bell-like", "yang-baxter", "gate", "two-qubit")
 TELEPORT_GATES = ("H", "S", "T", "X", "Y", "Z", "I", "R")
 ANALYZE_GATES = ("B", "B0", "I", "SWAP", "CZ")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a run depends on; echoed verbatim into the report."""
-
-    command: str
-    action: str
-    phi: float
-    sites: int
-    seed: int
-    tolerance: float
-    fmt: str
-    output: str | None
-    basis: str
-    mn: tuple[int, int]
-    class_id: int
-    gate: str
-    count: int
+# the config echo of the options a command does not take
+_CONFIG_DEFAULTS = {"basis": "pauli", "mn": "00", "class_id": 1, "gate": "", "count": 100}
 
 
 def _fmt(x: float) -> str:
@@ -113,15 +98,11 @@ def _fmt_complex(z: complex) -> str:
 
 
 def _check(label: str, residual: float, tol: float, **extra) -> dict:
-    entry: dict = {"label": label, "residual": _fmt(residual), "pass": bool(residual <= tol)}
-    entry.update(extra)
-    return entry
+    return {"label": label, "residual": _fmt(residual), "pass": bool(residual <= tol), **extra}
 
 
 def _info(label: str, **fields) -> dict:
-    entry: dict = {"label": label}
-    entry.update(fields)
-    return entry
+    return {"label": label, **fields}
 
 
 # ---------------------------------------------------------------- verify
@@ -131,7 +112,7 @@ def _report_entries(reports, tol: float) -> list[dict]:
     return [_check(r.family, r.max_residual, tol, relations=r.relations, worst=r.worst()[0]) for r in reports]
 
 
-def _verify_bmw(cfg: RunConfig) -> list[dict]:
+def _verify_bmw(cfg: argparse.Namespace) -> list[dict]:
     e = tl_projector(0, 0, cfg.phi)
     b = yb_gate(cfg.phi)
     params = derive_params(b)
@@ -148,7 +129,7 @@ def _verify_bmw(cfg: RunConfig) -> list[dict]:
     return results
 
 
-def _verify_brauer(cfg: RunConfig) -> list[dict]:
+def _verify_brauer(cfg: argparse.Namespace) -> list[dict]:
     results = _report_entries(check_brauer(n=cfg.sites, tol=cfg.tolerance), cfg.tolerance)
     identities = brauer_teleportation_residuals(seed=cfg.seed)
     for name in ("projector", "swap", "tangle", "cup-cap"):
@@ -156,63 +137,52 @@ def _verify_brauer(cfg: RunConfig) -> list[dict]:
     return results
 
 
-def _verify_constraints(cfg: RunConfig) -> list[dict]:
-    results = []
-    table = concrete_constraint_residuals(cfg.phi)
+def _constraint_entries(table: dict, tol: float, worst: bool = False) -> list[dict]:
+    """A constraint-c check per constraint of table: its worst cell, its cell count and, if asked, the worst ij."""
+    entries = []
     for c in sorted(table):
-        worst_pair = max(table[c], key=table[c].get)
-        results.append(
-            _check(
-                f"constraint-{c}",
-                max(table[c].values()),
-                cfg.tolerance,
-                cells=len(table[c]),
-                worst=f"ij={worst_pair[0]}{worst_pair[1]}",
-            )
-        )
+        extra = {"worst": "ij={}{}".format(*max(table[c], key=table[c].get))} if worst else {}
+        entries.append(_check(f"constraint-{c}", max(table[c].values()), tol, cells=len(table[c]), **extra))
+    return entries
+
+
+def _verify_constraints(cfg: argparse.Namespace) -> list[dict]:
+    results = _constraint_entries(concrete_constraint_residuals(cfg.phi), cfg.tolerance, worst=True)
     transfers = projector_teleportation_residuals(cfg.phi, seed=cfg.seed)
     for c in sorted(transfers):
         results.append(_check(f"transfer-identity-{c}", transfers[c], cfg.tolerance))
     return results
 
 
-def _basis_assignment(cfg: RunConfig):
-    """Resolve (basis, eigenvalue assignment, description) from the config.
+def _basis_assignment(cfg: argparse.Namespace, label: str = "assignment", prefix: str = ""):
+    """(basis, eigenvalue assignment, m, n, and an info entry named label that shows them) from the config.
 
     The pauli basis takes its assignment from the solved class picked by
     --class; bell-like pairs the braid eigenvalues with the rotated Bell
     basis, which satisfies the constraints at their native --mn 00.
     """
-    m, n = cfg.mn
+    m, n = int(cfg.mn[0]), int(cfg.mn[1])
     if cfg.basis == "pauli":
-        classes = solve_pauli_eigenvalues(m, n)
-        sol = classes[cfg.class_id - 1]
-        return UnitaryBasis.pauli(), sol.mu_of_phi(cfg.phi), sol.describe()
-    basis = UnitaryBasis.bell_like(cfg.phi)
-    return basis, EigenAssignment(dict(B_EIGENVALUES)), "braid eigenvalues"
+        sol = solve_pauli_eigenvalues(m, n)[cfg.class_id - 1]
+        basis, mu, desc = UnitaryBasis.pauli(), sol.mu_of_phi(cfg.phi), sol.describe()
+    else:
+        basis, mu, desc = UnitaryBasis.bell_like(cfg.phi), EigenAssignment(dict(B_EIGENVALUES)), "braid eigenvalues"
+    return basis, mu, m, n, _info(label, value=prefix + desc, mn=cfg.mn, basis=cfg.basis)
 
 
-def _verify_spectral(cfg: RunConfig) -> list[dict]:
-    m, n = cfg.mn
-    basis, mu, desc = _basis_assignment(cfg)
-    results = [_info("assignment", value=desc, mn=f"{m}{n}", basis=cfg.basis)]
-    table = spectral_constraint_residuals(basis, mu, m, n)
-    for c in sorted(table):
-        results.append(_check(f"constraint-{c}", max(table[c].values()), cfg.tolerance, cells=len(table[c])))
+def _verify_spectral(cfg: argparse.Namespace) -> list[dict]:
+    basis, mu, m, n, info = _basis_assignment(cfg)
+    results = [info, *_constraint_entries(spectral_constraint_residuals(basis, mu, m, n), cfg.tolerance)]
     results.append(_check("completeness-sum", abs(eigenvalue_sum(mu, m, n) - 1), cfg.tolerance))
     if cfg.basis == "pauli":
         results.append(_check("scalar-system", scalar_system_residual(mu, m, n), cfg.tolerance))
     return results
 
 
-def _verify_general(cfg: RunConfig) -> list[dict]:
-    m, n = cfg.mn
-    basis, mu, desc = _basis_assignment(cfg)
+def _verify_general(cfg: argparse.Namespace) -> list[dict]:
+    basis, mu, m, n, info = _basis_assignment(cfg, "coefficients", "diagonal: ")
     coeffs = GateCoefficients.diagonal(mu)
-    results = [_info("coefficients", value=f"diagonal: {desc}", mn=f"{m}{n}", basis=cfg.basis)]
-    table = general_constraint_residuals(coeffs, basis, m, n)
-    for c in sorted(table):
-        results.append(_check(f"constraint-{c}", max(table[c].values()), cfg.tolerance, cells=len(table[c])))
+    results = [info, *_constraint_entries(general_constraint_residuals(coeffs, basis, m, n), cfg.tolerance)]
     unitary = coeffs.is_gate(basis)
     results.append({"label": "assembled-gate-unitary", "value": bool(unitary), "pass": bool(unitary)})
     return results
@@ -227,20 +197,21 @@ def _b_checks(phi: float):
     return forms, max_abs_diff(product, yb_gate(phi)), " | ".join(name for name, _ in factors), phase
 
 
-def _verify_b_forms(cfg: RunConfig) -> list[dict]:
+def _verify_b_forms(cfg: argparse.Namespace) -> list[dict]:
     forms, residual, names, phase = _b_checks(cfg.phi)
     results = [_check(name, value, cfg.tolerance) for name, value in forms]
     results.append(_check("elementary-product", residual, cfg.tolerance, factors=names, phase=_fmt_complex(phase)))
     return results
 
 
-def _verify_skew(cfg: RunConfig) -> list[dict]:
-    m, n = cfg.mn
-    basis, mu, desc = _basis_assignment(cfg)
-    results = [_info("assignment", value=desc, mn=f"{m}{n}", basis=cfg.basis)]
-    results.append(_check("spectral-agreement", skew_agreement_deviation(basis, mu, m, n), cfg.tolerance))
+def _verify_skew(cfg: argparse.Namespace) -> list[dict]:
+    basis, mu, m, n, info = _basis_assignment(cfg)
     coeffs = GateCoefficients.diagonal(mu)
-    results.append(_check("general-agreement", skew_agreement_deviation(basis, coeffs, m, n), cfg.tolerance))
+    results = [
+        info,
+        _check("spectral-agreement", skew_agreement_deviation(basis, mu, m, n), cfg.tolerance),
+        _check("general-agreement", skew_agreement_deviation(basis, coeffs, m, n), cfg.tolerance),
+    ]
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
     for _ in range(20):
@@ -251,25 +222,10 @@ def _verify_skew(cfg: RunConfig) -> list[dict]:
     return results
 
 
-_VERIFY_HANDLERS = {
-    "bmw": _verify_bmw,
-    "brauer": _verify_brauer,
-    "constraints": _verify_constraints,
-    "spectral": _verify_spectral,
-    "general": _verify_general,
-    "b-forms": _verify_b_forms,
-    "skew-transpose": _verify_skew,
-}
-
-
-def _cmd_verify(cfg: RunConfig) -> list[dict]:
-    return _VERIFY_HANDLERS[cfg.action](cfg)
-
-
 # --------------------------------------------------------------- teleport
 
 
-def _protocol(cfg: RunConfig):
+def _protocol(cfg: argparse.Namespace):
     """(protocol, gate it applies to the input, correction label, extra results) of a teleport variant."""
     if cfg.action == "standard":
         return _standard_protocol(), np.eye(2), "W^dag_{key}", []
@@ -292,7 +248,7 @@ def _pairs(index: int, count: int) -> str:
     return ",".join(f"{index >> 2 * q & 3:02b}" for q in reversed(range(count)))
 
 
-def _cmd_teleport(cfg: RunConfig) -> list[dict]:
+def _cmd_teleport(cfg: argparse.Namespace) -> list[dict]:
     protocol, gate, label, extra = _protocol(cfg)
     op, table, kets = protocol
     # inputs of dim amplitudes, R = 2^nbits resources, M = 4^pairs outcomes
@@ -340,8 +296,8 @@ def _solve_rows(m: int, n: int) -> tuple:
     return tuple((sol, sol.describe(), w, c, matched_form(sol)) for sol, w, c in zip(classes, grid, complete))
 
 
-def _cmd_solve(cfg: RunConfig) -> list[dict]:
-    rows = _solve_rows(*cfg.mn)
+def _cmd_solve(cfg: argparse.Namespace) -> list[dict]:
+    rows = _solve_rows(int(cfg.mn[0]), int(cfg.mn[1]))
     results = [{"label": "class-count", "value": len(rows), "pass": len(rows) == 3}]
     for sol, pattern, worst, completeness, form in rows:
         mu_here = sol.mu_of_phi(cfg.phi)
@@ -370,7 +326,7 @@ def _fixed_analysis(name: str):
     return canonical_params(u), ok, MappingProxyType(table)
 
 
-def _cmd_analyze(cfg: RunConfig) -> list[dict]:
+def _cmd_analyze(cfg: argparse.Namespace) -> list[dict]:
     if cfg.gate == "B":
         u = yb_gate(cfg.phi)
         params, (ok, table) = canonical_params(u), clifford_check(u)
@@ -404,8 +360,8 @@ def _cmd_analyze(cfg: RunConfig) -> list[dict]:
 # --------------------------------------------------------------- plumbing
 
 
-def _document(cfg: RunConfig, results: list[dict], overall: bool) -> dict:
-    command = cfg.command if not cfg.action else f"{cfg.command} {cfg.action}"
+def _document(cfg: argparse.Namespace, results: list[dict], overall: bool) -> dict:
+    command = f"{cfg.command} {cfg.action}" if cfg.action else cfg.command
     config = {
         "tool_version": __version__,
         "phi": _fmt(cfg.phi),
@@ -413,7 +369,7 @@ def _document(cfg: RunConfig, results: list[dict], overall: bool) -> dict:
         "seed": cfg.seed,
         "tolerance": _fmt(cfg.tolerance),
         "basis": cfg.basis,
-        "mn": f"{cfg.mn[0]}{cfg.mn[1]}",
+        "mn": cfg.mn,
         "class": cfg.class_id,
         "gate": cfg.gate,
         "count": cfg.count,
@@ -480,15 +436,16 @@ def _render_text(doc: dict) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that reads exponent-form negatives such as -6e-05 as values.
+    """An ArgumentParser that reads exponent-form negatives such as -6e-05, and -inf and -nan, as values.
 
-    argparse takes only -12 or -1.5 for a negative number and -6e-05 for an option, but repr(float)
-    writes small phases that way.  The subcommand parsers are built from this class too.
+    argparse takes only -12 or -1.5 for a negative number and -6e-05 or -inf for an option, but repr(float)
+    writes small phases that way, and main names what is wrong with an infinite or nan value.  The
+    subcommand parsers are built from this class too.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$", re.IGNORECASE)
+        self._negative_number_matcher = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.I)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -596,8 +553,14 @@ def _known_args(argv) -> argparse.Namespace | None:
     return None if pending else argparse.Namespace(**values)
 
 
-_COMMAND_HANDLERS = {
-    "verify": _cmd_verify,
+_REPORTS = {
+    "bmw": _verify_bmw,
+    "brauer": _verify_brauer,
+    "constraints": _verify_constraints,
+    "spectral": _verify_spectral,
+    "general": _verify_general,
+    "b-forms": _verify_b_forms,
+    "skew-transpose": _verify_skew,
     "teleport": _cmd_teleport,
     "solve": _cmd_solve,
     "analyze": _cmd_analyze,
@@ -618,40 +581,26 @@ def main(argv=None) -> int:
                 parser.error(f"BMW_TOL is not a number: {raw!r}")
         else:
             tolerance = _DEFAULT_TOL
+    action = getattr(args, "kind", None) or getattr(args, "variant", "")
+    cfg = argparse.Namespace(**{**_CONFIG_DEFAULTS, **vars(args), "action": action, "tolerance": tolerance})
     if not (math.isfinite(tolerance) and tolerance > 0):
         parser.error(f"tolerance must be positive and finite, got {tolerance}")
-    if not math.isfinite(args.phi):
-        parser.error(f"phi must be finite, got {args.phi}")
-    if args.seed < 0:
-        parser.error(f"seed must be non-negative, got {args.seed}")
-    if args.sites < 2:
-        parser.error(f"sites must be at least 2, got {args.sites}")
-    count = getattr(args, "count", 100)
-    if count < 1:
+    if not math.isfinite(cfg.phi):
+        parser.error(f"phi must be finite, got {cfg.phi}")
+    if cfg.seed < 0:
+        parser.error(f"seed must be non-negative, got {cfg.seed}")
+    if cfg.sites < 2:
+        parser.error(f"sites must be at least 2, got {cfg.sites}")
+    if cfg.count < 1:
         parser.error("count must be at least 1")
-    if args.output:
-        directory = os.path.dirname(os.path.abspath(args.output))
+    if cfg.output:
+        if os.path.isdir(cfg.output):
+            parser.error(f"cannot write --output {cfg.output}: Is a directory")
+        directory = os.path.dirname(os.path.abspath(cfg.output))
         if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
-            parser.error(f"cannot write --output {args.output}: {directory} is not a writable directory")
+            parser.error(f"cannot write --output {cfg.output}: {directory} is not a writable directory")
 
-    mn_raw = getattr(args, "mn", "00")
-    cfg = RunConfig(
-        command=args.command,
-        action=getattr(args, "kind", None) or getattr(args, "variant", None) or "",
-        phi=args.phi,
-        sites=args.sites,
-        seed=args.seed,
-        tolerance=tolerance,
-        fmt=args.fmt,
-        output=args.output,
-        basis=getattr(args, "basis", "pauli"),
-        mn=(int(mn_raw[0]), int(mn_raw[1])),
-        class_id=getattr(args, "class_id", 1),
-        gate=getattr(args, "gate", ""),
-        count=count,
-    )
-
-    results = _COMMAND_HANDLERS[cfg.command](cfg)
+    results = _REPORTS[getattr(args, "kind", cfg.command)](cfg)
     overall = all(entry.get("pass", True) for entry in results)
     doc = _document(cfg, results, overall)
     rendered = _render_json(doc) if cfg.fmt == "json" else _render_text(doc)

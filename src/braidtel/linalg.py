@@ -90,10 +90,6 @@ def conj(a: np.ndarray) -> np.ndarray:
     return np.conj(np.asarray(a))
 
 
-def trace(a: np.ndarray) -> complex:
-    return complex(np.trace(a))
-
-
 def outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """|u><v| including the conjugation of v."""
     return np.outer(u, np.conj(v))

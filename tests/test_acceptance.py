@@ -15,12 +15,8 @@ import numpy as np
 from braidtel.algebra import (
     BmwParams,
     brauer_teleportation_residuals,
-    build_rep,
     check_all,
-    check_braid,
     check_brauer,
-    check_tangle,
-    check_temperley_lieb,
     derive_params,
 )
 from braidtel.cli import main as cli_main
@@ -231,10 +227,9 @@ def test_criterion_10_built_representations():
                 ok = ok and max_abs_diff(e4, printed_projector(m, n)) <= 1e-12
                 printed = printed_gate_forms(m, n, phi)[matched_form(sol)]
                 ok = ok and max_abs_diff(u4, printed) <= 1e-12
-                rep = build_rep(e4, u4, 3)
-                ok = ok and check_temperley_lieb(rep, d=2.0).passed
-                ok = ok and check_braid(rep).passed
-                ok = ok and check_tangle(rep, d=2.0).passed
+                params = derive_params(u4)
+                ok = ok and abs(params.d - 2) <= 1e-9
+                ok = ok and all(report.passed for report in check_all(e4, u4, params, n=3))
     _verdict(10, "built representations", ok)
 
 

@@ -16,7 +16,6 @@ from braidtel.algebra import (
     brauer_teleportation_residuals,
     build_rep,
     check_all,
-    check_braid,
     check_brauer,
     derive_params,
     swap_cup_cap_expansion,
@@ -96,8 +95,8 @@ def test_build_rep_has_no_site_cap_and_keeps_local_shapes():
     rep = build_rep(np.eye(4), SWAP, 128)
     assert rep.n == 128
     assert rep.E.shape == rep.B.shape == (4, 4)
-    braid = check_braid(rep)  # (n - 2) braid relations and (n - 2)(n - 3)/2 far commutators
-    assert braid.passed and braid.relations == 126 + 126 * 125 // 2
+    braid = check_brauer(n=128)[1]  # (n - 2) braid relations and (n - 2)(n - 3)/2 far commutators
+    assert braid.family == "Braid" and braid.passed and braid.relations == 126 + 126 * 125 // 2
 
 
 def test_relation_report_bookkeeping():

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from braidtel import cli
 
 # values each option type reads, and words that no option reads
-_GOOD = {float: ["0.3", "0", "-3", "-.5", "-6e-05", "-1E-7", "1e3", "inf", "nan"], int: ["7", "0", "2", "-3"],
-         None: ["", "out.json"]}
-_BAD = ["-inf", "-nan", "x", "-", "-x", "--", "--version"]
+_GOOD = {float: ["0.3", "0", "-3", "-.5", "-6e-05", "-1E-7", "1e3", "inf", "nan", "-inf", "-nan"],
+         int: ["7", "0", "2", "-3"], None: ["", "out.json"]}
+_BAD = ["x", "-", "-x", "--", "--version"]
 
 
 def _grammar_words():
@@ -76,7 +76,7 @@ def test_what_the_reader_accepts_argparse_reads_the_same(argv):
     [
         [], ["-h"], ["--version"], ["frobnicate"], ["verify"], ["verify", "-h"], ["verify", "bmw", "--help"],
         ["verify", "bmw", "--ph", "0.3"], ["verify", "bmw", "--phi=0.3"], ["verify", "bmw", "--phi"],
-        ["verify", "bmw", "--phi", "--sites"], ["verify", "bmw", "--phi", "-inf"], ["verify", "bmw", "--phi", "x"],
+        ["verify", "bmw", "--phi", "--sites"], ["verify", "bmw", "--phi", "-x"], ["verify", "bmw", "--phi", "x"],
         ["verify", "bmw", "--mn", "22"], ["verify", "bmw", "brauer"], ["verify", "--", "bmw"],
         ["verify", "bmw", "--version"], ["solve", "bmw"], ["teleport", "gate", "--gate", "Q"],
     ],
@@ -94,6 +94,7 @@ def test_the_reader_leaves_help_usage_and_errors_to_argparse(argv):
         ["analyze", "--output", "", "--tolerance", "1e-9"],
         ["solve", "--mn", "11", "--mn", "01"],
         ["verify", "general", "--class", "3", "--basis", "bell-like"],
+        ["solve", "--phi", "-Infinity", "--tolerance", "-nan"],
     ],
     ids=lambda argv: " ".join(argv),
 )

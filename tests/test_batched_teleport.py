@@ -7,6 +7,7 @@ instance.  Fed the same input kets, resource bits and measurement draws,
 the kernel and the CLI report must agree with it.
 """
 
+import argparse
 import json
 import math
 
@@ -109,8 +110,7 @@ def _loop_report(variant: str, phi: float, seed: int, count: int):
 
 
 def _protocol(variant: str, phi: float):
-    cfg = cli.RunConfig("teleport", variant, phi, 3, 0, 1e-10, "json", None, "pauli", (0, 0), 1, GATE, 1)
-    return cli._protocol(cfg)[0]
+    return cli._protocol(argparse.Namespace(action=variant, phi=phi, gate=GATE))[0]
 
 
 # ----------------------------------------------------------------- the tests

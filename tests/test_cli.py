@@ -209,9 +209,12 @@ def test_back_to_back_runs_share_no_arguments(capsys):
         (["verify", "bmw"], "nan"),
         (["verify", "bmw", "--tolerance", "inf"], None),
         (["verify", "constraints", "--output", "{missing}/report.json"], None),
+        (["verify", "bmw", "--phi", "-inf"], None),
+        (["verify", "bmw", "--phi", "-nan"], None),
+        (["verify", "bmw", "--tolerance", "-inf"], None),
     ],
     ids=["seed-negative", "phi-nan", "phi-inf", "tolerance-nan", "env-tolerance-nan",
-         "tolerance-inf", "output-missing-dir"],
+         "tolerance-inf", "output-missing-dir", "phi-minus-inf", "phi-minus-nan", "tolerance-minus-inf"],
 )
 def test_bad_values_are_usage_errors(argv, bmw_tol, tmp_path, monkeypatch, capsys):
     if bmw_tol is None:
@@ -231,10 +234,37 @@ def test_unwritable_output_is_rejected_before_the_report(monkeypatch):
     def handler(cfg):
         raise AssertionError("the report was computed before --output was checked")
 
-    monkeypatch.setitem(cli._COMMAND_HANDLERS, "verify", handler)
+    monkeypatch.setitem(cli._REPORTS, "constraints", handler)
     with pytest.raises(SystemExit) as exc:
         main(["verify", "constraints", "--output", "/nonexistent/x.json"])
     assert exc.value.code == 2
+
+
+def test_directory_output_is_rejected_before_the_report(tmp_path, monkeypatch, capsys):
+    def handler(cfg):
+        raise AssertionError("the report was computed before --output was checked")
+
+    monkeypatch.setitem(cli._REPORTS, "analyze", handler)
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--gate", "I", "--output", str(tmp_path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f"cannot write --output {tmp_path}: Is a directory")
+
+
+def test_the_parser_and_the_report_table_cover_each_other():
+    choices = {name: {str(c) for a in sub._actions if not a.option_strings for c in a.choices}
+               for name, (sub, _, _) in cli._grammar().items()}
+    keys = choices.pop("verify") | set(choices)
+    assert keys == set(cli._REPORTS)
+
+
+@pytest.mark.parametrize("argv", [["verify", "bmw"], ["teleport", "standard", "--count", "1"], ["solve"], ["analyze"]])
+def test_config_echoes_every_field_for_every_command(argv, capsys):
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert list(json.loads(out)["config"]) == [
+        "tool_version", "phi", "sites", "seed", "tolerance", "basis", "mn", "class", "gate", "count"
+    ]
 
 
 @pytest.mark.parametrize("variant", cli.TELEPORT_VARIANTS)

@@ -41,7 +41,6 @@ from braidtel.linalg import (
     kron,
     max_abs_diff,
     mul,
-    trace,
 )
 
 BITS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -112,7 +111,7 @@ def test_tl_projector_is_rank_one_idempotent(phi):
     for i, j in BITS:
         e = tl_projector(i, j, phi)
         assert max_abs_diff(e @ e, e) < 1e-12
-        assert abs(trace(e) - 1) < 1e-12
+        assert abs(np.trace(e) - 1) < 1e-12
         assert approx_eq(dagger(e), e)
 
 
@@ -171,7 +170,7 @@ def test_permutation_p_swaps():
 def test_brauer_projector_annihilates_orthogonal_bells():
     e = brauer_projector()
     assert max_abs_diff(e @ e, e) < 1e-14
-    assert abs(trace(e) - 1) < 1e-14
+    assert abs(np.trace(e) - 1) < 1e-14
     orthogonal = kron(I2, Z) @ EPR
     assert np.linalg.norm(e @ orthogonal) < 1e-14
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from braidtel import tangles
-from braidtel.algebra import build_rep, check_braid, check_tangle, check_temperley_lieb
+from braidtel.algebra import check_all, derive_params
 from braidtel.gates import B_EIGENVALUES, m_gate, yb_gate
 from braidtel.cli import main
 from braidtel.linalg import DEFAULT_TOL, STRICT_TOL, conj, dagger, is_unitary, max_abs_diff, mul, transpose
@@ -359,10 +359,9 @@ def test_built_pairs_satisfy_projector_and_braid_laws(m, n, phi):
         assert max_abs_diff(e4, printed_projector(m, n)) < 1e-12
         form = matched_form(sol)
         assert max_abs_diff(u4, printed_gate_forms(m, n, phi)[form]) < 1e-12
-        rep = build_rep(e4, u4, 3)
-        assert check_temperley_lieb(rep, d=2.0).passed
-        assert check_braid(rep).passed
-        assert check_tangle(rep, d=2.0).passed
+        params = derive_params(u4)
+        assert abs(params.d - 2) < 1e-9
+        assert all(report.passed for report in check_all(e4, u4, params, n=3))
 
 
 def test_matched_forms_at_the_origin():
