@@ -26,6 +26,7 @@ def _basis_cases(kind: str) -> list[list[str]]:
     cases = [["verify", kind, *_PHI, "--mn", mn, "--class", "1"] for mn in ("00", "01", "10", "11")]
     cases += [["verify", kind, *_PHI, "--mn", "00", "--class", c] for c in ("2", "3")]
     cases.append(["verify", kind, *_PHI, "--basis", "bell-like", "--mn", "00"])
+    cases += [["verify", kind, "--phi", "-2.1", "--mn", mn, "--class", c] for mn in ("01", "10", "11") for c in ("2", "3")]
     return cases
 
 
