@@ -166,7 +166,8 @@ def _basis_assignment(cfg: argparse.Namespace, label: str = "assignment", prefix
         sol = solve_pauli_eigenvalues(m, n)[cfg.class_id - 1]
         basis, mu, desc = UnitaryBasis.pauli(), sol.mu_of_phi(cfg.phi), sol.describe()
     else:
-        basis, mu, desc = UnitaryBasis.bell_like(cfg.phi), EigenAssignment(dict(B_EIGENVALUES)), "braid eigenvalues"
+        basis, desc = UnitaryBasis.bell_like(cfg.phi), "braid eigenvalues"
+        mu = EigenAssignment([B_EIGENVALUES[p] for p in BIT_PAIRS])
     return basis, mu, m, n, _info(label, value=prefix + desc, mn=cfg.mn, basis=cfg.basis)
 
 
@@ -212,12 +213,9 @@ def _verify_skew(cfg: argparse.Namespace) -> list[dict]:
         _check("spectral-agreement", skew_agreement_deviation(basis, mu, m, n), cfg.tolerance),
         _check("general-agreement", skew_agreement_deviation(basis, coeffs, m, n), cfg.tolerance),
     ]
-    rng = np.random.default_rng(cfg.seed)
-    worst = 0.0
-    for _ in range(20):
-        bmat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        cmat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        worst = max(worst, max_abs_diff(skew_transpose(bmat, cmat), transpose(cmat @ bmat)))
+    d = np.random.default_rng(cfg.seed).normal(size=(20, 4, 2, 2))  # per pair: re b, im b, re c, im c
+    b, c = d[:, 0] + 1j * d[:, 1], d[:, 2] + 1j * d[:, 3]
+    worst = max_abs_diff(skew_transpose(b, c), transpose(c @ b))
     results.append(_check("definition-on-random-pairs", worst, cfg.tolerance, pairs=20))
     return results
 
@@ -305,7 +303,7 @@ def _cmd_solve(cfg: argparse.Namespace) -> list[dict]:
             {
                 "label": f"class-{sol.class_id}",
                 "pattern": pattern,
-                "mu": {f"{i}{j}": _fmt_complex(mu_here.mu[(i, j)]) for i, j in BIT_PAIRS},
+                "mu": {f"{i}{j}": _fmt_complex(mu_here.mu[k]) for k, (i, j) in enumerate(BIT_PAIRS)},
                 "constraint-residual": _fmt(worst),
                 "completeness-residual": _fmt(completeness),
                 "printed-form": form,

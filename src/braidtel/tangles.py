@@ -7,6 +7,11 @@ constraints for the concrete basis, for arbitrary orthonormal bases with a
 spectral eigenvalue assignment, and for a general 16-coefficient gate; it
 also solves the Pauli-basis eigenvalue system by sign-pattern enumeration
 and rebuilds the resulting projector/gate pairs.
+
+Every per-bit-pair table is a stacked array indexed 2i + j, in BIT_PAIRS
+order: the basis gates U_ij, the eigenvalues mu_ij, the rows and columns
+of the 4x4 coefficient matrix, and the factor tables of the constraints.
+Only the residual tables that the evaluators return are keyed by bit pair.
 """
 
 from __future__ import annotations
@@ -14,9 +19,7 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
-from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,29 +36,38 @@ from .linalg import (
     outer,
     transpose,
 )
-from .gates import B_EIGENVALUES, bell_state, m_gate, pauli_w, state_with_gate
-from .teleport import BIT_PAIRS, _bell_like_corrections, _bell_like_kets, _flow_residual, probe_states
+from .gates import B_EIGENVALUES, bell_state, m_gate, state_with_gate
+from .teleport import BIT_PAIRS, _bell_like_corrections, _bell_like_kets, _flow_residual, _pauli_table, probe_states
 
 CONSTRAINT_IDS = (1, 2, 3, 4)
+
+
+def _stack(values, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """values as a read-only complex copy, or ValueError unless it has the given shape."""
+    a = np.array(values, dtype=complex)
+    if a.shape != shape:
+        raise ValueError(f"{name} must be a {'x'.join(map(str, shape))} stack, got shape {a.shape}")
+    return frozen(a)
 
 
 @dataclass(frozen=True, eq=False)
 class UnitaryBasis:
     """Four one-qubit gates labelling an orthonormal Bell-like basis.
 
-    Orthonormality means (1/2) tr(U_ab^dag U_cd) = delta delta; it makes
-    the four states (1 x U_ij)|Psi> an orthonormal two-qubit basis.
+    u[2i + j] is U_ij.  Orthonormality means (1/2) tr(U_ab^dag U_cd) =
+    delta delta; it makes the four states (1 x U_ij)|Psi>, the rows of
+    states, an orthonormal two-qubit basis.
     """
 
-    u: Mapping[tuple[int, int], np.ndarray]
+    u: np.ndarray
+    states: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        missing = [p for p in BIT_PAIRS if p not in self.u]
-        if missing:
-            raise ValueError(f"basis is missing entries {missing}")
+        object.__setattr__(self, "u", _stack(self.u, (4, 2, 2), "basis"))
         res = self.orthonormality_residual()
         if res > DEFAULT_TOL:
             raise ValueError(f"basis is not orthonormal, residual {res:.3e}")
+        object.__setattr__(self, "states", frozen(state_with_gate(self.u)))
 
     @classmethod
     def pauli(cls) -> "UnitaryBasis":
@@ -64,96 +76,50 @@ class UnitaryBasis:
 
     @classmethod
     def bell_like(cls, phi: float) -> "UnitaryBasis":
-        return cls({(i, j): m_gate(i, j, phi) for i, j in BIT_PAIRS})
-
-    def state(self, i: int, j: int) -> np.ndarray:
-        return state_with_gate(self.u[(i, j)])
+        return cls([m_gate(i, j, phi) for i, j in BIT_PAIRS])
 
     def orthonormality_residual(self) -> float:
-        u = np.stack([np.asarray(self.u[p], dtype=complex) for p in BIT_PAIRS])
-        gram = 0.5 * np.einsum("bji,aji->ab", conj(u), u)  # (1/2) tr(U_b^dag U_a)
+        gram = 0.5 * np.einsum("bji,aji->ab", conj(self.u), self.u)  # (1/2) tr(U_b^dag U_a)
         return max_abs_diff(gram, identity(4))
 
 
 @dataclass(frozen=True, eq=False)
 class EigenAssignment:
-    """Eigenvalues, one per basis label, for a spectral-sum gate."""
+    """Eigenvalues mu[2i + j] = mu_ij, one per basis label, for a spectral-sum gate."""
 
-    mu: Mapping[tuple[int, int], complex]
+    mu: np.ndarray
 
     def __post_init__(self):
-        missing = [p for p in BIT_PAIRS if p not in self.mu]
-        if missing:
-            raise ValueError(f"assignment is missing entries {missing}")
+        object.__setattr__(self, "mu", _stack(self.mu, (4,), "assignment"))
 
     def unimodularity_residual(self) -> float:
-        return max(abs(abs(self.mu[p]) - 1.0) for p in BIT_PAIRS)
-
-    def values(self) -> tuple[complex, ...]:
-        return tuple(complex(self.mu[p]) for p in BIT_PAIRS)
+        return float(np.abs(np.abs(self.mu) - 1.0).max())
 
 
 @functools.lru_cache(maxsize=None)
 def _pauli_basis() -> UnitaryBasis:
-    return UnitaryBasis(MappingProxyType({(i, j): frozen(pauli_w(i, j)) for i, j in BIT_PAIRS}))
-
-
-def _states(basis: UnitaryBasis) -> np.ndarray:
-    return np.stack([basis.state(*p) for p in BIT_PAIRS])
-
-
-@functools.lru_cache(maxsize=None)
-def _pauli_states() -> np.ndarray:
-    """The four states of the shared Pauli basis as rows, once per process and read-only."""
-    return frozen(_states(_pauli_basis()))
-
-
-def _as_mu(assignment) -> dict[tuple[int, int], complex]:
-    if isinstance(assignment, EigenAssignment):
-        return {p: complex(assignment.mu[p]) for p in BIT_PAIRS}
-    return {p: complex(assignment[p]) for p in BIT_PAIRS}
+    return UnitaryBasis(_pauli_table())
 
 
 @dataclass(frozen=True, eq=False)
 class GateCoefficients:
     """16 coefficients of a two-qubit gate expanded over a Bell-like basis.
 
-    g maps ((i,j),(k,l)) to the coefficient of |Psi_ij><Psi_kl|.
+    g[2i + j, 2k + l] is the coefficient of |Psi_ij><Psi_kl|.
     """
 
-    g: Mapping[tuple[tuple[int, int], tuple[int, int]], complex]
+    g: np.ndarray
 
     def __post_init__(self):
-        missing = [
-            (a, b) for a in BIT_PAIRS for b in BIT_PAIRS if (a, b) not in self.g
-        ]
-        if missing:
-            raise ValueError(f"coefficients are missing entries {missing[:4]}...")
+        object.__setattr__(self, "g", _stack(self.g, (4, 4), "coefficients"))
 
     @classmethod
-    def diagonal(cls, assignment) -> "GateCoefficients":
-        mu = _as_mu(assignment)
-        return cls({(a, b): mu[a] if a == b else 0.0 for a in BIT_PAIRS for b in BIT_PAIRS})
-
-    @classmethod
-    def from_matrix(cls, mat4: np.ndarray) -> "GateCoefficients":
-        """Read coefficients off a 4x4 array indexed by flattened bit pairs."""
-        mat4 = np.asarray(mat4, dtype=complex)
-        if mat4.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 coefficient array, got shape {mat4.shape}")
-        return cls({
-            (a, b): complex(mat4[2 * a[0] + a[1], 2 * b[0] + b[1]])
-            for a in BIT_PAIRS for b in BIT_PAIRS
-        })
-
-    def matrix(self) -> np.ndarray:
-        """The 4x4 array from_matrix reads, indexed by flattened bit pairs."""
-        return np.array([[self.g[(a, b)] for b in BIT_PAIRS] for a in BIT_PAIRS], dtype=complex)
+    def diagonal(cls, assignment: EigenAssignment) -> "GateCoefficients":
+        return cls(np.diag(assignment.mu))
 
     def assemble(self, basis: UnitaryBasis) -> np.ndarray:
         """sum g_ab |Psi_a><Psi_b|, as S^T G conj(S) with the states as rows of S."""
-        states = _pauli_states() if basis is _pauli_basis() else _states(basis)
-        return transpose(states) @ self.matrix() @ conj(states)
+        return transpose(basis.states) @ self.g @ conj(basis.states)
 
     def is_gate(self, basis: UnitaryBasis, tol: float = DEFAULT_TOL) -> bool:
         return is_unitary(self.assemble(basis), tol)
@@ -162,7 +128,7 @@ class GateCoefficients:
 def _constraint_table(g: np.ndarray, forms, scale: float = 0.5):
     """Residuals of the four quadratic constraints for a coefficient matrix.
 
-    g is the 4x4 coefficient matrix (GateCoefficients.matrix) and forms the
+    g is the 4x4 coefficient matrix (GateCoefficients.g) and forms the
     stacked tables (left, mid, right, rhs), each of shape (4 constraints,
     4 pairs, 2, 2).  At constraint e and free index a the constraint is
     scale sum_{b,c,d} g[a,b] g[c,d] left[e,c] mid[e,b] right[e,d] = rhs[e,a],
@@ -190,22 +156,16 @@ def _chain_forms(a, b, c, d):
     return np.stack((a, b, a, b)), mid, np.stack((c, d, c, d)), mid
 
 
-def _stacked_basis(basis: UnitaryBasis, m: int, n: int):
-    """The basis gates as one (4, 2, 2) array, and U_mn."""
-    u = np.stack([np.asarray(basis.u[p], dtype=complex) for p in BIT_PAIRS])
-    return u, u[2 * m + n]
-
-
 def _u_forms(basis: UnitaryBasis, m: int, n: int):
     """The constraints in the U_ab notation, each factor pair multiplied out."""
-    u, umn = _stacked_basis(basis, m, n)
+    u, umn = basis.u, basis.u[2 * m + n]
     return _chain_forms(dagger(umn) @ u, conj(umn) @ transpose(u),
                         dagger(u) @ umn, conj(u) @ transpose(umn))
 
 
 def _o_forms(basis: UnitaryBasis, m: int, n: int):
     """The same constraints through O_ab = U_mn^dag U_ab and its skew-transpose."""
-    u, umn = _stacked_basis(basis, m, n)
+    u, umn = basis.u, basis.u[2 * m + n]
     o = dagger(umn) @ u
     ost = skew_transpose(dagger(umn), u)
     return _chain_forms(o, ost, dagger(o), dagger(ost))
@@ -217,14 +177,14 @@ def _pauli_forms(m: int, n: int):
     return tuple(frozen(t) for t in _u_forms(UnitaryBasis.pauli(), m, n))
 
 
-def concrete_constraint_residuals(phi: float, lambdas=None):
+def concrete_constraint_residuals(phi: float, lambdas: EigenAssignment | None = None):
     """Residuals of the four quadratic constraints for the concrete basis.
 
     Uses the phase-angle basis gates and the braid-gate eigenvalues; the
     lambdas override exists so a broken premise can be fed in on purpose.
     Returns {constraint id: {(i,j): max-entry residual}}.
     """
-    lam = dict(B_EIGENVALUES if lambdas is None else lambdas)
+    lam = EigenAssignment([B_EIGENVALUES[p] for p in BIT_PAIRS]) if lambdas is None else lambdas
     m = np.stack([m_gate(*p, phi) for p in BIT_PAIRS])
     m00 = m[0]
     mt, mc, md = transpose(m), conj(m), dagger(m)
@@ -234,7 +194,7 @@ def concrete_constraint_residuals(phi: float, lambdas=None):
         np.stack((md, mc, md, mc)),
         2.0 * np.stack((m00 @ mc, transpose(m00) @ md, mt @ dagger(m00), m @ conj(m00))),
     )
-    return _constraint_table(GateCoefficients.diagonal(lam).matrix(), forms, scale=1.0)
+    return _constraint_table(GateCoefficients.diagonal(lam).g, forms, scale=1.0)
 
 
 def projector_teleportation_residuals(phi: float, seed: int = 42) -> dict[int, float]:
@@ -257,7 +217,7 @@ def projector_teleportation_residuals(phi: float, seed: int = 42) -> dict[int, f
     return dict(zip(CONSTRAINT_IDS, values))
 
 
-def spectral_constraint_residuals(basis: UnitaryBasis, assignment, m: int, n: int):
+def spectral_constraint_residuals(basis: UnitaryBasis, assignment: EigenAssignment, m: int, n: int):
     """Constraint residuals for a spectral-sum gate over an arbitrary basis.
 
     The gate is sum mu_ij |Psi_ij><Psi_ij| and the projector singles out
@@ -274,7 +234,7 @@ def general_constraint_residuals(coeffs: GateCoefficients, basis: UnitaryBasis,
     index is the first one.  Returns {constraint id: {(i1,j1): residual}}.
     """
     forms = _pauli_forms(m, n) if basis is _pauli_basis() else _u_forms(basis, m, n)
-    return _constraint_table(coeffs.matrix(), forms)
+    return _constraint_table(coeffs.g, forms)
 
 
 def skew_transpose(b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -288,24 +248,23 @@ def skew_agreement_deviation(basis: UnitaryBasis, assignment_or_coeffs,
     coeffs = assignment_or_coeffs
     if not isinstance(coeffs, GateCoefficients):
         coeffs = GateCoefficients.diagonal(coeffs)
-    g = coeffs.matrix()
-    original = _constraint_table(g, _u_forms(basis, m, n))
-    simplified = _constraint_table(g, _o_forms(basis, m, n))
+    original = _constraint_table(coeffs.g, _u_forms(basis, m, n))
+    simplified = _constraint_table(coeffs.g, _o_forms(basis, m, n))
     return max(abs(original[c][p] - simplified[c][p]) for c in CONSTRAINT_IDS for p in BIT_PAIRS)
 
 
-def eigenvalue_sum(assignment, m: int, n: int) -> complex:
+def eigenvalue_sum(assignment: EigenAssignment, m: int, n: int) -> complex:
     """(1/2) mu_mn sum_kl mu_kl; equals 1 whenever the constraints hold."""
-    mu = _as_mu(assignment)
-    return 0.5 * mu[(m, n)] * sum(mu[p] for p in BIT_PAIRS)
+    mu = assignment.mu.tolist()
+    return 0.5 * mu[2 * m + n] * sum(mu)
 
 
-def scalar_system_residual(assignment, m: int, n: int) -> float:
+def scalar_system_residual(assignment: EigenAssignment, m: int, n: int) -> float:
     """Residual of the scalar eigenvalue system sum mu mu (sign) = 2."""
-    mu = _as_mu(assignment)
+    mu = assignment.mu.tolist()
     worst = 0.0
-    for ij, row in zip(BIT_PAIRS, _pauli_signs(m, n).tolist()):
-        total = sum(mu[ij] * mu[kl] * sign for kl, sign in zip(BIT_PAIRS, row))
+    for mu_p, row in zip(mu, _pauli_signs(m, n).tolist()):
+        total = sum(mu_p * mu_q * sign for mu_q, sign in zip(mu, row))
         worst = max(worst, abs(total - 2.0))
     return float(worst)
 
@@ -324,10 +283,7 @@ class SolutionClass:
     pattern: tuple[tuple[int, int], ...]
 
     def mu_of_phi(self, phi: float) -> EigenAssignment:
-        table = {}
-        for (s, f), p in zip(self.pattern, BIT_PAIRS):
-            table[p] = s * cmath.exp(1j * f * phi)
-        return EigenAssignment(table)
+        return EigenAssignment([s * cmath.exp(1j * f * phi) for s, f in self.pattern])
 
     def describe(self) -> str:
         bits = []
@@ -386,7 +342,7 @@ def _solved_classes(m: int, n: int, tol: float) -> tuple[SolutionClass, ...]:
     passed = (_pattern_residuals(m, n) <= tol).all(axis=1)
     unique = {}  # survivors keyed by their rounded mu at _DEDUP_PHI
     for pattern in itertools.compress(_PATTERNS, passed):
-        mu = SolutionClass(0, (m, n), (-1) ** n, pattern).mu_of_phi(_DEDUP_PHI).values()
+        mu = SolutionClass(0, (m, n), (-1) ** n, pattern).mu_of_phi(_DEDUP_PHI).mu.tolist()
         unique.setdefault(tuple(round(x, 12) for v in mu for x in (v.real, v.imag)), pattern)
     ordered = sorted(unique.items(), reverse=True)
     return tuple(SolutionClass(idx, (m, n), (-1) ** n, pattern)
@@ -490,9 +446,9 @@ def build_representation(solution: SolutionClass, phi: float,
         raise AssertionError("projector deviates from its closed form")
     mu = solution.mu_of_phi(phi)
     u4 = np.zeros((4, 4), dtype=complex)
-    for p in BIT_PAIRS:
+    for mu_p, p in zip(mu.mu.tolist(), BIT_PAIRS):
         b = bell_state(*p)
-        u4 += mu.mu[p] * outer(b, b)
+        u4 += mu_p * outer(b, b)
     forms = printed_gate_forms(m, n, phi)
     if all(max_abs_diff(u4, f) > STRICT_TOL for f in forms.values()):
         raise AssertionError("gate deviates from every printed closed form")

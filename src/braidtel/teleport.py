@@ -339,11 +339,6 @@ def u_gate(i: int, j: int, table: PhaseTable) -> np.ndarray:
     return phase * mul(dagger(r), z_pow(i + 1), x_pow(j + 1), H, dagger(r))
 
 
-def w_braid_correction(i: int, j: int, k: int, l: int, table: PhaseTable) -> np.ndarray:
-    """W_{i,j,k,l} = V_kl U^T_ij, the correction in the braid protocol."""
-    return v_gate(k, l, table) @ transpose(u_gate(i, j, table))
-
-
 def w_braid_closed_form(i: int, j: int, k: int, l: int, table: PhaseTable) -> np.ndarray:
     """Closed form (-1)^{l(k+j+1)} e^{i(aB - aBd)} R X^{j+k+1} Z^{i+l+1} R^dag."""
     r = phase_shift(table.phi)

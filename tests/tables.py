@@ -2,7 +2,9 @@
 
 import numpy as np
 
+from braidtel.linalg import transpose
 from braidtel.tangles import GateCoefficients, _pauli_signs
+from braidtel.teleport import PhaseTable, u_gate, v_gate
 
 
 def table_max(table) -> float:
@@ -25,4 +27,9 @@ def random_gate_coefficients(rng: np.random.Generator) -> GateCoefficients:
     z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     q, r = np.linalg.qr(z)
     q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-    return GateCoefficients.from_matrix(q)
+    return GateCoefficients(q)
+
+
+def w_braid_correction(i: int, j: int, k: int, l: int, table: PhaseTable) -> np.ndarray:
+    """W_{i,j,k,l} = V_kl U^T_ij, the correction in the braid protocol, one entry at a time."""
+    return v_gate(k, l, table) @ transpose(u_gate(i, j, table))

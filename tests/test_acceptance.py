@@ -243,7 +243,7 @@ def test_criterion_11_skew_transpose_forms():
             coeffs = GateCoefficients.diagonal(mu)
             ok = ok and skew_agreement_deviation(basis, coeffs, m, n) <= 1e-12
     rotated = UnitaryBasis.bell_like(0.4)
-    lam = EigenAssignment(dict(B_EIGENVALUES))
+    lam = EigenAssignment([B_EIGENVALUES[p] for p in BIT_PAIRS])
     ok = ok and skew_agreement_deviation(rotated, lam, 0, 0) <= 1e-12
     rng = np.random.default_rng(1100)
     for _ in range(20):

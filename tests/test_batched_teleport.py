@@ -20,6 +20,7 @@ from braidtel.gates import EPR, _b0, elementary
 from braidtel.linalg import basis_ket, conj, dagger, fidelity, identity, kron, mul
 from braidtel.teleport import BIT_PAIRS, teleport_bell_like, teleport_standard, teleport_with_yb
 from registers import double_input
+from tables import w_braid_correction
 
 VARIANTS = cli.TELEPORT_VARIANTS
 BITS = {"standard": 0, "bell-like": 0, "yang-baxter": 2, "gate": 2, "two-qubit": 4}
@@ -206,7 +207,7 @@ def test_kernel_checks_that_every_row_sums_to_one():
 def test_braid_table_is_the_per_entry_product_bit_for_bit():
     for phi in np.linspace(-3.1, 3.1, 41):
         phi = float(phi)
-        per_entry = teleport._correction_table(teleport.w_braid_correction, teleport.phase_table(phi))
+        per_entry = teleport._correction_table(w_braid_correction, teleport.phase_table(phi))
         assert np.array_equal(teleport._braid_protocol(phi)[1], per_entry), phi
 
 

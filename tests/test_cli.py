@@ -8,6 +8,8 @@ import pytest
 from braidtel import cli
 from braidtel.algebra import RelationReport
 from braidtel.cli import _fmt, build_parser, main
+from braidtel.linalg import max_abs_diff, transpose
+from braidtel.tangles import skew_transpose
 
 
 def run_cli(capsys, *argv):
@@ -290,3 +292,29 @@ def test_text_report_writes_a_missing_worst_relation_as_json_does(capsys):
     assert [line.split("]")[1].split()[0] for line in empty] == ["Braid", "Tangle"]
     assert all(line.endswith("worst=null") for line in empty)
     assert "None" not in out
+
+
+def _loop_random_pair_residual(seed: int) -> float:
+    """The per-pair loop that verify skew-transpose ran before its one stacked draw, kept as its oracle."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(20):
+        bmat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        cmat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        worst = max(worst, max_abs_diff(skew_transpose(bmat, cmat), transpose(cmat @ bmat)))
+    return worst
+
+
+def test_random_pairs_of_skew_transpose_are_the_per_pair_loop_bit_for_bit(monkeypatch, capsys):
+    seen = []
+    real = cli._check
+    monkeypatch.setattr(cli, "_check", lambda label, residual, tol, **extra:
+                        seen.append((label, residual)) or real(label, residual, tol, **extra))
+    seeds = (*range(60), 12345, 999999)
+    for seed in seeds:
+        assert main(["verify", "skew-transpose", "--seed", str(seed), "--format", "json"]) == 0
+    capsys.readouterr()
+    drawn = [residual for label, residual in seen if label == "definition-on-random-pairs"]
+    looped = [_loop_random_pair_residual(seed) for seed in seeds]
+    assert drawn == looped
+    assert min(looped) > 0.0

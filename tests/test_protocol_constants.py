@@ -17,8 +17,9 @@ from braidtel import algebra, cli, entanglement, gate_teleport, gates, tangles, 
 from braidtel.gate_teleport import teleport_single_gate, teleport_two_qubit
 from braidtel.gates import H
 from braidtel.linalg import basis_ket, kron
-from braidtel.teleport import BIT_PAIRS, phase_table, teleport_bell_like, teleport_with_yb, w_braid_correction
+from braidtel.teleport import BIT_PAIRS, phase_table, teleport_bell_like, teleport_with_yb
 from registers import double_input
+from tables import w_braid_correction
 from test_golden import CASES, GOLDEN_DIR, golden_name
 
 
@@ -93,7 +94,6 @@ def test_cache_scan_finds_the_protocol_caches():
         gate_teleport._double_layers,
         algebra._brauer_operators,
         tangles._pauli_basis,
-        tangles._pauli_states,
         cli._solve_rows,
         cli._fixed_analysis,
     }
@@ -120,8 +120,8 @@ def test_cache_scan_finds_the_protocol_caches():
         lambda: gate_teleport._kl_tables()[1],
         gate_teleport._qp_table,
         *(lambda k=k: algebra._brauer_operators()[k] for k in range(7)),
-        *(lambda p=p: tangles.UnitaryBasis.pauli().u[p] for p in BIT_PAIRS),
-        tangles._pauli_states,
+        *(lambda k=k: tangles.UnitaryBasis.pauli().u[k] for k in range(4)),
+        lambda: tangles.UnitaryBasis.pauli().states,
     ],
     ids=["bell", "product", "bell-like", "braid-op", "braid-w", "b0", "b0-front", "b0-back", "double",
          "double-middle", "bell-like-front", "bell-like-mirror", "pauli", "k", "l", "qp",
@@ -186,8 +186,8 @@ def test_a_wrong_closed_form_phase_fails_the_rebuild_check(cold_caches, monkeypa
 
 @pytest.mark.parametrize(
     "mapping",
-    [lambda: tangles.UnitaryBasis.pauli().u, lambda: cli._fixed_analysis("B0")[2]],
-    ids=["pauli-basis", "b0-conjugation"],
+    [lambda: cli._fixed_analysis("B0")[2]],
+    ids=["b0-conjugation"],
 )
 def test_cached_mappings_are_read_only(mapping):
     table = mapping()
@@ -199,13 +199,13 @@ def test_cached_mappings_are_read_only(mapping):
 def test_the_pauli_basis_is_built_once_and_keeps_the_general_residuals():
     basis = tangles.UnitaryBasis.pauli()
     assert basis is tangles.UnitaryBasis.pauli()
-    fresh = tangles.UnitaryBasis({p: gates.pauli_w(*p) for p in BIT_PAIRS})
-    coeffs = tangles.GateCoefficients.from_matrix(np.random.default_rng(5).normal(size=(4, 4)) + 0.5j)
+    fresh = tangles.UnitaryBasis([gates.pauli_w(*p) for p in BIT_PAIRS])
+    coeffs = tangles.GateCoefficients(np.random.default_rng(5).normal(size=(4, 4)) + 0.5j)
     for m, n in BIT_PAIRS:
         assert tangles.general_constraint_residuals(coeffs, basis, m, n) == \
             tangles.general_constraint_residuals(coeffs, fresh, m, n)
     assert np.array_equal(coeffs.assemble(basis), coeffs.assemble(fresh))
-    assert np.array_equal(tangles._pauli_states(), np.stack([fresh.state(*p) for p in BIT_PAIRS]))
+    assert np.array_equal(basis.states, fresh.states)
 
 
 # Reports at other phi, gates, index pairs and classes, run before a golden case in the warm variant.
@@ -277,5 +277,5 @@ def test_importing_the_cli_fills_no_cache():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True, timeout=60)
     sizes = dict(line.rsplit(" ", 1) for line in done.stdout.splitlines())
     assert {"braidtel.cli._solve_rows", "braidtel.cli._fixed_analysis", "braidtel.cli._grammar",
-            "braidtel.tangles._pauli_basis", "braidtel.tangles._pauli_states"} <= set(sizes)
+            "braidtel.tangles._pauli_basis"} <= set(sizes)
     assert {name: size for name, size in sizes.items() if size != "0"} == {}

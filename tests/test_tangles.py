@@ -8,7 +8,7 @@ import pytest
 
 from braidtel import tangles
 from braidtel.algebra import check_all, derive_params
-from braidtel.gates import B_EIGENVALUES, m_gate, yb_gate
+from braidtel.gates import B_EIGENVALUES, m_gate, state_with_gate, yb_gate
 from braidtel.cli import main
 from braidtel.linalg import DEFAULT_TOL, STRICT_TOL, conj, dagger, is_unitary, max_abs_diff, mul, transpose
 from braidtel.tangles import (
@@ -31,7 +31,7 @@ from braidtel.tangles import (
     solve_pauli_eigenvalues,
     spectral_constraint_residuals,
 )
-from braidtel.teleport import BIT_PAIRS
+from braidtel.teleport import BIT_PAIRS, _pauli_table
 from tables import pauli_scalar_coefficient, random_gate_coefficients, table_max
 
 # sign/frequency patterns printed for the (0,0) system, in solver order
@@ -45,9 +45,11 @@ PRINTED_CLASSES = (
 def _loop_table(g, forms, scale=0.5):
     """The per-pair loop the stacked evaluator replaced, kept as its oracle.
 
-    forms maps each constraint to (left, mid, right, rhs) dicts over bit
-    pairs; the first three hold factor tuples.
+    g is the stacked 4x4 coefficient matrix and forms maps each constraint
+    to (left, mid, right, rhs) dicts over bit pairs; the first three hold
+    factor tuples.
     """
+    g = dict(zip(itertools.product(BIT_PAIRS, repeat=2), np.asarray(g).ravel().tolist()))
     terms = [(a, b, g[(a, b)]) for a, b in itertools.product(BIT_PAIRS, repeat=2) if g[(a, b)] != 0]
     table = {}
     for c, (left, mid, right, rhs) in forms.items():
@@ -64,7 +66,7 @@ def _loop_table(g, forms, scale=0.5):
 
 def _loop_u_forms(basis, m, n):
     """The four constraints in U_ab notation, as per-pair factor tuples."""
-    u = basis.u
+    u = dict(zip(BIT_PAIRS, basis.u))
     umn = u[(m, n)]
     a = {p: (dagger(umn), u[p]) for p in BIT_PAIRS}
     b = {p: (conj(umn), transpose(u[p])) for p in BIT_PAIRS}
@@ -84,9 +86,10 @@ def _loop_chain(a, b, c, d):
 
 def _loop_o_forms(basis, m, n):
     """The same constraints through O_ab = U_mn^dag U_ab and its skew-transpose."""
-    umn = basis.u[(m, n)]
-    o = {p: dagger(umn) @ basis.u[p] for p in BIT_PAIRS}
-    ost = {p: skew_transpose(dagger(umn), basis.u[p]) for p in BIT_PAIRS}
+    u = dict(zip(BIT_PAIRS, basis.u))
+    umn = u[(m, n)]
+    o = {p: dagger(umn) @ u[p] for p in BIT_PAIRS}
+    ost = {p: skew_transpose(dagger(umn), u[p]) for p in BIT_PAIRS}
     a = {p: (o[p],) for p in BIT_PAIRS}
     b = {p: (ost[p],) for p in BIT_PAIRS}
     c = {p: (dagger(o[p]),) for p in BIT_PAIRS}
@@ -139,19 +142,50 @@ def test_bell_like_basis_orthonormal(phi):
 
 
 def test_degenerate_basis_is_rejected():
-    same = {p: np.eye(2, dtype=complex) for p in BIT_PAIRS}
+    same = [np.eye(2, dtype=complex) for _ in BIT_PAIRS]
     with pytest.raises(ValueError):
         UnitaryBasis(same)
 
 
-def test_assignment_requires_all_pairs():
-    with pytest.raises(ValueError):
-        EigenAssignment({(0, 0): 1.0})
+@pytest.mark.parametrize(
+    "build, shape",
+    [(UnitaryBasis, (4, 2)), (UnitaryBasis, (3, 2, 2)), (UnitaryBasis, (4, 4)), (UnitaryBasis, (1, 4, 2, 2)),
+     (EigenAssignment, ()), (EigenAssignment, (3,)), (EigenAssignment, (4, 1)), (EigenAssignment, (2, 2)),
+     (GateCoefficients, (16,)), (GateCoefficients, (4, 4, 1))],
+    ids=lambda x: x.__name__ if isinstance(x, type) else "x".join(map(str, x)) or "scalar",
+)
+def test_containers_reject_a_wrong_shape(build, shape):
+    with pytest.raises(ValueError, match="stack, got shape"):
+        build(np.ones(shape))
+
+
+def test_container_stacks_are_read_only_copies():
+    u = np.stack([m_gate(*p, 0.3) for p in BIT_PAIRS])
+    mu, g = np.array([B_EIGENVALUES[p] for p in BIT_PAIRS]), np.diag(np.arange(4.0) + 1j)
+    basis, assignment, coeffs = UnitaryBasis(u), EigenAssignment(mu), GateCoefficients(g)
+    kept = [a.copy() for a in (basis.u, basis.states, assignment.mu, coeffs.g)]
+    for given in (u, mu, g):
+        given[(0,) * given.ndim] = 7.0
+    for array, want in zip((basis.u, basis.states, assignment.mu, coeffs.g), kept):
+        assert np.array_equal(array, want)
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 0
+    assert (basis.u.shape, basis.states.shape, assignment.mu.shape, coeffs.g.shape) == ((4, 2, 2), (4, 4), (4,), (4, 4))
+
+
+@pytest.mark.parametrize("basis", [UnitaryBasis.pauli(), UnitaryBasis.bell_like(0.3)], ids=["pauli", "bell-like-0.3"])
+def test_states_are_the_basis_gates_on_the_epr_pair(basis):
+    for k, p in enumerate(BIT_PAIRS):
+        assert np.array_equal(basis.states[k], state_with_gate(basis.u[k])), p
+
+
+def test_the_pauli_basis_is_the_standard_protocols_correction_table():
+    assert np.array_equal(UnitaryBasis.pauli().u, _pauli_table())
 
 
 def test_assignment_unimodularity_residual():
-    good = EigenAssignment({p: cmath.exp(1j * 0.3) for p in BIT_PAIRS})
-    off = EigenAssignment({p: 2.0 for p in BIT_PAIRS})
+    good = EigenAssignment([cmath.exp(1j * 0.3) for _ in BIT_PAIRS])
+    off = EigenAssignment([2.0 for _ in BIT_PAIRS])
     assert good.unimodularity_residual() < 1e-15
     assert off.unimodularity_residual() == pytest.approx(1.0)
 
@@ -255,7 +289,7 @@ def test_scalar_coefficients_at_origin(i, j, k, l):
 
 def test_braid_eigenvalues_satisfy_bell_like_system():
     basis = UnitaryBasis.bell_like(0.4)
-    mu = EigenAssignment(dict(B_EIGENVALUES))
+    mu = EigenAssignment([B_EIGENVALUES[p] for p in BIT_PAIRS])
     assert table_max(spectral_constraint_residuals(basis, mu, 0, 0)) < 1e-12
     assert abs(eigenvalue_sum(mu, 0, 0) - 1) < 1e-12
 
@@ -272,7 +306,7 @@ def test_diagonal_coefficients_reduce_to_spectral(pauli_basis):
 
 def test_braid_gate_as_general_coefficients():
     basis = UnitaryBasis.bell_like(0.4)
-    coeffs = GateCoefficients.diagonal(EigenAssignment(dict(B_EIGENVALUES)))
+    coeffs = GateCoefficients.diagonal(EigenAssignment([B_EIGENVALUES[p] for p in BIT_PAIRS]))
     assert coeffs.is_gate(basis)
     assert max_abs_diff(coeffs.assemble(basis), yb_gate(0.4)) < 1e-12
     assert table_max(general_constraint_residuals(coeffs, basis, 0, 0)) < 1e-12
@@ -285,15 +319,10 @@ def test_generic_coefficients_fail_the_system(pauli_basis):
     assert table_max(general_constraint_residuals(coeffs, pauli_basis, 0, 0)) > 0.5
 
 
-def test_coefficient_table_must_be_complete():
-    with pytest.raises(ValueError):
-        GateCoefficients({((0, 0), (0, 0)): 1.0})
-
-
 @pytest.mark.parametrize("shape", [(5, 5), (3, 3), (4,), (4, 2), (2, 4, 4)])
 def test_coefficient_matrix_must_be_4x4(shape):
     with pytest.raises(ValueError, match="4x4"):
-        GateCoefficients.from_matrix(np.ones(shape))
+        GateCoefficients(np.ones(shape))
 
 
 def test_skew_transpose_keeps_order():
@@ -331,8 +360,8 @@ def test_stacked_evaluator_matches_the_loop(basis, m, n):
 @pytest.mark.parametrize("phi", [0.0, 0.3, -2.1])
 def test_stacked_concrete_evaluator_matches_the_loop(phi):
     rng = np.random.default_rng(11)
-    lambdas = {p: cmath.exp(1j * rng.uniform(-np.pi, np.pi)) for p in BIT_PAIRS}
-    for lam in (dict(B_EIGENVALUES), lambdas):
+    lambdas = EigenAssignment([cmath.exp(1j * rng.uniform(-np.pi, np.pi)) for p in BIT_PAIRS])
+    for lam in (EigenAssignment([B_EIGENVALUES[p] for p in BIT_PAIRS]), lambdas):
         oracle = _loop_table(GateCoefficients.diagonal(lam).g, _loop_concrete_forms(phi), scale=1.0)
         assert _table_gap(concrete_constraint_residuals(phi, lambdas=lam), oracle) <= 1e-15
     assert table_max(oracle) > 0.1

@@ -22,8 +22,8 @@ from braidtel.teleport import (
     u_gate,
     v_gate,
     w_braid_closed_form,
-    w_braid_correction,
 )
+from tables import w_braid_correction
 
 
 def test_probe_states_cover_pauli_eigenbasis():
