@@ -48,7 +48,6 @@ from .tangles import (
     EigenAssignment,
     GateCoefficients,
     SolutionClass,
-    UnitaryBasis,
     build_representation,
     matched_form,
     skew_transpose,
@@ -56,6 +55,7 @@ from .tangles import (
 )
 from .teleport import (
     MeasurementOutcome,
+    UnitaryBasis,
     check_teleportation_identity,
     teleport_bell_like,
     teleport_standard,

@@ -31,7 +31,6 @@ from .linalg import (
     kron,
     max_abs_diff,
     mul,
-    transpose,
 )
 from .gates import I2, X, Y, Z, H, _b0, _check_bits, t_gate, pauli_w, x_pow, z_pow
 from .teleport import (
@@ -40,8 +39,7 @@ from .teleport import (
     _one,
     _one_qubit,
     _product_kets,
-    _resource_residual,
-    _worst_norm,
+    _protocol_residual,
     probe_states,
     random_ket,
 )
@@ -196,10 +194,10 @@ def b0_forward_residual(seed: int = 42) -> float:
     """Worst 2-norm of the forward protocol identity's residual over probes.
 
     Checks (B_0 x 1)(1 x B_0)|alpha>|kl> against the Pauli-corrected sum
-    (1/2) sum_ij |ij> (x) K_{i,j,k,l}|alpha> for every resource pair.
+    (1/2) sum_ij |ij> (x) K_{i,j,k,l}|alpha> for every resource pair: gate
+    teleportation of the identity.
     """
-    front, back = _b0_layers()
-    return _resource_residual(mul(front, back), _kl_tables()[0], probe_states(seed))
+    return _protocol_residual(_gate_protocol(I2), I2, probe_states(seed))
 
 
 def b0_reverse_residual(seed: int = 42) -> float:
@@ -207,9 +205,12 @@ def b0_reverse_residual(seed: int = 42) -> float:
 
     Here the unknown state enters on the right:
     (1 x B_0)(B_0 x 1)|kl>|alpha> = (1/2) sum_ij L_{i,j,k,l}|alpha> (x) |ij>.
+    Read with the qubits of its input and of its output rotated |a k l> -> |k l a>,
+    the operator takes alpha in front and leaves |ij> in front, as a protocol does.
     """
     front, back = _b0_layers()
-    return _resource_residual(mul(back, front), _kl_tables()[1], probe_states(seed), front=False)
+    rotated = mul(back, front).reshape((2,) * 6).transpose(1, 2, 0, 5, 3, 4).reshape(8, 8)
+    return _protocol_residual((rotated, _kl_tables()[1], _product_kets()), I2, probe_states(seed))
 
 
 def _gate_protocol(u: np.ndarray):
@@ -303,21 +304,13 @@ def double_protocol_residuals(seed: int = 42) -> dict[str, float]:
     states and all resource settings.  Only one reading should vanish.
     """
     probes = np.stack([ket([1, 0, 0, 0]), random_ket(np.random.default_rng(seed), dim=4)])
-    # rhs[p, r] lays out |i1 j1> (x) (Q x P)[r, m] B_0|alphabeta_p> (x) |i2 j2> over m = 4 (i1 j1) + (i2 j2)
-    moved = np.einsum("rmij,pj->prmi", _qp_table(), probes @ transpose(_b0()))
-    rhs = 0.25 * moved.reshape(-1, 16, 4, 4, 4).transpose(0, 1, 2, 4, 3).reshape(-1, 16, 64)
-    # the input for resource r has amplitude alphabeta_p[2a + b] at register index (a, r, b)
-    coeffs = probes.reshape(-1, 2, 2)
-    out = {}
-    for name, doubled in (("single-middle", False), ("doubled-middle", True)):
-        lhs = np.einsum("xarb,pab->prx", _double_layers(doubled).reshape(64, 2, 16, 2), coeffs)
-        out[name] = _worst_norm((lhs - rhs).reshape(-1, 64))
-    return out
+    return {name: _protocol_residual(_double_protocol(doubled), _b0(), probes)
+            for name, doubled in (("single-middle", False), ("doubled-middle", True))}
 
 
-def _double_protocol():
+def _double_protocol(doubled_middle: bool = False):
     """(op, table, kets) of the double protocol: op leaves the end registers, outcome 4 m1 + m2, in front."""
-    op = _double_layers().reshape(4, 4, 4, 64).transpose(0, 2, 1, 3).reshape(64, 64)
+    op = _double_layers(doubled_middle).reshape(4, 4, 4, 64).transpose(0, 2, 1, 3).reshape(64, 64)
     return op, _qp_table(), _product_kets(16)
 
 

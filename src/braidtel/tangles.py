@@ -8,6 +8,10 @@ spectral eigenvalue assignment, and for a general 16-coefficient gate; it
 also solves the Pauli-basis eigenvalue system by sign-pattern enumeration
 and rebuilds the resulting projector/gate pairs.
 
+The basis is teleport's UnitaryBasis, re-exported here: the concrete
+constraints read the same per-phi M_ij instance as the Bell-like protocol,
+and the Pauli-basis system the W_ij instance of the standard protocol.
+
 Every per-bit-pair table is a stacked array indexed 2i + j, in BIT_PAIRS
 order: the basis gates U_ij, the eigenvalues mu_ij, the rows and columns
 of the 4x4 coefficient matrix, and the factor tables of the constraints.
@@ -19,7 +23,7 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,58 +33,16 @@ from .linalg import (
     conj,
     dagger,
     frozen,
-    identity,
     is_unitary,
     mat,
     max_abs_diff,
     outer,
     transpose,
 )
-from .gates import B_EIGENVALUES, bell_state, m_gate, state_with_gate
-from .teleport import BIT_PAIRS, _bell_like_corrections, _bell_like_kets, _flow_residual, _pauli_table, probe_states
+from .gates import B_EIGENVALUES, bell_state
+from .teleport import BIT_PAIRS, UnitaryBasis, _bell_like_corrections, _flow_residual, _stack, probe_states
 
 CONSTRAINT_IDS = (1, 2, 3, 4)
-
-
-def _stack(values, shape: tuple[int, ...], name: str) -> np.ndarray:
-    """values as a read-only complex copy, or ValueError unless it has the given shape."""
-    a = np.array(values, dtype=complex)
-    if a.shape != shape:
-        raise ValueError(f"{name} must be a {'x'.join(map(str, shape))} stack, got shape {a.shape}")
-    return frozen(a)
-
-
-@dataclass(frozen=True, eq=False)
-class UnitaryBasis:
-    """Four one-qubit gates labelling an orthonormal Bell-like basis.
-
-    u[2i + j] is U_ij.  Orthonormality means (1/2) tr(U_ab^dag U_cd) =
-    delta delta; it makes the four states (1 x U_ij)|Psi>, the rows of
-    states, an orthonormal two-qubit basis.
-    """
-
-    u: np.ndarray
-    states: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", _stack(self.u, (4, 2, 2), "basis"))
-        res = self.orthonormality_residual()
-        if res > DEFAULT_TOL:
-            raise ValueError(f"basis is not orthonormal, residual {res:.3e}")
-        object.__setattr__(self, "states", frozen(state_with_gate(self.u)))
-
-    @classmethod
-    def pauli(cls) -> "UnitaryBasis":
-        """The W_ij basis, one read-only instance per process."""
-        return _pauli_basis()
-
-    @classmethod
-    def bell_like(cls, phi: float) -> "UnitaryBasis":
-        return cls([m_gate(i, j, phi) for i, j in BIT_PAIRS])
-
-    def orthonormality_residual(self) -> float:
-        gram = 0.5 * np.einsum("bji,aji->ab", conj(self.u), self.u)  # (1/2) tr(U_b^dag U_a)
-        return max_abs_diff(gram, identity(4))
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,11 +56,6 @@ class EigenAssignment:
 
     def unimodularity_residual(self) -> float:
         return float(np.abs(np.abs(self.mu) - 1.0).max())
-
-
-@functools.lru_cache(maxsize=None)
-def _pauli_basis() -> UnitaryBasis:
-    return UnitaryBasis(_pauli_table())
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +142,7 @@ def concrete_constraint_residuals(phi: float, lambdas: EigenAssignment | None = 
     Returns {constraint id: {(i,j): max-entry residual}}.
     """
     lam = EigenAssignment([B_EIGENVALUES[p] for p in BIT_PAIRS]) if lambdas is None else lambdas
-    m = np.stack([m_gate(*p, phi) for p in BIT_PAIRS])
+    m = UnitaryBasis.bell_like(phi).u
     m00 = m[0]
     mt, mc, md = transpose(m), conj(m), dagger(m)
     forms = (
@@ -207,7 +164,7 @@ def projector_teleportation_residuals(phi: float, seed: int = 42) -> dict[int, f
     the same bits as 1 and 2: they restate the bra form, they add no
     independent check.  Residuals are worst 2-norms over a probe set.
     """
-    kets, probes = _bell_like_kets(phi), probe_states(seed)
+    kets, probes = UnitaryBasis.bell_like(phi).states, probe_states(seed)
     flows = np.stack(_bell_like_corrections(phi))  # the front and mirror corrections
     values = [
         _flow_residual(v, gates, x, front)
@@ -233,7 +190,7 @@ def general_constraint_residuals(coeffs: GateCoefficients, basis: UnitaryBasis,
     Each constraint carries a double sum over coefficient pairs; the free
     index is the first one.  Returns {constraint id: {(i1,j1): residual}}.
     """
-    forms = _pauli_forms(m, n) if basis is _pauli_basis() else _u_forms(basis, m, n)
+    forms = _pauli_forms(m, n) if basis is UnitaryBasis.pauli() else _u_forms(basis, m, n)
     return _constraint_table(coeffs.g, forms)
 
 

@@ -8,14 +8,17 @@ projective measurement, classical correction):
   braid      resource built by the gate pair (B x 1)(1 x B), product-basis
              measurement, correction W_{i,j,k,l}
 
-One kernel, _teleport, runs a batch of any protocol: it projects the leading
-register onto the kets v_m of an orthonormal basis, samples m by the Born rule
-from one uniform draw per instance, and corrects with C_m^dag from one stacked
-table per protocol, indexed [resource, outcome], that the identity residuals
-read too.  The teleport_* functions are its one-instance call.  The bases,
-tables and phi-fixed operators are built, self-checked and frozen once per phi.
-The braid table reads the closed-form phases of phase_table; extract_phases
-fits the same phases numerically and is kept as its cross-check.
+A protocol is one (op, table, kets) triple.  _branches places each input at
+its resource, applies op and projects the leading register onto the kets v_m;
+_teleport samples m by the Born rule, one uniform draw per instance, and
+corrects with C_m^dag from the table, indexed [resource, outcome], and
+_protocol_residual checks every branch against the exact identity.  The
+teleport_* functions are one-instance calls.  UnitaryBasis is the one
+Bell-like basis: its Pauli instance and its per-phi M_ij instance give the
+protocols their kets and corrections and the tangle constraints their gates.
+Bases, tables and phi-fixed operators are built, self-checked and frozen once
+per phi.  The braid table reads the closed-form phases of phase_table;
+extract_phases fits the same phases numerically and is kept as its cross-check.
 
 The identities behind the protocols are also exposed directly as residual
 checks so they can be verified as exact vector/operator equations instead
@@ -28,7 +31,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +40,6 @@ from .gates import (
     H,
     I2,
     _check_bits,
-    bell_like_state,
     bell_state,
     m_gate,
     pauli_w,
@@ -139,34 +141,42 @@ def _flow_residual(kets, gates, probes, front: bool = True) -> float:
     return _transfer_residual(_paired(probes, kets[0], front), kets, gates, probes, front)
 
 
-def _resource_residual(op, corrections, probes, front: bool = True) -> float:
-    """Worst transfer residual of op acting on x_p and the resource |kl>, over kl.
+def _branches(protocol, inputs: np.ndarray, r) -> np.ndarray:
+    """branches[n, m]: the unnormalized survivor of outcome m of instance n.
 
-    The measurement kets are the product basis and corrections[kl] is the
-    (M, 2, 2) stack of C_m for resource |kl>.
+    protocol is (op, table, kets): op acts on each input a (x) c with |r_n> after its first qubit, and
+    the leading register is projected onto the rows v_m of kets.
     """
-    kets = _product_kets()
-    return max(
-        _transfer_residual(_paired(probes, kets[kl], front) @ transpose(op), kets, corrections[kl], probes, front)
-        for kl in range(4)
-    )
+    op, table, kets = protocol
+    n = len(inputs)
+    padded = np.zeros((n, 2, len(table), inputs.shape[1] // 2), dtype=complex)
+    padded[np.arange(n), :, r] = inputs.reshape(n, 2, -1)
+    states = padded.reshape(n, -1) @ transpose(op)
+    split = states.reshape(n, len(kets), -1).transpose(0, 2, 1)  # [n, j, k]: amplitude j of the kth measured row
+    return (split.reshape(-1, len(kets)) @ transpose(conj(kets))).reshape(split.shape).transpose(0, 2, 1)
+
+
+def _protocol_residual(protocol, gate: np.ndarray, probes: np.ndarray) -> float:
+    """Worst 2-norm over probes x_p and resources r of op (x_p at r) - M^{-1/2} sum_m v_m (x) C[r, m] gate x_p.
+
+    That is the identity behind a protocol with M outcomes: every branch is C[r, m] gate x_p / sqrt(M), so
+    correcting it gives gate x_p.  The kets v_m are orthonormal, so the norm is taken over the branches.
+    """
+    _, table, kets = protocol
+    r = np.repeat(np.arange(len(table)), len(probes))
+    inputs = np.tile(probes, (len(table), 1))
+    moved = (table[r] @ (inputs @ transpose(gate))[:, None, :, None])[..., 0] / math.sqrt(len(kets))
+    return _worst_norm((_branches(protocol, inputs, r) - moved).reshape(len(r), -1))
 
 
 def _teleport(protocol, inputs: np.ndarray, r, draws: np.ndarray):
     """(outcomes m, probabilities, normalized survivors, corrected states) of a batch of instances.
 
-    protocol is (op, table, kets): op acts on each input a (x) c with |r_n> after its first qubit, the
-    leading register is measured in the rows v_m of kets, and table[r_n, m] corrects outcome m, the
-    first whose cumulative probability exceeds the draw, as Generator.choice samples.
+    The _branches of protocol are measured: table[r_n, m] corrects outcome m, the first whose
+    cumulative probability exceeds the draw, as Generator.choice samples.
     """
-    op, table, kets = protocol
-    n = len(inputs)
-    rows = np.arange(n)
-    padded = np.zeros((n, 2, len(table), inputs.shape[1] // 2), dtype=complex)
-    padded[rows, :, r] = inputs.reshape(n, 2, -1)
-    states = padded.reshape(n, -1) @ transpose(op)
-    split = states.reshape(n, len(kets), -1).transpose(0, 2, 1)  # [n, j, k]: amplitude j of the kth measured row
-    branches = (split.reshape(-1, len(kets)) @ transpose(conj(kets))).reshape(split.shape).transpose(0, 2, 1)
+    rows = np.arange(len(inputs))
+    branches = _branches(protocol, inputs, r)
     probs = (np.abs(branches) ** 2).sum(axis=2)
     total = probs.sum(axis=1)
     if not (np.abs(total - 1.0) <= 1e-9).all():
@@ -175,7 +185,7 @@ def _teleport(protocol, inputs: np.ndarray, r, draws: np.ndarray):
     m = (cdf / cdf[:, -1:] <= draws[:, None]).sum(axis=1)  # searchsorted(cdf, draw, side="right") per row
     p = probs[rows, m]
     survivors = branches[rows, m] / np.sqrt(p)[:, None]
-    return m, p, survivors, (dagger(table[r, m]) @ survivors[:, :, None])[:, :, 0]
+    return m, p, survivors, (dagger(protocol[1][r, m]) @ survivors[:, :, None])[:, :, 0]
 
 
 def _one(protocol, alpha, resource: int, rng_seed):
@@ -195,51 +205,81 @@ def _one_qubit(protocol, alpha, resource: int, rng_seed):
     return MeasurementOutcome(*BIT_PAIRS[m], p, bob), corrected
 
 
-def _basis(kets) -> np.ndarray:
-    """Measurement kets as read-only rows, checked to be orthonormal."""
-    rows = np.array(kets, dtype=complex)
-    drift = max_abs_diff(conj(rows) @ rows.T, identity(len(rows)))
-    if drift > STRICT_TOL:
-        raise ValueError(f"measurement kets are not orthonormal: drift {drift:.3e}")
-    return frozen(rows)
+def _stack(values, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """values as a read-only complex copy, or ValueError unless it has the given shape."""
+    a = np.array(values, dtype=complex)
+    if a.shape != shape:
+        raise ValueError(f"{name} must be a {'x'.join(map(str, shape))} stack, got shape {a.shape}")
+    return frozen(a)
+
+
+@dataclass(frozen=True, eq=False)
+class UnitaryBasis:
+    """Four one-qubit gates labelling an orthonormal Bell-like basis.
+
+    u[2i + j] is U_ij.  Orthonormality means (1/2) tr(U_ab^dag U_cd) =
+    delta delta; it makes the four states (1 x U_ij)|Psi>, the rows of
+    states, an orthonormal two-qubit basis.
+    """
+
+    u: np.ndarray
+    states: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "u", _stack(self.u, (4, 2, 2), "basis"))
+        res = self.orthonormality_residual()
+        if res > DEFAULT_TOL:
+            raise ValueError(f"basis is not orthonormal, residual {res:.3e}")
+        object.__setattr__(self, "states", frozen(state_with_gate(self.u)))
+
+    @classmethod
+    def pauli(cls) -> "UnitaryBasis":
+        """The W_ij basis, one read-only instance per process: the standard protocol's kets and corrections."""
+        return _pauli_basis()
+
+    @classmethod
+    def bell_like(cls, phi: float) -> "UnitaryBasis":
+        """The M_ij basis, one read-only instance per phi: its states are the Bell-like protocol's kets."""
+        return _bell_like_basis(phi)
+
+    def orthonormality_residual(self) -> float:
+        gram = 0.5 * np.einsum("bji,aji->ab", conj(self.u), self.u)  # (1/2) tr(U_b^dag U_a)
+        return max_abs_diff(gram, identity(4))
 
 
 @functools.lru_cache(maxsize=None)
-def _bell_kets() -> np.ndarray:
-    return _basis([bell_state(i, j) for i, j in BIT_PAIRS])
+def _pauli_basis() -> UnitaryBasis:
+    return UnitaryBasis([pauli_w(i, j) for i, j in BIT_PAIRS])
+
+
+@functools.lru_cache(maxsize=64)
+def _bell_like_basis(phi: float) -> UnitaryBasis:
+    """The M_ij basis at phi, held to the protocols' bound: orthonormal within STRICT_TOL."""
+    tl_projector(0, 0, phi)  # raises unless E_00 matches its closed form
+    basis = UnitaryBasis([m_gate(i, j, phi) for i, j in BIT_PAIRS])
+    if basis.orthonormality_residual() > STRICT_TOL:
+        raise ValueError(f"measurement kets are not orthonormal at phi={phi}")
+    return basis
 
 
 @functools.lru_cache(maxsize=None)
 def _product_kets(dim: int = 4) -> np.ndarray:
-    return _basis(identity(dim))
-
-
-@functools.lru_cache(maxsize=None)
-def _pauli_table() -> np.ndarray:
-    """W_ij stacked over ij: the corrections of the standard protocol."""
-    return frozen(np.stack([pauli_w(i, j) for i, j in BIT_PAIRS]))
-
-
-@functools.lru_cache(maxsize=64)
-def _bell_like_kets(phi: float) -> np.ndarray:
-    """|Psi_{M_ij}> as rows; row 0 is also the resource of the protocol."""
-    tl_projector(0, 0, phi)  # raises unless E_00 matches its closed form
-    return _basis([bell_like_state(i, j, phi) for i, j in BIT_PAIRS])
+    return frozen(identity(dim))
 
 
 @functools.lru_cache(maxsize=64)
 def _bell_like_corrections(phi: float) -> tuple[np.ndarray, np.ndarray]:
     """M00 M*_ij and M00^T M^dag_ij stacked over ij: the corrections of both flows."""
-    m = np.stack([m_gate(i, j, phi) for i, j in BIT_PAIRS])
+    m = UnitaryBasis.bell_like(phi).u
     return frozen(m[0] @ conj(m)), frozen(transpose(m[0]) @ dagger(m))
 
 
 @functools.lru_cache(maxsize=64)
 def _braid_protocol(phi: float):
-    """(B x 1)(1 x B) and the W_{i,j,k,l} = V_kl U^T_ij table, built once per phi from B-checked phases."""
+    """(op, table, kets) of the braid protocol per phi: (B x 1)(1 x B), B-checked W_ijkl = V_kl U^T_ij, product kets."""
     b = yb_gate(phi)
     v, u = _checked_gates(phase_table(phi), b, DEFAULT_TOL)
-    return frozen(kron(b, I2) @ kron(I2, b)), frozen(v[:, None] @ transpose(u))
+    return frozen(kron(b, I2) @ kron(I2, b)), frozen(v[:, None] @ transpose(u)), _product_kets()
 
 
 def _correction_table(correction, *args) -> np.ndarray:
@@ -249,12 +289,13 @@ def _correction_table(correction, *args) -> np.ndarray:
 
 def _standard_protocol():
     """(op, table, kets) of the standard protocol: alpha -> alpha (x) EPR, W_ij, Bell kets."""
-    return kron(I2, EPR[:, None]), _pauli_table()[None], _bell_kets()
+    basis = UnitaryBasis.pauli()
+    return kron(I2, EPR[:, None]), basis.u[None], basis.states
 
 
 def _bell_like_protocol(phi: float):
     """(op, table, kets) of the Bell-like protocol: alpha -> alpha (x) |Psi_M00>, M00 M*_ij, E_ij kets."""
-    kets = _bell_like_kets(phi)
+    kets = UnitaryBasis.bell_like(phi).states
     return kron(I2, kets[0][:, None]), _bell_like_corrections(phi)[0][None], kets
 
 
@@ -354,7 +395,7 @@ def teleport_with_yb(alpha: np.ndarray, k: int, l: int, phi: float, rng_seed: in
     W^dag_{i,j,k,l}.  Returns (MeasurementOutcome, corrected qubit).
     """
     _check_bits(k, l)
-    return _one_qubit((*_braid_protocol(phi), _product_kets()), alpha, 2 * k + l, rng_seed)
+    return _one_qubit(_braid_protocol(phi), alpha, 2 * k + l, rng_seed)
 
 
 def braid_teleportation_residual(phi: float, seed: int = 42) -> float:
@@ -362,8 +403,7 @@ def braid_teleportation_residual(phi: float, seed: int = 42) -> float:
 
     Taken over the probe states and all four resource pairs kl.
     """
-    op, corrections = _braid_protocol(phi)
-    return _resource_residual(op, corrections, probe_states(seed))
+    return _protocol_residual(_braid_protocol(phi), I2, probe_states(seed))
 
 
 def completeness_residuals(phi: float) -> dict:
@@ -399,12 +439,12 @@ def check_teleportation_identity(variant: str, phi: float = 0.0, seed: int = 42)
     probes = probe_states(seed)
     front = not variant.endswith("-transpose")
     if variant in ("standard", "standard-transpose"):
-        paulis = _pauli_table()
-        return _flow_residual(_bell_kets(), paulis if front else transpose(paulis), probes, front)
+        basis = UnitaryBasis.pauli()
+        return _flow_residual(basis.states, basis.u if front else transpose(basis.u), probes, front)
     if variant in ("bell-like", "bell-like-transpose"):
-        return _flow_residual(_bell_like_kets(phi), _bell_like_corrections(phi)[not front], probes, front)
+        return _flow_residual(UnitaryBasis.bell_like(phi).states, _bell_like_corrections(phi)[not front], probes, front)
     if variant in ("projector-channel", "projector-channel-transpose"):
-        e00, psi = tl_projector(0, 0, phi), bell_like_state(0, 0, phi)
+        e00, psi = tl_projector(0, 0, phi), UnitaryBasis.bell_like(phi).states[0]
         op = kron(e00, I2) if front else kron(I2, e00)
         return _transfer_residual(_paired(probes, psi, front) @ transpose(op), psi[None], I2[None], probes, front)
     if variant == "flow":

@@ -53,13 +53,14 @@ def _loop_instance(variant: str, phi: float, alpha, bits, rng):
         m, p, middle = _measure(state.reshape(4, 4, 4).transpose(0, 2, 1).reshape(16, 4), rng)
         return m, p, middle, dagger(gate_teleport._qp_table()[r, m]) @ middle
     if variant == "standard":
-        state, kets, corrections = kron(alpha, EPR), teleport._bell_kets(), teleport._pauli_table()
+        basis = teleport.UnitaryBasis.pauli()
+        state, kets, corrections = kron(alpha, EPR), basis.states, basis.u
     elif variant == "bell-like":
-        kets = teleport._bell_like_kets(phi)
+        kets = teleport.UnitaryBasis.bell_like(phi).states
         state, corrections = kron(alpha, kets[0]), teleport._bell_like_corrections(phi)[0]
     elif variant == "yang-baxter":
-        op, table = teleport._braid_protocol(phi)
-        state, kets, corrections = op @ kron(alpha, basis_ket(r, 4)), teleport._product_kets(), table[r]
+        op, table, kets = teleport._braid_protocol(phi)
+        state, corrections = op @ kron(alpha, basis_ket(r, 4)), table[r]
     else:
         u = elementary(GATE, phi)
         front, back = gate_teleport._b0_layers()

@@ -1,5 +1,6 @@
 """Command line behaviour: exit codes, report shapes, determinism."""
 
+import argparse
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from braidtel import cli
 from braidtel.algebra import RelationReport
 from braidtel.cli import _fmt, build_parser, main
+from braidtel.gate_teleport import clifford_check
 from braidtel.linalg import max_abs_diff, transpose
 from braidtel.tangles import skew_transpose
 
@@ -140,6 +142,14 @@ def test_teleport_gate_reports_clifford_corrections(capsys):
     doc = json.loads(out)
     entry = [r for r in doc["results"] if r["label"] == "correction-clifford"][0]
     assert entry["value"] is True
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.3, -2.1])
+@pytest.mark.parametrize("gate", cli.TELEPORT_GATES)
+def test_correction_clifford_reads_as_all_sixteen_checks(gate, phi):
+    protocol, _, _, extra = cli._protocol(argparse.Namespace(action="gate", gate=gate, phi=phi))
+    sixteen = all(clifford_check(c)[0] for c in protocol[1].reshape(-1, 2, 2))
+    assert extra == [{"label": "correction-clifford", "gate": gate, "value": sixteen}]
 
 
 def test_teleport_two_qubit_minimum_fidelity(capsys):

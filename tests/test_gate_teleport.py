@@ -256,8 +256,8 @@ def test_kl_tables_hold_k_and_l():
         assert np.array_equal(l_table[2 * k + l, 2 * i + j], l_gate(i, j, k, l))
 
 
-def test_pauli_table_holds_w():
-    table = teleport._pauli_table()
+def test_pauli_basis_holds_w():
+    table = teleport.UnitaryBasis.pauli().u
     for i, j in BIT_PAIRS:
         assert np.array_equal(table[2 * i + j], pauli_w(i, j))
 

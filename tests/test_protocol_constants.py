@@ -81,10 +81,9 @@ def test_phase_table_is_extracted_once_per_phi(cold_caches, monkeypatch):
 
 def test_cache_scan_finds_the_protocol_caches():
     expected = {
-        teleport._bell_kets,
+        teleport._pauli_basis,
+        teleport._bell_like_basis,
         teleport._product_kets,
-        teleport._pauli_table,
-        teleport._bell_like_kets,
         teleport._bell_like_corrections,
         teleport._braid_protocol,
         gates._b0,
@@ -93,7 +92,6 @@ def test_cache_scan_finds_the_protocol_caches():
         gate_teleport._qp_table,
         gate_teleport._double_layers,
         algebra._brauer_operators,
-        tangles._pauli_basis,
         cli._solve_rows,
         cli._fixed_analysis,
     }
@@ -103,9 +101,9 @@ def test_cache_scan_finds_the_protocol_caches():
 @pytest.mark.parametrize(
     "constant",
     [
-        teleport._bell_kets,
+        lambda: teleport._standard_protocol()[2],
         teleport._product_kets,
-        lambda: teleport._bell_like_kets(0.3),
+        lambda: teleport.UnitaryBasis.bell_like(0.3).states,
         lambda: teleport._braid_protocol(0.3)[0],
         lambda: teleport._braid_protocol(0.3)[1],
         gates._b0,
@@ -115,7 +113,7 @@ def test_cache_scan_finds_the_protocol_caches():
         lambda: gate_teleport._double_layers(True),
         lambda: teleport._bell_like_corrections(0.3)[0],
         lambda: teleport._bell_like_corrections(0.3)[1],
-        teleport._pauli_table,
+        lambda: teleport._standard_protocol()[1],
         lambda: gate_teleport._kl_tables()[0],
         lambda: gate_teleport._kl_tables()[1],
         gate_teleport._qp_table,
@@ -140,14 +138,20 @@ def test_b0_layers_are_the_three_qubit_krons():
     assert np.array_equal(back, kron(gates.I2, gates._b0()))
 
 
-def test_measurement_bases_must_be_orthonormal():
+def test_measurement_bases_must_be_orthonormal(cold_caches, monkeypatch):
     with pytest.raises(ValueError, match="orthonormal"):
-        teleport._basis([[1, 0], [1, 0]])
+        teleport.UnitaryBasis([gates.I2, gates.I2, gates.X, gates.Z])
+    # off by 1e-11 the M_ij basis passes the general bound, DEFAULT_TOL, but not the protocols' STRICT_TOL
+    real = teleport.m_gate
+    monkeypatch.setattr(teleport, "m_gate", lambda i, j, phi: real(i, j, phi) * (1 + 1e-11 * (i == j == 1)))
+    assert teleport.UnitaryBasis([teleport.m_gate(*p, 0.3) for p in BIT_PAIRS]).orthonormality_residual() > 1e-12
+    with pytest.raises(ValueError, match="not orthonormal"):
+        teleport.UnitaryBasis.bell_like(0.3)
 
 
 def test_braid_corrections_are_stacked_by_resource_then_outcome():
     table = phase_table(-2.1)
-    _, stacked = teleport._braid_protocol(-2.1)
+    _, stacked, _ = teleport._braid_protocol(-2.1)
     for (k, l), (i, j) in itertools.product(BIT_PAIRS, repeat=2):
         assert np.array_equal(stacked[2 * k + l, 2 * i + j], w_braid_correction(i, j, k, l, table))
 
@@ -277,5 +281,5 @@ def test_importing_the_cli_fills_no_cache():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True, timeout=60)
     sizes = dict(line.rsplit(" ", 1) for line in done.stdout.splitlines())
     assert {"braidtel.cli._solve_rows", "braidtel.cli._fixed_analysis", "braidtel.cli._grammar",
-            "braidtel.tangles._pauli_basis"} <= set(sizes)
+            "braidtel.teleport._pauli_basis", "braidtel.teleport._bell_like_basis"} <= set(sizes)
     assert {name: size for name, size in sizes.items() if size != "0"} == {}

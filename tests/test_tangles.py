@@ -31,7 +31,7 @@ from braidtel.tangles import (
     solve_pauli_eigenvalues,
     spectral_constraint_residuals,
 )
-from braidtel.teleport import BIT_PAIRS, _pauli_table
+from braidtel.teleport import BIT_PAIRS, _standard_protocol
 from tables import pauli_scalar_coefficient, random_gate_coefficients, table_max
 
 # sign/frequency patterns printed for the (0,0) system, in solver order
@@ -180,7 +180,7 @@ def test_states_are_the_basis_gates_on_the_epr_pair(basis):
 
 
 def test_the_pauli_basis_is_the_standard_protocols_correction_table():
-    assert np.array_equal(UnitaryBasis.pauli().u, _pauli_table())
+    assert np.array_equal(UnitaryBasis.pauli().u, _standard_protocol()[1][0])
 
 
 def test_assignment_unimodularity_residual():

@@ -3,20 +3,27 @@
 Each routed identity is checked against the per-term kron loop it
 replaced, which is kept here as its oracle (with the same 2-norm metric).
 A mutated evaluator, with the flow direction flipped or two corrections
-exchanged, must push every family to an O(1) residual.
+exchanged, must push every family to an O(1) residual; the protocol
+families (braid, B_0 forward and reverse, the double protocol) are
+mutated through _protocol_residual, the others through _transfer_residual.
 """
+
+import argparse
 
 import numpy as np
 import pytest
 
-from braidtel import algebra, cli, tangles, teleport
+from braidtel import algebra, cli, gate_teleport, tangles, teleport
 from braidtel.algebra import brauer_teleportation_residuals
 from braidtel.gate_teleport import (
     _b0_layers,
     b0_forward_residual,
     b0_reverse_residual,
+    double_protocol_residuals,
     k_gate,
     l_gate,
+    p_correction,
+    q_correction,
     teleport_single_gate,
     teleport_two_qubit,
 )
@@ -111,7 +118,7 @@ def _resource_oracle(op, correction, pair, seed):
 
 
 def _braid_oracle(phi, seed):
-    op, corrections = _braid_protocol(phi)
+    op, corrections, _ = _braid_protocol(phi)
     return _resource_oracle(op, lambda i, j, k, l: corrections[2 * k + l, 2 * i + j], kron, seed)
 
 
@@ -203,6 +210,7 @@ def _families():
     calls["braid"] = lambda: braid_teleportation_residual(phi)
     calls["b0-forward"] = b0_forward_residual
     calls["b0-reverse"] = b0_reverse_residual
+    calls["double"] = lambda: double_protocol_residuals()["single-middle"]
     calls["brauer-projector"] = lambda: brauer_teleportation_residuals()["projector"]
     return calls
 
@@ -210,10 +218,13 @@ def _families():
 FAMILIES = tuple(_families())
 
 
-def _patch_evaluator(monkeypatch, mutated):
-    original = teleport._transfer_residual
+def _patch_evaluators(monkeypatch, transfer, protocol):
+    """Route every family through a mutated evaluator: _transfer_residual or _protocol_residual."""
+    originals = teleport._transfer_residual, teleport._protocol_residual
     for module in (teleport, algebra):
-        monkeypatch.setattr(module, "_transfer_residual", lambda *args, **kw: mutated(original, *args, **kw))
+        monkeypatch.setattr(module, "_transfer_residual", lambda *args, **kw: transfer(originals[0], *args, **kw))
+    for module in (teleport, gate_teleport):
+        monkeypatch.setattr(module, "_protocol_residual", lambda *args: protocol(originals[1], *args))
 
 
 def _flipped(original, lhs, kets, gates, probes, front=True):
@@ -224,6 +235,20 @@ def _exchanged(original, lhs, kets, gates, probes, front=True):
     return original(lhs, kets, np.asarray(gates)[[1, 0, *range(2, len(gates))]], probes, front)
 
 
+def _flipped_protocol(original, protocol, gate, probes):
+    """The protocol with its output qubits reversed, so the measured register is read off the back."""
+    op, table, kets = protocol
+    n = op.shape[0].bit_length() - 1
+    backwards = op.reshape((2,) * n + (-1,)).transpose(*reversed(range(n)), n).reshape(op.shape)
+    return original((backwards, table, kets), gate, probes)
+
+
+def _exchanged_protocol(original, protocol, gate, probes):
+    """The protocol with the corrections of outcomes 0 and 1 exchanged at every resource."""
+    op, table, kets = protocol
+    return original((op, table[:, [1, 0, *range(2, table.shape[1])]], kets), gate, probes)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_unmutated_families_hold(family):
     assert _families()[family]() < 1e-14
@@ -231,7 +256,7 @@ def test_unmutated_families_hold(family):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_flipped_flow_direction_breaks_every_family(monkeypatch, family):
-    _patch_evaluator(monkeypatch, _flipped)
+    _patch_evaluators(monkeypatch, _flipped, _flipped_protocol)
     assert _families()[family]() > 0.25
 
 
@@ -240,8 +265,79 @@ def test_flipped_flow_direction_breaks_every_family(monkeypatch, family):
 # corrections has nothing to exchange.
 @pytest.mark.parametrize("family", [f for f in FAMILIES if f not in ("brauer-projector", *CHANNEL_VARIANTS)])
 def test_exchanged_corrections_break_every_family(monkeypatch, family):
-    _patch_evaluator(monkeypatch, _exchanged)
+    _patch_evaluators(monkeypatch, _exchanged, _exchanged_protocol)
     assert _families()[family]() > 0.25
+
+
+# ------------------------------------------------------ protocol residual
+
+
+def _report_protocol(variant, phi, gate="T"):
+    """(protocol, gate it applies) of a teleport report, as the report builds them."""
+    protocol, u, _, _ = cli._protocol(argparse.Namespace(action=variant, phi=phi, gate=gate))
+    return protocol, u
+
+
+def _probes(protocol):
+    """probe_states for a one-qubit input; for a two-qubit input their 64 products."""
+    op, table, _ = protocol
+    probes = probe_states()
+    return probes if op.shape[1] == 2 * len(table) else np.array([kron(a, b) for a in probes for b in probes])
+
+
+PROTOCOL_CASES = [(v, "T") for v in ("standard", "bell-like", "yang-baxter", "two-qubit")] + [
+    ("gate", g) for g in cli.TELEPORT_GATES
+]
+
+
+@pytest.mark.parametrize("phi", [0.3, -2.1])
+@pytest.mark.parametrize("variant, gate", PROTOCOL_CASES,
+                         ids=[v if v != "gate" else f"gate-{g}" for v, g in PROTOCOL_CASES])
+def test_every_protocol_holds_its_identity_on_every_branch(variant, gate, phi):
+    protocol, u = _report_protocol(variant, phi, gate)
+    assert teleport._protocol_residual(protocol, u, _probes(protocol)) <= 1e-12
+
+
+@pytest.fixture
+def cold_tables():
+    caches = (gate_teleport._kl_tables, gate_teleport._qp_table)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def _w_transposed(real=teleport._standard_protocol):
+    op, table, kets = real()
+    return op, transpose(table), kets
+
+
+def _k_row_00_negated(i, j, k, l, real=k_gate):
+    return -real(i, j, k, l) if k == l == 0 else real(i, j, k, l)
+
+
+def _unit_on_branch_zero(real):
+    return lambda *bits: I2 if not any(bits) else real(*bits)
+
+
+# Each defect is (report variant, [(module, name, fake)]); the tables are rebuilt from the fakes.
+DEFECTS = {
+    "w-transposed": ("standard", [(cli, "_standard_protocol", _w_transposed)]),
+    "k-row-negated": ("gate", [(gate_teleport, "k_gate", _k_row_00_negated)]),
+    # Q x P = 1 on the branch 00,00|00,00, which teleport two-qubit at its default seed and count never samples
+    "qp-unit-on-one-branch": ("two-qubit", [(gate_teleport, "q_correction", _unit_on_branch_zero(q_correction)),
+                                            (gate_teleport, "p_correction", _unit_on_branch_zero(p_correction))]),
+}
+
+
+@pytest.mark.parametrize("defect", DEFECTS)
+def test_protocol_residual_sees_each_seeded_defect(defect, cold_tables, monkeypatch):
+    variant, fakes = DEFECTS[defect]
+    for module, name, fake in fakes:
+        monkeypatch.setattr(module, name, fake)
+    protocol, u = _report_protocol(variant, 0.3)
+    assert teleport._protocol_residual(protocol, u, _probes(protocol)) >= 0.4
 
 
 # ------------------------------------------------------ resource bits
