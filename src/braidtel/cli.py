@@ -242,22 +242,33 @@ def _protocol(cfg: argparse.Namespace):
     return _double_protocol(), _b0(), "(Q x P)^dag", []
 
 
-@functools.lru_cache(maxsize=None)
 def _pairs(index: int, count: int) -> str:
     """index as count comma-separated bit pairs, most significant first."""
     return ",".join(f"{index >> 2 * q & 3:02b}" for q in reversed(range(count)))
 
 
+@functools.lru_cache(maxsize=None)
+def _report_keys(label: str, outcomes: int, resources: int) -> tuple[tuple, tuple]:
+    """The outcome keys, and the corrections map's (key, correction) at m R + r, of a teleport report form."""
+    pairs, nbits = outcomes.bit_length() // 2, resources.bit_length() - 1
+    key, res = [_pairs(m, pairs) for m in range(outcomes)], [_pairs(r, nbits // 2) for r in range(resources)]
+    rows = tuple((f"{key[m]}|{res[r]}" if nbits else key[m], label.format(key=key[m], res=res[r]))
+                 for m in range(outcomes) for r in range(resources))
+    return tuple(key), rows
+
+
 def _cmd_teleport(cfg: argparse.Namespace) -> list[dict]:
     protocol, gate, label, extra = _protocol(cfg)
     op, table, kets = protocol
-    # inputs of dim amplitudes, R = 2^nbits resources, M = 4^pairs outcomes
-    dim, nbits, pairs = op.shape[1] // len(table), len(table).bit_length() - 1, len(kets).bit_length() // 2
-    counts = np.zeros(len(kets), dtype=int)
-    expected = 1 / len(kets)
+    # inputs of dim amplitudes, R = 2^nbits resources, M outcomes
+    resources, outcomes = len(table), len(kets)
+    dim, nbits = op.shape[1] // resources, resources.bit_length() - 1
+    counts = np.zeros(outcomes, dtype=int)
+    expected = 1 / outcomes
     # the input kets and resource bits, and the measurement draws, come from independent streams
     ket_rng, measure_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(2))
-    seen, min_fid, prob_dev = set(), 1.0, 0.0  # (outcome, resource) pairs met, worst fidelity and deviation
+    seen = np.zeros(outcomes * resources, dtype=bool)  # the (outcome m, resource r) branches met, at m R + r
+    min_fid, prob_dev = 1.0, 0.0  # worst fidelity and deviation
     for start in range(0, cfg.count, _BLOCK):
         n = min(_BLOCK, cfg.count - start)
         amps = ket_rng.standard_normal((n, dim)) + 1j * ket_rng.standard_normal((n, dim))
@@ -266,20 +277,18 @@ def _cmd_teleport(cfg: argparse.Namespace) -> list[dict]:
         m, p, _, corrected = _teleport(protocol, inputs, r, measure_rng.random(n))
         fid = np.abs(np.einsum("ij,nj,ni->n", conj(gate), conj(inputs), corrected)) ** 2  # |<gate input|corrected>|^2
         counts += np.bincount(m, minlength=len(counts))
-        seen.update(zip(m.tolist(), r.tolist()))
+        seen[m * resources + r] = True
         min_fid = min(min_fid, float(fid.min()))
         prob_dev = max(prob_dev, float(np.abs(p - expected).max()))
-    key, res = [_pairs(m, pairs) for m in range(len(kets))], [_pairs(r, nbits // 2) for r in range(len(table))]
-    corrections = {  # keys are fixed-width, so numeric order is their sorted order
-        f"{key[m]}|{res[r]}" if nbits else key[m]: label.format(key=key[m], res=res[r]) for m, r in sorted(seen)
-    }
+    key, rows = _report_keys(label, outcomes, resources)
     return [
         _info("instances", value=cfg.count),
         {"label": "min-fidelity", "value": _fmt(min_fid), "pass": bool(min_fid >= 1 - cfg.tolerance)},
         {"label": "max-probability-deviation", "value": _fmt(prob_dev), "pass": bool(prob_dev <= cfg.tolerance),
          "expected": _fmt(expected)},
         _info("outcomes", histogram={key[m]: int(c) for m, c in enumerate(counts) if c}),
-        _info("corrections", map=corrections),
+        # keys are fixed-width and m R + r ascends with (m, r), so the map is in sorted key order
+        _info("corrections", map=dict(rows[i] for i in np.flatnonzero(seen))),
         *extra,
     ]
 

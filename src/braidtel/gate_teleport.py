@@ -35,6 +35,7 @@ from .linalg import (
 from .gates import I2, X, Y, Z, H, _b0, _check_bits, t_gate, pauli_w, x_pow, z_pow
 from .teleport import (
     BIT_PAIRS,
+    Protocol,
     _correction_table,
     _one,
     _one_qubit,
@@ -213,13 +214,20 @@ def b0_reverse_residual(seed: int = 42) -> float:
     return _protocol_residual((rotated, _kl_tables()[1], _product_kets()), I2, probe_states(seed))
 
 
-def _gate_protocol(u: np.ndarray):
-    """(op, table, kets) of gate teleportation: op = front (1 x 1 x u) back, table u K u^dag, product kets."""
+def _gate_protocol(u: np.ndarray) -> Protocol:
+    """The gate-teleportation protocol of the 2x2 unitary u, checked here and built once per gate."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2) or not is_unitary(u):
         raise ValueError("gate must be a 2x2 unitary")
+    return _gate_protocol_of(u.tobytes())
+
+
+@functools.lru_cache(maxsize=64)
+def _gate_protocol_of(gate: bytes) -> Protocol:
+    """Gate teleportation of u, given as its bytes: op front (1 x 1 x u) back, table u K u^dag, product kets."""
+    u = np.frombuffer(gate, dtype=complex).reshape(2, 2)
     front, back = _b0_layers()
-    return mul(front, kron(identity(4), u), back), u @ _kl_tables()[0] @ dagger(u), _product_kets()
+    return Protocol(mul(front, kron(identity(4), u), back), u @ _kl_tables()[0] @ dagger(u), _product_kets(), u)
 
 
 def teleport_single_gate(u: np.ndarray, alpha: np.ndarray, k: int, l: int,
@@ -308,10 +316,11 @@ def double_protocol_residuals(seed: int = 42) -> dict[str, float]:
             for name, doubled in (("single-middle", False), ("doubled-middle", True))}
 
 
-def _double_protocol(doubled_middle: bool = False):
-    """(op, table, kets) of the double protocol: op leaves the end registers, outcome 4 m1 + m2, in front."""
+@functools.lru_cache(maxsize=None)
+def _double_protocol(doubled_middle: bool = False) -> Protocol:
+    """The double protocol, built once per reading: op leaves the end registers, outcome 4 m1 + m2, in front."""
     op = _double_layers(doubled_middle).reshape(4, 4, 4, 64).transpose(0, 2, 1, 3).reshape(64, 64)
-    return op, _qp_table(), _product_kets(16)
+    return Protocol(op, _qp_table(), _product_kets(16), _b0())
 
 
 def teleport_two_qubit(alphabeta: np.ndarray, k1: int, l1: int,

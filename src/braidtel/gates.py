@@ -124,16 +124,25 @@ def state_with_gate(m: np.ndarray) -> np.ndarray:
 
 
 def m_gate(i: int, j: int, phi: float) -> np.ndarray:
-    """The single-qubit gates whose Bell-like states diagonalize B."""
+    """The single-qubit gates whose Bell-like states diagonalize B, read-only:
+
+    M_00 = R H S H R, M_01 = R Z R, M_10 = X Z and M_11 = R H S^dag H R, with R = R_phi.
+    """
     _check_bits(i, j)
+    return _m_gates(phi)[2 * i + j]
+
+
+# The middle factors of M_00, M_01 and M_11, an identity where a gate has fewer; a product with one is exact.
+_M_MIDDLE = tuple(frozen(np.array(factors)) for factors in ((H, Z, H), (S, I2, dagger(S)), (H, I2, H)))
+
+
+@functools.lru_cache(maxsize=64)
+def _m_gates(phi: float) -> np.ndarray:
+    """M_ij stacked at 2i + j, read-only: the three phi-dependent gates as one stacked product, left to right."""
     r = phase_shift(phi)
-    if (i, j) == (0, 0):
-        return mul(r, H, S, H, r)
-    if (i, j) == (0, 1):
-        return mul(r, Z, r)
-    if (i, j) == (1, 0):
-        return mul(X, Z)
-    return mul(r, H, dagger(S), H, r)
+    ends = np.array([r, r, r])
+    m00, m01, m11 = mul(ends, *_M_MIDDLE, ends)
+    return frozen(np.array([m00, m01, mul(X, Z), m11]))
 
 
 def bell_like_state(i: int, j: int, phi: float) -> np.ndarray:

@@ -141,19 +141,58 @@ def _flow_residual(kets, gates, probes, front: bool = True) -> float:
     return _transfer_residual(_paired(probes, kets[0], front), kets, gates, probes, front)
 
 
-def _branches(protocol, inputs: np.ndarray, r) -> np.ndarray:
-    """branches[n, m]: the unnormalized survivor of outcome m of instance n.
+def _branch_tensor(op: np.ndarray, table: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """branch[r], (M d_out, d_in): an input ket at resource r to its M unnormalized survivors, read-only.
 
-    protocol is (op, table, kets): op acts on each input a (x) c with |r_n> after its first qubit, and
-    the leading register is projected onto the rows v_m of kets.
+    Row m d_out + j is amplitude j of (<v_m| (x) 1) op applied to the input a (x) c with |r> after its first
+    qubit, so the kets are folded into op once and a survivor is one small matvec.
     """
-    op, table, kets = protocol
-    n = len(inputs)
-    padded = np.zeros((n, 2, len(table), inputs.shape[1] // 2), dtype=complex)
-    padded[np.arange(n), :, r] = inputs.reshape(n, 2, -1)
-    states = padded.reshape(n, -1) @ transpose(op)
-    split = states.reshape(n, len(kets), -1).transpose(0, 2, 1)  # [n, j, k]: amplitude j of the kth measured row
-    return (split.reshape(-1, len(kets)) @ transpose(conj(kets))).reshape(split.shape).transpose(0, 2, 1)
+    resources, (outcomes, width) = len(table), kets.shape
+    d_in = op.shape[1] // resources
+    fused = (conj(kets) @ op.reshape(width, -1)).reshape(outcomes, -1, 2, resources, d_in // 2)
+    return frozen(fused.transpose(3, 0, 1, 2, 4).reshape(resources, -1, d_in))
+
+
+class Protocol(tuple):
+    """A built protocol: its read-only (op, table, kets), its branch tensor and the gate it applies.
+
+    The branch tensor is built with the protocol; every_branch, _protocol_residual on the fixed probes, is
+    computed on its first read, once per build.  The table stays the tuple's own item, read at call time.
+    """
+
+    def __new__(cls, op, table, kets, gate):
+        protocol = super().__new__(cls, (frozen(op), frozen(table), frozen(kets)))
+        protocol.branch = _branch_tensor(*protocol)
+        protocol.gate = frozen(gate)
+        return protocol
+
+    @functools.cached_property
+    def every_branch(self) -> float:
+        return _protocol_residual(self, self.gate, _branch_probes(self.branch.shape[2]))
+
+
+def _branch(protocol) -> np.ndarray:
+    """The branch tensor of a built Protocol, or of a bare (op, table, kets) triple, built here."""
+    return protocol.branch if isinstance(protocol, Protocol) else _branch_tensor(*protocol)
+
+
+@functools.lru_cache(maxsize=None)
+def _branch_probes(dim: int) -> np.ndarray:
+    """The every-branch probes, read-only: probe_states() for one qubit, their 64 products x_a (x) x_b for two."""
+    probes = probe_states()
+    return frozen(probes if dim == 2 else kron(probes[:, None], probes).reshape(-1, dim))
+
+
+def _every_branch(protocol, gate: np.ndarray) -> float:
+    """_protocol_residual of protocol on the fixed probes: a built Protocol's every_branch, else computed here."""
+    if isinstance(protocol, Protocol):
+        return protocol.every_branch
+    return _protocol_residual(protocol, gate, _branch_probes(len(gate)))
+
+
+def _branches(protocol, inputs: np.ndarray, r) -> np.ndarray:
+    """branches[n, m]: the unnormalized survivor of outcome m of instance n, input n placed at resource r_n."""
+    return (_branch(protocol)[r] @ inputs[:, :, None]).reshape(len(inputs), len(protocol[2]), -1)
 
 
 def _protocol_residual(protocol, gate: np.ndarray, probes: np.ndarray) -> float:
@@ -163,10 +202,10 @@ def _protocol_residual(protocol, gate: np.ndarray, probes: np.ndarray) -> float:
     correcting it gives gate x_p.  The kets v_m are orthonormal, so the norm is taken over the branches.
     """
     _, table, kets = protocol
-    r = np.repeat(np.arange(len(table)), len(probes))
-    inputs = np.tile(probes, (len(table), 1))
-    moved = (table[r] @ (inputs @ transpose(gate))[:, None, :, None])[..., 0] / math.sqrt(len(kets))
-    return _worst_norm((_branches(protocol, inputs, r) - moved).reshape(len(r), -1))
+    columns = transpose(probes)
+    got = (_branch(protocol) @ columns).reshape(table.shape[:3] + (len(probes),))  # [r, m, j, p]
+    diff = got - table @ (gate @ columns) / math.sqrt(len(kets))
+    return float(np.sqrt((np.abs(diff) ** 2).sum(axis=(1, 2))).max())
 
 
 def _teleport(protocol, inputs: np.ndarray, r, draws: np.ndarray):
@@ -275,11 +314,11 @@ def _bell_like_corrections(phi: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=64)
-def _braid_protocol(phi: float):
-    """(op, table, kets) of the braid protocol per phi: (B x 1)(1 x B), B-checked W_ijkl = V_kl U^T_ij, product kets."""
+def _braid_protocol(phi: float) -> Protocol:
+    """The braid protocol per phi: op (B x 1)(1 x B), table the B-checked W_ijkl = V_kl U^T_ij, product kets."""
     b = yb_gate(phi)
     v, u = _checked_gates(phase_table(phi), b, DEFAULT_TOL)
-    return frozen(kron(b, I2) @ kron(I2, b)), frozen(v[:, None] @ transpose(u)), _product_kets()
+    return Protocol(kron(b, I2) @ kron(I2, b), v[:, None] @ transpose(u), _product_kets(), I2)
 
 
 def _correction_table(correction, *args) -> np.ndarray:
@@ -287,16 +326,18 @@ def _correction_table(correction, *args) -> np.ndarray:
     return np.array([[correction(i, j, k, l, *args) for i, j in BIT_PAIRS] for k, l in BIT_PAIRS])
 
 
-def _standard_protocol():
-    """(op, table, kets) of the standard protocol: alpha -> alpha (x) EPR, W_ij, Bell kets."""
+@functools.lru_cache(maxsize=None)
+def _standard_protocol() -> Protocol:
+    """The standard protocol, built once: op alpha -> alpha (x) EPR, table W_ij, Bell kets."""
     basis = UnitaryBasis.pauli()
-    return kron(I2, EPR[:, None]), basis.u[None], basis.states
+    return Protocol(kron(I2, EPR[:, None]), basis.u[None], basis.states, I2)
 
 
-def _bell_like_protocol(phi: float):
-    """(op, table, kets) of the Bell-like protocol: alpha -> alpha (x) |Psi_M00>, M00 M*_ij, E_ij kets."""
+@functools.lru_cache(maxsize=64)
+def _bell_like_protocol(phi: float) -> Protocol:
+    """The Bell-like protocol per phi: op alpha -> alpha (x) |Psi_M00>, table M00 M*_ij, E_ij kets."""
     kets = UnitaryBasis.bell_like(phi).states
-    return kron(I2, kets[0][:, None]), _bell_like_corrections(phi)[0][None], kets
+    return Protocol(kron(I2, kets[0][:, None]), _bell_like_corrections(phi)[0][None], kets, I2)
 
 
 def teleport_standard(alpha: np.ndarray, rng_seed: int = 42):
@@ -353,13 +394,24 @@ def extract_phases(phi: float, tol: float = DEFAULT_TOL) -> PhaseTable:
     return table
 
 
+# X^j, Z^i, X^(j+1) and Z^(i+1) stacked at 2i + j: the Pauli factors of V_ij and U_ij
+_X_LOW, _Z_HIGH, _X_LOW_PLUS, _Z_HIGH_PLUS = (
+    frozen(np.array([power(pair[bit] + shift) for pair in BIT_PAIRS]))
+    for shift in (0, 1) for power, bit in ((x_pow, 1), (z_pow, 0))
+)
+
+
 def _checked_gates(table: PhaseTable, b: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The V_kl and U_ij stacks of table, once B rebuilt from them as below is within tol (else ValueError).
 
     Column kl of sum_kl (1 (x) V_kl)|Psi><kl| is (1 (x) V_kl)|Psi>,
     row ij of sum_ij |ij><Psi|(1 (x) U_ij) is ((1 (x) U_ij^dag)|Psi>)^dag.
     """
-    v, u = (np.stack([gate(k, l, table) for k, l in BIT_PAIRS]) for gate in (v_gate, u_gate))
+    r = phase_shift(table.phi)
+    v_phases = np.array([cmath.exp(1j * table.alpha_b[p]) for p in BIT_PAIRS])[:, None, None]
+    u_phases = np.array([cmath.exp(-1j * table.alpha_b_dagger[p]) for p in BIT_PAIRS])[:, None, None]
+    v = v_phases * mul(r, H, _X_LOW, _Z_HIGH, r)  # each V_kl and U_ij as v_gate and u_gate multiply them
+    u = u_phases * mul(dagger(r), _Z_HIGH_PLUS, _X_LOW_PLUS, H, dagger(r))
     drift = max(max_abs_diff(transpose(state_with_gate(v)), b), max_abs_diff(conj(state_with_gate(dagger(u))), b))
     if drift > tol:
         raise ValueError(f"phase table does not reproduce B: drift {drift:.3e}")

@@ -3,10 +3,13 @@
 linalg.kron must give np.kron's bits, recognize_pauli the answer of the
 one-string-at-a-time enumeration it replaced (kept here as the oracle), and
 pauli_w the bits of its matrix_power build, and teleport._teleport, which
-measures with one matmul, the bits of the einsum it replaced.  A static scan
+measures with one small matvec per instance on a protocol's branch tensor,
+the outcomes of the einsum and of the dense zero-padded product it replaced
+(kept here as oracles), with every amplitude within 4 ulp.  A static scan
 keeps every other tensor product in the package on linalg.kron.
 """
 
+import argparse
 import ast
 import functools
 import itertools
@@ -17,7 +20,7 @@ import numpy as np
 import pytest
 
 import braidtel
-from braidtel import gate_teleport, teleport
+from braidtel import cli, gate_teleport, teleport
 from braidtel.gate_teleport import PAULI_LABELS, PauliString, recognize_pauli
 from braidtel.gates import I2, X, Y, Z, pauli_w
 from braidtel.linalg import DEFAULT_TOL, approx_eq_phase, conj, dagger, identity, kron, transpose
@@ -164,19 +167,68 @@ MEASURED_PROTOCOLS = {
     "product-16": gate_teleport._double_protocol,
 }
 
+ULPS = 4
 
+
+def _ulps(a, b) -> float:
+    """Largest |a - b| in ulps of 1, the scale of the amplitudes and probabilities of a normalized input."""
+    return float(np.abs(np.asarray(a) - np.asarray(b)).max() / np.finfo(float).eps)
+
+
+def _assert_same_measurement(got, expected):
+    """Outcomes exactly equal; probabilities, survivors and corrected states within ULPS."""
+    m, *values = got
+    assert m.tobytes() == expected[0].tobytes()
+    for a, b in zip(values, expected[1:], strict=True):
+        assert a.shape == b.shape and _ulps(a, b) <= ULPS
+
+
+def _instances(protocol, n):
+    """n seeded normalized inputs of the protocol's input size, resource indices and draws."""
+    op, table, _ = protocol
+    amps = _complex(n, op.shape[1] // len(table))
+    return amps / np.linalg.norm(amps, axis=1, keepdims=True), _RNG.integers(0, len(table), size=n), _RNG.random(n)
+
+
+# The fused kernel sums each branch in another order than the einsum did: the outcomes stay exact
+# and every other output agrees to within 4 ulp of 1.
 @pytest.mark.parametrize("n", [1, 4, 32, 256, 1024])
 @pytest.mark.parametrize("name", MEASURED_PROTOCOLS)
-def test_measurement_matmul_gives_the_bits_of_the_einsum(name, n):
+def test_measurement_matmul_matches_the_einsum(name, n):
     protocol = MEASURED_PROTOCOLS[name]()
-    op, table, _ = protocol
-    dim = op.shape[1] // len(table)
-    amps = _complex(n, dim)
-    inputs = amps / np.linalg.norm(amps, axis=1, keepdims=True)
-    r, draws = _RNG.integers(0, len(table), size=n), _RNG.random(n)
-    got, expected = teleport._teleport(protocol, inputs, r, draws), _teleport_by_einsum(protocol, inputs, r, draws)
-    for a, b in zip(got, expected, strict=True):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    inputs, r, draws = _instances(protocol, n)
+    _assert_same_measurement(teleport._teleport(protocol, inputs, r, draws),
+                             _teleport_by_einsum(protocol, inputs, r, draws))
+
+
+def _dense_branches(protocol, inputs, r):
+    """teleport._branches as it was: each input zero-padded to the full register, op applied, kets projected."""
+    op, table, kets = protocol
+    n = len(inputs)
+    padded = np.zeros((n, 2, len(table), inputs.shape[1] // 2), dtype=complex)
+    padded[np.arange(n), :, r] = inputs.reshape(n, 2, -1)
+    states = padded.reshape(n, -1) @ transpose(op)
+    split = states.reshape(n, len(kets), -1).transpose(0, 2, 1)  # [n, j, k]: amplitude j of the kth measured row
+    return (split.reshape(-1, len(kets)) @ transpose(conj(kets))).reshape(split.shape).transpose(0, 2, 1)
+
+
+REPORT_PROTOCOLS = [(v, "T") for v in ("standard", "bell-like", "yang-baxter", "two-qubit")] + [
+    ("gate", g) for g in ("H", "T", "R")
+]
+
+
+@pytest.mark.parametrize("n", [1, 4, 32, 256, 1024])
+@pytest.mark.parametrize("variant, gate", REPORT_PROTOCOLS,
+                         ids=[v if v != "gate" else f"gate-{g}" for v, g in REPORT_PROTOCOLS])
+def test_branch_tensor_kernel_matches_the_dense_branches(variant, gate, n, monkeypatch):
+    protocol, *_ = cli._protocol(argparse.Namespace(action=variant, phi=0.3, gate=gate))
+    inputs, r, draws = _instances(protocol, n)
+    fused = teleport._branches(protocol, inputs, r)
+    assert fused.shape == (n, len(protocol[2]), protocol[0].shape[0] // len(protocol[2]))
+    assert _ulps(fused, _dense_branches(protocol, inputs, r)) <= ULPS
+    got = teleport._teleport(protocol, inputs, r, draws)
+    monkeypatch.setattr(teleport, "_branches", _dense_branches)
+    _assert_same_measurement(got, teleport._teleport(protocol, inputs, r, draws))
 
 
 MODULES = sorted(p for p in Path(braidtel.__file__).parent.glob("*.py") if p.name != "linalg.py")

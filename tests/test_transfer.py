@@ -41,6 +41,7 @@ from braidtel.teleport import (
     teleport_with_yb,
 )
 from tables import table_max
+from test_protocol_constants import _module_caches
 
 PHIS = (0.0, 0.3, -2.1)
 SEEDS = (5, 42)
@@ -300,11 +301,11 @@ def test_every_protocol_holds_its_identity_on_every_branch(variant, gate, phi):
 
 @pytest.fixture
 def cold_tables():
-    caches = (gate_teleport._kl_tables, gate_teleport._qp_table)
-    for cache in caches:
+    """Every module-level cache cleared, so no protocol, table or branch tensor built before a fake is kept."""
+    for cache in _module_caches():
         cache.cache_clear()
     yield
-    for cache in caches:
+    for cache in _module_caches():
         cache.cache_clear()
 
 
