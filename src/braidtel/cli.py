@@ -65,7 +65,7 @@ from .tangles import (
     solve_pauli_eigenvalues,
     spectral_constraint_residuals,
 )
-from .teleport import BIT_PAIRS, _bell_like_protocol, _braid_protocol, _standard_protocol, _teleport
+from .teleport import BIT_PAIRS, _bell_like_protocol, _braid_protocol, _every_branch, _standard_protocol, _teleport
 
 _DEFAULT_TOL = 1e-10
 # phi grid used to validate solved eigenvalue classes across the family
@@ -286,6 +286,8 @@ def _cmd_teleport(cfg: argparse.Namespace) -> list[dict]:
         {"label": "min-fidelity", "value": _fmt(min_fid), "pass": bool(min_fid >= 1 - cfg.tolerance)},
         {"label": "max-probability-deviation", "value": _fmt(prob_dev), "pass": bool(prob_dev <= cfg.tolerance),
          "expected": _fmt(expected)},
+        # every branch of the protocol against its identity, sampled or not, on fixed probes: --seed plays no part
+        _check("every-branch", _every_branch(protocol, gate), cfg.tolerance, branches=outcomes * resources),
         _info("outcomes", histogram={key[m]: int(c) for m, c in enumerate(counts) if c}),
         # keys are fixed-width and m R + r ascends with (m, r), so the map is in sorted key order
         _info("corrections", map=dict(rows[i] for i in np.flatnonzero(seen))),

@@ -199,13 +199,15 @@ def _protocol_residual(protocol, gate: np.ndarray, probes: np.ndarray) -> float:
     """Worst 2-norm over probes x_p and resources r of op (x_p at r) - M^{-1/2} sum_m v_m (x) C[r, m] gate x_p.
 
     That is the identity behind a protocol with M outcomes: every branch is C[r, m] gate x_p / sqrt(M), so
-    correcting it gives gate x_p.  The kets v_m are orthonormal, so the norm is taken over the branches.
+    correcting it gives gate x_p.  The kets v_m are orthonormal, so the norm is taken over the branches:
+    it is |D_r x_p| with D_r = branch[r] - C[r] gate / sqrt(M), read off the small Gram matrices D_r^dag D_r.
     """
     _, table, kets = protocol
-    columns = transpose(probes)
-    got = (_branch(protocol) @ columns).reshape(table.shape[:3] + (len(probes),))  # [r, m, j, p]
-    diff = got - table @ (gate @ columns) / math.sqrt(len(kets))
-    return float(np.sqrt((np.abs(diff) ** 2).sum(axis=(1, 2))).max())
+    branch = _branch(protocol)
+    diff = branch - (table @ gate).reshape(branch.shape) / math.sqrt(len(kets))
+    gram = dagger(diff) @ diff  # |D_r x_p|^2 = x_p^dag D_r^dag D_r x_p
+    squares = ((conj(probes) @ gram) * probes).sum(axis=2).real
+    return math.sqrt(max(float(squares.max()), 0.0))
 
 
 def _teleport(protocol, inputs: np.ndarray, r, draws: np.ndarray):

@@ -9,6 +9,7 @@ mutated through _protocol_residual, the others through _transfer_residual.
 """
 
 import argparse
+import json
 
 import numpy as np
 import pytest
@@ -339,6 +340,19 @@ def test_protocol_residual_sees_each_seeded_defect(defect, cold_tables, monkeypa
         monkeypatch.setattr(module, name, fake)
     protocol, u = _report_protocol(variant, 0.3)
     assert teleport._protocol_residual(protocol, u, _probes(protocol)) >= 0.4
+
+
+# Fidelity ignores phase and the default run never samples the 00,00|00,00 branch, so without the
+# every-branch row each report would pass.
+@pytest.mark.parametrize("defect", DEFECTS)
+def test_each_seeded_defect_fails_only_the_every_branch_row(defect, cold_tables, monkeypatch, capsys):
+    variant, fakes = DEFECTS[defect]
+    for module, name, fake in fakes:
+        monkeypatch.setattr(module, name, fake)
+    assert cli.main(["teleport", variant, "--phi", "0.3", "--format", "json"]) == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert [entry["label"] for entry in results if entry.get("pass") is False] == ["every-branch"]
+    assert float(next(e for e in results if e["label"] == "every-branch")["residual"]) >= 0.4
 
 
 # ------------------------------------------------------ resource bits
