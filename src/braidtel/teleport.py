@@ -8,12 +8,18 @@ projective measurement, classical correction):
   braid      resource built by the gate pair (B x 1)(1 x B), product-basis
              measurement, correction W_{i,j,k,l}
 
-A protocol is one (op, table, kets) triple.  _branches places each input at
-its resource, applies op and projects the leading register onto the kets v_m;
+A protocol is a Protocol: its read-only (op, table, kets) triple and its
+branch tensor, built together by a cached builder, once per process for the
+standard and double protocols, once per phi for the Bell-like and braid ones
+and once per gate for gate teleportation.  branch[r] maps an input ket at
+resource r to its M unnormalized post-measurement states, (<v_m| (x) 1) op
+with the input placed at r, so _branches is one gathered batched matvec.
 _teleport samples m by the Born rule, one uniform draw per instance, and
-corrects with C_m^dag from the table, indexed [resource, outcome], and
-_protocol_residual checks every branch against the exact identity.  The
-teleport_* functions are one-instance calls.  UnitaryBasis is the one
+corrects with C_m^dag read at call time from the protocol's table, indexed
+[resource, outcome].  _protocol_residual checks every branch against the
+exact identity; on fixed probes it is a protocol's every_branch, the gated
+row of every teleport report.  The teleport_* functions are one-instance
+calls.  UnitaryBasis is the one
 Bell-like basis: its Pauli instance and its per-phi M_ij instance give the
 protocols their kets and corrections and the tangle constraints their gates.
 Bases, tables and phi-fixed operators are built, self-checked and frozen once

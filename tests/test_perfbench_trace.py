@@ -2,17 +2,36 @@
 
 perfbench/run.py reads single functions' stats by name, and its tracer
 wraps only plain functions, so a public function hidden behind a
-memoising decorator would end a traced run with a KeyError.
+memoising decorator would end a traced run with a KeyError.  The
+teleport-path functions it reads are called here through all five
+teleport reports and the five one-instance calls.
 """
 
 import importlib.util
 import os
 from pathlib import Path
 
-from braidtel import teleport
+import numpy as np
+
+from braidtel import cli, gate_teleport, teleport
 from braidtel.cli import main
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
+
+PHI = 0.4321  # a phi no other test builds, so the per-phi builds run under the tracer
+ALPHA = np.array([0.6, 0.8j])
+
+# perfbench/run.py's teleport-path functions, and the calls each gets below
+TRACED_CALLS = {
+    "teleport.teleport_standard": 1,
+    "teleport.teleport_bell_like": 1,
+    "teleport.teleport_with_yb": 1,
+    "gate_teleport.teleport_single_gate": 1,
+    "gate_teleport.teleport_two_qubit": 1,
+    "gate_teleport.clifford_check": 1,  # the correction-clifford row stops at the first non-Clifford R(phi) image
+    "teleport.extract_phases": 0,  # the protocols read the closed-form phase_table
+    "gates.tl_projector": 1,  # the E_00 self-check of the Bell-like basis at PHI
+}
 
 
 def _load_runner(monkeypatch):
@@ -31,13 +50,19 @@ def test_per_layer_metrics_find_their_functions(monkeypatch, capsys):
     tracer.install()
     try:
         tracer.begin(0)
-        assert main(["teleport", "yang-baxter", "--count", "2", "--format", "json"]) == 0
-        # the report runs its instances as one batch; teleport.instances counts calls of the one-instance functions
-        for seed in range(2):
-            teleport.teleport_with_yb([1, 0], 0, 1, 0.3, rng_seed=seed)
+        for variant in cli.TELEPORT_VARIANTS:
+            argv = ["teleport", variant, "--phi", str(PHI), "--count", "2", "--format", "json"]
+            assert main(argv + (["--gate", "R"] if variant == "gate" else [])) == 0
+        # the reports run their instances as one batch; teleport.instances counts calls of the one-instance functions
+        teleport.teleport_standard(ALPHA)
+        teleport.teleport_bell_like(ALPHA, PHI)
+        teleport.teleport_with_yb(ALPHA, 0, 1, PHI)
+        gate_teleport.teleport_single_gate(np.eye(2), ALPHA, 1, 0)
+        gate_teleport.teleport_two_qubit(np.array([1, 0, 0, 0]), 0, 1, 1, 0)
         tracer.end()
         metrics = runner.per_layer(tracer, [1.0, 1.0], [True, False])
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    assert metrics["teleport.instances"]["value"] == 2
+    assert metrics["teleport.instances"]["value"] == 5
+    assert {name: tracer.stats[name][0] for name in TRACED_CALLS} == TRACED_CALLS

@@ -86,7 +86,13 @@ def test_cache_scan_finds_the_protocol_caches():
         teleport._product_kets,
         teleport._bell_like_corrections,
         teleport._braid_protocol,
+        teleport._standard_protocol,
+        teleport._bell_like_protocol,
+        teleport._branch_probes,
         gates._b0,
+        gates._m_gates,
+        gate_teleport._gate_protocol_of,
+        gate_teleport._double_protocol,
         gate_teleport._b0_layers,
         gate_teleport._kl_tables,
         gate_teleport._qp_table,
@@ -120,11 +126,29 @@ def test_cache_scan_finds_the_protocol_caches():
         *(lambda k=k: algebra._brauer_operators()[k] for k in range(7)),
         *(lambda k=k: tangles.UnitaryBasis.pauli().u[k] for k in range(4)),
         lambda: tangles.UnitaryBasis.pauli().states,
+        lambda: teleport._standard_protocol().branch,
+        lambda: teleport._bell_like_protocol(0.3).branch,
+        lambda: teleport._braid_protocol(0.3).branch,
+        lambda: gate_teleport._gate_protocol(H).branch,
+        lambda: gate_teleport._double_protocol().branch,
+        lambda: teleport._standard_protocol()[0],
+        lambda: teleport._bell_like_protocol(0.3)[0],
+        lambda: gate_teleport._gate_protocol(H)[0],
+        lambda: gate_teleport._gate_protocol(H)[1],
+        lambda: gate_teleport._double_protocol()[0],
+        lambda: gate_teleport._double_protocol().gate,
+        lambda: teleport._branch_probes(2),
+        lambda: teleport._branch_probes(4),
+        lambda: gates._m_gates(0.3),
+        lambda: gates.m_gate(1, 1, 0.3),
     ],
     ids=["bell", "product", "bell-like", "braid-op", "braid-w", "b0", "b0-front", "b0-back", "double",
          "double-middle", "bell-like-front", "bell-like-mirror", "pauli", "k", "l", "qp",
          "brauer-e", "brauer-p", "brauer-bells", "brauer-project", "brauer-swap", "brauer-tangle", "brauer-nested",
-         "pauli-basis-00", "pauli-basis-01", "pauli-basis-10", "pauli-basis-11", "pauli-states"],
+         "pauli-basis-00", "pauli-basis-01", "pauli-basis-10", "pauli-basis-11", "pauli-states",
+         "standard-branch", "bell-like-branch", "braid-branch", "gate-branch", "double-branch",
+         "standard-op", "bell-like-op", "gate-op", "gate-table", "double-op", "double-gate",
+         "one-qubit-probes", "two-qubit-probes", "m-stack", "m-11"],
 )
 def test_cached_constants_are_read_only(constant):
     array = constant()
@@ -283,3 +307,17 @@ def test_importing_the_cli_fills_no_cache():
     assert {"braidtel.cli._solve_rows", "braidtel.cli._fixed_analysis", "braidtel.cli._grammar",
             "braidtel.teleport._pauli_basis", "braidtel.teleport._bell_like_basis"} <= set(sizes)
     assert {name: size for name, size in sizes.items() if size != "0"} == {}
+
+
+def test_protocols_and_their_every_branch_rows_are_built_once(cold_caches, monkeypatch, capsys):
+    """Once per process for standard and two-qubit, per phi for bell-like and yang-baxter, per gate for gate."""
+    calls = []
+    real = teleport._protocol_residual
+    monkeypatch.setattr(teleport, "_protocol_residual", lambda *args: calls.append(len(args[0][2])) or real(*args))
+    for seed in ("1", "2", "3"):
+        for variant in cli.TELEPORT_VARIANTS:
+            assert cli.main(["teleport", variant, "--phi", "0.3", "--seed", seed, "--count", "5", "--format", "json"]) == 0
+    assert sorted(calls) == [4, 4, 4, 4, 16]
+    assert teleport._standard_protocol() is teleport._standard_protocol()
+    assert gate_teleport._double_protocol() is gate_teleport._double_protocol()
+    assert gate_teleport._gate_protocol(H) is gate_teleport._gate_protocol(H.copy())
