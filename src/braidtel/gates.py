@@ -132,7 +132,8 @@ def m_gate(i: int, j: int, phi: float) -> np.ndarray:
     return _m_gates(phi)[2 * i + j]
 
 
-# The middle factors of M_00, M_01 and M_11, an identity where a gate has fewer; a product with one is exact.
+# The middle factors of M_00, M_01 and M_11, an identity where a gate has fewer: multiplying by it keeps every
+# bit of the per-gate chain.  M_10 = X Z keeps its own product, whose zero signs a padded stack would flip.
 _M_MIDDLE = tuple(frozen(np.array(factors)) for factors in ((H, Z, H), (S, I2, dagger(S)), (H, I2, H)))
 
 

@@ -2,7 +2,8 @@
 
 linalg.kron must give np.kron's bits, recognize_pauli the answer of the
 one-string-at-a-time enumeration it replaced (kept here as the oracle), and
-pauli_w the bits of its matrix_power build, and teleport._teleport, which
+pauli_w the bits of its matrix_power build, the stacked M_ij, V_ij and U_ij
+the bits of their per-gate products, and teleport._teleport, which
 measures with one small matvec per instance on a protocol's branch tensor,
 the outcomes of the einsum and of the dense zero-padded product it replaced
 (kept here as oracles), with every amplitude within 4 ulp.  A static scan
@@ -13,6 +14,7 @@ import argparse
 import ast
 import functools
 import itertools
+import math
 import warnings
 from pathlib import Path
 
@@ -22,8 +24,8 @@ import pytest
 import braidtel
 from braidtel import cli, gate_teleport, teleport
 from braidtel.gate_teleport import PAULI_LABELS, PauliString, recognize_pauli
-from braidtel.gates import I2, X, Y, Z, pauli_w
-from braidtel.linalg import DEFAULT_TOL, approx_eq_phase, conj, dagger, identity, kron, transpose
+from braidtel.gates import H, I2, S, X, Y, Z, m_gate, pauli_w, phase_shift, yb_gate
+from braidtel.linalg import DEFAULT_TOL, approx_eq_phase, conj, dagger, identity, kron, mul, transpose
 
 _RNG = np.random.default_rng(2024)
 
@@ -159,6 +161,31 @@ def _teleport_by_einsum(protocol, inputs, r, draws):
     p = probs[rows, m]
     survivors = branches[rows, m] / np.sqrt(p)[:, None]
     return m, p, survivors, (dagger(table[r, m]) @ survivors[:, :, None])[:, :, 0]
+
+
+def _m_gate_by_chain(i, j, phi):
+    """gates.m_gate as it was: one left-to-right product per gate."""
+    r = phase_shift(phi)
+    return {(0, 0): lambda: mul(r, H, S, H, r), (0, 1): lambda: mul(r, Z, r), (1, 0): lambda: mul(X, Z),
+            (1, 1): lambda: mul(r, H, dagger(S), H, r)}[(i, j)]()
+
+
+STACK_PHIS = [float(phi) for phi in np.linspace(-3.2, 3.2, 161)] + [0.0, math.pi, -math.pi, 1e-300]
+
+
+def test_stacked_m_gates_give_the_bits_of_the_chains():
+    for phi in STACK_PHIS:
+        for i, j in itertools.product((0, 1), repeat=2):
+            assert m_gate(i, j, phi).tobytes() == _m_gate_by_chain(i, j, phi).tobytes(), (phi, i, j)
+
+
+def test_stacked_braid_gates_give_the_bits_of_v_gate_and_u_gate():
+    for phi in STACK_PHIS:
+        table = teleport.phase_table(phi)
+        v, u = teleport._checked_gates(table, yb_gate(phi), DEFAULT_TOL)
+        for n, (i, j) in enumerate(itertools.product((0, 1), repeat=2)):
+            assert v[n].tobytes() == teleport.v_gate(i, j, table).tobytes(), (phi, i, j)
+            assert u[n].tobytes() == teleport.u_gate(i, j, table).tobytes(), (phi, i, j)
 
 
 MEASURED_PROTOCOLS = {
