@@ -206,14 +206,13 @@ def _protocol_residual(protocol, gate: np.ndarray, probes: np.ndarray) -> float:
 
     That is the identity behind a protocol with M outcomes: every branch is C[r, m] gate x_p / sqrt(M), so
     correcting it gives gate x_p.  The kets v_m are orthonormal, so the norm is taken over the branches:
-    it is |D_r x_p| with D_r = branch[r] - C[r] gate / sqrt(M), read off the small Gram matrices D_r^dag D_r.
+    it is |D_r x_p| with D_r = branch[r] - C[r] gate / sqrt(M), all rows of all D_r taken as one matrix.
     """
     _, table, kets = protocol
     branch = _branch(protocol)
-    diff = branch - (table @ gate).reshape(branch.shape) / math.sqrt(len(kets))
-    gram = dagger(diff) @ diff  # |D_r x_p|^2 = x_p^dag D_r^dag D_r x_p
-    squares = ((conj(probes) @ gram) * probes).sum(axis=2).real
-    return math.sqrt(max(float(squares.max()), 0.0))
+    rows = branch.reshape(-1, branch.shape[2]) - table.reshape(-1, len(gate)) @ gate / math.sqrt(len(kets))
+    images = (rows @ transpose(probes)).reshape(len(table), -1, len(probes))  # [r, m d_out + j, p]
+    return float(np.sqrt((np.abs(images) ** 2).sum(axis=1).max()))
 
 
 def _teleport(protocol, inputs: np.ndarray, r, draws: np.ndarray):
