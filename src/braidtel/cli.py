@@ -257,6 +257,12 @@ def _report_keys(label: str, outcomes: int, resources: int) -> tuple[tuple, tupl
     return tuple(key), rows
 
 
+@functools.lru_cache(maxsize=64)
+def _streams(seed: int) -> tuple:
+    """The two seed sequences spawned from seed: the input kets and resource bits, and the measurement draws."""
+    return tuple(np.random.SeedSequence(seed).spawn(2))
+
+
 def _cmd_teleport(cfg: argparse.Namespace) -> list[dict]:
     protocol, gate, label, extra = _protocol(cfg)
     op, table, kets = protocol
@@ -265,8 +271,7 @@ def _cmd_teleport(cfg: argparse.Namespace) -> list[dict]:
     dim, nbits = op.shape[1] // resources, resources.bit_length() - 1
     counts = np.zeros(outcomes, dtype=int)
     expected = 1 / outcomes
-    # the input kets and resource bits, and the measurement draws, come from independent streams
-    ket_rng, measure_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(2))
+    ket_rng, measure_rng = (np.random.default_rng(s) for s in _streams(cfg.seed))
     seen = np.zeros(outcomes * resources, dtype=bool)  # the (outcome m, resource r) branches met, at m R + r
     min_fid, prob_dev = 1.0, 0.0  # worst fidelity and deviation
     for start in range(0, cfg.count, _BLOCK):

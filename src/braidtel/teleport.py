@@ -223,7 +223,8 @@ def _teleport(protocol, inputs: np.ndarray, r, draws: np.ndarray):
     """
     rows = np.arange(len(inputs))
     branches = _branches(protocol, inputs, r)
-    probs = (np.abs(branches) ** 2).sum(axis=2)
+    flat = np.ascontiguousarray(branches).view(float)  # the real and imaginary parts of each amplitude
+    probs = np.einsum("nmk,nmk->nm", flat, flat)
     total = probs.sum(axis=1)
     if not (np.abs(total - 1.0) <= 1e-9).all():
         raise ValueError(f"probabilities sum to {total[np.argmax(np.abs(total - 1.0))]}, expected 1")
