@@ -293,9 +293,9 @@ def _cmd_teleport(cfg: argparse.Namespace) -> list[dict]:
          "expected": _fmt(expected)},
         # every branch of the protocol against its identity, sampled or not, on fixed probes: --seed plays no part
         _check("every-branch", _every_branch(protocol, gate), cfg.tolerance, branches=outcomes * resources),
-        _info("outcomes", histogram={key[m]: int(c) for m, c in enumerate(counts) if c}),
+        _info("outcomes", histogram={key[m]: c for m, c in enumerate(counts.tolist()) if c}),
         # keys are fixed-width and m R + r ascends with (m, r), so the map is in sorted key order
-        _info("corrections", map=dict(rows[i] for i in np.flatnonzero(seen))),
+        _info("corrections", map=dict(map(rows.__getitem__, np.flatnonzero(seen).tolist()))),
         *extra,
     ]
 

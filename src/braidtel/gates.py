@@ -133,8 +133,10 @@ def m_gate(i: int, j: int, phi: float) -> np.ndarray:
 
 
 # The middle factors of M_00, M_01 and M_11, an identity where a gate has fewer: multiplying by it keeps every
-# bit of the per-gate chain.  M_10 = X Z keeps its own product, whose zero signs a padded stack would flip.
+# bit of the per-gate chain.  M_10 = X Z, free of phi, keeps its own product, whose zero signs a padded stack
+# would flip.
 _M_MIDDLE = tuple(frozen(np.array(factors)) for factors in ((H, Z, H), (S, I2, dagger(S)), (H, I2, H)))
+_M_10 = frozen(mul(X, Z))
 
 
 @functools.lru_cache(maxsize=64)
@@ -143,7 +145,7 @@ def _m_gates(phi: float) -> np.ndarray:
     r = phase_shift(phi)
     ends = np.array([r, r, r])
     m00, m01, m11 = mul(ends, *_M_MIDDLE, ends)
-    return frozen(np.array([m00, m01, mul(X, Z), m11]))
+    return frozen(np.array([m00, m01, _M_10, m11]))
 
 
 def bell_like_state(i: int, j: int, phi: float) -> np.ndarray:

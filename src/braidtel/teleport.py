@@ -271,12 +271,14 @@ class UnitaryBasis:
 
     u: np.ndarray
     states: np.ndarray = field(init=False, repr=False)
+    _residual: float = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "u", _stack(self.u, (4, 2, 2), "basis"))
-        res = self.orthonormality_residual()
-        if res > DEFAULT_TOL:
-            raise ValueError(f"basis is not orthonormal, residual {res:.3e}")
+        gram = 0.5 * np.einsum("bji,aji->ab", conj(self.u), self.u)  # (1/2) tr(U_b^dag U_a)
+        object.__setattr__(self, "_residual", max_abs_diff(gram, identity(4)))
+        if self._residual > DEFAULT_TOL:
+            raise ValueError(f"basis is not orthonormal, residual {self._residual:.3e}")
         object.__setattr__(self, "states", frozen(state_with_gate(self.u)))
 
     @classmethod
@@ -290,8 +292,8 @@ class UnitaryBasis:
         return _bell_like_basis(phi)
 
     def orthonormality_residual(self) -> float:
-        gram = 0.5 * np.einsum("bji,aji->ab", conj(self.u), self.u)  # (1/2) tr(U_b^dag U_a)
-        return max_abs_diff(gram, identity(4))
+        """max |(1/2) tr(U_b^dag U_a) - delta_ab|, taken once when the read-only basis is built."""
+        return self._residual
 
 
 @functools.lru_cache(maxsize=None)
