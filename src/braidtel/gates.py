@@ -143,8 +143,7 @@ _M_10 = frozen(mul(X, Z))
 def _m_gates(phi: float) -> np.ndarray:
     """M_ij stacked at 2i + j, read-only: the three phi-dependent gates as one stacked product, left to right."""
     r = phase_shift(phi)
-    ends = np.array([r, r, r])
-    m00, m01, m11 = mul(ends, *_M_MIDDLE, ends)
+    m00, m01, m11 = mul(r, *_M_MIDDLE, r)
     return frozen(np.array([m00, m01, _M_10, m11]))
 
 
