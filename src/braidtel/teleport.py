@@ -162,8 +162,9 @@ def _branch_tensor(op: np.ndarray, table: np.ndarray, kets: np.ndarray) -> np.nd
 class Protocol(tuple):
     """A built protocol: its read-only (op, table, kets), its branch tensor and the gate it applies.
 
-    The branch tensor is built with the protocol; every_branch, _protocol_residual on the fixed probes, is
-    computed on its first read, once per build.  The table stays the tuple's own item, read at call time.
+    The branch tensor is built with the protocol.  every_branch, _protocol_residual on the fixed probes, is
+    computed on its first read, once per build, so one-instance calls, which never read it, do not pay for
+    it.  The table stays the tuple's own item, read at call time.
     """
 
     def __new__(cls, op, table, kets, gate):
