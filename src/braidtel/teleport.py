@@ -175,7 +175,7 @@ class Protocol(tuple):
 
     @functools.cached_property
     def every_branch(self) -> float:
-        return _protocol_residual(self, self.gate, _branch_probes(self.branch.shape[2]))
+        return _protocol_residual(self, self.gate, _branch_probes(len(self.gate)))
 
 
 def _branch(protocol) -> np.ndarray:
