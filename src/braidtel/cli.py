@@ -65,7 +65,7 @@ from .tangles import (
     solve_pauli_eigenvalues,
     spectral_constraint_residuals,
 )
-from .teleport import BIT_PAIRS, _bell_like_protocol, _braid_protocol, _every_branch, _standard_protocol, _teleport
+from .teleport import BIT_PAIRS, _bell_like_protocol, _braid_protocol, _standard_protocol, _teleport
 
 _DEFAULT_TOL = 1e-10
 # phi grid used to validate solved eigenvalue classes across the family
@@ -225,21 +225,19 @@ def _verify_skew(cfg: argparse.Namespace) -> list[dict]:
 
 
 def _protocol(cfg: argparse.Namespace):
-    """(protocol, gate it applies to the input, correction label, extra results) of a teleport variant."""
+    """(protocol, correction label, extra results) of a teleport variant."""
     if cfg.action == "standard":
-        return _standard_protocol(), np.eye(2), "W^dag_{key}", []
+        return _standard_protocol(), "W^dag_{key}", []
     if cfg.action == "bell-like":
-        return _bell_like_protocol(cfg.phi), np.eye(2), "(M_00 conj(M_{key}))^dag", []
+        return _bell_like_protocol(cfg.phi), "(M_00 conj(M_{key}))^dag", []
     if cfg.action == "yang-baxter":
-        return _braid_protocol(cfg.phi), np.eye(2), "W^dag_{key}{res}", []
+        return _braid_protocol(cfg.phi), "W^dag_{key}{res}", []
     if cfg.action == "gate":
-        u = elementary(cfg.gate, cfg.phi)
-        protocol = _gate_protocol(u)
+        protocol = _gate_protocol(elementary(cfg.gate, cfg.phi))
         # row 0 of u K u^dag holds every u W_ij u^dag up to sign, and a sign cancels in C P C^dag
-        clifford = all(clifford_check(c)[0] for c in protocol[1][0])
-        extra = [_info("correction-clifford", gate=cfg.gate, value=clifford)]
-        return protocol, u, f"R({cfg.gate})^dag_{{key}}{{res}}", extra
-    return _double_protocol(), _b0(), "(Q x P)^dag", []
+        clifford = _info("correction-clifford", gate=cfg.gate, value=all(clifford_check(c)[0] for c in protocol[1][0]))
+        return protocol, f"R({cfg.gate})^dag_{{key}}{{res}}", [clifford]
+    return _double_protocol(), "(Q x P)^dag", []
 
 
 def _pairs(index: int, count: int) -> str:
@@ -264,11 +262,10 @@ def _streams(seed: int) -> tuple:
 
 
 def _cmd_teleport(cfg: argparse.Namespace) -> list[dict]:
-    protocol, gate, label, extra = _protocol(cfg)
-    op, table, kets = protocol
-    # inputs of dim amplitudes, R = 2^nbits resources, M outcomes
-    resources, outcomes = len(table), len(kets)
-    dim, nbits = op.shape[1] // resources, resources.bit_length() - 1
+    protocol, label, extra = _protocol(cfg)
+    # R = 2^nbits resources, inputs of dim amplitudes, M outcomes
+    resources, _, dim = protocol.branch.shape
+    outcomes, nbits = len(protocol[2]), resources.bit_length() - 1
     counts = np.zeros(outcomes, dtype=int)
     expected = 1 / outcomes
     ket_rng, measure_rng = (np.random.default_rng(s) for s in _streams(cfg.seed))
@@ -280,7 +277,7 @@ def _cmd_teleport(cfg: argparse.Namespace) -> list[dict]:
         inputs = amps / np.linalg.norm(amps, axis=1, keepdims=True)
         r = ket_rng.integers(0, 2, size=(n, nbits)) @ (1 << np.arange(nbits)[::-1])
         m, p, _, corrected = _teleport(protocol, inputs, r, measure_rng.random(n))
-        fid = np.abs(np.einsum("ij,nj,ni->n", conj(gate), conj(inputs), corrected)) ** 2  # |<gate input|corrected>|^2
+        fid = np.abs(np.einsum("ij,nj,ni->n", conj(protocol.gate), conj(inputs), corrected)) ** 2  # |<gate input|corrected>|^2
         counts += np.bincount(m, minlength=len(counts))
         seen[m * resources + r] = True
         min_fid = min(min_fid, float(fid.min()))
@@ -292,7 +289,7 @@ def _cmd_teleport(cfg: argparse.Namespace) -> list[dict]:
         {"label": "max-probability-deviation", "value": _fmt(prob_dev), "pass": bool(prob_dev <= cfg.tolerance),
          "expected": _fmt(expected)},
         # every branch of the protocol against its identity, sampled or not, on fixed probes: --seed plays no part
-        _check("every-branch", _every_branch(protocol, gate), cfg.tolerance, branches=outcomes * resources),
+        _check("every-branch", protocol.every_branch, cfg.tolerance, branches=outcomes * resources),
         _info("outcomes", histogram={key[m]: c for m, c in enumerate(counts.tolist()) if c}),
         # keys are fixed-width and m R + r ascends with (m, r), so the map is in sorted key order
         _info("corrections", map=dict(map(rows.__getitem__, np.flatnonzero(seen).tolist()))),

@@ -198,7 +198,7 @@ def b0_forward_residual(seed: int = 42) -> float:
     (1/2) sum_ij |ij> (x) K_{i,j,k,l}|alpha> for every resource pair: gate
     teleportation of the identity.
     """
-    return _protocol_residual(_gate_protocol(I2), I2, probe_states(seed))
+    return _protocol_residual(_gate_protocol(I2), probe_states(seed))
 
 
 def b0_reverse_residual(seed: int = 42) -> float:
@@ -211,7 +211,7 @@ def b0_reverse_residual(seed: int = 42) -> float:
     """
     front, back = _b0_layers()
     rotated = mul(back, front).reshape((2,) * 6).transpose(1, 2, 0, 5, 3, 4).reshape(8, 8)
-    return _protocol_residual((rotated, _kl_tables()[1], _product_kets()), I2, probe_states(seed))
+    return _protocol_residual(Protocol(rotated, _kl_tables()[1], _product_kets(), I2), probe_states(seed))
 
 
 def _gate_protocol(u: np.ndarray) -> Protocol:
@@ -312,7 +312,7 @@ def double_protocol_residuals(seed: int = 42) -> dict[str, float]:
     states and all resource settings.  Only one reading should vanish.
     """
     probes = np.stack([ket([1, 0, 0, 0]), random_ket(np.random.default_rng(seed), dim=4)])
-    return {name: _protocol_residual(_double_protocol(doubled), _b0(), probes)
+    return {name: _protocol_residual(_double_protocol(doubled), probes)
             for name, doubled in (("single-middle", False), ("doubled-middle", True))}
 
 

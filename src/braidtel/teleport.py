@@ -8,18 +8,18 @@ projective measurement, classical correction):
   braid      resource built by the gate pair (B x 1)(1 x B), product-basis
              measurement, correction W_{i,j,k,l}
 
-A protocol is a Protocol: its read-only (op, table, kets) triple and its
-branch tensor, built together by a cached builder, once per process for the
-standard and double protocols, once per phi for the Bell-like and braid ones
-and once per gate for gate teleportation.  branch[r] maps an input ket at
-resource r to its M unnormalized post-measurement states, (<v_m| (x) 1) op
-with the input placed at r, so _branches is one gathered batched matvec.
-_teleport samples m by the Born rule, one uniform draw per instance, and
-corrects with C_m^dag read at call time from the protocol's table, indexed
-[resource, outcome].  _protocol_residual checks every branch against the
-exact identity; on fixed probes it is a protocol's every_branch, the gated
-row of every teleport report.  The teleport_* functions are one-instance
-calls.  UnitaryBasis is the one
+A protocol is always a Protocol: its read-only (op, table, kets) triple, its
+branch tensor and the gate it applies, built together by a cached builder,
+once per process for the standard and double protocols, once per phi for the
+Bell-like and braid ones and once per gate for gate teleportation.  branch[r]
+maps an input ket at resource r to its M unnormalized post-measurement states,
+(<v_m| (x) 1) op with the input placed at r, so _branches is one gathered
+batched matvec.  _teleport samples m by the Born rule, one uniform draw per
+instance, and corrects with C_m^dag read at call time from the protocol's
+table, indexed [resource, outcome].  _protocol_residual checks every branch
+against the exact identity with the protocol's own gate; on fixed probes it is
+a protocol's every_branch, the gated row of every teleport report.  The
+teleport_* functions are one-instance calls.  UnitaryBasis is the one
 Bell-like basis: its Pauli instance and its per-phi M_ij instance give the
 protocols their kets and corrections and the tangle constraints their gates.
 Bases, tables and phi-fixed operators are built, self-checked and frozen once
@@ -147,40 +147,30 @@ def _flow_residual(kets, gates, probes, front: bool = True) -> float:
     return _transfer_residual(_paired(probes, kets[0], front), kets, gates, probes, front)
 
 
-def _branch_tensor(op: np.ndarray, table: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """branch[r], (M d_out, d_in): an input ket at resource r to its M unnormalized survivors, read-only.
-
-    Row m d_out + j is amplitude j of (<v_m| (x) 1) op applied to the input a (x) c with |r> after its first
-    qubit, so the kets are folded into op once and a survivor is one small matvec.
-    """
-    resources, (outcomes, width) = len(table), kets.shape
-    d_in = op.shape[1] // resources
-    fused = (conj(kets) @ op.reshape(width, -1)).reshape(outcomes, -1, 2, resources, d_in // 2)
-    return frozen(fused.transpose(3, 0, 1, 2, 4).reshape(resources, -1, d_in))
-
-
 class Protocol(tuple):
     """A built protocol: its read-only (op, table, kets), its branch tensor and the gate it applies.
 
-    The branch tensor is built with the protocol.  every_branch, _protocol_residual on the fixed probes, is
-    computed on its first read, once per build, so one-instance calls, which never read it, do not pay for
-    it.  The table stays the tuple's own item, read at call time.
+    branch[r], (M d_out, d_in), maps an input ket at resource r to its M unnormalized survivors: row
+    m d_out + j is amplitude j of (<v_m| (x) 1) op applied to the input a (x) c with |r> after its first
+    qubit, so the kets are folded into op once, when the protocol is built, and a survivor is one small
+    matvec.  every_branch, _protocol_residual on the fixed probes, is computed on its first read, once per
+    build, so one-instance calls, which never read it, do not pay for it.  The table stays the tuple's own
+    item, read at call time.
     """
 
     def __new__(cls, op, table, kets, gate):
         protocol = super().__new__(cls, (frozen(op), frozen(table), frozen(kets)))
-        protocol.branch = _branch_tensor(*protocol)
+        op, table, kets = protocol
+        resources, (outcomes, width) = len(table), kets.shape
+        d_in = op.shape[1] // resources
+        fused = (conj(kets) @ op.reshape(width, -1)).reshape(outcomes, -1, 2, resources, d_in // 2)
+        protocol.branch = frozen(fused.transpose(3, 0, 1, 2, 4).reshape(resources, -1, d_in))
         protocol.gate = frozen(gate)
         return protocol
 
     @functools.cached_property
     def every_branch(self) -> float:
-        return _protocol_residual(self, self.gate, _branch_probes(len(self.gate)))
-
-
-def _branch(protocol) -> np.ndarray:
-    """The branch tensor of a built Protocol, or of a bare (op, table, kets) triple, built here."""
-    return protocol.branch if isinstance(protocol, Protocol) else _branch_tensor(*protocol)
+        return _protocol_residual(self, _branch_probes(len(self.gate)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -190,33 +180,26 @@ def _branch_probes(dim: int) -> np.ndarray:
     return frozen(probes if dim == 2 else kron(probes[:, None], probes).reshape(-1, dim))
 
 
-def _every_branch(protocol, gate: np.ndarray) -> float:
-    """_protocol_residual of protocol on the fixed probes: a built Protocol's every_branch, else computed here."""
-    if isinstance(protocol, Protocol):
-        return protocol.every_branch
-    return _protocol_residual(protocol, gate, _branch_probes(len(gate)))
-
-
-def _branches(protocol, inputs: np.ndarray, r) -> np.ndarray:
+def _branches(protocol: Protocol, inputs: np.ndarray, r) -> np.ndarray:
     """branches[n, m]: the unnormalized survivor of outcome m of instance n, input n placed at resource r_n."""
-    return (_branch(protocol)[r] @ inputs[:, :, None]).reshape(len(inputs), len(protocol[2]), -1)
+    return (protocol.branch[r] @ inputs[:, :, None]).reshape(len(inputs), len(protocol[2]), -1)
 
 
-def _protocol_residual(protocol, gate: np.ndarray, probes: np.ndarray) -> float:
+def _protocol_residual(protocol: Protocol, probes: np.ndarray) -> float:
     """Worst 2-norm over probes x_p and resources r of op (x_p at r) - M^{-1/2} sum_m v_m (x) C[r, m] gate x_p.
 
-    That is the identity behind a protocol with M outcomes: every branch is C[r, m] gate x_p / sqrt(M), so
-    correcting it gives gate x_p.  The kets v_m are orthonormal, so the norm is taken over the branches:
-    it is |D_r x_p| with D_r = branch[r] - C[r] gate / sqrt(M), all rows of all D_r taken as one matrix.
+    That is the identity behind a protocol with M outcomes and its gate: every branch is C[r, m] gate x_p /
+    sqrt(M), so correcting it gives gate x_p.  The kets v_m are orthonormal, so the norm is taken over the
+    branches: it is |D_r x_p| with D_r = branch[r] - C[r] gate / sqrt(M), all rows of all D_r as one matrix.
     """
     _, table, kets = protocol
-    branch = _branch(protocol)
+    gate, branch = protocol.gate, protocol.branch
     rows = branch.reshape(-1, branch.shape[2]) - table.reshape(-1, len(gate)) @ gate / math.sqrt(len(kets))
     images = (rows @ transpose(probes)).reshape(len(table), -1, len(probes))  # [r, m d_out + j, p]
     return float(np.sqrt((np.abs(images) ** 2).sum(axis=1).max()))
 
 
-def _teleport(protocol, inputs: np.ndarray, r, draws: np.ndarray):
+def _teleport(protocol: Protocol, inputs: np.ndarray, r, draws: np.ndarray):
     """(outcomes m, probabilities, normalized survivors, corrected states) of a batch of instances.
 
     The _branches of protocol are measured: table[r_n, m] corrects outcome m, the first whose
@@ -236,18 +219,17 @@ def _teleport(protocol, inputs: np.ndarray, r, draws: np.ndarray):
     return m, p, survivors, (dagger(protocol[1][r, m]) @ survivors[:, :, None])[:, :, 0]
 
 
-def _one(protocol, alpha, resource: int, rng_seed):
+def _one(protocol: Protocol, alpha, resource: int, rng_seed):
     """(m, p, survivor, corrected) of one instance on the input ket alpha, drawn from default_rng(rng_seed)."""
-    op, table, _ = protocol
-    alpha = ket(alpha)
-    if alpha.size * len(table) != op.shape[1]:
-        raise ValueError(f"expected a {(op.shape[1] // len(table)).bit_length() - 1}-qubit state")
+    alpha, d_in = ket(alpha), protocol.branch.shape[2]
+    if alpha.size != d_in:
+        raise ValueError(f"expected a {d_in.bit_length() - 1}-qubit state")
     draw = np.random.default_rng(rng_seed).random(1)
     m, p, survivor, corrected = _teleport(protocol, alpha[None], np.array([resource]), draw)
     return int(m[0]), float(p[0]), survivor[0], corrected[0]
 
 
-def _one_qubit(protocol, alpha, resource: int, rng_seed):
+def _one_qubit(protocol: Protocol, alpha, resource: int, rng_seed):
     """(MeasurementOutcome, corrected qubit) of one instance of a one-qubit protocol."""
     m, p, bob, corrected = _one(protocol, alpha, resource, rng_seed)
     return MeasurementOutcome(*BIT_PAIRS[m], p, bob), corrected
@@ -466,7 +448,7 @@ def braid_teleportation_residual(phi: float, seed: int = 42) -> float:
 
     Taken over the probe states and all four resource pairs kl.
     """
-    return _protocol_residual(_braid_protocol(phi), I2, probe_states(seed))
+    return _protocol_residual(_braid_protocol(phi), probe_states(seed))
 
 
 def completeness_residuals(phi: float) -> dict:

@@ -214,7 +214,7 @@ def test_braid_table_is_the_per_entry_product_bit_for_bit():
 
 def test_a_draw_on_a_cumulative_boundary_takes_the_next_outcome():
     """searchsorted(cdf, draw, side="right"), as Generator.choice: a zero-probability outcome is never taken."""
-    protocol = (identity(4), np.ones((1, 4, 1, 1), dtype=complex), teleport._product_kets())
+    protocol = teleport.Protocol(identity(4), np.ones((1, 4, 1, 1), dtype=complex), teleport._product_kets(), np.eye(1))
     quarters = np.full((4, 4), 0.5, dtype=complex)
     m, *_ = teleport._teleport(protocol, quarters, np.zeros(4, dtype=int), np.array([0.0, 0.25, 0.5, 0.75]))
     assert m.tolist() == [0, 1, 2, 3]

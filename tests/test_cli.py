@@ -147,7 +147,7 @@ def test_teleport_gate_reports_clifford_corrections(capsys):
 @pytest.mark.parametrize("phi", [0.0, 0.3, -2.1])
 @pytest.mark.parametrize("gate", cli.TELEPORT_GATES)
 def test_correction_clifford_reads_as_all_sixteen_checks(gate, phi):
-    protocol, _, _, extra = cli._protocol(argparse.Namespace(action="gate", gate=gate, phi=phi))
+    protocol, _, extra = cli._protocol(argparse.Namespace(action="gate", gate=gate, phi=phi))
     sixteen = all(clifford_check(c)[0] for c in protocol[1].reshape(-1, 2, 2))
     assert extra == [{"label": "correction-clifford", "gate": gate, "value": sixteen}]
 

@@ -237,18 +237,18 @@ def _exchanged(original, lhs, kets, gates, probes, front=True):
     return original(lhs, kets, np.asarray(gates)[[1, 0, *range(2, len(gates))]], probes, front)
 
 
-def _flipped_protocol(original, protocol, gate, probes):
+def _flipped_protocol(original, protocol, probes):
     """The protocol with its output qubits reversed, so the measured register is read off the back."""
     op, table, kets = protocol
     n = op.shape[0].bit_length() - 1
     backwards = op.reshape((2,) * n + (-1,)).transpose(*reversed(range(n)), n).reshape(op.shape)
-    return original((backwards, table, kets), gate, probes)
+    return original(teleport.Protocol(backwards, table, kets, protocol.gate), probes)
 
 
-def _exchanged_protocol(original, protocol, gate, probes):
+def _exchanged_protocol(original, protocol, probes):
     """The protocol with the corrections of outcomes 0 and 1 exchanged at every resource."""
     op, table, kets = protocol
-    return original((op, table[:, [1, 0, *range(2, table.shape[1])]], kets), gate, probes)
+    return original(teleport.Protocol(op, table[:, [1, 0, *range(2, table.shape[1])]], kets, protocol.gate), probes)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -275,9 +275,8 @@ def test_exchanged_corrections_break_every_family(monkeypatch, family):
 
 
 def _report_protocol(variant, phi, gate="T"):
-    """(protocol, gate it applies) of a teleport report, as the report builds them."""
-    protocol, u, _, _ = cli._protocol(argparse.Namespace(action=variant, phi=phi, gate=gate))
-    return protocol, u
+    """The protocol of a teleport report, as the report builds it, with the gate it applies."""
+    return cli._protocol(argparse.Namespace(action=variant, phi=phi, gate=gate))[0]
 
 
 def _probes(protocol):
@@ -296,8 +295,8 @@ PROTOCOL_CASES = [(v, "T") for v in ("standard", "bell-like", "yang-baxter", "tw
 @pytest.mark.parametrize("variant, gate", PROTOCOL_CASES,
                          ids=[v if v != "gate" else f"gate-{g}" for v, g in PROTOCOL_CASES])
 def test_every_protocol_holds_its_identity_on_every_branch(variant, gate, phi):
-    protocol, u = _report_protocol(variant, phi, gate)
-    assert teleport._protocol_residual(protocol, u, _probes(protocol)) <= 1e-12
+    protocol = _report_protocol(variant, phi, gate)
+    assert teleport._protocol_residual(protocol, _probes(protocol)) <= 1e-12
 
 
 @pytest.fixture
@@ -311,8 +310,9 @@ def cold_tables():
 
 
 def _w_transposed(real=teleport._standard_protocol):
-    op, table, kets = real()
-    return op, transpose(table), kets
+    protocol = real()
+    op, table, kets = protocol
+    return teleport.Protocol(op, transpose(table), kets, protocol.gate)
 
 
 def _k_row_00_negated(i, j, k, l, real=k_gate):
@@ -338,8 +338,8 @@ def test_protocol_residual_sees_each_seeded_defect(defect, cold_tables, monkeypa
     variant, fakes = DEFECTS[defect]
     for module, name, fake in fakes:
         monkeypatch.setattr(module, name, fake)
-    protocol, u = _report_protocol(variant, 0.3)
-    assert teleport._protocol_residual(protocol, u, _probes(protocol)) >= 0.4
+    protocol = _report_protocol(variant, 0.3)
+    assert teleport._protocol_residual(protocol, _probes(protocol)) >= 0.4
 
 
 # Fidelity ignores phase and the default run never samples the 00,00|00,00 branch, so without the
