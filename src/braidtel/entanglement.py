@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import dagger, identity, is_unitary, kron, max_abs_diff, outer
-from .gates import EPR, B_GLOBAL_PHASE, I2, X, Z, bell_state, phase_shift, tl_projector, yb_gate
+from .gates import EPR, B_GLOBAL_PHASE, I2, X, Z, bell_state, phase_shift, reduced_phase, tl_projector, yb_gate
 
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)  # sigma_y; gates.Y is ZX
 
@@ -145,7 +145,7 @@ def entangling_power(u: np.ndarray) -> float:
 
 def _resource_states(phi: float) -> tuple[np.ndarray, np.ndarray]:
     flipped = bell_state(1, 0)
-    rotated = kron(I2, phase_shift(2 * phi)) @ EPR
+    rotated = kron(I2, phase_shift(2 * reduced_phase(phi))) @ EPR
     return flipped, rotated
 
 

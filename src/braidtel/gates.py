@@ -70,6 +70,15 @@ def phase_shift(phi: float) -> np.ndarray:
     return np.diag([1.0, cmath.exp(1j * phi)]).astype(complex)
 
 
+def reduced_phase(phi: float) -> float:
+    """phi itself when |phi| <= pi, else the angle of e^{i phi}: the same phase, of size at most pi.
+
+    A phase formed from phi in floats, offset + slope phi or 2 phi, is formed from the reduced phase so that
+    the offset keeps its bits and the product stays finite at every finite phi.
+    """
+    return phi if abs(phi) <= math.pi else cmath.phase(cmath.exp(1j * phi))
+
+
 def t_gate(eighth_pi_phase: bool = False) -> np.ndarray:
     """The T gate, diag(1, e^{i pi/4}) by default.
 

@@ -50,6 +50,7 @@ from .gates import (
     m_gate,
     pauli_w,
     phase_shift,
+    reduced_phase,
     state_with_gate,
     tl_projector,
     x_pow,
@@ -354,8 +355,9 @@ _ALPHA_B_DAGGER = {(0, 0): (-3 * math.pi / 4, 0.0), (0, 1): (-3 * math.pi / 4, -
 
 
 def phase_table(phi: float) -> PhaseTable:
-    """The phases of extract_phases in closed form, affine in phi; nothing is fitted, so max_residual is 0."""
-    alpha_b, alpha_bd = ({ij: a + slope * phi for ij, (a, slope) in affine.items()} for affine in (_ALPHA_B, _ALPHA_B_DAGGER))
+    """extract_phases in closed form, affine in reduced_phase(phi); nothing is fitted, so max_residual is 0."""
+    theta = reduced_phase(phi)
+    alpha_b, alpha_bd = ({ij: a + slope * theta for ij, (a, slope) in affine.items()} for affine in (_ALPHA_B, _ALPHA_B_DAGGER))
     return PhaseTable(phi=phi, alpha_b=alpha_b, alpha_b_dagger=alpha_bd, max_residual=0.0)
 
 

@@ -42,6 +42,7 @@ CASES = (
     + [["verify", "b-forms", *_PHI]]
     + [["teleport", variant, *_TELEPORT] for variant in ("standard", "bell-like", "yang-baxter", "two-qubit")]
     + [["teleport", "gate", "--gate", gate, *_TELEPORT] for gate in ("H", "T", "R")]
+    + [["teleport", "yang-baxter", "--phi", "3e6", "--seed", "7", "--count", "32"]]
 )
 
 
