@@ -63,3 +63,4 @@ def test_closed_form_phases_match_the_fit_at_edge_phi(phi):
     for name in ("alpha_b", "alpha_b_dagger"):
         a, b = getattr(closed, name), getattr(fitted, name)
         assert max(abs(np.exp(1j * a[ij]) - np.exp(1j * b[ij])) for ij in BIT_PAIRS) <= 1e-12
+    assert teleport.braid_teleportation_residual(phi) <= 1e-12
