@@ -18,6 +18,13 @@ argv that argparse has to reject or resolve go to parse_args unchanged.  The
 parsed Namespace, with _CONFIG_DEFAULTS for the options a command does not
 take, is the config every report reads; _REPORTS is the one dispatch table,
 from verify kind or command to report.
+
+Report parts that read neither --phi nor --seed are computed once per process
+and kept as immutable values: _brauer_rows (the verify brauer relation rows,
+by --sites), _corrections_clifford (the teleport gate correction-clifford row,
+by gate), _solve_rows (solve, by --mn) and _fixed_analysis (analyze of the
+phi-free gates).  No cache holds a pass flag: each report compares the cached
+residuals with its own --tolerance.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ import numpy as np
 from . import __version__
 from .algebra import brauer_teleportation_residuals, check_all, check_brauer, derive_params
 from .entanglement import braid_projector_forms, canonical_params
-from .gate_teleport import _double_protocol, _gate_protocol, clifford_check
+from .gate_teleport import _double_protocol, _gate_protocol, _gate_protocol_of, clifford_check
 from .gates import (
     B_EIGENVALUES,
     CZ,
@@ -108,8 +115,19 @@ def _info(label: str, **fields) -> dict:
 # ---------------------------------------------------------------- verify
 
 
-def _report_entries(reports, tol: float) -> list[dict]:
-    return [_check(r.family, r.max_residual, tol, relations=r.relations, worst=r.worst()[0]) for r in reports]
+def _relation_rows(reports) -> tuple:
+    """(family, max residual, relations, worst id) per relation report, its max taken once, by worst()."""
+    return tuple((r.family, top, r.relations, worst) for r in reports for worst, top in [r.worst()])
+
+
+def _report_entries(rows, tol: float) -> list[dict]:
+    return [_check(family, top, tol, relations=relations, worst=worst) for family, top, relations, worst in rows]
+
+
+@functools.lru_cache(maxsize=64)
+def _brauer_rows(sites: int) -> tuple:
+    """_relation_rows of check_brauer on sites sites: E, B and d are fixed, so no --phi, --seed or --tolerance enters."""
+    return _relation_rows(check_brauer(n=sites))
 
 
 def _verify_bmw(cfg: argparse.Namespace) -> list[dict]:
@@ -125,12 +143,13 @@ def _verify_bmw(cfg: argparse.Namespace) -> list[dict]:
             consistency=_fmt(params.constraint_residual()),
         )
     ]
-    results.extend(_report_entries(check_all(e, b, params, n=cfg.sites, tol=cfg.tolerance), cfg.tolerance))
+    reports = check_all(e, b, params, n=cfg.sites, tol=cfg.tolerance)
+    results.extend(_report_entries(_relation_rows(reports), cfg.tolerance))
     return results
 
 
 def _verify_brauer(cfg: argparse.Namespace) -> list[dict]:
-    results = _report_entries(check_brauer(n=cfg.sites, tol=cfg.tolerance), cfg.tolerance)
+    results = _report_entries(_brauer_rows(cfg.sites), cfg.tolerance)
     identities = brauer_teleportation_residuals(seed=cfg.seed)
     for name in ("projector", "swap", "tangle", "cup-cap"):
         results.append(_check(f"state-identity-{name}", identities[name], cfg.tolerance))
@@ -234,10 +253,16 @@ def _protocol(cfg: argparse.Namespace):
         return _braid_protocol(cfg.phi), "W^dag_{key}{res}", []
     if cfg.action == "gate":
         protocol = _gate_protocol(elementary(cfg.gate, cfg.phi))
-        # row 0 of u K u^dag holds every u W_ij u^dag up to sign, and a sign cancels in C P C^dag
-        clifford = _info("correction-clifford", gate=cfg.gate, value=all(clifford_check(c)[0] for c in protocol[1][0]))
+        clifford = _info("correction-clifford", gate=cfg.gate, value=_corrections_clifford(protocol.gate.tobytes()))
         return protocol, f"R({cfg.gate})^dag_{{key}}{{res}}", [clifford]
     return _double_protocol(), "(Q x P)^dag", []
+
+
+@functools.lru_cache(maxsize=64)
+def _corrections_clifford(gate: bytes) -> bool:
+    """Whether every correction u K u^dag of the gate teleportation of u, given as its bytes, is a Clifford gate."""
+    # row 0 of u K u^dag holds every u W_ij u^dag up to sign, and a sign cancels in C P C^dag
+    return all(clifford_check(c)[0] for c in _gate_protocol_of(gate)[1][0])
 
 
 def _pairs(index: int, count: int) -> str:

@@ -4,10 +4,12 @@ perfbench/run.py reads single functions' stats by name, and its tracer
 wraps only plain functions, so a public function hidden behind a
 memoising decorator would end a traced run with a KeyError.  The
 teleport-path functions it reads are called here through all five
-teleport reports and the five one-instance calls.
+teleport reports and the five one-instance calls, and the algebra
+functions through the two chain reports, verify bmw and verify brauer.
 """
 
 import importlib.util
+import json
 import os
 from pathlib import Path
 
@@ -15,6 +17,7 @@ import numpy as np
 
 from braidtel import cli, gate_teleport, teleport
 from braidtel.cli import main
+from test_protocol_constants import CACHES
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
@@ -66,3 +69,39 @@ def test_per_layer_metrics_find_their_functions(monkeypatch, capsys):
     capsys.readouterr()
     assert metrics["teleport.instances"]["value"] == 5
     assert {name: tracer.stats[name][0] for name in TRACED_CALLS} == TRACED_CALLS
+
+
+def _relations(capsys) -> int:
+    return sum(entry.get("relations", 0) for entry in json.loads(capsys.readouterr().out)["results"])
+
+
+def test_traced_chain_reports_charge_check_brauer_to_cold_calls_only(monkeypatch, capsys):
+    """The verify brauer relation rows are cached by --sites, so only the first report runs check_brauer."""
+    for cache in CACHES:
+        cache.cache_clear()
+    runner = _load_runner(monkeypatch)
+    tracer = runner.Tracer()
+    tracer.install()
+    try:
+        tracer.begin(0)
+        assert main(["verify", "bmw", "--sites", "8", "--phi", str(PHI), "--format", "json"]) == 0
+        relations = _relations(capsys)
+        assert main(["verify", "brauer", "--sites", "8", "--format", "json"]) == 0
+        relations += _relations(capsys)
+        tracer.end()
+        metrics = runner.per_layer(tracer, [1.0, 1.0], [True, False])
+        cold = tracer.stats["algebra.check_brauer"][0]
+        tracer.begin(1)
+        assert main(["verify", "brauer", "--sites", "8", "--seed", "3", "--format", "json"]) == 0
+        tracer.end()
+        warm = tracer.stats["algebra.check_brauer"][0] - cold
+    finally:
+        tracer.uninstall()
+        for cache in CACHES:
+            cache.cache_clear()
+    capsys.readouterr()
+    assert {name for name in metrics if name.startswith("algebra.")} == {
+        "algebra.check_all.ms", "algebra.check_brauer.ms", "algebra.build_rep.ms", "algebra.relations"}
+    assert metrics["algebra.relations"]["value"] == relations
+    assert (cold, warm) == (1, 0)
+

@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+import json
 import os
 import pkgutil
 import subprocess
@@ -98,8 +99,11 @@ def test_cache_scan_finds_the_protocol_caches():
         gate_teleport._qp_table,
         gate_teleport._double_layers,
         algebra._brauer_operators,
+        algebra._cup_cap_residual,
         cli._solve_rows,
         cli._fixed_analysis,
+        cli._brauer_rows,
+        cli._corrections_clifford,
     }
     assert expected <= set(CACHES)
 
@@ -321,3 +325,58 @@ def test_protocols_and_their_every_branch_rows_are_built_once(cold_caches, monke
     assert teleport._standard_protocol() is teleport._standard_protocol()
     assert gate_teleport._double_protocol() is gate_teleport._double_protocol()
     assert gate_teleport._gate_protocol(H) is gate_teleport._gate_protocol(H.copy())
+
+
+def _strict_brauer(strict, monkeypatch):
+    """Run verify brauer --sites 8 at tolerance 1e-20, by --tolerance or by BMW_TOL."""
+    if strict == "env":
+        monkeypatch.setenv("BMW_TOL", "1e-20")
+        return cli.main(["verify", "brauer", "--sites", "8", "--format", "json"])
+    return cli.main(["verify", "brauer", "--sites", "8", "--tolerance", "1e-20", "--format", "json"])
+
+
+@pytest.mark.parametrize("strict", ["flag", "env"])
+def test_warm_brauer_rows_keep_each_calls_tolerance(strict, cold_caches, monkeypatch, capsys):
+    """The relation rows are cached by --sites alone, so every pass flag is set from the call's own tolerance."""
+    monkeypatch.delenv("BMW_TOL", raising=False)
+    assert _strict_brauer(strict, monkeypatch) == 1
+    cold = capsys.readouterr().out
+    monkeypatch.delenv("BMW_TOL", raising=False)
+    for cache in CACHES:
+        cache.cache_clear()
+    assert cli.main(["verify", "brauer", "--sites", "8", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert _strict_brauer(strict, monkeypatch) == 1
+    warm = capsys.readouterr().out
+    assert warm == cold
+    failed = {entry["label"] for entry in json.loads(warm)["results"] if entry["pass"] is False}
+    assert {"TL", "Tangle", "state-identity-cup-cap"} <= failed
+
+
+CACHED_ROW_CASES = [argv for argv in CASES if argv[:2] in (["verify", "brauer"], ["teleport", "gate"])]
+
+
+@pytest.mark.parametrize("argv", CACHED_ROW_CASES, ids=lambda argv: golden_name(argv)[:-5])
+def test_a_warm_rerun_of_a_cached_row_report_matches_its_golden(argv, cold_caches, capsys):
+    golden = (GOLDEN_DIR / golden_name(argv)).read_text(encoding="utf-8")
+    for _ in range(2):
+        assert cli.main([*argv, "--format", "json"]) == 0
+        assert capsys.readouterr().out == golden
+
+
+def test_cached_row_cases_are_every_brauer_and_gate_golden():
+    names = {path.name for path in GOLDEN_DIR.glob("*.json") if path.name.startswith(("verify-brauer-", "teleport-gate-"))}
+    assert {golden_name(argv) for argv in CACHED_ROW_CASES} == names
+    assert len(names) == 7
+
+
+def test_the_correction_clifford_row_is_computed_once_per_gate(cold_caches, monkeypatch, capsys):
+    calls = []
+    real = cli.clifford_check
+    monkeypatch.setattr(cli, "clifford_check", lambda u: calls.append(len(u)) or real(u))
+    for phi in ("0.3", "-2.1", "1.7"):
+        for gate in ("T", "H"):
+            assert cli.main(["teleport", "gate", "--gate", gate, "--phi", phi, "--count", "3", "--format", "json"]) == 0
+    # every correction of T and of H is Clifford, so the row checks all four of row 0, once per gate
+    assert calls == [2] * 8
+
