@@ -126,7 +126,7 @@ def _report_entries(rows, tol: float) -> list[dict]:
 
 @functools.lru_cache(maxsize=64)
 def _brauer_rows(sites: int) -> tuple:
-    """_relation_rows of check_brauer on sites sites: E, B and d are fixed, so no --phi, --seed or --tolerance enters."""
+    """_relation_rows of check_brauer(n=sites): E, B and d are fixed, so neither --phi, --seed nor --tolerance enters."""
     return _relation_rows(check_brauer(n=sites))
 
 
