@@ -21,8 +21,7 @@ from verify kind or command to report.
 
 Report parts that read neither --phi nor --seed are computed once per process
 and kept as immutable values: _brauer_rows (the verify brauer relation rows,
-by --sites), _corrections_clifford (the teleport gate correction-clifford row,
-by gate), _solve_rows (solve, by --mn) and _fixed_analysis (analyze of the
+by --sites), _solve_rows (solve, by --mn) and _fixed_analysis (analyze of the
 phi-free gates).  No cache holds a pass flag: each report compares the cached
 residuals with its own --tolerance.
 """
@@ -44,7 +43,7 @@ import numpy as np
 from . import __version__
 from .algebra import brauer_teleportation_residuals, check_all, check_brauer, derive_params
 from .entanglement import braid_projector_forms, canonical_params
-from .gate_teleport import _double_protocol, _gate_protocol, _gate_protocol_of, clifford_check
+from .gate_teleport import _double_protocol, _gate_protocol, clifford_check
 from .gates import (
     B_EIGENVALUES,
     CZ,
@@ -253,16 +252,10 @@ def _protocol(cfg: argparse.Namespace):
         return _braid_protocol(cfg.phi), "W^dag_{key}{res}", []
     if cfg.action == "gate":
         protocol = _gate_protocol(elementary(cfg.gate, cfg.phi))
-        clifford = _info("correction-clifford", gate=cfg.gate, value=_corrections_clifford(protocol.gate.tobytes()))
+        # row 0 of u K u^dag holds every u W_ij u^dag up to sign, and a sign cancels in C P C^dag
+        clifford = _info("correction-clifford", gate=cfg.gate, value=all(clifford_check(c)[0] for c in protocol[1][0]))
         return protocol, f"R({cfg.gate})^dag_{{key}}{{res}}", [clifford]
     return _double_protocol(), "(Q x P)^dag", []
-
-
-@functools.lru_cache(maxsize=64)
-def _corrections_clifford(gate: bytes) -> bool:
-    """Whether every correction u K u^dag of the gate teleportation of u, given as its bytes, is a Clifford gate."""
-    # row 0 of u K u^dag holds every u W_ij u^dag up to sign, and a sign cancels in C P C^dag
-    return all(clifford_check(c)[0] for c in _gate_protocol_of(gate)[1][0])
 
 
 def _pairs(index: int, count: int) -> str:

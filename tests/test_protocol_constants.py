@@ -103,7 +103,6 @@ def test_cache_scan_finds_the_protocol_caches():
         cli._solve_rows,
         cli._fixed_analysis,
         cli._brauer_rows,
-        cli._corrections_clifford,
     }
     assert expected <= set(CACHES)
 
@@ -353,30 +352,17 @@ def test_warm_brauer_rows_keep_each_calls_tolerance(strict, cold_caches, monkeyp
     assert {"TL", "Tangle", "state-identity-cup-cap"} <= failed
 
 
-CACHED_ROW_CASES = [argv for argv in CASES if argv[:2] in (["verify", "brauer"], ["teleport", "gate"])]
+WARM_RERUN_CASES = [argv for argv in CASES if argv[:2] in (["verify", "brauer"], ["teleport", "gate"])]
 
 
-@pytest.mark.parametrize("argv", CACHED_ROW_CASES, ids=lambda argv: golden_name(argv)[:-5])
-def test_a_warm_rerun_of_a_cached_row_report_matches_its_golden(argv, cold_caches, capsys):
+@pytest.mark.parametrize("argv", WARM_RERUN_CASES, ids=lambda argv: golden_name(argv)[:-5])
+def test_a_warm_rerun_of_a_brauer_or_gate_report_matches_its_golden(argv, cold_caches, capsys):
     golden = (GOLDEN_DIR / golden_name(argv)).read_text(encoding="utf-8")
     for _ in range(2):
         assert cli.main([*argv, "--format", "json"]) == 0
         assert capsys.readouterr().out == golden
 
 
-def test_cached_row_cases_are_every_brauer_and_gate_golden():
+def test_warm_rerun_cases_are_every_brauer_and_gate_golden():
     names = {path.name for path in GOLDEN_DIR.glob("*.json") if path.name.startswith(("verify-brauer-", "teleport-gate-"))}
-    assert {golden_name(argv) for argv in CACHED_ROW_CASES} == names
-    assert len(names) == 7
-
-
-def test_the_correction_clifford_row_is_computed_once_per_gate(cold_caches, monkeypatch, capsys):
-    calls = []
-    real = cli.clifford_check
-    monkeypatch.setattr(cli, "clifford_check", lambda u: calls.append(len(u)) or real(u))
-    for phi in ("0.3", "-2.1", "1.7"):
-        for gate in ("T", "H"):
-            assert cli.main(["teleport", "gate", "--gate", gate, "--phi", phi, "--count", "3", "--format", "json"]) == 0
-    # every correction of T and of H is Clifford, so the row checks all four of row 0, once per gate
-    assert calls == [2] * 8
-
+    assert {golden_name(argv) for argv in WARM_RERUN_CASES} == names
