@@ -8,7 +8,7 @@ even when U is the non-Clifford T gate.  A six-qubit double protocol
 performs B_0 itself on an unknown two-qubit state.
 
 The corrections K, L and Q x P are stacked tables indexed [resource,
-outcome], built once and read by the sampled runs and the residuals alike.
+outcome], read by the sampled runs and the residuals alike.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def recognize_pauli(op: np.ndarray, tol: float = DEFAULT_TOL) -> PauliString | N
     in label order must have its theta within tol of 1, -1, i or -i.
     """
     op = np.asarray(op, dtype=complex)
-    n = op.shape[0].bit_length() - 1
+    n = op.shape[0].bit_length() - 1 if op.ndim == 2 else 0
     if not 1 <= n <= 3 or op.shape != (2**n, 2**n):
         raise ValueError("expected a square power-of-two operator on 1..3 qubits")
     names, strings = _pauli_strings(n)
@@ -125,7 +125,7 @@ def clifford_check(u: np.ndarray, tol: float = DEFAULT_TOL):
     the check fails.  Sites are 1-based with qubit 1 the most significant.
     """
     u = np.asarray(u, dtype=complex)
-    n = u.shape[0].bit_length() - 1
+    n = u.shape[0].bit_length() - 1 if u.ndim == 2 else 0
     if u.shape != (2**n, 2**n) or n < 1 or n > 3:
         raise ValueError("expected a unitary on 1..3 qubits")
     if not is_unitary(u, tol):
@@ -215,17 +215,10 @@ def b0_reverse_residual(seed: int = 42) -> float:
 
 
 def _gate_protocol(u: np.ndarray) -> Protocol:
-    """The gate-teleportation protocol of the 2x2 unitary u, checked here and built once per gate."""
+    """Gate teleportation of the checked 2x2 unitary u: op front (1 x 1 x u) back, table u K u^dag, product kets."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2) or not is_unitary(u):
         raise ValueError("gate must be a 2x2 unitary")
-    return _gate_protocol_of(u.tobytes())
-
-
-@functools.lru_cache(maxsize=64)
-def _gate_protocol_of(gate: bytes) -> Protocol:
-    """Gate teleportation of u, given as its bytes: op front (1 x 1 x u) back, table u K u^dag, product kets."""
-    u = np.frombuffer(gate, dtype=complex).reshape(2, 2)
     front, back = _b0_layers()
     return Protocol(mul(front, kron(identity(4), u), back), u @ _kl_tables()[0] @ dagger(u), _product_kets(), u)
 
@@ -265,14 +258,13 @@ def p_correction(i1, j1, k1, l1, i2, j2, k2, l2) -> np.ndarray:
     return sign * mul(z_pow(i1 + l1 + 1), x_pow(j1 + k1 + j2 + k2))
 
 
-@functools.lru_cache(maxsize=None)
 def _qp_table() -> np.ndarray:
-    """Q x P stacked at [8 k1 + 4 l1 + 2 k2 + l2, 8 i1 + 4 j1 + 2 i2 + j2], built once."""
+    """Q x P stacked at [8 k1 + 4 l1 + 2 k2 + l2, 8 i1 + 4 j1 + 2 i2 + j2]."""
     entries = [
         kron(q_correction(i1, j1, k1, l1, i2, j2, k2, l2), p_correction(i1, j1, k1, l1, i2, j2, k2, l2))
         for k1, l1, k2, l2, i1, j1, i2, j2 in itertools.product((0, 1), repeat=8)
     ]
-    return frozen(np.array(entries).reshape(16, 16, 4, 4))
+    return np.array(entries).reshape(16, 16, 4, 4)
 
 
 def qp_factorization_residual() -> float:
@@ -286,7 +278,6 @@ def qp_factorization_residual() -> float:
     return max_abs_diff(_qp_table(), b0 @ kl @ dagger(b0))
 
 
-@functools.lru_cache(maxsize=None)
 def _double_layers(doubled_middle: bool = False) -> np.ndarray:
     """Operator for the full double protocol on 6 qubits.
 
@@ -294,14 +285,14 @@ def _double_layers(doubled_middle: bool = False) -> np.ndarray:
     layer two couples state-to-resource at sites 1-2 and 5-6 and fuses the
     two resources at sites 3-4.  With doubled_middle the 3-4 gate is also
     applied during preparation, which tests the alternative reading of the
-    protocol description.  Built once per reading and shared read-only.
+    protocol description.  The cached _double_protocol reads it once per reading.
     """
     b0 = _b0()
     prepare = mul(embed(b0, 2, 6), embed(b0, 4, 6))
     if doubled_middle:
         prepare = mul(embed(b0, 3, 6), prepare)
     fuse = mul(embed(b0, 1, 6), embed(b0, 3, 6), embed(b0, 5, 6))
-    return frozen(mul(fuse, prepare))
+    return mul(fuse, prepare)
 
 
 def double_protocol_residuals(seed: int = 42) -> dict[str, float]:

@@ -9,22 +9,24 @@ projective measurement, classical correction):
              measurement, correction W_{i,j,k,l}
 
 A protocol is always a Protocol: its read-only (op, table, kets) triple, its
-branch tensor and the gate it applies, built together by a cached builder,
-once per process for the standard and double protocols, once per phi for the
-Bell-like and braid ones and once per gate for gate teleportation.  branch[r]
-maps an input ket at resource r to its M unnormalized post-measurement states,
-(<v_m| (x) 1) op with the input placed at r, so _branches is one gathered
-batched matvec.  _teleport samples m by the Born rule, one uniform draw per
-instance, and corrects with C_m^dag read at call time from the protocol's
-table, indexed [resource, outcome].  _protocol_residual checks every branch
-against the exact identity with the protocol's own gate; on fixed probes it is
-a protocol's every_branch, the gated row of every teleport report.  The
-teleport_* functions are one-instance calls.  UnitaryBasis is the one
-Bell-like basis: its Pauli instance and its per-phi M_ij instance give the
-protocols their kets and corrections and the tangle constraints their gates.
-Bases, tables and phi-fixed operators are built, self-checked and frozen once
-per phi.  The braid table reads the closed-form phases of phase_table;
-extract_phases fits the same phases numerically and is kept as its cross-check.
+branch tensor and the gate it applies, built together by one builder.  The
+standard and double protocols are built once per process and shared.  The
+Bell-like, braid and gate protocols are built on every call: a report builds
+its protocol once, at its own phi or gate, so a cache of them is never hit.
+branch[r] maps an input ket at resource r to its M unnormalized
+post-measurement states, (<v_m| (x) 1) op with the input placed at r, so
+_branches is one gathered batched matvec.  _teleport samples m by the Born
+rule, one uniform draw per instance, and corrects with C_m^dag read at call
+time from the protocol's table, indexed [resource, outcome].
+_protocol_residual checks every branch against the exact identity with the
+protocol's own gate; on fixed probes it is a protocol's every_branch, the
+gated row of every teleport report.  The teleport_* functions are one-instance
+calls.  UnitaryBasis is the one Bell-like basis: its Pauli instance and its
+per-phi M_ij instance give the protocols their kets and corrections and the
+tangle constraints their gates.  The M_ij basis and the Bell-like corrections
+are built, self-checked and frozen once per phi.  The braid table reads the
+closed-form phases of phase_table; extract_phases fits the same phases
+numerically and is kept as its cross-check.
 
 The identities behind the protocols are also exposed directly as residual
 checks so they can be verified as exact vector/operator equations instead
@@ -156,7 +158,7 @@ class Protocol(tuple):
     qubit, so the kets are folded into op once, when the protocol is built, and a survivor is one small
     matvec.  every_branch, _protocol_residual on the fixed probes, is computed on its first read, once per
     build, so one-instance calls, which never read it, do not pay for it.  The table stays the tuple's own
-    item, read at call time.
+    item, read at call time.  Every field is read-only: the standard and double protocols are shared.
     """
 
     def __new__(cls, op, table, kets, gate):
@@ -307,9 +309,8 @@ def _bell_like_corrections(phi: float) -> tuple[np.ndarray, np.ndarray]:
     return frozen(m[0] @ conj(m)), frozen(transpose(m[0]) @ dagger(m))
 
 
-@functools.lru_cache(maxsize=64)
 def _braid_protocol(phi: float) -> Protocol:
-    """The braid protocol per phi: op (B x 1)(1 x B), table the B-checked W_ijkl = V_kl U^T_ij, product kets."""
+    """The braid protocol at phi: op (B x 1)(1 x B), table the B-checked W_ijkl = V_kl U^T_ij, product kets."""
     b = yb_gate(phi)
     v, u = _checked_gates(phase_table(phi), b, DEFAULT_TOL)
     return Protocol(kron(b, I2) @ kron(I2, b), v[:, None] @ transpose(u), _product_kets(), I2)
@@ -327,9 +328,8 @@ def _standard_protocol() -> Protocol:
     return Protocol(kron(I2, EPR[:, None]), basis.u[None], basis.states, I2)
 
 
-@functools.lru_cache(maxsize=64)
 def _bell_like_protocol(phi: float) -> Protocol:
-    """The Bell-like protocol per phi: op alpha -> alpha (x) |Psi_M00>, table M00 M*_ij, E_ij kets."""
+    """The Bell-like protocol at phi: op alpha -> alpha (x) |Psi_M00>, table M00 M*_ij, E_ij kets."""
     kets = UnitaryBasis.bell_like(phi).states
     return Protocol(kron(I2, kets[0][:, None]), _bell_like_corrections(phi)[0][None], kets, I2)
 

@@ -86,6 +86,8 @@ def test_clifford_check_on_single_qubit_gates():
 def test_clifford_check_rejects_non_unitary():
     with pytest.raises(ValueError):
         clifford_check(np.ones((2, 2)))
+    with pytest.raises(ValueError, match="1..3 qubits"):
+        clifford_check(np.array(1.0))
 
 
 def test_k_at_origin_is_xz():
@@ -189,6 +191,8 @@ def test_two_qubit_teleportation_on_entangled_input():
 def test_recognize_pauli_rejects_operators_on_no_qubits():
     with pytest.raises(ValueError, match="power-of-two"):
         recognize_pauli(np.array([[1]]))
+    with pytest.raises(ValueError, match="power-of-two"):
+        recognize_pauli(np.array(1.0))
 
 
 # ---------------------------------------------------------- stacked tables

@@ -21,7 +21,7 @@ from test_protocol_constants import CACHES
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
-PHI = 0.4321  # a phi no other test builds, so the per-phi builds run under the tracer
+PHI = 0.4321  # a phi no other test reads, so the M_ij basis, cached per phi, runs its E_00 self-check under the tracer
 ALPHA = np.array([0.6, 0.8j])
 
 # perfbench/run.py's teleport-path functions, and the calls each gets below

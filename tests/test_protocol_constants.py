@@ -70,14 +70,14 @@ def test_protocols_run_the_closed_form_self_checks(run, cold_caches, monkeypatch
         run()
 
 
-def test_phase_table_is_extracted_once_per_phi(cold_caches, monkeypatch):
+def test_phase_table_is_extracted_once_per_braid_protocol_build(cold_caches, monkeypatch):
     calls = []
     real = teleport.phase_table
     monkeypatch.setattr(teleport, "phase_table", lambda phi: calls.append(phi) or real(phi))
     for seed in range(3):
         teleport_with_yb(ALPHA, 1, 1, 0.3, rng_seed=seed)
     teleport_with_yb(ALPHA, 1, 1, -2.1)
-    assert calls == [0.3, -2.1]
+    assert calls == [0.3, 0.3, 0.3, -2.1]
 
 
 def test_cache_scan_finds_the_protocol_caches():
@@ -86,18 +86,13 @@ def test_cache_scan_finds_the_protocol_caches():
         teleport._bell_like_basis,
         teleport._product_kets,
         teleport._bell_like_corrections,
-        teleport._braid_protocol,
         teleport._standard_protocol,
-        teleport._bell_like_protocol,
         teleport._branch_probes,
         gates._b0,
         gates._m_gates,
-        gate_teleport._gate_protocol_of,
         gate_teleport._double_protocol,
         gate_teleport._b0_layers,
         gate_teleport._kl_tables,
-        gate_teleport._qp_table,
-        gate_teleport._double_layers,
         algebra._brauer_operators,
         algebra._cup_cap_residual,
         cli._solve_rows,
@@ -118,14 +113,11 @@ def test_cache_scan_finds_the_protocol_caches():
         gates._b0,
         lambda: gate_teleport._b0_layers()[0],
         lambda: gate_teleport._b0_layers()[1],
-        gate_teleport._double_layers,
-        lambda: gate_teleport._double_layers(True),
         lambda: teleport._bell_like_corrections(0.3)[0],
         lambda: teleport._bell_like_corrections(0.3)[1],
         lambda: teleport._standard_protocol()[1],
         lambda: gate_teleport._kl_tables()[0],
         lambda: gate_teleport._kl_tables()[1],
-        gate_teleport._qp_table,
         *(lambda k=k: algebra._brauer_operators()[k] for k in range(7)),
         *(lambda k=k: tangles.UnitaryBasis.pauli().u[k] for k in range(4)),
         lambda: tangles.UnitaryBasis.pauli().states,
@@ -145,8 +137,8 @@ def test_cache_scan_finds_the_protocol_caches():
         lambda: gates._m_gates(0.3),
         lambda: gates.m_gate(1, 1, 0.3),
     ],
-    ids=["bell", "product", "bell-like", "braid-op", "braid-w", "b0", "b0-front", "b0-back", "double",
-         "double-middle", "bell-like-front", "bell-like-mirror", "pauli", "k", "l", "qp",
+    ids=["bell", "product", "bell-like", "braid-op", "braid-w", "b0", "b0-front", "b0-back",
+         "bell-like-front", "bell-like-mirror", "pauli", "k", "l",
          "brauer-e", "brauer-p", "brauer-bells", "brauer-project", "brauer-swap", "brauer-tangle", "brauer-nested",
          "pauli-basis-00", "pauli-basis-01", "pauli-basis-10", "pauli-basis-11", "pauli-states",
          "standard-branch", "bell-like-branch", "braid-branch", "gate-branch", "double-branch",
@@ -313,17 +305,21 @@ def test_importing_the_cli_fills_no_cache():
 
 
 def test_protocols_and_their_every_branch_rows_are_built_once(cold_caches, monkeypatch, capsys):
-    """Once per process for standard and two-qubit, per phi for bell-like and yang-baxter, per gate for gate."""
+    """Once per process for standard and two-qubit, once per report for bell-like, yang-baxter and gate."""
     calls = []
     real = teleport._protocol_residual
     monkeypatch.setattr(teleport, "_protocol_residual", lambda *args: calls.append(len(args[0][2])) or real(*args))
+    per_report = {variant: [] for variant in cli.TELEPORT_VARIANTS}
     for seed in ("1", "2", "3"):
         for variant in cli.TELEPORT_VARIANTS:
+            before = len(calls)
             assert cli.main(["teleport", variant, "--phi", "0.3", "--seed", seed, "--count", "5", "--format", "json"]) == 0
-    assert sorted(calls) == [4, 4, 4, 4, 16]
+            per_report[variant].append(len(calls) - before)
+    assert per_report == {"standard": [1, 0, 0], "bell-like": [1, 1, 1], "yang-baxter": [1, 1, 1],
+                          "gate": [1, 1, 1], "two-qubit": [1, 0, 0]}
+    assert sorted(calls) == [4] * 10 + [16]
     assert teleport._standard_protocol() is teleport._standard_protocol()
     assert gate_teleport._double_protocol() is gate_teleport._double_protocol()
-    assert gate_teleport._gate_protocol(H) is gate_teleport._gate_protocol(H.copy())
 
 
 def _strict_brauer(strict, monkeypatch):
