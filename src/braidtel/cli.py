@@ -54,7 +54,7 @@ from .gates import (
     tl_projector,
     yb_gate,
 )
-from .linalg import conj, max_abs_diff, mul, transpose
+from .linalg import DEFAULT_TOL, conj, max_abs_diff, mul, transpose
 from .tangles import (
     EigenAssignment,
     GateCoefficients,
@@ -73,7 +73,6 @@ from .tangles import (
 )
 from .teleport import BIT_PAIRS, _bell_like_protocol, _braid_protocol, _standard_protocol, _teleport
 
-_DEFAULT_TOL = 1e-10
 # phi grid used to validate solved eigenvalue classes across the family
 _PHI_GRID = tuple(0.1 + 0.3 * k for k in range(10))
 _BLOCK = 1024  # instances per kernel call: peak memory stays flat at any --count
@@ -252,8 +251,9 @@ def _protocol(cfg: argparse.Namespace):
         return _braid_protocol(cfg.phi), "W^dag_{key}{res}", []
     if cfg.action == "gate":
         protocol = _gate_protocol(elementary(cfg.gate, cfg.phi))
-        # row 0 of u K u^dag holds every u W_ij u^dag up to sign, and a sign cancels in C P C^dag
-        clifford = _info("correction-clifford", gate=cfg.gate, value=all(clifford_check(c)[0] for c in protocol[1][0]))
+        # row 0 of u K u^dag is [u XZ u^dag, u Z u^dag, u X u^dag, -1] up to signs, which cancel in C P C^dag; -1 is
+        # Clifford and u XZ u^dag the X image times the Z image, so those two decide the row: X first, where R(phi) fails
+        clifford = _info("correction-clifford", gate=cfg.gate, value=all(clifford_check(c)[0] for c in protocol[1][0, [2, 1]]))
         return protocol, f"R({cfg.gate})^dag_{{key}}{{res}}", [clifford]
     return _double_protocol(), "(Q x P)^dag", []
 
@@ -611,7 +611,7 @@ def main(argv=None) -> int:
             except ValueError:
                 parser.error(f"BMW_TOL is not a number: {raw!r}")
         else:
-            tolerance = _DEFAULT_TOL
+            tolerance = DEFAULT_TOL
     action = getattr(args, "kind", None) or getattr(args, "variant", "")
     cfg = argparse.Namespace(**{**_CONFIG_DEFAULTS, **vars(args), "action": action, "tolerance": tolerance})
     if not (math.isfinite(tolerance) and tolerance > 0):

@@ -23,13 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import dagger, identity, is_unitary, kron, max_abs_diff, outer
-from .gates import EPR, B_GLOBAL_PHASE, I2, X, Z, bell_state, phase_shift, reduced_phase, tl_projector, yb_gate
-
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)  # sigma_y; gates.Y is ZX
-
-XX = kron(X, X)
-YY = kron(_SY, _SY)
-ZZ = kron(Z, Z)
+from .gates import EPR, B_GLOBAL_PHASE, I2, bell_state, phase_shift, reduced_phase, tl_projector, yb_gate
 
 # Columns are the Bell-phase states; conjugating into this basis turns the
 # canonical exponential into a diagonal matrix.

@@ -40,7 +40,7 @@ from .linalg import (
     transpose,
 )
 from .gates import B_EIGENVALUES, bell_state
-from .teleport import BIT_PAIRS, UnitaryBasis, _bell_like_corrections, _flow_residual, _stack, probe_states
+from .teleport import BIT_PAIRS, UnitaryBasis, _stack, check_teleportation_identity
 
 CONSTRAINT_IDS = (1, 2, 3, 4)
 
@@ -157,21 +157,14 @@ def concrete_constraint_residuals(phi: float, lambdas: EigenAssignment | None = 
 def projector_teleportation_residuals(phi: float, seed: int = 42) -> dict[int, float]:
     """The four state-level identities tied to the quadratic constraints.
 
-    Identities 1 and 2 are ket equations moving an unknown state across the
-    Bell-like resource in either direction; 3 and 4 are their bra
-    counterparts, the same equations with every ket, probe and correction
-    conjugated.  Conjugation is exact in floating point, so 3 and 4 return
-    the same bits as 1 and 2: they restate the bra form, they add no
-    independent check.  Residuals are worst 2-norms over a probe set.
+    Identities 1 and 2 move an unknown state across the Bell-like resource in either
+    direction: check_teleportation_identity's bell-like and bell-like-transpose.  3 and 4
+    are their bra forms, with every ket, probe and correction conjugated; conjugation is
+    exact in floating point, so they are the values of 1 and 2 and add no independent
+    check.  Residuals are worst 2-norms over a probe set.
     """
-    kets, probes = UnitaryBasis.bell_like(phi).states, probe_states(seed)
-    flows = np.stack(_bell_like_corrections(phi))  # the front and mirror corrections
-    values = [
-        _flow_residual(v, gates, x, front)
-        for v, x, stacks in ((kets, probes, flows), (conj(kets), conj(probes), conj(flows)))
-        for front, gates in zip((True, False), stacks)
-    ]
-    return dict(zip(CONSTRAINT_IDS, values))
+    ket, mirror = (check_teleportation_identity(v, phi, seed) for v in ("bell-like", "bell-like-transpose"))
+    return dict(zip(CONSTRAINT_IDS, (ket, mirror, ket, mirror)))
 
 
 def spectral_constraint_residuals(basis: UnitaryBasis, assignment: EigenAssignment, m: int, n: int):
@@ -387,13 +380,20 @@ def printed_gate_forms(m: int, n: int, phi: float) -> dict[str, np.ndarray]:
     return {"rotating:+": rot_plus, "rotating:-": rot_minus, "exchange": exchange}
 
 
-def build_representation(solution: SolutionClass, phi: float,
-                         epsilon: int | None = None):
+def _matched_name(u4: np.ndarray, forms: dict[str, np.ndarray]) -> str:
+    """Name of the first of forms within STRICT_TOL of u4; AssertionError if there is none."""
+    for name, f in forms.items():
+        if max_abs_diff(u4, f) <= STRICT_TOL:
+            return name
+    raise AssertionError("gate deviates from every printed closed form")
+
+
+def build_representation(solution: SolutionClass, phi: float, epsilon: int | None = None):
     """Assemble the projector and gate for a solution class at angle phi.
 
-    Both matrices are built from Bell-state projectors, never by
-    eigendecomposition, and are checked against their printed closed
-    forms.  Returns (projector 4x4, gate 4x4).
+    The projector is its Bell state's outer product and the gate the spectral sum
+    GateCoefficients.diagonal(mu).assemble over the Pauli basis, never an eigendecomposition;
+    both are checked against their printed closed forms.  Returns (projector 4x4, gate 4x4).
     """
     m, n = solution.base_index
     if epsilon is not None and epsilon != solution.epsilon:
@@ -401,22 +401,12 @@ def build_representation(solution: SolutionClass, phi: float,
     e4 = outer(bell_state(m, n), bell_state(m, n))
     if max_abs_diff(e4, printed_projector(m, n)) > STRICT_TOL:
         raise AssertionError("projector deviates from its closed form")
-    mu = solution.mu_of_phi(phi)
-    u4 = np.zeros((4, 4), dtype=complex)
-    for mu_p, p in zip(mu.mu.tolist(), BIT_PAIRS):
-        b = bell_state(*p)
-        u4 += mu_p * outer(b, b)
-    forms = printed_gate_forms(m, n, phi)
-    if all(max_abs_diff(u4, f) > STRICT_TOL for f in forms.values()):
-        raise AssertionError("gate deviates from every printed closed form")
+    u4 = GateCoefficients.diagonal(solution.mu_of_phi(phi)).assemble(UnitaryBasis.pauli())
+    _matched_name(u4, printed_gate_forms(m, n, phi))
     return e4, u4
 
 
 def matched_form(solution: SolutionClass, phi: float = 0.3) -> str:
     """Name of the printed closed form this solution class reproduces."""
     _, u4 = build_representation(solution, phi)
-    forms = printed_gate_forms(*solution.base_index, phi)
-    for name, f in forms.items():
-        if max_abs_diff(u4, f) <= STRICT_TOL:
-            return name
-    raise AssertionError("no printed form matched")
+    return _matched_name(u4, printed_gate_forms(*solution.base_index, phi))

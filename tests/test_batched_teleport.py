@@ -45,13 +45,24 @@ def _measure(branches: np.ndarray, rng: np.random.Generator):
     return m, p, branches[m] / math.sqrt(p)
 
 
-def _loop_instance(variant: str, phi: float, alpha, bits, rng):
-    """One instance as the per-instance protocols ran it: (m, p, survivor, corrected)."""
+def _tables(variant: str, phi: float):
+    """The uncached tables the reference reads: the double layers and Q x P, or the braid protocol at phi.
+
+    They are built once per variant and phi, outside the instance loop, and passed to every instance.
+    """
+    if variant == "two-qubit":
+        return gate_teleport._double_layers(), gate_teleport._qp_table()
+    return teleport._braid_protocol(phi) if variant == "yang-baxter" else None
+
+
+def _loop_instance(variant: str, phi: float, alpha, bits, rng, tables):
+    """One instance as the per-instance protocols ran it, reading _tables(variant, phi): (m, p, survivor, corrected)."""
     r = int(sum(bit << (len(bits) - 1 - q) for q, bit in enumerate(bits)))
     if variant == "two-qubit":
-        state = gate_teleport._double_layers() @ double_input(alpha, *bits)
+        layers, qp = tables
+        state = layers @ double_input(alpha, *bits)
         m, p, middle = _measure(state.reshape(4, 4, 4).transpose(0, 2, 1).reshape(16, 4), rng)
-        return m, p, middle, dagger(gate_teleport._qp_table()[r, m]) @ middle
+        return m, p, middle, dagger(qp[r, m]) @ middle
     if variant == "standard":
         basis = teleport.UnitaryBasis.pauli()
         state, kets, corrections = kron(alpha, EPR), basis.states, basis.u
@@ -59,7 +70,7 @@ def _loop_instance(variant: str, phi: float, alpha, bits, rng):
         kets = teleport.UnitaryBasis.bell_like(phi).states
         state, corrections = kron(alpha, kets[0]), teleport._bell_like_corrections(phi)[0]
     elif variant == "yang-baxter":
-        op, table, kets = teleport._braid_protocol(phi)
+        op, table, kets = tables
         state, corrections = op @ kron(alpha, basis_ket(r, 4)), table[r]
     else:
         u = elementary(GATE, phi)
@@ -70,9 +81,9 @@ def _loop_instance(variant: str, phi: float, alpha, bits, rng):
     return m, p, bob, dagger(corrections[m]) @ bob
 
 
-def _run_instance(variant: str, phi: float, alpha, bits, rng):
+def _run_instance(variant: str, phi: float, alpha, bits, rng, tables):
     """One report row as the per-instance runner wrote it: (outcome key, correction key, label, p, fidelity)."""
-    m, p, _, corrected = _loop_instance(variant, phi, alpha, bits, rng)
+    m, p, _, corrected = _loop_instance(variant, phi, alpha, bits, rng, tables)
     resource = ",".join(f"{bits[q]}{bits[q + 1]}" for q in range(0, len(bits), 2))
     if variant == "two-qubit":
         key = "{}{},{}{}".format(*BIT_PAIRS[m // 4], *BIT_PAIRS[m % 4])
@@ -100,10 +111,11 @@ def _loop_report(variant: str, phi: float, seed: int, count: int):
     ket_rng, measure_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     expected = 1 / 16 if variant == "two-qubit" else 1 / 4
     histogram, corrections, min_fid, prob_dev = {}, {}, 1.0, 0.0
+    tables = _tables(variant, phi)
     for start in range(0, count, cli._BLOCK):
         kets, bits = _draw_block(ket_rng, min(cli._BLOCK, count - start), variant)
         for alpha, row in zip(kets, bits):
-            key, ckey, label, prob, fid = _run_instance(variant, phi, alpha, row.tolist(), measure_rng)
+            key, ckey, label, prob, fid = _run_instance(variant, phi, alpha, row.tolist(), measure_rng, tables)
             histogram[key] = histogram.get(key, 0) + 1
             corrections[ckey] = label
             min_fid = min(min_fid, fid)
@@ -126,9 +138,9 @@ def test_kernel_matches_the_loop_on_the_same_draws(variant, phi):
     draws = np.random.default_rng(6).random(64)
     m, p, survivors, corrected = teleport._teleport(_protocol(variant, phi), kets, r, draws)
     # the reference consumes the same uniforms one Generator.choice call at a time
-    rng = np.random.default_rng(6)
+    rng, tables = np.random.default_rng(6), _tables(variant, phi)
     for n, (alpha, row) in enumerate(zip(kets, bits)):
-        want = _loop_instance(variant, phi, alpha, row.tolist(), rng)
+        want = _loop_instance(variant, phi, alpha, row.tolist(), rng, tables)
         assert m[n] == want[0]
         assert abs(p[n] - want[1]) <= 1e-15
         assert np.max(np.abs(survivors[n] - want[2])) <= 1e-15
@@ -170,9 +182,10 @@ def _outcome_index(outcome) -> int:
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_public_functions_keep_the_choice_outcomes(variant):
     run, alpha, bits = _PUBLIC[variant]
+    tables = _tables(variant, -2.1)
     for seed in range(200):
         outcome, corrected = run(seed)
-        m, p, survivor, want = _loop_instance(variant, -2.1, alpha, bits, np.random.default_rng(seed))
+        m, p, survivor, want = _loop_instance(variant, -2.1, alpha, bits, np.random.default_rng(seed), tables)
         assert _outcome_index(outcome) == m, f"rng_seed {seed}"
         assert abs(outcome.probability - p) <= 1e-15
         assert np.max(np.abs(outcome.post_state - survivor)) <= 1e-15

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from braidtel import cli
 from braidtel.algebra import RelationReport
 from braidtel.cli import _fmt, build_parser, main
 from braidtel.gate_teleport import clifford_check
+from braidtel.gates import H, phase_shift
 from braidtel.linalg import max_abs_diff, transpose
 from braidtel.tangles import skew_transpose
 
@@ -144,12 +146,22 @@ def test_teleport_gate_reports_clifford_corrections(capsys):
     assert entry["value"] is True
 
 
-@pytest.mark.parametrize("phi", [0.0, 0.3, -2.1])
+# with the multiples of pi/8 on [-pi, pi], 0 among them: R(phi)'s row reads Clifford at the even ones
+# only, so the row's two checks meet both outcomes
+@pytest.mark.parametrize("phi", [0.0, 0.3, -2.1] + [k * math.pi / 8 for k in range(-8, 9) if k])
 @pytest.mark.parametrize("gate", cli.TELEPORT_GATES)
 def test_correction_clifford_reads_as_all_sixteen_checks(gate, phi):
     protocol, _, extra = cli._protocol(argparse.Namespace(action="gate", gate=gate, phi=phi))
     sixteen = all(clifford_check(c)[0] for c in protocol[1].reshape(-1, 2, 2))
     assert extra == [{"label": "correction-clifford", "gate": gate, "value": sixteen}]
+
+
+def test_correction_clifford_row_reads_the_z_image(monkeypatch):
+    """R(pi/8) H maps X to Z but Z to a non-Clifford image: every listed gate has a Clifford Z image, this one not."""
+    monkeypatch.setattr(cli, "elementary", lambda name, phi: phase_shift(math.pi / 8) @ H)
+    protocol, _, extra = cli._protocol(argparse.Namespace(action="gate", gate="R", phi=0.0))
+    assert extra[0]["value"] is False
+    assert not all(clifford_check(c)[0] for c in protocol[1].reshape(-1, 2, 2))
 
 
 def test_teleport_two_qubit_minimum_fidelity(capsys):
