@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gates import EPR, I2, bell_state, brauer_projector, permutation_p
-from .teleport import BIT_PAIRS, _paired, _transfer_residual, _worst_norm
+from .teleport import BIT_PAIRS, _KEPT_BRANCH, Protocol, _protocol_residual, _worst_norm
 from .linalg import (
     DEFAULT_TOL,
     dagger,
@@ -318,13 +318,15 @@ def check_brauer(n: int = 3, tol: float = DEFAULT_TOL) -> list[RelationReport]:
 
 
 @functools.lru_cache(maxsize=None)
-def _brauer_operators() -> tuple[np.ndarray, ...]:
-    """E, P, the Bell kets of the cup-cap sum and the four 8x8 state-identity operators
-    (transposed, to act on rows), built once and shared read-only."""
+def _brauer_operators() -> tuple:
+    """E, P, the Bell kets of the cup-cap sum, the projector identity (E x 1)(a x EPR) = 1/2 EPR x a
+    as a Protocol and the three other 8x8 state-identity operators (transposed, to act on rows),
+    built once and shared read-only."""
     E, P = brauer_projector(), permutation_p()
     bells = np.array([bell_state(i, j) for i, j in BIT_PAIRS])
-    operators = (kron(E, I2), mul(kron(I2, P), kron(P, I2)), mul(kron(P, I2), kron(I2, P)), 2.0 * kron(I2, E))
-    return tuple(frozen(a) for a in (E, P, bells, *(transpose(op) for op in operators)))
+    project = Protocol(kron(E, I2) @ kron(I2, EPR[:, None]), _KEPT_BRANCH[None], bells, I2)
+    operators = (mul(kron(I2, P), kron(P, I2)), mul(kron(P, I2), kron(I2, P)), 2.0 * kron(I2, E))
+    return (*(frozen(a) for a in (E, P, bells)), project, *(frozen(transpose(op)) for op in operators))
 
 
 def swap_cup_cap_expansion() -> np.ndarray:
@@ -356,9 +358,9 @@ def brauer_teleportation_residuals(seed: int = 42, count: int = 20) -> dict:
     # |alpha>|kl> and |kl>|alpha> for every state and basis pair kl
     pairs = np.einsum("pi,qj->pqij", alphas, identity(4)).reshape(-1, 8)
     swapped = np.einsum("pi,qj->pqji", alphas, identity(4)).reshape(-1, 8)
-    ahead, behind = _paired(alphas, EPR), _paired(alphas, EPR, front=False)
+    behind = np.einsum("k,pi->pki", EPR, alphas).reshape(-1, 8)
     return {
-        "projector": _transfer_residual(ahead @ project, EPR[None], I2[None], alphas),
+        "projector": _protocol_residual(project, alphas),
         "swap": _worst_norm(pairs @ swap - swapped),
         "tangle": _worst_norm(behind @ tangle - behind @ nested),
         "cup-cap": _cup_cap_residual(),

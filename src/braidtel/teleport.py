@@ -18,19 +18,21 @@ post-measurement states, (<v_m| (x) 1) op with the input placed at r, so
 _branches is one gathered batched matvec.  _teleport samples m by the Born
 rule, one uniform draw per instance, and corrects with C_m^dag read at call
 time from the protocol's table, indexed [resource, outcome].
-_protocol_residual checks every branch against the exact identity with the
-protocol's own gate; on fixed probes it is a protocol's every_branch, the
-gated row of every teleport report.  The teleport_* functions are one-instance
-calls.  UnitaryBasis is the one Bell-like basis: its Pauli instance and its
-per-phi M_ij instance give the protocols their kets and corrections and the
-tangle constraints their gates.  The M_ij basis and the Bell-like corrections
+_protocol_residual, the package's one teleportation-identity kernel, checks
+every branch against the exact identity with the protocol's own gate; on fixed
+probes it is a protocol's every_branch, the gated row of every teleport report.
+The teleport_* functions are one-instance calls.  UnitaryBasis is the one
+Bell-like basis: its Pauli instance and its per-phi M_ij instance give the
+protocols their kets and corrections and the tangle constraints their gates.  The M_ij basis and the Bell-like corrections
 are built, self-checked and frozen once per phi.  The braid table reads the
 closed-form phases of phase_table; extract_phases fits the same phases
 numerically and is kept as its cross-check.
 
 The identities behind the protocols are also exposed directly as residual
-checks so they can be verified as exact vector/operator equations instead
-of sampled behaviour.  Measurement outcomes are sampled through a seeded
+checks, verified as exact vector equations instead of sampled behaviour: each
+vector or channel variant of check_teleportation_identity, and verify brauer's
+projector identity, is a Protocol read by _protocol_residual; only flow stays
+an operator identity.  Measurement outcomes are sampled through a seeded
 generator; probabilities themselves come from the Born rule exactly.
 """
 
@@ -121,33 +123,9 @@ def probe_states(seed: int = 42) -> np.ndarray:
     return np.array([*PAULI_EIGENSTATES, random_ket(rng), random_ket(rng)])
 
 
-def _paired(x: np.ndarray, r: np.ndarray, front: bool = True) -> np.ndarray:
-    """Rows x_p (x) r of a (P, d) stack x, or r (x) x_p with front=False."""
-    pairs = x[:, :, None] * r if front else r[:, None] * x[:, None, :]
-    return pairs.reshape(len(x), -1)
-
-
-def _transfer_residual(lhs, kets, gates, probes, front: bool = True) -> float:
-    """Worst 2-norm over probes p of lhs_p - (1/2) sum_m v_m (x) C_m x_p.
-
-    Every transfer identity has this right-hand side: probes is the (P, 2)
-    stack of x_p, kets holds the measurement kets v_m as rows and gates the
-    (M, 2, 2) corrections C_m.  With front=False the corrected qubit stands
-    in front, C_m x_p (x) v_m.  lhs is the (P, D) stack of left-hand sides.
-    """
-    moved = np.einsum("mij,pj->pmi", gates, probes)
-    rhs = 0.5 * np.einsum("mk,pmi->pki" if front else "mk,pmi->pik", kets, moved)
-    return _worst_norm(lhs - rhs.reshape(len(probes), -1))
-
-
 def _worst_norm(rows: np.ndarray) -> float:
     """Largest 2-norm among the rows of a stack."""
     return float(np.linalg.norm(rows, axis=1).max())
-
-
-def _flow_residual(kets, gates, probes, front: bool = True) -> float:
-    """Transfer residual of x (x) v_0 = 1/2 sum_m v_m (x) C_m x: the resource is row 0 of kets."""
-    return _transfer_residual(_paired(probes, kets[0], front), kets, gates, probes, front)
 
 
 class Protocol(tuple):
@@ -316,6 +294,10 @@ def _braid_protocol(phi: float) -> Protocol:
     return Protocol(kron(b, I2) @ kron(I2, b), v[:, None] @ transpose(u), _product_kets(), I2)
 
 
+# The table of a projector channel: only the branch of the resource ket v_0 survives, uncorrected.
+_KEPT_BRANCH = frozen(np.array([I2, *np.zeros((3, 2, 2))]))
+
+
 def _correction_table(correction, *args) -> np.ndarray:
     """correction(i, j, k, l, *args) stacked at [2k + l, 2i + j]."""
     return np.array([[correction(i, j, k, l, *args) for i, j in BIT_PAIRS] for k, l in BIT_PAIRS])
@@ -477,23 +459,30 @@ IDENTITY_VARIANTS = (
 def check_teleportation_identity(variant: str, phi: float = 0.0, seed: int = 42) -> float:
     """Residual of one teleportation identity: the worst 2-norm of lhs - rhs.
 
-    The vector identities run over the Pauli eigenstates plus random probes.
-    The projector-channel forms (E00 (x) 1)(a (x) E00) = 1/2 |psi (x) a><psi|
-    and their mirror are that vector identity times <psi|, because
-    E00 = |psi><psi|, so they are checked on (E00 (x) 1)(a (x) psi).  flow
-    compares (1 (x) u)|EPR> with (u^T (x) 1)|EPR> over 8 seeded random unitaries.
+    Each vector identity x (x) v_0 = 1/2 sum_m v_m (x) C_m x is a Protocol, op x -> x (x) v_0 with
+    table C_m, checked by _protocol_residual over the Pauli eigenstates plus random probes.  A
+    -transpose mirror v_0 (x) x = 1/2 sum_m C_m x (x) v_m is read with its output qubits rotated
+    |a b c> -> |b c a>, which puts the measured pair in front.  The projector-channel forms
+    (E00 (x) 1)(a (x) E00) = 1/2 |psi (x) a><psi| and their mirror are that vector identity times
+    <psi|, because E00 = |psi><psi|, so they are op (E00 (x) 1)(x (x) psi) over the complete
+    Bell-like basis, where only branch 0 survives, uncorrected.  flow compares (1 (x) u)|EPR> with
+    (u^T (x) 1)|EPR> over 8 seeded random unitaries.
     """
-    probes = probe_states(seed)
-    front = not variant.endswith("-transpose")
-    if variant in ("standard", "standard-transpose"):
-        basis = UnitaryBasis.pauli()
-        return _flow_residual(basis.states, basis.u if front else transpose(basis.u), probes, front)
-    if variant in ("bell-like", "bell-like-transpose"):
-        return _flow_residual(UnitaryBasis.bell_like(phi).states, _bell_like_corrections(phi)[not front], probes, front)
-    if variant in ("projector-channel", "projector-channel-transpose"):
-        e00, psi = tl_projector(0, 0, phi), UnitaryBasis.bell_like(phi).states[0]
-        op = kron(e00, I2) if front else kron(I2, e00)
-        return _transfer_residual(_paired(probes, psi, front) @ transpose(op), psi[None], I2[None], probes, front)
+    family, front = variant.removesuffix("-transpose"), not variant.endswith("-transpose")
+    if family in ("standard", "bell-like", "projector-channel"):
+        basis = UnitaryBasis.pauli() if family == "standard" else UnitaryBasis.bell_like(phi)
+        resource = basis.states[0][:, None]
+        op = kron(I2, resource) if front else kron(resource, I2)
+        if family == "standard":
+            table = basis.u if front else transpose(basis.u)
+        elif family == "bell-like":
+            table = _bell_like_corrections(phi)[not front]
+        else:
+            e00 = tl_projector(0, 0, phi)
+            op, table = (kron(e00, I2) if front else kron(I2, e00)) @ op, _KEPT_BRANCH
+        if not front:
+            op = op.reshape(2, 2, 2, 2).transpose(1, 2, 0, 3).reshape(8, 2)
+        return _protocol_residual(Protocol(op, table[None], basis.states, I2), probe_states(seed))
     if variant == "flow":
         rng = np.random.default_rng(seed)
         draws = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(8)]

@@ -22,7 +22,7 @@ from braidtel.algebra import (
 )
 from braidtel.gates import EPR, I2, SWAP, bell_state, brauer_projector, permutation_p, tl_projector, yb_gate
 from braidtel.linalg import dagger, embed, identity, is_unitary, kron, max_abs_diff, mul, outer, transpose
-from braidtel.teleport import BIT_PAIRS, _paired, _transfer_residual, _worst_norm, random_ket
+from braidtel.teleport import _KEPT_BRANCH, BIT_PAIRS, Protocol, _protocol_residual, _worst_norm, random_ket
 
 TOL = 1e-10
 
@@ -137,16 +137,18 @@ def test_brauer_state_identities():
 def test_batched_state_identities_match_the_per_state_reference():
     """One (count, 2, 2) draw gives the states of count random_ket calls, bit for bit."""
     E, P = brauer_projector(), permutation_p()
-    cup_cap = sum((-1) ** (i * j) * outer(bell_state(i, j), bell_state(i, j)) for i, j in BIT_PAIRS)
+    bells = np.array([bell_state(i, j) for i, j in BIT_PAIRS])
+    cup_cap = sum((-1) ** (i * j) * outer(bell, bell) for (i, j), bell in zip(BIT_PAIRS, bells))
+    project = Protocol(kron(E, I2) @ kron(I2, EPR[:, None]), _KEPT_BRANCH[None], bells, I2)
     for seed in range(40):
         rng = np.random.default_rng(seed)
         alphas = np.array([random_ket(rng) for _ in range(20)])
         pairs = np.einsum("pi,qj->pqij", alphas, identity(4)).reshape(-1, 8)
         swapped = np.einsum("pi,qj->pqji", alphas, identity(4)).reshape(-1, 8)
-        ahead, behind = _paired(alphas, EPR), _paired(alphas, EPR, front=False)
+        behind = np.array([kron(EPR, alpha) for alpha in alphas])
         nested = behind @ transpose(2.0 * kron(I2, E))
         assert brauer_teleportation_residuals(seed=seed) == {
-            "projector": _transfer_residual(ahead @ transpose(kron(E, I2)), EPR[None], I2[None], alphas),
+            "projector": _protocol_residual(project, alphas),
             "swap": _worst_norm(pairs @ transpose(mul(kron(I2, P), kron(P, I2))) - swapped),
             "tangle": _worst_norm(behind @ transpose(mul(kron(P, I2), kron(I2, P))) - nested),
             "cup-cap": max_abs_diff(cup_cap, P),

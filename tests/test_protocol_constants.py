@@ -118,7 +118,10 @@ def test_cache_scan_finds_the_protocol_caches():
         lambda: teleport._standard_protocol()[1],
         lambda: gate_teleport._kl_tables()[0],
         lambda: gate_teleport._kl_tables()[1],
-        *(lambda k=k: algebra._brauer_operators()[k] for k in range(7)),
+        *(lambda k=k: algebra._brauer_operators()[k] for k in range(3)),
+        *(lambda k=k: algebra._brauer_operators()[3][k] for k in range(3)),
+        lambda: algebra._brauer_operators()[3].branch,
+        *(lambda k=k: algebra._brauer_operators()[k] for k in range(4, 7)),
         *(lambda k=k: tangles.UnitaryBasis.pauli().u[k] for k in range(4)),
         lambda: tangles.UnitaryBasis.pauli().states,
         lambda: teleport._standard_protocol().branch,
@@ -139,7 +142,8 @@ def test_cache_scan_finds_the_protocol_caches():
     ],
     ids=["bell", "product", "bell-like", "braid-op", "braid-w", "b0", "b0-front", "b0-back",
          "bell-like-front", "bell-like-mirror", "pauli", "k", "l",
-         "brauer-e", "brauer-p", "brauer-bells", "brauer-project", "brauer-swap", "brauer-tangle", "brauer-nested",
+         "brauer-e", "brauer-p", "brauer-bells", "brauer-project-op", "brauer-project-table",
+         "brauer-project-kets", "brauer-project-branch", "brauer-swap", "brauer-tangle", "brauer-nested",
          "pauli-basis-00", "pauli-basis-01", "pauli-basis-10", "pauli-basis-11", "pauli-states",
          "standard-branch", "bell-like-branch", "braid-branch", "gate-branch", "double-branch",
          "standard-op", "bell-like-op", "gate-op", "gate-table", "double-op", "double-gate",

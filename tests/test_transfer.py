@@ -1,11 +1,9 @@
-"""The one stacked evaluator behind every teleportation transfer identity.
+"""The one kernel behind every teleportation identity, _protocol_residual.
 
 Each routed identity is checked against the per-term kron loop it
 replaced, which is kept here as its oracle (with the same 2-norm metric).
-A mutated evaluator, with the flow direction flipped or two corrections
-exchanged, must push every family to an O(1) residual; the protocol
-families (braid, B_0 forward and reverse, the double protocol) are
-mutated through _protocol_residual, the others through _transfer_residual.
+A mutated kernel, with the front output qubit moved to the back or two
+corrections exchanged, must push every family to an O(1) residual.
 """
 
 import argparse
@@ -195,8 +193,9 @@ def test_stacked_brauer_draws_equal_the_loop_draws(seed):
     rng = np.random.default_rng(seed)
     stacked = np.array([random_ket(rng) for _ in range(20)])
     assert np.array_equal(stacked, np.array(_brauer_draws(seed, 20)))
-    residuals = brauer_teleportation_residuals(seed=seed)
-    assert {name: residuals[name] for name in ("projector", "swap", "tangle")} == _brauer_oracle(seed)
+    residuals, oracle = brauer_teleportation_residuals(seed=seed), _brauer_oracle(seed)
+    assert {name: residuals[name] for name in ("swap", "tangle")} == {name: oracle[name] for name in ("swap", "tangle")}
+    assert abs(residuals["projector"] - oracle["projector"]) <= 1e-15
 
 
 # --------------------------------------------------------- mutation
@@ -220,29 +219,21 @@ def _families():
 FAMILIES = tuple(_families())
 
 
-def _patch_evaluators(monkeypatch, transfer, protocol):
-    """Route every family through a mutated evaluator: _transfer_residual or _protocol_residual."""
-    originals = teleport._transfer_residual, teleport._protocol_residual
-    for module in (teleport, algebra):
-        monkeypatch.setattr(module, "_transfer_residual", lambda *args, **kw: transfer(originals[0], *args, **kw))
-    for module in (teleport, gate_teleport):
-        monkeypatch.setattr(module, "_protocol_residual", lambda *args: protocol(originals[1], *args))
+def _patch_evaluators(monkeypatch, protocol):
+    """Route every family through a mutated _protocol_residual."""
+    original = teleport._protocol_residual
+    for module in (teleport, gate_teleport, algebra):
+        monkeypatch.setattr(module, "_protocol_residual", lambda *args: protocol(original, *args))
 
 
-def _flipped(original, lhs, kets, gates, probes, front=True):
-    return original(lhs, kets, gates, probes, not front)
-
-
-def _exchanged(original, lhs, kets, gates, probes, front=True):
-    return original(lhs, kets, np.asarray(gates)[[1, 0, *range(2, len(gates))]], probes, front)
-
-
+# Bell states are symmetric or antisymmetric under a qubit swap, so reversing the output register leaves
+# the mirrored identities intact; moving the front qubit to the back breaks them.
 def _flipped_protocol(original, protocol, probes):
-    """The protocol with its output qubits reversed, so the measured register is read off the back."""
+    """The protocol with its front output qubit moved to the back, so the measured register is read off by one."""
     op, table, kets = protocol
     n = op.shape[0].bit_length() - 1
-    backwards = op.reshape((2,) * n + (-1,)).transpose(*reversed(range(n)), n).reshape(op.shape)
-    return original(teleport.Protocol(backwards, table, kets, protocol.gate), probes)
+    moved = op.reshape((2,) * n + (-1,)).transpose(*range(1, n), 0, n).reshape(op.shape)
+    return original(teleport.Protocol(moved, table, kets, protocol.gate), probes)
 
 
 def _exchanged_protocol(original, protocol, probes):
@@ -258,17 +249,24 @@ def test_unmutated_families_hold(family):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_flipped_flow_direction_breaks_every_family(monkeypatch, family):
-    _patch_evaluators(monkeypatch, _flipped, _flipped_protocol)
+    _patch_evaluators(monkeypatch, _flipped_protocol)
     assert _families()[family]() > 0.25
 
 
-# The Brauer projector identity and the projector-channel forms have a
-# single term (v = EPR or psi, C = 1), so exchanging two of their
-# corrections has nothing to exchange.
-@pytest.mark.parametrize("family", [f for f in FAMILIES if f not in ("brauer-projector", *CHANNEL_VARIANTS)])
+@pytest.mark.parametrize("family", FAMILIES)
 def test_exchanged_corrections_break_every_family(monkeypatch, family):
-    _patch_evaluators(monkeypatch, _exchanged, _exchanged_protocol)
+    _patch_evaluators(monkeypatch, _exchanged_protocol)
     assert _families()[family]() > 0.25
+
+
+# The Bell-like protocol does not transpose its correction between the two flow directions
+# (transpose_asymmetry_margin), so each flow fails on the other flow's table.
+@pytest.mark.parametrize("variant", ("bell-like", "bell-like-transpose"))
+@pytest.mark.parametrize("phi", PHIS)
+def test_each_bell_like_flow_fails_on_the_other_flows_table(monkeypatch, variant, phi):
+    real = teleport._bell_like_corrections
+    monkeypatch.setattr(teleport, "_bell_like_corrections", lambda p: real(p)[::-1])
+    assert check_teleportation_identity(variant, phi) >= 0.5
 
 
 # ------------------------------------------------------ protocol residual
