@@ -23,10 +23,11 @@ every branch against the exact identity with the protocol's own gate; on fixed
 probes it is a protocol's every_branch, the gated row of every teleport report.
 The teleport_* functions are one-instance calls.  UnitaryBasis is the one
 Bell-like basis: its Pauli instance and its per-phi M_ij instance give the
-protocols their kets and corrections and the tangle constraints their gates.  The M_ij basis and the Bell-like corrections
-are built, self-checked and frozen once per phi.  The braid table reads the
-closed-form phases of phase_table; extract_phases fits the same phases
-numerically and is kept as its cross-check.
+protocols their kets and corrections and the tangle constraints their gates.
+The M_ij basis and the Bell-like corrections are built, self-checked and
+frozen once per phi.  The braid table reads the closed-form phases of
+phase_table; extract_phases fits the same phases numerically and is kept as
+its cross-check.
 
 The identities behind the protocols are also exposed directly as residual
 checks, verified as exact vector equations instead of sampled behaviour: each
