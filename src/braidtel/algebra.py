@@ -27,6 +27,7 @@ Relation families:
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -154,6 +155,7 @@ class Representation:
 
 
 def build_rep(E: np.ndarray, B: np.ndarray, n: int) -> Representation:
+    n = operator.index(n)  # an integer site count: 3 and np.int64(3) pass, 3.0 and "3" raise TypeError
     if n < 2:
         raise ValueError(f"sites must be at least 2, got {n}")
     E = np.asarray(E, dtype=complex)
@@ -335,18 +337,22 @@ def swap_cup_cap_expansion() -> np.ndarray:
     return sum((-1) ** (i * j) * outer(bell, bell) for (i, j), bell in zip(BIT_PAIRS, bells))
 
 
-def brauer_teleportation_residuals(seed: int = 42, count: int = 20) -> dict:
+# The random one-qubit states that brauer_teleportation_residuals draws from its seed.
+_BRAUER_DRAWS = 20
+
+
+def brauer_teleportation_residuals(seed: int = 42) -> dict:
     """State-level identities of the swap representation.
 
-    Checks, over random one-qubit states: the Bell projector pulling a
-    state through the resource with weight 1/2; the double swap moving a
-    state across a basis pair; and the tangle product collapsing to twice
-    the nested projector action.  Also reports the cup-cap expansion of
+    Checks, over _BRAUER_DRAWS random one-qubit states: the Bell projector
+    pulling a state through the resource with weight 1/2; the double swap
+    moving a state across a basis pair; and the tangle product collapsing to
+    twice the nested projector action.  Also reports the cup-cap expansion of
     SWAP as a matrix identity.  Each residual is a worst 2-norm.
     """
     project, swap, tangle, nested = _brauer_operators()[3:]
-    # the stream of count teleport.random_ket draws: real parts, then imaginary parts, per state
-    draws = np.random.default_rng(seed).standard_normal((count, 2, 2))
+    # the stream of _BRAUER_DRAWS teleport.random_ket draws: real parts, then imaginary parts, per state
+    draws = np.random.default_rng(seed).standard_normal((_BRAUER_DRAWS, 2, 2))
     amps = draws[:, 0] + 1j * draws[:, 1]
     if not np.all(np.isfinite(amps)):
         raise ValueError("ket amplitudes must be finite")

@@ -48,10 +48,10 @@ from .gates import (
     B_EIGENVALUES,
     CZ,
     SWAP,
-    _b0,
     decompose_b,
     elementary,
     tl_projector,
+    yb_clifford,
     yb_gate,
 )
 from .linalg import DEFAULT_TOL, conj, max_abs_diff, mul, transpose
@@ -77,15 +77,6 @@ from .teleport import BIT_PAIRS, _bell_like_protocol, _braid_protocol, _standard
 _PHI_GRID = tuple(0.1 + 0.3 * k for k in range(10))
 _BLOCK = 1024  # instances per kernel call: peak memory stays flat at any --count
 
-VERIFY_KINDS = (
-    "bmw",
-    "brauer",
-    "constraints",
-    "spectral",
-    "general",
-    "b-forms",
-    "skew-transpose",
-)
 TELEPORT_VARIANTS = ("standard", "bell-like", "yang-baxter", "gate", "two-qubit")
 TELEPORT_GATES = ("H", "S", "T", "X", "Y", "Z", "I", "R")
 ANALYZE_GATES = ("B", "B0", "I", "SWAP", "CZ")
@@ -352,7 +343,7 @@ def _cmd_solve(cfg: argparse.Namespace) -> list[dict]:
 @functools.lru_cache(maxsize=None)
 def _fixed_analysis(name: str):
     """canonical_params and, for B0, clifford_check of a phi-free target, once per process and read-only."""
-    u = _b0() if name == "B0" else {"I": np.eye(4, dtype=complex), "SWAP": SWAP, "CZ": CZ}[name]
+    u = yb_clifford() if name == "B0" else {"I": np.eye(4, dtype=complex), "SWAP": SWAP, "CZ": CZ}[name]
     ok, table = clifford_check(u) if name == "B0" else (None, {})
     return canonical_params(u), ok, MappingProxyType(table)
 
@@ -584,7 +575,7 @@ def _known_args(argv) -> argparse.Namespace | None:
     return None if pending else argparse.Namespace(**values)
 
 
-_REPORTS = {
+_VERIFY = {
     "bmw": _verify_bmw,
     "brauer": _verify_brauer,
     "constraints": _verify_constraints,
@@ -592,10 +583,9 @@ _REPORTS = {
     "general": _verify_general,
     "b-forms": _verify_b_forms,
     "skew-transpose": _verify_skew,
-    "teleport": _cmd_teleport,
-    "solve": _cmd_solve,
-    "analyze": _cmd_analyze,
 }
+VERIFY_KINDS = tuple(_VERIFY)
+_REPORTS = {**_VERIFY, "teleport": _cmd_teleport, "solve": _cmd_solve, "analyze": _cmd_analyze}
 
 
 def main(argv=None) -> int:

@@ -32,14 +32,13 @@ from .linalg import (
     max_abs_diff,
     mul,
 )
-from .gates import I2, X, Y, Z, H, _b0, _check_bits, t_gate, pauli_w, x_pow, z_pow
+from .gates import I2, X, Y, Z, H, _check_bits, t_gate, pauli_w, x_pow, yb_clifford, z_pow
 from .teleport import (
     BIT_PAIRS,
     Protocol,
     _correction_table,
     _one,
     _one_qubit,
-    _product_kets,
     _protocol_residual,
     probe_states,
     random_ket,
@@ -181,7 +180,7 @@ def r_gate_t(i: int, j: int, k: int, l: int) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _b0_layers() -> tuple[np.ndarray, np.ndarray]:
     """The three-qubit layers (B_0 x 1, 1 x B_0), built once and shared read-only."""
-    b0 = _b0()
+    b0 = yb_clifford()
     return frozen(kron(b0, I2)), frozen(kron(I2, b0))
 
 
@@ -211,7 +210,7 @@ def b0_reverse_residual(seed: int = 42) -> float:
     """
     front, back = _b0_layers()
     rotated = mul(back, front).reshape((2,) * 6).transpose(1, 2, 0, 5, 3, 4).reshape(8, 8)
-    return _protocol_residual(Protocol(rotated, _kl_tables()[1], _product_kets(), I2), probe_states(seed))
+    return _protocol_residual(Protocol(rotated, _kl_tables()[1], identity(4), I2), probe_states(seed))
 
 
 def _gate_protocol(u: np.ndarray) -> Protocol:
@@ -220,7 +219,7 @@ def _gate_protocol(u: np.ndarray) -> Protocol:
     if u.shape != (2, 2) or not is_unitary(u):
         raise ValueError("gate must be a 2x2 unitary")
     front, back = _b0_layers()
-    return Protocol(mul(front, kron(identity(4), u), back), u @ _kl_tables()[0] @ dagger(u), _product_kets(), u)
+    return Protocol(mul(front, kron(identity(4), u), back), u @ _kl_tables()[0] @ dagger(u), identity(4), u)
 
 
 def teleport_single_gate(u: np.ndarray, alpha: np.ndarray, k: int, l: int,
@@ -274,7 +273,7 @@ def qp_factorization_residual() -> float:
     """
     k_table, l_table = _kl_tables()
     kl = np.einsum("abpq,cdrs->acbdprqs", k_table, l_table).reshape(16, 16, 4, 4)
-    b0 = _b0()
+    b0 = yb_clifford()
     return max_abs_diff(_qp_table(), b0 @ kl @ dagger(b0))
 
 
@@ -287,7 +286,7 @@ def _double_layers(doubled_middle: bool = False) -> np.ndarray:
     applied during preparation, which tests the alternative reading of the
     protocol description.  The cached _double_protocol reads it once per reading.
     """
-    b0 = _b0()
+    b0 = yb_clifford()
     prepare = mul(embed(b0, 2, 6), embed(b0, 4, 6))
     if doubled_middle:
         prepare = mul(embed(b0, 3, 6), prepare)
@@ -311,7 +310,7 @@ def double_protocol_residuals(seed: int = 42) -> dict[str, float]:
 def _double_protocol(doubled_middle: bool = False) -> Protocol:
     """The double protocol, built once per reading: op leaves the end registers, outcome 4 m1 + m2, in front."""
     op = _double_layers(doubled_middle).reshape(4, 4, 4, 64).transpose(0, 2, 1, 3).reshape(64, 64)
-    return Protocol(op, _qp_table(), _product_kets(16), _b0())
+    return Protocol(op, _qp_table(), identity(16), yb_clifford())
 
 
 def teleport_two_qubit(alphabeta: np.ndarray, k1: int, l1: int,

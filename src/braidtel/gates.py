@@ -236,12 +236,6 @@ def yb_clifford() -> np.ndarray:
     return b0
 
 
-@functools.lru_cache(maxsize=None)
-def _b0() -> np.ndarray:
-    """yb_clifford(), built and checked once per process and shared read-only."""
-    return frozen(yb_clifford())
-
-
 def decompose_b(phi: float):
     """Factor B into (scalar phase, list of (name, matrix)) with 2 CZ gates.
 

@@ -255,11 +255,10 @@ _PATTERNS = tuple(
 )
 
 
-@functools.lru_cache(maxsize=None)
 def _pauli_chain(m: int, n: int):
-    """Read-only Pauli chain[c, p, q] = left[q] mid[p] right[q], shape (4, 4, 4, 2, 2), and rhs."""
+    """The Pauli chain[c, p, q] = left[q] mid[p] right[q], shape (4, 4, 4, 2, 2), and rhs."""
     left, mid, right, rhs = _pauli_forms(m, n)
-    return frozen(np.einsum("eqij,epjk,eqkl->epqil", left, mid, right)), rhs
+    return np.einsum("eqij,epjk,eqkl->epqil", left, mid, right), rhs
 
 
 @functools.lru_cache(maxsize=None)
@@ -287,7 +286,7 @@ def _pattern_residuals(m: int, n: int, phis=_SAMPLE_PHIS, patterns=_PATTERNS) ->
     return np.abs(cells).max(axis=(1, 2, 3, 4)).reshape(len(patterns), len(phis))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _solved_classes(m: int, n: int, tol: float) -> tuple[SolutionClass, ...]:
     passed = (_pattern_residuals(m, n) <= tol).all(axis=1)
     unique = {}  # survivors keyed by their rounded mu at _DEDUP_PHI

@@ -24,10 +24,10 @@ probes it is a protocol's every_branch, the gated row of every teleport report.
 The teleport_* functions are one-instance calls.  UnitaryBasis is the one
 Bell-like basis: its Pauli instance and its per-phi M_ij instance give the
 protocols their kets and corrections and the tangle constraints their gates.
-The M_ij basis and the Bell-like corrections are built, self-checked and
-frozen once per phi.  The braid table reads the closed-form phases of
-phase_table; extract_phases fits the same phases numerically and is kept as
-its cross-check.
+The M_ij basis is built, self-checked and frozen once per phi; the Bell-like
+corrections are multiplied out of it on each call.  The braid table reads
+the closed-form phases of phase_table; extract_phases fits the same phases
+numerically and is kept as its cross-check.
 
 The identities behind the protocols are also exposed directly as residual
 checks, verified as exact vector equations instead of sampled behaviour: each
@@ -276,23 +276,17 @@ def _bell_like_basis(phi: float) -> UnitaryBasis:
     return basis
 
 
-@functools.lru_cache(maxsize=None)
-def _product_kets(dim: int = 4) -> np.ndarray:
-    return frozen(identity(dim))
-
-
-@functools.lru_cache(maxsize=64)
 def _bell_like_corrections(phi: float) -> tuple[np.ndarray, np.ndarray]:
     """M00 M*_ij and M00^T M^dag_ij stacked over ij: the corrections of both flows."""
     m = UnitaryBasis.bell_like(phi).u
-    return frozen(m[0] @ conj(m)), frozen(transpose(m[0]) @ dagger(m))
+    return m[0] @ conj(m), transpose(m[0]) @ dagger(m)
 
 
 def _braid_protocol(phi: float) -> Protocol:
     """The braid protocol at phi: op (B x 1)(1 x B), table the B-checked W_ijkl = V_kl U^T_ij, product kets."""
     b = yb_gate(phi)
     v, u = _checked_gates(phase_table(phi), b, DEFAULT_TOL)
-    return Protocol(kron(b, I2) @ kron(I2, b), v[:, None] @ transpose(u), _product_kets(), I2)
+    return Protocol(kron(b, I2) @ kron(I2, b), v[:, None] @ transpose(u), identity(4), I2)
 
 
 # The table of a projector channel: only the branch of the resource ket v_0 survives, uncorrected.

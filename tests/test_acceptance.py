@@ -255,7 +255,7 @@ def test_criterion_11_skew_transpose_forms():
 
 def test_criterion_12_brauer_suite():
     ok = all(report.passed for report in check_brauer(n=3, tol=1e-10))
-    residuals = brauer_teleportation_residuals(seed=1200, count=20)
+    residuals = brauer_teleportation_residuals(seed=1200)
     ok = ok and max(residuals.values()) <= 1e-10
     _verdict(12, "brauer suite", ok)
 

@@ -89,6 +89,23 @@ def test_build_rep_requires_two_sites():
         build_rep(np.eye(4), np.eye(4), 1)
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, "3"])
+def test_a_site_count_that_is_not_an_integer_is_refused(n):
+    """A float count once gave fractional relation counts and reports whose entries raised."""
+    b = yb_gate(0.3)
+    with pytest.raises(TypeError):
+        build_rep(tl_projector(0, 0, 0.3), b, n)
+    with pytest.raises(TypeError):
+        check_all(tl_projector(0, 0, 0.3), b, derive_params(b), n=n)
+    with pytest.raises(TypeError):
+        check_brauer(n=n)
+
+
+def test_a_numpy_integer_site_count_is_read_as_an_int():
+    rep = build_rep(np.eye(4), SWAP, np.int64(3))
+    assert rep.n == 3 and type(rep.n) is int
+
+
 def test_build_rep_has_no_site_cap_and_keeps_local_shapes():
     with pytest.raises(ValueError):
         build_rep(np.eye(8), np.eye(4), 3)
@@ -128,14 +145,14 @@ def test_swap_expands_into_dressed_projectors():
 
 
 def test_brauer_state_identities():
-    residuals = brauer_teleportation_residuals(seed=11, count=20)
+    residuals = brauer_teleportation_residuals(seed=11)
     assert set(residuals) == {"projector", "swap", "tangle", "cup-cap"}
     for name, value in residuals.items():
         assert value < 1e-12, name
 
 
 def test_batched_state_identities_match_the_per_state_reference():
-    """One (count, 2, 2) draw gives the states of count random_ket calls, bit for bit."""
+    """One (20, 2, 2) draw gives the states of 20 random_ket calls, bit for bit."""
     E, P = brauer_projector(), permutation_p()
     bells = np.array([bell_state(i, j) for i, j in BIT_PAIRS])
     cup_cap = sum((-1) ** (i * j) * outer(bell, bell) for (i, j), bell in zip(BIT_PAIRS, bells))

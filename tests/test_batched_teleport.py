@@ -16,7 +16,7 @@ import pytest
 
 from braidtel import cli, gate_teleport, teleport
 from braidtel.gate_teleport import teleport_single_gate, teleport_two_qubit
-from braidtel.gates import EPR, _b0, elementary
+from braidtel.gates import EPR, elementary, yb_clifford
 from braidtel.linalg import basis_ket, conj, dagger, fidelity, identity, kron, mul
 from braidtel.teleport import BIT_PAIRS, teleport_bell_like, teleport_standard, teleport_with_yb
 from registers import double_input
@@ -76,7 +76,7 @@ def _loop_instance(variant: str, phi: float, alpha, bits, rng, tables):
         u = elementary(GATE, phi)
         front, back = gate_teleport._b0_layers()
         state = mul(front, kron(identity(4), u), back) @ kron(alpha, basis_ket(r, 4))
-        kets, corrections = teleport._product_kets(), u @ gate_teleport._kl_tables()[0][r] @ dagger(u)
+        kets, corrections = identity(4), u @ gate_teleport._kl_tables()[0][r] @ dagger(u)
     m, p, bob = _measure(conj(kets) @ state.reshape(4, -1), rng)
     return m, p, bob, dagger(corrections[m]) @ bob
 
@@ -87,7 +87,7 @@ def _run_instance(variant: str, phi: float, alpha, bits, rng, tables):
     resource = ",".join(f"{bits[q]}{bits[q + 1]}" for q in range(0, len(bits), 2))
     if variant == "two-qubit":
         key = "{}{},{}{}".format(*BIT_PAIRS[m // 4], *BIT_PAIRS[m % 4])
-        return key, f"{key}|{resource}", "(Q x P)^dag", p, fidelity(_b0() @ alpha, corrected)
+        return key, f"{key}|{resource}", "(Q x P)^dag", p, fidelity(yb_clifford() @ alpha, corrected)
     key = "{}{}".format(*BIT_PAIRS[m])
     if variant == "standard":
         return key, key, f"W^dag_{key}", p, fidelity(alpha, corrected)
@@ -227,7 +227,7 @@ def test_braid_table_is_the_per_entry_product_bit_for_bit():
 
 def test_a_draw_on_a_cumulative_boundary_takes_the_next_outcome():
     """searchsorted(cdf, draw, side="right"), as Generator.choice: a zero-probability outcome is never taken."""
-    protocol = teleport.Protocol(identity(4), np.ones((1, 4, 1, 1), dtype=complex), teleport._product_kets(), np.eye(1))
+    protocol = teleport.Protocol(identity(4), np.ones((1, 4, 1, 1), dtype=complex), identity(4), np.eye(1))
     quarters = np.full((4, 4), 0.5, dtype=complex)
     m, *_ = teleport._teleport(protocol, quarters, np.zeros(4, dtype=int), np.array([0.0, 0.25, 0.5, 0.75]))
     assert m.tolist() == [0, 1, 2, 3]

@@ -200,13 +200,13 @@ def test_recognize_pauli_rejects_operators_on_no_qubits():
 
 def _qp_from_conjugation(i1, j1, k1, l1, i2, j2, k2, l2):
     """Per-tuple B_0 (K x L) B_0^dag, the route the stacked factorization replaced."""
-    b0 = gates._b0()
+    b0 = gates.yb_clifford()
     return b0 @ kron(k_gate(i1, j1, k1, l1), l_gate(i2, j2, k2, l2)) @ dagger(b0)
 
 
 def _double_protocol_oracle(seed):
     """The per-term double-protocol expansion: 1,024 kron calls per reading."""
-    b0 = gates._b0()
+    b0 = gates.yb_clifford()
     probes = [ket([1, 0, 0, 0]), random_ket(np.random.default_rng(seed), dim=4)]
     out = {}
     for name, doubled in (("single-middle", False), ("doubled-middle", True)):
@@ -287,4 +287,4 @@ def test_two_qubit_correction_is_the_closed_form_of_the_outcome():
         bits = (*outcome.first, k1, l1, *outcome.second, k2, l2)
         expected = dagger(kron(q_correction(*bits), p_correction(*bits))) @ outcome.post_state
         assert np.array_equal(corrected, expected), bits
-        assert fidelity(gates._b0() @ alphabeta, corrected) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity(gates.yb_clifford() @ alphabeta, corrected) == pytest.approx(1.0, abs=1e-12)

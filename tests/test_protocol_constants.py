@@ -84,11 +84,8 @@ def test_cache_scan_finds_the_protocol_caches():
     expected = {
         teleport._pauli_basis,
         teleport._bell_like_basis,
-        teleport._product_kets,
-        teleport._bell_like_corrections,
         teleport._standard_protocol,
         teleport._branch_probes,
-        gates._b0,
         gates._m_gates,
         gate_teleport._double_protocol,
         gate_teleport._b0_layers,
@@ -106,15 +103,13 @@ def test_cache_scan_finds_the_protocol_caches():
     "constant",
     [
         lambda: teleport._standard_protocol()[2],
-        teleport._product_kets,
+        lambda: teleport._braid_protocol(0.3)[2],
         lambda: teleport.UnitaryBasis.bell_like(0.3).states,
         lambda: teleport._braid_protocol(0.3)[0],
         lambda: teleport._braid_protocol(0.3)[1],
-        gates._b0,
         lambda: gate_teleport._b0_layers()[0],
         lambda: gate_teleport._b0_layers()[1],
-        lambda: teleport._bell_like_corrections(0.3)[0],
-        lambda: teleport._bell_like_corrections(0.3)[1],
+        lambda: teleport._bell_like_protocol(0.3)[1],
         lambda: teleport._standard_protocol()[1],
         lambda: gate_teleport._kl_tables()[0],
         lambda: gate_teleport._kl_tables()[1],
@@ -140,8 +135,8 @@ def test_cache_scan_finds_the_protocol_caches():
         lambda: gates._m_gates(0.3),
         lambda: gates.m_gate(1, 1, 0.3),
     ],
-    ids=["bell", "product", "bell-like", "braid-op", "braid-w", "b0", "b0-front", "b0-back",
-         "bell-like-front", "bell-like-mirror", "pauli", "k", "l",
+    ids=["bell", "product", "bell-like", "braid-op", "braid-w", "b0-front", "b0-back",
+         "bell-like-front", "pauli", "k", "l",
          "brauer-e", "brauer-p", "brauer-bells", "brauer-project-op", "brauer-project-table",
          "brauer-project-kets", "brauer-project-branch", "brauer-swap", "brauer-tangle", "brauer-nested",
          "pauli-basis-00", "pauli-basis-01", "pauli-basis-10", "pauli-basis-11", "pauli-states",
@@ -157,8 +152,8 @@ def test_cached_constants_are_read_only(constant):
 
 def test_b0_layers_are_the_three_qubit_krons():
     front, back = gate_teleport._b0_layers()
-    assert np.array_equal(front, kron(gates._b0(), gates.I2))
-    assert np.array_equal(back, kron(gates.I2, gates._b0()))
+    assert np.array_equal(front, kron(gates.yb_clifford(), gates.I2))
+    assert np.array_equal(back, kron(gates.I2, gates.yb_clifford()))
 
 
 def test_measurement_bases_must_be_orthonormal(cold_caches, monkeypatch):

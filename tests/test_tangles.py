@@ -199,6 +199,34 @@ def test_concrete_constraints_hold(phi):
         assert max(table[c].values()) < 1e-12
 
 
+def _unimodular(rng):
+    return EigenAssignment(np.exp(1j * rng.uniform(-np.pi, np.pi, 4)))
+
+
+def _evaluator_gap(phi, lam):
+    """(worst |concrete - 2 spectral| over max(1, cell), largest cell) of the two evaluators at phi.
+
+    concrete_constraint_residuals builds the M-notation tables at scale 1; the spectral evaluator
+    at (m, n) = (0, 0) reads the U-notation tables of the same basis at scale 1/2.
+    """
+    concrete = concrete_constraint_residuals(phi, lam)
+    spectral = spectral_constraint_residuals(UnitaryBasis.bell_like(phi), lam, 0, 0)
+    cells = [(concrete[c][p], spectral[c][p]) for c in CONSTRAINT_IDS for p in BIT_PAIRS]
+    return max(abs(a - 2 * b) / max(1.0, a) for a, b in cells), max(a for a, _ in cells)
+
+
+def test_the_concrete_and_spectral_evaluators_agree_cell_by_cell():
+    """Two tables of one constraint system: a defect in either moves a cell well past 4e-15."""
+    phis = (0.0, 0.3, -2.1, cmath.pi / 4, 1e300)
+    braid = EigenAssignment([B_EIGENVALUES[p] for p in BIT_PAIRS])
+    seeded = [braid, *(_unimodular(np.random.default_rng(seed)) for seed in range(3))]
+    assert max(_evaluator_gap(phi, lam)[0] for phi in phis for lam in seeded) <= 4e-15
+    rng = np.random.default_rng(7)
+    gaps, cells = zip(*(_evaluator_gap(phi, _unimodular(rng)) for phi in phis for _ in range(100)))
+    assert max(gaps) <= 4e-15
+    assert max(cells) > 0.1
+
+
 @pytest.mark.parametrize("phi", [0.2, 1.3])
 def test_projector_teleportation_identities(phi):
     residuals = projector_teleportation_residuals(phi, seed=5)
@@ -252,6 +280,15 @@ def test_solver_memo_hands_out_fresh_lists_and_solves_once(monkeypatch, capsys):
         assert main(["verify", kind, "--mn", "10", "--class", "2", "--format", "json"]) == 0
     capsys.readouterr()
     assert calls == [(1, 0)]
+
+
+def test_the_solver_memo_holds_at_most_64_tolerances():
+    tangles._solved_classes.cache_clear()
+    for k in range(100):
+        solve_pauli_eigenvalues(0, 1, tol=1e-10 * (1 + k))
+    info = tangles._solved_classes.cache_info()
+    tangles._solved_classes.cache_clear()
+    assert info.maxsize == 64 and info.currsize <= 64
 
 
 def test_solver_rejects_bad_index():
