@@ -29,12 +29,13 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
 from .gates import EPR, I2, bell_state, brauer_projector, permutation_p
-from .teleport import BIT_PAIRS, _KEPT_BRANCH, Protocol, _protocol_residual, _worst_norm
+from .teleport import BIT_PAIRS, _KEPT_BRANCH, Protocol, _protocol_residual
 from .linalg import (
     DEFAULT_TOL,
     dagger,
@@ -45,7 +46,6 @@ from .linalg import (
     max_abs_diff,
     mul,
     outer,
-    transpose,
 )
 
 
@@ -95,11 +95,6 @@ class RelationReport:
     site_count: int
     tolerance: float
     blocks: list[RelationBlock] = field(default_factory=list)
-
-    def add(self, relation_id: str, residual: float) -> None:
-        """Append a relation checked once, not per site."""
-        form = relation_id.replace("{", "{{").replace("}", "}}")
-        self.blocks.append(RelationBlock((form,), ((float(residual),),), "once"))
 
     def _filled(self) -> list[RelationBlock]:
         return [b for b in self.blocks if _SITE_SETS[b.sites][0](self.site_count)]
@@ -314,66 +309,35 @@ def check_brauer(n: int = 3, tol: float = DEFAULT_TOL) -> list[RelationReport]:
     pointwise (e v = v e = e), so the mixed family is replaced by those
     two identities; everything else matches the deformed case with d = 2.
     """
-    E, P = _brauer_operators()[:2]
-    reports = _suite(build_rep(E, P, n), 2.0, tol)
+    reports = _suite(build_rep(brauer_projector(), permutation_p(), n), 2.0, tol)
     return [reports[family] for family in ("TL", "Braid", "Tangle", "Brauer")]
-
-
-@functools.lru_cache(maxsize=None)
-def _brauer_operators() -> tuple:
-    """E, P, the Bell kets of the cup-cap sum, the projector identity (E x 1)(a x EPR) = 1/2 EPR x a
-    as a Protocol and the three other 8x8 state-identity operators (transposed, to act on rows),
-    built once and shared read-only."""
-    E, P = brauer_projector(), permutation_p()
-    bells = np.array([bell_state(i, j) for i, j in BIT_PAIRS])
-    project = Protocol(kron(E, I2) @ kron(I2, EPR[:, None]), _KEPT_BRANCH[None], bells, I2)
-    operators = (mul(kron(I2, P), kron(P, I2)), mul(kron(P, I2), kron(I2, P)), 2.0 * kron(I2, E))
-    return (*(frozen(a) for a in (E, P, bells)), project, *(frozen(transpose(op)) for op in operators))
 
 
 def swap_cup_cap_expansion() -> np.ndarray:
     """SWAP written as a signed sum of dressed Bell cups and caps."""
-    bells = _brauer_operators()[2]
-    return sum((-1) ** (i * j) * outer(bell, bell) for (i, j), bell in zip(BIT_PAIRS, bells))
-
-
-# The random one-qubit states that brauer_teleportation_residuals draws from its seed.
-_BRAUER_DRAWS = 20
-
-
-def brauer_teleportation_residuals(seed: int = 42) -> dict:
-    """State-level identities of the swap representation.
-
-    Checks, over _BRAUER_DRAWS random one-qubit states: the Bell projector
-    pulling a state through the resource with weight 1/2; the double swap
-    moving a state across a basis pair; and the tangle product collapsing to
-    twice the nested projector action.  Also reports the cup-cap expansion of
-    SWAP as a matrix identity.  Each residual is a worst 2-norm.
-    """
-    project, swap, tangle, nested = _brauer_operators()[3:]
-    # the stream of _BRAUER_DRAWS teleport.random_ket draws: real parts, then imaginary parts, per state
-    draws = np.random.default_rng(seed).standard_normal((_BRAUER_DRAWS, 2, 2))
-    amps = draws[:, 0] + 1j * draws[:, 1]
-    if not np.all(np.isfinite(amps)):
-        raise ValueError("ket amplitudes must be finite")
-    re, im = amps.real[:, None], amps.imag[:, None]
-    norms = np.sqrt((re @ transpose(re) + im @ transpose(im))[:, 0, 0])  # np.linalg.norm's sum, bit for bit
-    if not np.all(norms > 0):
-        raise ValueError("cannot normalize the zero vector")
-    alphas = amps / norms[:, None]
-    # |alpha>|kl> and |kl>|alpha> for every state and basis pair kl
-    pairs = np.einsum("pi,qj->pqij", alphas, identity(4)).reshape(-1, 8)
-    swapped = np.einsum("pi,qj->pqji", alphas, identity(4)).reshape(-1, 8)
-    behind = np.einsum("k,pi->pki", EPR, alphas).reshape(-1, 8)
-    return {
-        "projector": _protocol_residual(project, alphas),
-        "swap": _worst_norm(pairs @ swap - swapped),
-        "tangle": _worst_norm(behind @ tangle - behind @ nested),
-        "cup-cap": _cup_cap_residual(),
-    }
+    return sum((-1) ** (i * j) * outer(bell_state(i, j), bell_state(i, j)) for i, j in BIT_PAIRS)
 
 
 @functools.lru_cache(maxsize=None)
-def _cup_cap_residual() -> float:
-    """max|swap_cup_cap_expansion() - SWAP|: seed-free, so computed once per process."""
-    return max_abs_diff(swap_cup_cap_expansion(), _brauer_operators()[1])
+def brauer_teleportation_residuals() -> MappingProxyType:
+    """State-level identities of the swap representation, read-only and computed once per process.
+
+    Each is checked as an equality of maps on the inputs where it is stated, its residual the Frobenius
+    norm of the difference, which bounds the residual at every unit input: the Bell projector pulling a
+    state alpha through the resource with weight 1/2, (E x 1)(alpha x EPR) = 1/2 EPR x alpha, as a
+    Protocol; the double swap moving alpha across a basis pair, (1 x P)(P x 1)|alpha>|kl> = |kl>|alpha>,
+    the largest norm over kl; and the tangle product collapsing to twice the nested projector action,
+    (P x 1)(1 x P)(EPR x alpha) = 2 (1 x E)(EPR x alpha).  Also reports the cup-cap expansion of SWAP as
+    a matrix identity, its largest entry.  No identity reads phi or a seed.
+    """
+    E, P = brauer_projector(), permutation_p()
+    bells = np.array([bell_state(i, j) for i, j in BIT_PAIRS])
+    project = Protocol(kron(E, I2) @ kron(I2, EPR[:, None]), _KEPT_BRANCH[None], bells, I2)
+    swap = mul(kron(I2, P), kron(P, I2)) - identity(8)[:, np.arange(8).reshape(4, 2).T.ravel()]  # |a kl> -> |kl a>
+    tangle = (mul(kron(P, I2), kron(I2, P)) - 2.0 * kron(I2, E)) @ kron(EPR[:, None], I2)
+    return MappingProxyType({
+        "projector": _protocol_residual(project),
+        "swap": max(float(np.linalg.norm(swap[:, kl::4])) for kl in range(4)),
+        "tangle": float(np.linalg.norm(tangle)),
+        "cup-cap": max_abs_diff(swap_cup_cap_expansion(), P),
+    })

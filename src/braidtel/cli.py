@@ -9,8 +9,9 @@ Subcommands:
 Reports go to stdout (or --output) as text or as schema-stable JSON with
 keys {command, config, results, pass}.  Residuals are serialized as
 15-significant-digit decimal strings, all randomness flows from --seed,
-and identical configs produce byte-identical JSON.  Exit codes: 0 every
-check passed, 1 a check failed, 2 usage error.
+and identical configs produce byte-identical JSON.  --seed is read by
+teleport's sampling and by verify skew-transpose's random pairs alone.
+Exit codes: 0 every check passed, 1 a check failed, 2 usage error.
 
 argv is read in one pass by _known_args, off the cached argparse parser's own
 option actions, types and choices; help, --version, abbreviations and every
@@ -21,8 +22,9 @@ from verify kind or command to report.
 
 Report parts that read neither --phi nor --seed are computed once per process
 and kept as immutable values: _brauer_rows (the verify brauer relation rows,
-by --sites), _solve_rows (solve, by --mn) and _fixed_analysis (analyze of the
-phi-free gates).  No cache holds a pass flag: each report compares the cached
+by --sites), algebra.brauer_teleportation_residuals (its state identities),
+_solve_rows (solve, by --mn) and _fixed_analysis (analyze of the phi-free
+gates).  No cache holds a pass flag: each report compares the cached
 residuals with its own --tolerance.
 """
 
@@ -139,7 +141,7 @@ def _verify_bmw(cfg: argparse.Namespace) -> list[dict]:
 
 def _verify_brauer(cfg: argparse.Namespace) -> list[dict]:
     results = _report_entries(_brauer_rows(cfg.sites), cfg.tolerance)
-    identities = brauer_teleportation_residuals(seed=cfg.seed)
+    identities = brauer_teleportation_residuals()
     for name in ("projector", "swap", "tangle", "cup-cap"):
         results.append(_check(f"state-identity-{name}", identities[name], cfg.tolerance))
     return results
@@ -156,7 +158,7 @@ def _constraint_entries(table: dict, tol: float, worst: bool = False) -> list[di
 
 def _verify_constraints(cfg: argparse.Namespace) -> list[dict]:
     results = _constraint_entries(concrete_constraint_residuals(cfg.phi), cfg.tolerance, worst=True)
-    transfers = projector_teleportation_residuals(cfg.phi, seed=cfg.seed)
+    transfers = projector_teleportation_residuals(cfg.phi)
     for c in sorted(transfers):
         results.append(_check(f"transfer-identity-{c}", transfers[c], cfg.tolerance))
     return results
@@ -297,7 +299,7 @@ def _cmd_teleport(cfg: argparse.Namespace) -> list[dict]:
         {"label": "min-fidelity", "value": _fmt(min_fid), "pass": bool(min_fid >= 1 - cfg.tolerance)},
         {"label": "max-probability-deviation", "value": _fmt(prob_dev), "pass": bool(prob_dev <= cfg.tolerance),
          "expected": _fmt(expected)},
-        # every branch of the protocol against its identity, sampled or not, on fixed probes: --seed plays no part
+        # every branch against the protocol's identity, sampled or not, as an equality of maps: --seed plays no part
         _check("every-branch", protocol.every_branch, cfg.tolerance, branches=outcomes * resources),
         _info("outcomes", histogram={key[m]: c for m, c in enumerate(counts.tolist()) if c}),
         # keys are fixed-width and m R + r ascends with (m, r), so the map is in sorted key order

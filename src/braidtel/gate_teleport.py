@@ -27,7 +27,6 @@ from .linalg import (
     frozen,
     identity,
     is_unitary,
-    ket,
     kron,
     max_abs_diff,
     mul,
@@ -40,8 +39,6 @@ from .teleport import (
     _one,
     _one_qubit,
     _protocol_residual,
-    probe_states,
-    random_ket,
 )
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
@@ -69,10 +66,6 @@ class PauliString:
         bad = [f for f in self.factors if f not in PAULI_LABELS]
         if bad:
             raise ValueError(f"unknown Pauli labels {bad}")
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.factors)
 
     def matrix(self) -> np.ndarray:
         return self.phase * kron(*(_PAULI_BY_LABEL[f] for f in self.factors))
@@ -190,18 +183,18 @@ def _kl_tables() -> tuple[np.ndarray, np.ndarray]:
     return frozen(_correction_table(k_gate)), frozen(_correction_table(l_gate))
 
 
-def b0_forward_residual(seed: int = 42) -> float:
-    """Worst 2-norm of the forward protocol identity's residual over probes.
+def b0_forward_residual() -> float:
+    """Largest Frobenius norm, over resource pairs, of the forward protocol identity's residual map.
 
     Checks (B_0 x 1)(1 x B_0)|alpha>|kl> against the Pauli-corrected sum
     (1/2) sum_ij |ij> (x) K_{i,j,k,l}|alpha> for every resource pair: gate
     teleportation of the identity.
     """
-    return _protocol_residual(_gate_protocol(I2), probe_states(seed))
+    return _protocol_residual(_gate_protocol(I2))
 
 
-def b0_reverse_residual(seed: int = 42) -> float:
-    """Same check, with the same 2-norm, for the reversed order and the L corrections.
+def b0_reverse_residual() -> float:
+    """Same check, with the same norm, for the reversed order and the L corrections.
 
     Here the unknown state enters on the right:
     (1 x B_0)(B_0 x 1)|kl>|alpha> = (1/2) sum_ij L_{i,j,k,l}|alpha> (x) |ij>.
@@ -210,7 +203,7 @@ def b0_reverse_residual(seed: int = 42) -> float:
     """
     front, back = _b0_layers()
     rotated = mul(back, front).reshape((2,) * 6).transpose(1, 2, 0, 5, 3, 4).reshape(8, 8)
-    return _protocol_residual(Protocol(rotated, _kl_tables()[1], identity(4), I2), probe_states(seed))
+    return _protocol_residual(Protocol(rotated, _kl_tables()[1], identity(4), I2))
 
 
 def _gate_protocol(u: np.ndarray) -> Protocol:
@@ -294,15 +287,15 @@ def _double_layers(doubled_middle: bool = False) -> np.ndarray:
     return mul(fuse, prepare)
 
 
-def double_protocol_residuals(seed: int = 42) -> dict[str, float]:
+def double_protocol_residuals() -> dict[str, float]:
     """Residuals of both bracketing readings of the double protocol.
 
-    Returns worst-case norms against the corrected sum
-    (1/4) sum |i1 j1> (x) (Q x P) B_0|alphabeta> (x) |i2 j2> over probe
-    states and all resource settings.  Only one reading should vanish.
+    Returns the largest Frobenius norm, over all resource settings, of the map
+    from alphabeta to the circuit's output minus the corrected sum
+    (1/4) sum |i1 j1> (x) (Q x P) B_0|alphabeta> (x) |i2 j2>.  Only one
+    reading should vanish.
     """
-    probes = np.stack([ket([1, 0, 0, 0]), random_ket(np.random.default_rng(seed), dim=4)])
-    return {name: _protocol_residual(_double_protocol(doubled), probes)
+    return {name: _protocol_residual(_double_protocol(doubled))
             for name, doubled in (("single-middle", False), ("doubled-middle", True))}
 
 

@@ -154,16 +154,16 @@ def concrete_constraint_residuals(phi: float, lambdas: EigenAssignment | None = 
     return _constraint_table(GateCoefficients.diagonal(lam).g, forms, scale=1.0)
 
 
-def projector_teleportation_residuals(phi: float, seed: int = 42) -> dict[int, float]:
+def projector_teleportation_residuals(phi: float) -> dict[int, float]:
     """The four state-level identities tied to the quadratic constraints.
 
     Identities 1 and 2 move an unknown state across the Bell-like resource in either
     direction: check_teleportation_identity's bell-like and bell-like-transpose.  3 and 4
-    are their bra forms, with every ket, probe and correction conjugated; conjugation is
+    are their bra forms, with every ket, input and correction conjugated; conjugation is
     exact in floating point, so they are the values of 1 and 2 and add no independent
-    check.  Residuals are worst 2-norms over a probe set.
+    check.  Residuals are Frobenius norms of the residual maps.
     """
-    ket, mirror = (check_teleportation_identity(v, phi, seed) for v in ("bell-like", "bell-like-transpose"))
+    ket, mirror = (check_teleportation_identity(v, phi) for v in ("bell-like", "bell-like-transpose"))
     return dict(zip(CONSTRAINT_IDS, (ket, mirror, ket, mirror)))
 
 

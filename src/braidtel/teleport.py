@@ -19,22 +19,24 @@ _branches is one gathered batched matvec.  _teleport samples m by the Born
 rule, one uniform draw per instance, and corrects with C_m^dag read at call
 time from the protocol's table, indexed [resource, outcome].
 _protocol_residual, the package's one teleportation-identity kernel, checks
-every branch against the exact identity with the protocol's own gate; on fixed
-probes it is a protocol's every_branch, the gated row of every teleport report.
+every branch against the exact identity with the protocol's own gate, as an
+equality of linear maps: it is a protocol's every_branch, the gated row of
+every teleport report.
 The teleport_* functions are one-instance calls.  UnitaryBasis is the one
 Bell-like basis: its Pauli instance and its per-phi M_ij instance give the
 protocols their kets and corrections and the tangle constraints their gates.
-The M_ij basis is built, self-checked and frozen once per phi; the Bell-like
-corrections are multiplied out of it on each call.  The braid table reads
+The M_ij basis is built, self-checked and frozen once per phi; a Bell-like
+correction table is multiplied out of it on each call, for the one flow read.  The braid table reads
 the closed-form phases of phase_table; extract_phases fits the same phases
 numerically and is kept as its cross-check.
 
 The identities behind the protocols are also exposed directly as residual
-checks, verified as exact vector equations instead of sampled behaviour: each
+checks, verified as equalities of maps instead of sampled behaviour: each
 vector or channel variant of check_teleportation_identity, and verify brauer's
-projector identity, is a Protocol read by _protocol_residual; only flow stays
-an operator identity.  Measurement outcomes are sampled through a seeded
-generator; probabilities themselves come from the Born rule exactly.
+projector identity, is a Protocol read by _protocol_residual; only flow is
+checked on a basis of its own, the four W_ij.  No residual reads a seed:
+only the measurement outcomes are sampled, through a seeded generator, and
+their probabilities come from the Born rule exactly.
 """
 
 from __future__ import annotations
@@ -81,16 +83,6 @@ from .linalg import (
 
 BIT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-_SQRT_HALF = 1 / math.sqrt(2)
-PAULI_EIGENSTATES = (
-    np.array([1, 0], dtype=complex),
-    np.array([0, 1], dtype=complex),
-    np.array([1, 1], dtype=complex) * _SQRT_HALF,
-    np.array([1, -1], dtype=complex) * _SQRT_HALF,
-    np.array([1, 1j], dtype=complex) * _SQRT_HALF,
-    np.array([1, -1j], dtype=complex) * _SQRT_HALF,
-)
-
 
 @dataclass(frozen=True)
 class MeasurementOutcome:
@@ -112,30 +104,13 @@ class PhaseTable:
     max_residual: float
 
 
-def random_ket(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
-    """Haar-random state via normalized complex Gaussian amplitudes."""
-    amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return ket(amps, normalize=True)
-
-
-def probe_states(seed: int = 42) -> np.ndarray:
-    """(8, 2) stack of the six Pauli eigenstates plus two seeded random kets."""
-    rng = np.random.default_rng(seed)
-    return np.array([*PAULI_EIGENSTATES, random_ket(rng), random_ket(rng)])
-
-
-def _worst_norm(rows: np.ndarray) -> float:
-    """Largest 2-norm among the rows of a stack."""
-    return float(np.linalg.norm(rows, axis=1).max())
-
-
 class Protocol(tuple):
     """A built protocol: its read-only (op, table, kets), its branch tensor and the gate it applies.
 
     branch[r], (M d_out, d_in), maps an input ket at resource r to its M unnormalized survivors: row
     m d_out + j is amplitude j of (<v_m| (x) 1) op applied to the input a (x) c with |r> after its first
     qubit, so the kets are folded into op once, when the protocol is built, and a survivor is one small
-    matvec.  every_branch, _protocol_residual on the fixed probes, is computed on its first read, once per
+    matvec.  every_branch, the _protocol_residual of the protocol, is computed on its first read, once per
     build, so one-instance calls, which never read it, do not pay for it.  The table stays the tuple's own
     item, read at call time.  Every field is read-only: the standard and double protocols are shared.
     """
@@ -152,14 +127,7 @@ class Protocol(tuple):
 
     @functools.cached_property
     def every_branch(self) -> float:
-        return _protocol_residual(self, _branch_probes(len(self.gate)))
-
-
-@functools.lru_cache(maxsize=None)
-def _branch_probes(dim: int) -> np.ndarray:
-    """The every-branch probes, read-only: probe_states() for one qubit, their 64 products x_a (x) x_b for two."""
-    probes = probe_states()
-    return frozen(probes if dim == 2 else kron(probes[:, None], probes).reshape(-1, dim))
+        return _protocol_residual(self)
 
 
 def _branches(protocol: Protocol, inputs: np.ndarray, r) -> np.ndarray:
@@ -167,18 +135,18 @@ def _branches(protocol: Protocol, inputs: np.ndarray, r) -> np.ndarray:
     return (protocol.branch[r] @ inputs[:, :, None]).reshape(len(inputs), len(protocol[2]), -1)
 
 
-def _protocol_residual(protocol: Protocol, probes: np.ndarray) -> float:
-    """Worst 2-norm over probes x_p and resources r of op (x_p at r) - M^{-1/2} sum_m v_m (x) C[r, m] gate x_p.
+def _protocol_residual(protocol: Protocol) -> float:
+    """Largest Frobenius norm over resources r of the map x -> op (x at r) - M^{-1/2} sum_m v_m (x) C[r, m] gate x.
 
-    That is the identity behind a protocol with M outcomes and its gate: every branch is C[r, m] gate x_p /
-    sqrt(M), so correcting it gives gate x_p.  The kets v_m are orthonormal, so the norm is taken over the
-    branches: it is |D_r x_p| with D_r = branch[r] - C[r] gate / sqrt(M), all rows of all D_r as one matrix.
+    That is the identity behind a protocol with M outcomes and its gate: every branch is C[r, m] gate x /
+    sqrt(M), so correcting it gives gate x.  The kets v_m are orthonormal, so the map is taken over the
+    branches: it is D_r = branch[r] - C[r] gate / sqrt(M), all rows of all D_r as one matrix.  The Frobenius
+    norm bounds |D_r x| for every unit input x, so the identity is checked as an equality of maps.
     """
     _, table, kets = protocol
     gate, branch = protocol.gate, protocol.branch
     rows = branch.reshape(-1, branch.shape[2]) - table.reshape(-1, len(gate)) @ gate / math.sqrt(len(kets))
-    images = (rows @ transpose(probes)).reshape(len(table), -1, len(probes))  # [r, m d_out + j, p]
-    return float(np.sqrt((np.abs(images) ** 2).sum(axis=1).max()))
+    return float(np.sqrt((np.abs(rows) ** 2).reshape(len(table), -1).sum(axis=1).max()))
 
 
 def _teleport(protocol: Protocol, inputs: np.ndarray, r, draws: np.ndarray):
@@ -276,10 +244,10 @@ def _bell_like_basis(phi: float) -> UnitaryBasis:
     return basis
 
 
-def _bell_like_corrections(phi: float) -> tuple[np.ndarray, np.ndarray]:
-    """M00 M*_ij and M00^T M^dag_ij stacked over ij: the corrections of both flows."""
+def _bell_like_corrections(phi: float, mirror: bool = False) -> np.ndarray:
+    """M00 M*_ij stacked over ij, the corrections of the front flow, or M00^T M^dag_ij, the mirror flow's."""
     m = UnitaryBasis.bell_like(phi).u
-    return m[0] @ conj(m), transpose(m[0]) @ dagger(m)
+    return transpose(m[0]) @ dagger(m) if mirror else m[0] @ conj(m)
 
 
 def _braid_protocol(phi: float) -> Protocol:
@@ -308,7 +276,7 @@ def _standard_protocol() -> Protocol:
 def _bell_like_protocol(phi: float) -> Protocol:
     """The Bell-like protocol at phi: op alpha -> alpha (x) |Psi_M00>, table M00 M*_ij, E_ij kets."""
     kets = UnitaryBasis.bell_like(phi).states
-    return Protocol(kron(I2, kets[0][:, None]), _bell_like_corrections(phi)[0][None], kets, I2)
+    return Protocol(kron(I2, kets[0][:, None]), _bell_like_corrections(phi)[None], kets, I2)
 
 
 def teleport_standard(alpha: np.ndarray, rng_seed: int = 42):
@@ -422,12 +390,9 @@ def teleport_with_yb(alpha: np.ndarray, k: int, l: int, phi: float, rng_seed: in
     return _one_qubit(_braid_protocol(phi), alpha, 2 * k + l, rng_seed)
 
 
-def braid_teleportation_residual(phi: float, seed: int = 42) -> float:
-    """Worst 2-norm of (B x 1)(1 x B)|alpha>|kl> - 1/2 sum |ij> (x) W_ijkl|alpha>.
-
-    Taken over the probe states and all four resource pairs kl.
-    """
-    return _protocol_residual(_braid_protocol(phi), probe_states(seed))
+def braid_teleportation_residual(phi: float) -> float:
+    """Largest Frobenius norm of alpha -> (B x 1)(1 x B)|alpha>|kl> - 1/2 sum |ij> (x) W_ijkl|alpha>, over kl."""
+    return _protocol_residual(_braid_protocol(phi))
 
 
 def completeness_residuals(phi: float) -> dict:
@@ -451,17 +416,18 @@ IDENTITY_VARIANTS = (
 )
 
 
-def check_teleportation_identity(variant: str, phi: float = 0.0, seed: int = 42) -> float:
-    """Residual of one teleportation identity: the worst 2-norm of lhs - rhs.
+def check_teleportation_identity(variant: str, phi: float = 0.0) -> float:
+    """Residual of one teleportation identity: the Frobenius norm of the map x -> lhs - rhs.
 
     Each vector identity x (x) v_0 = 1/2 sum_m v_m (x) C_m x is a Protocol, op x -> x (x) v_0 with
-    table C_m, checked by _protocol_residual over the Pauli eigenstates plus random probes.  A
+    table C_m, checked by _protocol_residual as an equality of maps.  A
     -transpose mirror v_0 (x) x = 1/2 sum_m C_m x (x) v_m is read with its output qubits rotated
     |a b c> -> |b c a>, which puts the measured pair in front.  The projector-channel forms
     (E00 (x) 1)(a (x) E00) = 1/2 |psi (x) a><psi| and their mirror are that vector identity times
     <psi|, because E00 = |psi><psi|, so they are op (E00 (x) 1)(x (x) psi) over the complete
     Bell-like basis, where only branch 0 survives, uncorrected.  flow compares (1 (x) u)|EPR> with
-    (u^T (x) 1)|EPR> over 8 seeded random unitaries.
+    (u^T (x) 1)|EPR> for the four W_ij and takes the root-sum-square: the identity is linear in u and
+    a unitary u is sum_ij c_ij W_ij with sum_ij |c_ij|^2 = 1, so that bounds its residual at every u.
     """
     family, front = variant.removesuffix("-transpose"), not variant.endswith("-transpose")
     if family in ("standard", "bell-like", "projector-channel"):
@@ -471,18 +437,15 @@ def check_teleportation_identity(variant: str, phi: float = 0.0, seed: int = 42)
         if family == "standard":
             table = basis.u if front else transpose(basis.u)
         elif family == "bell-like":
-            table = _bell_like_corrections(phi)[not front]
+            table = _bell_like_corrections(phi, mirror=not front)
         else:
             e00 = tl_projector(0, 0, phi)
             op, table = (kron(e00, I2) if front else kron(I2, e00)) @ op, _KEPT_BRANCH
         if not front:
             op = op.reshape(2, 2, 2, 2).transpose(1, 2, 0, 3).reshape(8, 2)
-        return _protocol_residual(Protocol(op, table[None], basis.states, I2), probe_states(seed))
+        return _protocol_residual(Protocol(op, table[None], basis.states, I2))
     if variant == "flow":
-        rng = np.random.default_rng(seed)
-        draws = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(8)]
-        unitaries = [np.linalg.qr(raw)[0] for raw in draws]
-        return _worst_norm(np.stack([kron(I2, u) @ EPR - kron(transpose(u), I2) @ EPR for u in unitaries]))
+        return float(np.linalg.norm([kron(I2, u) @ EPR - kron(transpose(u), I2) @ EPR for u in UnitaryBasis.pauli().u]))
     raise ValueError(f"unknown identity variant {variant!r}")
 
 
@@ -493,5 +456,4 @@ def transpose_asymmetry_margin(phi: float) -> float:
     directions; the Bell-like protocol does not, and this margin is the
     entrywise witness of that asymmetry.
     """
-    front, mirror = _bell_like_corrections(phi)
-    return max_abs_diff(transpose(front), mirror)
+    return max_abs_diff(transpose(_bell_like_corrections(phi)), _bell_like_corrections(phi, mirror=True))

@@ -1,8 +1,14 @@
-"""Register layouts that only the tests build, one state at a time."""
+"""Register layouts and random states that only the tests build, one state at a time."""
 
 import numpy as np
 
 from braidtel.linalg import basis_ket, ket, kron
+
+
+def random_ket(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
+    """Haar-random state via normalized complex Gaussian amplitudes."""
+    amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return ket(amps, normalize=True)
 
 
 def double_input(alphabeta: np.ndarray, k1, l1, k2, l2) -> np.ndarray:

@@ -63,11 +63,11 @@ from braidtel.teleport import (
     BIT_PAIRS,
     braid_teleportation_residual,
     check_teleportation_identity,
-    random_ket,
     teleport_bell_like,
     teleport_standard,
     teleport_with_yb,
 )
+from registers import random_ket
 from tables import table_max
 
 QUARTER = math.pi / 4
@@ -255,7 +255,7 @@ def test_criterion_11_skew_transpose_forms():
 
 def test_criterion_12_brauer_suite():
     ok = all(report.passed for report in check_brauer(n=3, tol=1e-10))
-    residuals = brauer_teleportation_residuals(seed=1200)
+    residuals = brauer_teleportation_residuals()
     ok = ok and max(residuals.values()) <= 1e-10
     _verdict(12, "brauer suite", ok)
 

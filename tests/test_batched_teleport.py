@@ -68,7 +68,7 @@ def _loop_instance(variant: str, phi: float, alpha, bits, rng, tables):
         state, kets, corrections = kron(alpha, EPR), basis.states, basis.u
     elif variant == "bell-like":
         kets = teleport.UnitaryBasis.bell_like(phi).states
-        state, corrections = kron(alpha, kets[0]), teleport._bell_like_corrections(phi)[0]
+        state, corrections = kron(alpha, kets[0]), teleport._bell_like_corrections(phi)
     elif variant == "yang-baxter":
         op, table, kets = tables
         state, corrections = op @ kron(alpha, basis_ket(r, 4)), table[r]

@@ -48,9 +48,9 @@ def _hits():
 
 @pytest.fixture(scope="module")
 def warm_hits():
-    """Hits per cache name in op 2 of every workload, each workload warmed by its op 1 from cold caches."""
+    """Hits per workload and cache name in op 2, each workload warmed by its op 1 from cold caches."""
     workloads, build_ops = _build_ops()
-    warm = dict.fromkeys(_hits(), 0)
+    warm = {}
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             for workload in workloads:
@@ -60,8 +60,7 @@ def warm_hits():
                 _run(warm_up)
                 before = _hits()
                 _run(op)
-                for name, hits in _hits().items():
-                    warm[name] += hits - before[name]
+                warm[workload] = {name: hits - before[name] for name, hits in _hits().items()}
         return warm
     finally:
         for cache in CACHES:
@@ -70,4 +69,9 @@ def warm_hits():
 
 @pytest.mark.parametrize("name", [_name(cache) for cache in CACHES])
 def test_cache_is_hit_by_the_benchmark_workloads(warm_hits, name):
-    assert warm_hits[name] > 0, f"no warm op of any workload hits {name}"
+    assert sum(hits[name] for hits in warm_hits.values()) > 0, f"no warm op of any workload hits {name}"
+
+
+def test_op_2_of_chain_hits_the_brauer_identity_cache(warm_hits):
+    """verify brauer's state identities read neither --phi nor --seed, so a warm op reads them from the cache."""
+    assert warm_hits["chain"]["braidtel.algebra.brauer_teleportation_residuals"] == 1

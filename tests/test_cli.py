@@ -106,6 +106,17 @@ def test_seed_changes_the_histogram(capsys):
     assert hist(one) != hist(two)
 
 
+@pytest.mark.parametrize("kind", ["constraints", "brauer"])
+def test_identity_reports_do_not_read_the_seed(kind, capsys):
+    """Their identity rows are equalities of maps, so --seed 1 and --seed 42 give the same results."""
+    results = []
+    for seed in ("1", "42"):
+        code, out = run_cli(capsys, "verify", kind, "--phi", "0.3", "--seed", seed, "--format", "json")
+        assert code == 0
+        results.append(json.loads(out)["results"])
+    assert results[0] == results[1]
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out = run_cli(capsys, "verify", "constraints", "--format", "json", "--output", str(target))

@@ -32,9 +32,9 @@ from braidtel.gate_teleport import (
     teleport_two_qubit,
 )
 from braidtel.gates import EPR, H, S, X, Z, elementary, pauli_w, t_gate, yb_clifford
-from braidtel.linalg import basis_ket, dagger, fidelity, is_unitary, ket, kron, max_abs_diff
-from braidtel.teleport import BIT_PAIRS, random_ket
-from registers import double_input
+from braidtel.linalg import basis_ket, dagger, fidelity, is_unitary, kron, max_abs_diff
+from braidtel.teleport import BIT_PAIRS
+from registers import double_input, random_ket
 
 ALL_TUPLES = list(itertools.product((0, 1), repeat=4))
 
@@ -43,7 +43,7 @@ def test_pauli_string_matrix_and_repr():
     ps = PauliString(-1j, ("X", "Z"))
     assert str(ps) == "-iX.Z"
     assert max_abs_diff(ps.matrix(), -1j * kron(X, Z)) == 0.0
-    assert ps.n_qubits == 2
+    assert len(ps.factors) == 2
 
 
 def test_pauli_string_rejects_bad_phase():
@@ -96,11 +96,11 @@ def test_k_at_origin_is_xz():
 
 def test_forward_closed_form_against_protocol():
     # K_{ijkl} is only correct if the expanded two-layer circuit agrees
-    assert b0_forward_residual(seed=6) < 1e-12
+    assert b0_forward_residual() < 1e-12
 
 
 def test_reverse_closed_form_against_protocol():
-    assert b0_reverse_residual(seed=6) < 1e-12
+    assert b0_reverse_residual() < 1e-12
 
 
 @pytest.mark.parametrize("i,j,k,l", ALL_TUPLES)
@@ -166,7 +166,7 @@ def test_q_and_p_are_signed_paulis():
 
 
 def test_double_protocol_bracketing():
-    residuals = double_protocol_residuals(seed=8)
+    residuals = double_protocol_residuals()
     # a single middle braid layer closes the identity; doubling it does not
     assert residuals["single-middle"] < 1e-10
     assert residuals["doubled-middle"] > 0.1
@@ -204,35 +204,40 @@ def _qp_from_conjugation(i1, j1, k1, l1, i2, j2, k2, l2):
     return b0 @ kron(k_gate(i1, j1, k1, l1), l_gate(i2, j2, k2, l2)) @ dagger(b0)
 
 
-def _double_protocol_oracle(seed):
-    """The per-term double-protocol expansion: 1,024 kron calls per reading."""
+def _double_protocol_oracle():
+    """The per-term double-protocol expansion on the four basis kets: 2,048 kron calls per reading.
+
+    Per resource setting, the root-sum-square of the residual over the basis kets is the Frobenius
+    norm of the residual map; the worst setting is taken.
+    """
     b0 = gates.yb_clifford()
-    probes = [ket([1, 0, 0, 0]), random_ket(np.random.default_rng(seed), dim=4)]
     out = {}
     for name, doubled in (("single-middle", False), ("doubled-middle", True)):
         op = gate_teleport._double_layers(doubled)
         worst = 0.0
-        for alphabeta in probes:
-            rotated = b0 @ alphabeta
-            for k1, l1, k2, l2 in ALL_TUPLES:
+        for k1, l1, k2, l2 in ALL_TUPLES:
+            squares = 0.0
+            for alphabeta in np.eye(4):
+                rotated = b0 @ alphabeta
                 lhs = op @ double_input(alphabeta, k1, l1, k2, l2)
                 rhs = np.zeros(64, dtype=complex)
                 for i1, j1, i2, j2 in ALL_TUPLES:
                     q = q_correction(i1, j1, k1, l1, i2, j2, k2, l2)
                     p = p_correction(i1, j1, k1, l1, i2, j2, k2, l2)
                     rhs += 0.25 * kron(basis_ket(2 * i1 + j1, 4), kron(q, p) @ rotated, basis_ket(2 * i2 + j2, 4))
-                worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+                squares += float(np.linalg.norm(lhs - rhs)) ** 2
+            worst = max(worst, squares**0.5)
         out[name] = worst
     return out
 
 
-@pytest.mark.parametrize("seed", [8, 42, 1200])
-def test_double_protocol_residuals_match_the_per_term_expansion(seed):
-    stacked, oracle = double_protocol_residuals(seed), _double_protocol_oracle(seed)
+def test_double_protocol_residuals_match_the_per_term_expansion():
+    stacked, oracle = double_protocol_residuals(), _double_protocol_oracle()
     assert stacked.keys() == oracle.keys()
     for name in oracle:
         assert abs(stacked[name] - oracle[name]) <= 1e-15, name
-    assert stacked["single-middle"] <= 1e-15
+    # a Frobenius norm over four basis kets, where the bound of 1e-15 held one probe ket
+    assert stacked["single-middle"] <= 4e-15
     assert stacked["doubled-middle"] > 0.1
 
 

@@ -85,13 +85,11 @@ def test_cache_scan_finds_the_protocol_caches():
         teleport._pauli_basis,
         teleport._bell_like_basis,
         teleport._standard_protocol,
-        teleport._branch_probes,
         gates._m_gates,
         gate_teleport._double_protocol,
         gate_teleport._b0_layers,
         gate_teleport._kl_tables,
-        algebra._brauer_operators,
-        algebra._cup_cap_residual,
+        algebra.brauer_teleportation_residuals,
         cli._solve_rows,
         cli._fixed_analysis,
         cli._brauer_rows,
@@ -113,10 +111,6 @@ def test_cache_scan_finds_the_protocol_caches():
         lambda: teleport._standard_protocol()[1],
         lambda: gate_teleport._kl_tables()[0],
         lambda: gate_teleport._kl_tables()[1],
-        *(lambda k=k: algebra._brauer_operators()[k] for k in range(3)),
-        *(lambda k=k: algebra._brauer_operators()[3][k] for k in range(3)),
-        lambda: algebra._brauer_operators()[3].branch,
-        *(lambda k=k: algebra._brauer_operators()[k] for k in range(4, 7)),
         *(lambda k=k: tangles.UnitaryBasis.pauli().u[k] for k in range(4)),
         lambda: tangles.UnitaryBasis.pauli().states,
         lambda: teleport._standard_protocol().branch,
@@ -130,19 +124,15 @@ def test_cache_scan_finds_the_protocol_caches():
         lambda: gate_teleport._gate_protocol(H)[1],
         lambda: gate_teleport._double_protocol()[0],
         lambda: gate_teleport._double_protocol().gate,
-        lambda: teleport._branch_probes(2),
-        lambda: teleport._branch_probes(4),
         lambda: gates._m_gates(0.3),
         lambda: gates.m_gate(1, 1, 0.3),
     ],
     ids=["bell", "product", "bell-like", "braid-op", "braid-w", "b0-front", "b0-back",
          "bell-like-front", "pauli", "k", "l",
-         "brauer-e", "brauer-p", "brauer-bells", "brauer-project-op", "brauer-project-table",
-         "brauer-project-kets", "brauer-project-branch", "brauer-swap", "brauer-tangle", "brauer-nested",
          "pauli-basis-00", "pauli-basis-01", "pauli-basis-10", "pauli-basis-11", "pauli-states",
          "standard-branch", "bell-like-branch", "braid-branch", "gate-branch", "double-branch",
          "standard-op", "bell-like-op", "gate-op", "gate-table", "double-op", "double-gate",
-         "one-qubit-probes", "two-qubit-probes", "m-stack", "m-11"],
+         "m-stack", "m-11"],
 )
 def test_cached_constants_are_read_only(constant):
     array = constant()

@@ -229,7 +229,7 @@ def test_the_concrete_and_spectral_evaluators_agree_cell_by_cell():
 
 @pytest.mark.parametrize("phi", [0.2, 1.3])
 def test_projector_teleportation_identities(phi):
-    residuals = projector_teleportation_residuals(phi, seed=5)
+    residuals = projector_teleportation_residuals(phi)
     for c in CONSTRAINT_IDS:
         assert residuals[c] < 1e-10
 

@@ -13,8 +13,6 @@ from braidtel.teleport import (
     check_teleportation_identity,
     completeness_residuals,
     extract_phases,
-    probe_states,
-    random_ket,
     teleport_bell_like,
     teleport_standard,
     teleport_with_yb,
@@ -23,14 +21,8 @@ from braidtel.teleport import (
     v_gate,
     w_braid_closed_form,
 )
+from registers import random_ket
 from tables import w_braid_correction
-
-
-def test_probe_states_cover_pauli_eigenbasis():
-    probes = probe_states(seed=3)
-    assert probes.shape == (8, 2)
-    for state in probes:
-        assert np.linalg.norm(state) == pytest.approx(1.0)
 
 
 def test_random_ket_is_normalized():
