@@ -232,6 +232,32 @@ def test_exchanged_corrections_break_every_family(monkeypatch, cold_tables, fami
     assert _families()[family]() > 0.25
 
 
+# A resource that is not maximally entangled breaks flow; the four W_ij still bound every unitary u, because
+# the identity is linear in u and u = sum_ij c_ij W_ij with sum_ij |c_ij|^2 = 1.
+def test_flow_on_the_four_w_bounds_every_unitary(monkeypatch):
+    resource = np.array([0.8, 0, 0, 0.6], dtype=complex)
+    monkeypatch.setattr(teleport, "EPR", resource)
+    bound = check_teleportation_identity("flow")
+    rng = np.random.default_rng(2611)
+    worst = 0.0
+    for _ in range(200):
+        u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        worst = max(worst, float(np.linalg.norm(kron(I2, u) @ resource - kron(transpose(u), I2) @ resource)))
+    assert 0.1 <= worst <= bound * (1 + 1e-12)
+
+
+# Each Brauer identity fails once the swap it rests on is replaced by the identity, read from cold caches.
+@pytest.mark.parametrize("name", ["swap", "tangle"])
+def test_each_brauer_swap_identity_fails_without_the_swap(name, cold_tables, monkeypatch):
+    monkeypatch.setattr(algebra, "permutation_p", lambda: np.eye(4, dtype=complex))
+    assert brauer_teleportation_residuals()[name] >= 0.5
+
+
+def test_the_brauer_projector_identity_fails_on_a_wrong_projector(cold_tables, monkeypatch):
+    monkeypatch.setattr(algebra, "brauer_projector", lambda: outer(bell_state(1, 1), bell_state(1, 1)))
+    assert brauer_teleportation_residuals()["projector"] >= 0.5
+
+
 # The Bell-like protocol does not transpose its correction between the two flow directions
 # (transpose_asymmetry_margin), so each flow fails on the other flow's table.
 @pytest.mark.parametrize("variant", ("bell-like", "bell-like-transpose"))
@@ -330,10 +356,11 @@ def _worst_at_random_inputs(protocol, count=200, seed=2611):
 
 
 # The Frobenius norm of D_r bounds |D_r x| at every unit x; the factor allows for the rounding of one matvec.
+@pytest.mark.parametrize("phi", [0.3, -2.1])
 @pytest.mark.parametrize("variant, gate", PROTOCOL_CASES,
                          ids=[v if v != "gate" else f"gate-{g}" for v, g in PROTOCOL_CASES])
-def test_every_branch_bounds_the_residual_at_random_inputs(variant, gate):
-    protocol = _report_protocol(variant, 0.3, gate)
+def test_every_branch_bounds_the_residual_at_random_inputs(variant, gate, phi):
+    protocol = _report_protocol(variant, phi, gate)
     assert _worst_at_random_inputs(protocol) <= protocol.every_branch * (1 + 1e-12)
 
 
