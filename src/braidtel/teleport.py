@@ -25,10 +25,10 @@ every teleport report.
 The teleport_* functions are one-instance calls.  UnitaryBasis is the one
 Bell-like basis: its Pauli instance and its per-phi M_ij instance give the
 protocols their kets and corrections and the tangle constraints their gates.
-The M_ij basis is built, self-checked and frozen once per phi; a Bell-like
-correction table is multiplied out of it on each call, for the one flow read.  The braid table reads
-the closed-form phases of phase_table; extract_phases fits the same phases
-numerically and is kept as its cross-check.
+The M_ij basis is built, self-checked and frozen once per phi; each call
+multiplies out of it the Bell-like correction table of the one flow it reads.
+The braid table reads the closed-form phases of phase_table; extract_phases
+fits the same phases numerically and is kept as its cross-check.
 
 The identities behind the protocols are also exposed directly as residual
 checks, verified as equalities of maps instead of sampled behaviour: each

@@ -20,9 +20,8 @@ from braidtel.algebra import (
     derive_params,
     swap_cup_cap_expansion,
 )
-from braidtel.gates import EPR, I2, SWAP, bell_state, brauer_projector, permutation_p, tl_projector, yb_gate
-from braidtel.linalg import dagger, embed, identity, is_unitary, kron, max_abs_diff, mul, outer, transpose
-from braidtel.teleport import BIT_PAIRS
+from braidtel.gates import SWAP, brauer_projector, permutation_p, tl_projector, yb_gate
+from braidtel.linalg import dagger, embed, identity, is_unitary, max_abs_diff
 
 TOL = 1e-10
 
