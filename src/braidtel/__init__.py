@@ -22,7 +22,6 @@ from .entanglement import (
     canonical_gate,
     canonical_params,
     entangling_power,
-    local_invariants,
 )
 from .gate_teleport import (
     PauliString,
@@ -93,7 +92,6 @@ __all__ = [
     "entangling_power",
     "k_gate",
     "l_gate",
-    "local_invariants",
     "m_gate",
     "matched_form",
     "r_gate",

@@ -160,18 +160,19 @@ def build_rep(E: np.ndarray, B: np.ndarray, n: int) -> Representation:
     return Representation(n=n, E=E, B=B)
 
 
-def derive_params(B: np.ndarray, tol: float = 1e-8) -> BmwParams:
+def derive_params(B: np.ndarray) -> BmwParams:
     """Read (sigma, w, d) off the eigenvalues of a 4x4 braid matrix.
 
     The matrix must have exactly three distinct eigenvalues.  sigma is the
     one whose complementary pair multiplies to -1; that selection must be
     unique, otherwise the spectrum does not fit the three-eigenvalue
-    pattern and we refuse to guess.
+    pattern and we refuse to guess.  Every comparison is bounded by 1e-8.
     """
     B = np.asarray(B, dtype=complex)
     if B.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {B.shape}")
     eigvals = np.linalg.eigvals(B)
+    tol = 1e-8
     clusters: list[list[complex]] = []
     for lam in eigvals:
         for cluster in clusters:
@@ -185,7 +186,7 @@ def derive_params(B: np.ndarray, tol: float = 1e-8) -> BmwParams:
             f"expected 3 distinct eigenvalues, found {len(clusters)} "
             f"(tolerance {tol:g})"
         )
-    means = [complex(np.mean(c)) for c in clusters]
+    means = [complex(sum(c) / len(c)) for c in clusters]
 
     candidates = []
     for k in range(3):

@@ -92,14 +92,6 @@ def _local_invariants(su: np.ndarray) -> tuple[complex, complex]:
     return (t * t / 16.0, (t * t - np.trace(gram @ gram)) / 4.0)
 
 
-def local_invariants(u: np.ndarray) -> tuple[complex, complex]:
-    """The two numbers conserved by one-qubit gates on either side."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (4, 4) or not is_unitary(u):
-        raise ValueError("expected a 4x4 unitary")
-    return _local_invariants(_special_unitary(u))
-
-
 def _fold(x: float) -> float:
     """Reduce a coefficient into (-pi/4, pi/4] by half-pi shifts."""
     y = (x + _QUARTER) % _HALF - _QUARTER
@@ -108,7 +100,7 @@ def _fold(x: float) -> float:
     return float(y)
 
 
-def canonical_params(u: np.ndarray, tol: float = 1e-8) -> CanonicalParams:
+def canonical_params(u: np.ndarray) -> CanonicalParams:
     """Recover the chamber-reduced interaction triple of a two-qubit gate.
 
     Three of the halved eigenphases l1, l2, l4 of m^T m, in the order the
@@ -116,7 +108,7 @@ def canonical_params(u: np.ndarray, tol: float = 1e-8) -> CanonicalParams:
     (l1 + l2)/2); det(m^T m) = 1 fixes the fourth.  Any other order or pi
     branch is a local move of that triple (see the module docstring), so a
     gate rebuilt from it must share the local invariants of u; that is
-    checked once, and the folded magnitudes are sorted into the chamber.
+    checked once, to 1e-8, and the folded magnitudes are sorted into the chamber.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4) or not is_unitary(u):
@@ -127,7 +119,7 @@ def canonical_params(u: np.ndarray, tol: float = 1e-8) -> CanonicalParams:
     l1, l2, _, l4 = np.angle(np.linalg.eigvals(m.T @ m)) / 2.0
     a, b, c = (l1 + l4) / 2.0, (l2 + l4) / 2.0, (l1 + l2) / 2.0
     rebuilt = _local_invariants(canonical_gate(a, b, c))
-    if abs(rebuilt[0] - target[0]) > tol or abs(rebuilt[1] - target[1]) > tol:
+    if abs(rebuilt[0] - target[0]) > 1e-8 or abs(rebuilt[1] - target[1]) > 1e-8:
         raise AssertionError("the eigenphase triple does not reproduce the local invariants")
     return CanonicalParams(*sorted((abs(_fold(x)) for x in (a, b, c)), reverse=True))
 

@@ -23,7 +23,6 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     dagger,
-    embed,
     frozen,
     identity,
     is_unitary,
@@ -67,9 +66,6 @@ class PauliString:
         if bad:
             raise ValueError(f"unknown Pauli labels {bad}")
 
-    def matrix(self) -> np.ndarray:
-        return self.phase * kron(*(_PAULI_BY_LABEL[f] for f in self.factors))
-
     def __str__(self) -> str:
         sign = {1 + 0j: "+", -1 + 0j: "-", 1j: "+i", -1j: "-i"}[self.phase]
         return sign + ".".join(self.factors)
@@ -108,7 +104,7 @@ def recognize_pauli(op: np.ndarray, tol: float = DEFAULT_TOL) -> PauliString | N
     return PauliString(snapped, names[hits[0]]) if abs(snapped - theta) <= tol else None
 
 
-def clifford_check(u: np.ndarray, tol: float = DEFAULT_TOL):
+def clifford_check(u: np.ndarray):
     """Decide whether u maps every Pauli generator to a signed Pauli.
 
     Conjugates the single-site X and Z generators by u and tries to
@@ -120,14 +116,14 @@ def clifford_check(u: np.ndarray, tol: float = DEFAULT_TOL):
     n = u.shape[0].bit_length() - 1 if u.ndim == 2 else 0
     if u.shape != (2**n, 2**n) or n < 1 or n > 3:
         raise ValueError("expected a unitary on 1..3 qubits")
-    if not is_unitary(u, tol):
+    if not is_unitary(u):
         raise ValueError("clifford_check needs a unitary input")
     table: dict[tuple[str, int], PauliString] = {}
     for site in range(1, n + 1):
         for label, index in (("X", 1), ("Z", 3)):
             # the string with this label at site and I elsewhere; qubit 1 is the leading base-4 digit
             image = mul(u, _pauli_strings(n)[1][index << 2 * (n - site)], dagger(u))
-            found = recognize_pauli(image, tol)
+            found = recognize_pauli(image)
             if found is None:
                 return False, {}
             table[(label, site)] = found
@@ -251,12 +247,11 @@ def p_correction(i1, j1, k1, l1, i2, j2, k2, l2) -> np.ndarray:
 
 
 def _qp_table() -> np.ndarray:
-    """Q x P stacked at [8 k1 + 4 l1 + 2 k2 + l2, 8 i1 + 4 j1 + 2 i2 + j2]."""
-    entries = [
-        kron(q_correction(i1, j1, k1, l1, i2, j2, k2, l2), p_correction(i1, j1, k1, l1, i2, j2, k2, l2))
-        for k1, l1, k2, l2, i1, j1, i2, j2 in itertools.product((0, 1), repeat=8)
-    ]
-    return np.array(entries).reshape(16, 16, 4, 4)
+    """Q x P stacked at [8 k1 + 4 l1 + 2 k2 + l2, 8 i1 + 4 j1 + 2 i2 + j2]: the Q and P stacks' per-entry kron."""
+    q, p = (np.array([correction(i1, j1, k1, l1, i2, j2, k2, l2)
+                      for k1, l1, k2, l2, i1, j1, i2, j2 in itertools.product((0, 1), repeat=8)]).reshape(16, 16, 2, 2)
+            for correction in (q_correction, p_correction))
+    return (q[..., :, None, :, None] * p[..., None, :, None, :]).reshape(16, 16, 4, 4)
 
 
 def qp_factorization_residual() -> float:
@@ -277,14 +272,14 @@ def _double_layers(doubled_middle: bool = False) -> np.ndarray:
     layer two couples state-to-resource at sites 1-2 and 5-6 and fuses the
     two resources at sites 3-4.  With doubled_middle the 3-4 gate is also
     applied during preparation, which tests the alternative reading of the
-    protocol description.  The cached _double_protocol reads it once per reading.
+    protocol description.  The gates of a layer act on disjoint sites, so each
+    layer is one Kronecker product.  The cached _double_protocol reads it once per reading.
     """
     b0 = yb_clifford()
-    prepare = mul(embed(b0, 2, 6), embed(b0, 4, 6))
+    prepare = kron(I2, b0, b0, I2)
     if doubled_middle:
-        prepare = mul(embed(b0, 3, 6), prepare)
-    fuse = mul(embed(b0, 1, 6), embed(b0, 3, 6), embed(b0, 5, 6))
-    return mul(fuse, prepare)
+        prepare = kron(identity(4), b0, identity(4)) @ prepare
+    return kron(b0, b0, b0) @ prepare
 
 
 def double_protocol_residuals() -> dict[str, float]:

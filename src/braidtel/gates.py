@@ -79,14 +79,9 @@ def reduced_phase(phi: float) -> float:
     return phi if abs(phi) <= math.pi else cmath.phase(cmath.exp(1j * phi))
 
 
-def t_gate(eighth_pi_phase: bool = False) -> np.ndarray:
-    """The T gate, diag(1, e^{i pi/4}) by default.
-
-    The name "pi/8 gate" is sometimes read literally as diag(1, e^{i pi/8});
-    pass eighth_pi_phase=True for that variant.  T^4 = Z only holds for the
-    conventional phase.
-    """
-    return phase_shift(math.pi / 8 if eighth_pi_phase else math.pi / 4)
+def t_gate() -> np.ndarray:
+    """The T gate, diag(1, e^{i pi/4}), the "pi/8 gate" up to a global phase; T^4 = Z."""
+    return phase_shift(math.pi / 4)
 
 
 _FIXED_GATES = {

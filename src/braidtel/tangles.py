@@ -54,9 +54,6 @@ class EigenAssignment:
     def __post_init__(self):
         object.__setattr__(self, "mu", _stack(self.mu, (4,), "assignment"))
 
-    def unimodularity_residual(self) -> float:
-        return float(np.abs(np.abs(self.mu) - 1.0).max())
-
 
 @dataclass(frozen=True, eq=False)
 class GateCoefficients:
@@ -78,8 +75,8 @@ class GateCoefficients:
         """sum g_ab |Psi_a><Psi_b|, as S^T G conj(S) with the states as rows of S."""
         return transpose(basis.states) @ self.g @ conj(basis.states)
 
-    def is_gate(self, basis: UnitaryBasis, tol: float = DEFAULT_TOL) -> bool:
-        return is_unitary(self.assemble(basis), tol)
+    def is_gate(self, basis: UnitaryBasis) -> bool:
+        return is_unitary(self.assemble(basis))
 
 
 def _constraint_table(g: np.ndarray, forms, scale: float = 0.5):
@@ -286,9 +283,9 @@ def _pattern_residuals(m: int, n: int, phis=_SAMPLE_PHIS, patterns=_PATTERNS) ->
     return np.abs(cells).max(axis=(1, 2, 3, 4)).reshape(len(patterns), len(phis))
 
 
-@functools.lru_cache(maxsize=64)
-def _solved_classes(m: int, n: int, tol: float) -> tuple[SolutionClass, ...]:
-    passed = (_pattern_residuals(m, n) <= tol).all(axis=1)
+@functools.lru_cache(maxsize=None)
+def _solved_classes(m: int, n: int) -> tuple[SolutionClass, ...]:
+    passed = (_pattern_residuals(m, n) <= DEFAULT_TOL).all(axis=1)
     unique = {}  # survivors keyed by their rounded mu at _DEDUP_PHI
     for pattern in itertools.compress(_PATTERNS, passed):
         mu = SolutionClass(0, (m, n), (-1) ** n, pattern).mu_of_phi(_DEDUP_PHI).mu.tolist()
@@ -298,15 +295,14 @@ def _solved_classes(m: int, n: int, tol: float) -> tuple[SolutionClass, ...]:
                  for idx, (_, pattern) in enumerate(ordered, start=1))
 
 
-def solve_pauli_eigenvalues(m: int, n: int, tol: float = DEFAULT_TOL
-                            ) -> list[SolutionClass]:
+def solve_pauli_eigenvalues(m: int, n: int) -> list[SolutionClass]:
     """Enumerate sign-pattern solutions of the Pauli-basis constraints.
 
     mu_00 is normalized to exp(i phi); the remaining entries range over
     all sign and frequency choices.  A pattern survives only if all four
-    constraints hold at every sampled phi.  Surviving patterns are
-    deduplicated by their value at phi=0.3 and sorted by that value,
-    flattened to (real, imag) pairs, in descending order.
+    constraints hold within DEFAULT_TOL at every sampled phi.  Surviving
+    patterns are deduplicated by their value at phi=0.3 and sorted by that
+    value, flattened to (real, imag) pairs, in descending order.
 
     Three samples decide the identity exactly.  With Pauli factors every
     chain and right-hand side is constant in phi, and mu_p mu_q =
@@ -314,11 +310,11 @@ def solve_pauli_eigenvalues(m: int, n: int, tol: float = DEFAULT_TOL
     a Laurent polynomial A z^-2 + B + C z^2.  Times z^2 it is a quadratic in
     w = z^2, which vanishes identically once it vanishes at three distinct
     w; phi = 0.3, 0.7 and 1.9 give three distinct exp(2 i phi).  The classes
-    are computed once per (m, n, tol); each call returns a fresh list.
+    are computed once per (m, n); each call returns a fresh list.
     """
     if (m, n) not in BIT_PAIRS:
         raise ValueError("base index must be a bit pair")
-    return list(_solved_classes(m, n, tol))
+    return list(_solved_classes(m, n))
 
 
 def printed_projector(m: int, n: int) -> np.ndarray:
@@ -387,7 +383,7 @@ def _matched_name(u4: np.ndarray, forms: dict[str, np.ndarray]) -> str:
     raise AssertionError("gate deviates from every printed closed form")
 
 
-def build_representation(solution: SolutionClass, phi: float, epsilon: int | None = None):
+def build_representation(solution: SolutionClass, phi: float):
     """Assemble the projector and gate for a solution class at angle phi.
 
     The projector is its Bell state's outer product and the gate the spectral sum
@@ -395,8 +391,6 @@ def build_representation(solution: SolutionClass, phi: float, epsilon: int | Non
     both are checked against their printed closed forms.  Returns (projector 4x4, gate 4x4).
     """
     m, n = solution.base_index
-    if epsilon is not None and epsilon != solution.epsilon:
-        raise ValueError("epsilon does not match the solution's base index")
     e4 = outer(bell_state(m, n), bell_state(m, n))
     if max_abs_diff(e4, printed_projector(m, n)) > STRICT_TOL:
         raise AssertionError("projector deviates from its closed form")
@@ -405,7 +399,7 @@ def build_representation(solution: SolutionClass, phi: float, epsilon: int | Non
     return e4, u4
 
 
-def matched_form(solution: SolutionClass, phi: float = 0.3) -> str:
-    """Name of the printed closed form this solution class reproduces."""
-    _, u4 = build_representation(solution, phi)
-    return _matched_name(u4, printed_gate_forms(*solution.base_index, phi))
+def matched_form(solution: SolutionClass) -> str:
+    """Name of the printed closed form this solution class reproduces, read at phi = 0.3."""
+    _, u4 = build_representation(solution, 0.3)
+    return _matched_name(u4, printed_gate_forms(*solution.base_index, 0.3))

@@ -53,8 +53,8 @@ from .gates import (
     H,
     I2,
     _check_bits,
+    _m_gates,
     bell_state,
-    m_gate,
     pauli_w,
     phase_shift,
     reduced_phase,
@@ -238,7 +238,7 @@ def _pauli_basis() -> UnitaryBasis:
 def _bell_like_basis(phi: float) -> UnitaryBasis:
     """The M_ij basis at phi, held to the protocols' bound: orthonormal within STRICT_TOL."""
     tl_projector(0, 0, phi)  # raises unless E_00 matches its closed form
-    basis = UnitaryBasis([m_gate(i, j, phi) for i, j in BIT_PAIRS])
+    basis = UnitaryBasis(_m_gates(phi))
     if basis.orthonormality_residual() > STRICT_TOL:
         raise ValueError(f"measurement kets are not orthonormal at phi={phi}")
     return basis
@@ -253,7 +253,7 @@ def _bell_like_corrections(phi: float, mirror: bool = False) -> np.ndarray:
 def _braid_protocol(phi: float) -> Protocol:
     """The braid protocol at phi: op (B x 1)(1 x B), table the B-checked W_ijkl = V_kl U^T_ij, product kets."""
     b = yb_gate(phi)
-    v, u = _checked_gates(phase_table(phi), b, DEFAULT_TOL)
+    v, u = _checked_gates(phase_table(phi), b)
     return Protocol(kron(b, I2) @ kron(I2, b), v[:, None] @ transpose(u), identity(4), I2)
 
 
@@ -306,7 +306,7 @@ def phase_table(phi: float) -> PhaseTable:
     return PhaseTable(phi=phi, alpha_b=alpha_b, alpha_b_dagger=alpha_bd, max_residual=0.0)
 
 
-def extract_phases(phi: float, tol: float = DEFAULT_TOL) -> PhaseTable:
+def extract_phases(phi: float) -> PhaseTable:
     """Fit the phases in B|ij> = e^{i a}(R x RH)|psi(ji)> and its inverse.
 
     The phases are measured numerically per index pair (no closed form is
@@ -323,14 +323,14 @@ def extract_phases(phi: float, tol: float = DEFAULT_TOL) -> PhaseTable:
         for i, j in BIT_PAIRS:
             col = op @ basis_ket(2 * i + j, 4)
             target = local @ bell_state((j + shift) % 2, (i + shift) % 2)
-            theta = approx_eq_phase(col, target, tol)
+            theta = approx_eq_phase(col, target)
             if theta is None:
                 raise ValueError(f"{name}|{i}{j}> is not a phased Bell state at phi={phi}")
             worst = max(worst, max_abs_diff(col, theta * target))
             phases[(i, j)] = math.atan2(theta.imag, theta.real)
 
     table = PhaseTable(phi=phi, alpha_b=alpha_b, alpha_b_dagger=alpha_bd, max_residual=worst)
-    _checked_gates(table, b, tol)
+    _checked_gates(table, b)
     return table
 
 
@@ -341,8 +341,8 @@ _X_LOW, _Z_HIGH, _X_LOW_PLUS, _Z_HIGH_PLUS = (
 )
 
 
-def _checked_gates(table: PhaseTable, b: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The V_kl and U_ij stacks of table, once B rebuilt from them as below is within tol (else ValueError).
+def _checked_gates(table: PhaseTable, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The V_kl and U_ij stacks of table, once B rebuilt from them as below is within DEFAULT_TOL (else ValueError).
 
     Column kl of sum_kl (1 (x) V_kl)|Psi><kl| is (1 (x) V_kl)|Psi>,
     row ij of sum_ij |ij><Psi|(1 (x) U_ij) is ((1 (x) U_ij^dag)|Psi>)^dag.
@@ -353,7 +353,7 @@ def _checked_gates(table: PhaseTable, b: np.ndarray, tol: float) -> tuple[np.nda
     v = v_phases * mul(r, H, _X_LOW, _Z_HIGH, r)  # each V_kl and U_ij as v_gate and u_gate multiply them
     u = u_phases * mul(dagger(r), _Z_HIGH_PLUS, _X_LOW_PLUS, H, dagger(r))
     drift = max(max_abs_diff(transpose(state_with_gate(v)), b), max_abs_diff(conj(state_with_gate(dagger(u))), b))
-    if drift > tol:
+    if drift > DEFAULT_TOL:
         raise ValueError(f"phase table does not reproduce B: drift {drift:.3e}")
     return v, u
 

@@ -1,8 +1,10 @@
-"""Register layouts and random states that only the tests build, one state at a time."""
+"""Register layouts, random states and operator readings that only the tests build, one at a time."""
 
 import numpy as np
 
-from braidtel.linalg import basis_ket, ket, kron
+from braidtel.entanglement import _local_invariants, _special_unitary
+from braidtel.gate_teleport import _PAULI_BY_LABEL, PauliString
+from braidtel.linalg import basis_ket, is_unitary, ket, kron
 
 
 def random_ket(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
@@ -20,3 +22,16 @@ def double_input(alphabeta: np.ndarray, k1, l1, k2, l2) -> np.ndarray:
     coeff = ket(alphabeta).reshape(2, 2)
     anc = kron(basis_ket(2 * k1 + l1, 4), basis_ket(2 * k2 + l2, 4))
     return np.einsum("ab,m->amb", coeff, anc).reshape(64)
+
+
+def local_invariants(u) -> tuple[complex, complex]:
+    """The two numbers of a 4x4 unitary conserved by one-qubit gates on either side."""
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (4, 4) or not is_unitary(u):
+        raise ValueError("expected a 4x4 unitary")
+    return _local_invariants(_special_unitary(u))
+
+
+def pauli_matrix(string: PauliString) -> np.ndarray:
+    """The signed tensor product that a PauliString names."""
+    return string.phase * kron(*(_PAULI_BY_LABEL[f] for f in string.factors))

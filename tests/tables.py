@@ -3,7 +3,7 @@
 import numpy as np
 
 from braidtel.linalg import transpose
-from braidtel.tangles import GateCoefficients, _pauli_signs
+from braidtel.tangles import EigenAssignment, GateCoefficients, _pauli_signs
 from braidtel.teleport import PhaseTable, u_gate, v_gate
 
 
@@ -20,6 +20,11 @@ def pauli_scalar_coefficient(i: int, j: int, k: int, l: int, m: int, n: int) -> 
     trace against the expected right-hand side.
     """
     return int(_pauli_signs(m, n)[2 * i + j, 2 * k + l])
+
+
+def unimodularity_residual(assignment: EigenAssignment) -> float:
+    """max_ij ||mu_ij| - 1|: zero when every eigenvalue of the assignment lies on the unit circle."""
+    return float(np.abs(np.abs(assignment.mu) - 1.0).max())
 
 
 def random_gate_coefficients(rng: np.random.Generator) -> GateCoefficients:

@@ -17,10 +17,10 @@ from braidtel.entanglement import (
     canonical_gate,
     canonical_params,
     entangling_power,
-    local_invariants,
 )
 from braidtel.gates import CZ, H, I2, SWAP, yb_clifford, yb_gate
 from braidtel.linalg import dagger, is_unitary, kron, max_abs_diff
+from registers import local_invariants
 
 QUARTER = math.pi / 4
 

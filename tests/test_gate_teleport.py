@@ -32,9 +32,9 @@ from braidtel.gate_teleport import (
     teleport_two_qubit,
 )
 from braidtel.gates import EPR, H, S, X, Z, elementary, pauli_w, t_gate, yb_clifford
-from braidtel.linalg import basis_ket, dagger, fidelity, is_unitary, kron, max_abs_diff
+from braidtel.linalg import basis_ket, dagger, embed, fidelity, is_unitary, kron, max_abs_diff, mul
 from braidtel.teleport import BIT_PAIRS
-from registers import double_input, random_ket
+from registers import double_input, pauli_matrix, random_ket
 
 ALL_TUPLES = list(itertools.product((0, 1), repeat=4))
 
@@ -42,7 +42,7 @@ ALL_TUPLES = list(itertools.product((0, 1), repeat=4))
 def test_pauli_string_matrix_and_repr():
     ps = PauliString(-1j, ("X", "Z"))
     assert str(ps) == "-iX.Z"
-    assert max_abs_diff(ps.matrix(), -1j * kron(X, Z)) == 0.0
+    assert max_abs_diff(pauli_matrix(ps), -1j * kron(X, Z)) == 0.0
     assert len(ps.factors) == 2
 
 
@@ -202,6 +202,20 @@ def _qp_from_conjugation(i1, j1, k1, l1, i2, j2, k2, l2):
     """Per-tuple B_0 (K x L) B_0^dag, the route the stacked factorization replaced."""
     b0 = gates.yb_clifford()
     return b0 @ kron(k_gate(i1, j1, k1, l1), l_gate(i2, j2, k2, l2)) @ dagger(b0)
+
+
+def _double_layers_by_embed(doubled_middle):
+    """The double-protocol operator as a product of dense 6-qubit embeds, the route the Kronecker layers replaced."""
+    b0 = gates.yb_clifford()
+    prepare = mul(embed(b0, 2, 6), embed(b0, 4, 6))
+    if doubled_middle:
+        prepare = mul(embed(b0, 3, 6), prepare)
+    return mul(embed(b0, 1, 6), embed(b0, 3, 6), embed(b0, 5, 6), prepare)
+
+
+@pytest.mark.parametrize("doubled", [False, True], ids=["single-middle", "doubled-middle"])
+def test_kronecker_layers_give_the_values_of_the_embed_product(doubled):
+    assert np.array_equal(gate_teleport._double_layers(doubled), _double_layers_by_embed(doubled))
 
 
 def _double_protocol_oracle():

@@ -62,11 +62,6 @@ def test_phase_gate_tower():
     assert approx_eq(np.linalg.matrix_power(t_gate(), 4), Z)
 
 
-def test_eighth_pi_variant_squares_to_t():
-    narrow = t_gate(eighth_pi_phase=True)
-    assert approx_eq(narrow @ narrow, t_gate())
-
-
 def test_elementary_lookup():
     assert approx_eq(elementary("h"), H)
     assert approx_eq(elementary("T"), t_gate())

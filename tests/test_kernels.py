@@ -26,6 +26,7 @@ from braidtel import cli, gate_teleport, teleport
 from braidtel.gate_teleport import PAULI_LABELS, PauliString, recognize_pauli
 from braidtel.gates import H, I2, S, X, Y, Z, m_gate, pauli_w, phase_shift, yb_gate
 from braidtel.linalg import DEFAULT_TOL, approx_eq_phase, conj, dagger, identity, kron, mul, transpose
+from registers import pauli_matrix
 
 _RNG = np.random.default_rng(2024)
 
@@ -89,7 +90,7 @@ def _recognize_by_enumeration(op, tol=DEFAULT_TOL):
 def _recognition_cases():
     for n in (1, 2, 3):
         for labels in itertools.product(PAULI_LABELS, repeat=n):
-            string = PauliString(1 + 0j, labels).matrix()
+            string = pauli_matrix(PauliString(1 + 0j, labels))
             for phase in (1, -1, 1j, -1j, np.exp(0.3j)):
                 for noise in (0.0, 1e-12, 1e-9):
                     yield phase * string + noise * _complex(2**n, 2**n)
@@ -182,7 +183,7 @@ def test_stacked_m_gates_give_the_bits_of_the_chains():
 def test_stacked_braid_gates_give_the_bits_of_v_gate_and_u_gate():
     for phi in STACK_PHIS:
         table = teleport.phase_table(phi)
-        v, u = teleport._checked_gates(table, yb_gate(phi), DEFAULT_TOL)
+        v, u = teleport._checked_gates(table, yb_gate(phi))
         for n, (i, j) in enumerate(itertools.product((0, 1), repeat=2)):
             assert v[n].tobytes() == teleport.v_gate(i, j, table).tobytes(), (phi, i, j)
             assert u[n].tobytes() == teleport.u_gate(i, j, table).tobytes(), (phi, i, j)

@@ -150,9 +150,9 @@ def test_measurement_bases_must_be_orthonormal(cold_caches, monkeypatch):
     with pytest.raises(ValueError, match="orthonormal"):
         teleport.UnitaryBasis([gates.I2, gates.I2, gates.X, gates.Z])
     # off by 1e-11 the M_ij basis passes the general bound, DEFAULT_TOL, but not the protocols' STRICT_TOL
-    real = teleport.m_gate
-    monkeypatch.setattr(teleport, "m_gate", lambda i, j, phi: real(i, j, phi) * (1 + 1e-11 * (i == j == 1)))
-    assert teleport.UnitaryBasis([teleport.m_gate(*p, 0.3) for p in BIT_PAIRS]).orthonormality_residual() > 1e-12
+    real = teleport._m_gates
+    monkeypatch.setattr(teleport, "_m_gates", lambda phi: real(phi) * np.array([1, 1, 1, 1 + 1e-11])[:, None, None])
+    assert teleport.UnitaryBasis(teleport._m_gates(0.3)).orthonormality_residual() > 1e-12
     with pytest.raises(ValueError, match="not orthonormal"):
         teleport.UnitaryBasis.bell_like(0.3)
 
