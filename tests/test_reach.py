@@ -2,8 +2,8 @@
 
 Each of the 64 report forms of test_phi_range._report_forms() runs once in text and once in JSON,
 from cold caches, under sys.setprofile; a function counts as reached when its code object is
-called.  The caches are cleared after the forms are read off the parser, so build_parser and
-_grammar run inside the profile.  A function that no form reaches and that ALLOWED does not name
+called.  Every package cache, cli._parser and cli._grammar among them, is cleared after the forms
+are read off the parser, so build_parser, _grammar and every cached builder run inside the profile.  A function that no form reaches and that ALLOWED does not name
 fails the test: code that only the tests call belongs in tests/ (registers.py, tables.py).  An
 ALLOWED entry that a report does reach fails as well, so the list only shrinks with the package.
 """
