@@ -303,14 +303,14 @@ def check_all(
     return [reports[family] for family in ("TL", "Braid", "Mixed", "Tangle")]
 
 
-def check_brauer(n: int = 3, tol: float = DEFAULT_TOL) -> list[RelationReport]:
+def check_brauer(n: int = 3) -> list[RelationReport]:
     """Relation suite for the undeformed pair (EPR projector, SWAP).
 
     The swap generators square to one and commute with the projectors
     pointwise (e v = v e = e), so the mixed family is replaced by those
     two identities; everything else matches the deformed case with d = 2.
     """
-    reports = _suite(build_rep(brauer_projector(), permutation_p(), n), 2.0, tol)
+    reports = _suite(build_rep(brauer_projector(), permutation_p(), n), 2.0, DEFAULT_TOL)
     return [reports[family] for family in ("TL", "Braid", "Tangle", "Brauer")]
 
 

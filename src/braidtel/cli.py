@@ -218,7 +218,7 @@ def _verify_b_forms(cfg: argparse.Namespace) -> list[dict]:
 def _verify_skew(cfg: argparse.Namespace) -> list[dict]:
     basis, mu, m, n, info = _basis_assignment(cfg)
     # both readings evaluate GateCoefficients.diagonal(mu), so both rows print one value
-    deviation = skew_agreement_deviation(basis, mu, m, n)
+    deviation = skew_agreement_deviation(basis, GateCoefficients.diagonal(mu), m, n)
     results = [
         info,
         _check("spectral-agreement", deviation, cfg.tolerance),

@@ -78,13 +78,13 @@ def _pauli_strings(n: int) -> tuple[tuple, np.ndarray]:
     return names, frozen(np.array([kron(*(_PAULI_BY_LABEL[f] for f in labels)) for labels in names]))
 
 
-def recognize_pauli(op: np.ndarray, tol: float = DEFAULT_TOL) -> PauliString | None:
+def recognize_pauli(op: np.ndarray) -> PauliString | None:
     """Match op against a PauliString, or return None.
 
     All 4^n strings P of an op on 1..3 qubits, a cached stack of at most 64 8x8, are tested
     in one pass, each anchored at its one nonzero entry in row 0: theta is op over P there,
-    scaled to unit modulus, and P matches when max |op - theta P| <= tol.  The first match
-    in label order must have its theta within tol of 1, -1, i or -i.
+    scaled to unit modulus, and P matches when max |op - theta P| <= DEFAULT_TOL (at most one
+    does: two strings differ by 1 in some entry).  Its theta must be within DEFAULT_TOL of 1, -1, i or -i.
     """
     op = np.asarray(op, dtype=complex)
     n = op.shape[0].bit_length() - 1 if op.ndim == 2 else 0
@@ -94,14 +94,13 @@ def recognize_pauli(op: np.ndarray, tol: float = DEFAULT_TOL) -> PauliString | N
     anchors = np.argmax(np.abs(strings[:, 0]), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero anchor in op gives nan: no match
         theta = op[0, anchors] / strings[np.arange(len(strings)), 0, anchors]
-        # approx_eq_phase matched without a phase when the pivot's modulus, 1 for every string, is <= tol
-        theta = theta / np.abs(theta) if tol < 1 else np.ones_like(theta)
-    hits = np.flatnonzero(np.abs(op - theta[:, None, None] * strings).max(axis=(1, 2)) <= tol)
+        theta = theta / np.abs(theta)
+    hits = np.flatnonzero(np.abs(op - theta[:, None, None] * strings).max(axis=(1, 2)) <= DEFAULT_TOL)
     if not hits.size:
         return None
     theta = theta[hits[0]]
     snapped = min(_UNIT_PHASES, key=lambda u: abs(u - theta))
-    return PauliString(snapped, names[hits[0]]) if abs(snapped - theta) <= tol else None
+    return PauliString(snapped, names[hits[0]]) if abs(snapped - theta) <= DEFAULT_TOL else None
 
 
 def clifford_check(u: np.ndarray):
@@ -179,20 +178,11 @@ def _kl_tables() -> tuple[np.ndarray, np.ndarray]:
     return frozen(_correction_table(k_gate)), frozen(_correction_table(l_gate))
 
 
-def b0_forward_residual() -> float:
-    """Largest Frobenius norm, over resource pairs, of the forward protocol identity's residual map.
-
-    Checks (B_0 x 1)(1 x B_0)|alpha>|kl> against the Pauli-corrected sum
-    (1/2) sum_ij |ij> (x) K_{i,j,k,l}|alpha> for every resource pair: gate
-    teleportation of the identity.
-    """
-    return _protocol_residual(_gate_protocol(I2))
-
-
 def b0_reverse_residual() -> float:
-    """Same check, with the same norm, for the reversed order and the L corrections.
+    """Largest Frobenius norm, over resource pairs, of the reversed protocol identity's residual map.
 
-    Here the unknown state enters on the right:
+    The forward identity, with the K corrections, is _gate_protocol(I2).every_branch.  Here the
+    unknown state enters on the right:
     (1 x B_0)(B_0 x 1)|kl>|alpha> = (1/2) sum_ij L_{i,j,k,l}|alpha> (x) |ij>.
     Read with the qubits of its input and of its output rotated |a k l> -> |k l a>,
     the operator takes alpha in front and leaves |ij> in front, as a protocol does.
@@ -265,39 +255,26 @@ def qp_factorization_residual() -> float:
     return max_abs_diff(_qp_table(), b0 @ kl @ dagger(b0))
 
 
-def _double_layers(doubled_middle: bool = False) -> np.ndarray:
+def _double_layers() -> np.ndarray:
     """Operator for the full double protocol on 6 qubits.
 
     Layer one entangles each resource pair internally (sites 2-3 and 4-5);
     layer two couples state-to-resource at sites 1-2 and 5-6 and fuses the
-    two resources at sites 3-4.  With doubled_middle the 3-4 gate is also
-    applied during preparation, which tests the alternative reading of the
-    protocol description.  The gates of a layer act on disjoint sites, so each
-    layer is one Kronecker product.  The cached _double_protocol reads it once per reading.
+    two resources at sites 3-4.  The gates of a layer act on disjoint sites,
+    so each layer is one Kronecker product.
     """
     b0 = yb_clifford()
-    prepare = kron(I2, b0, b0, I2)
-    if doubled_middle:
-        prepare = kron(identity(4), b0, identity(4)) @ prepare
-    return kron(b0, b0, b0) @ prepare
-
-
-def double_protocol_residuals() -> dict[str, float]:
-    """Residuals of both bracketing readings of the double protocol.
-
-    Returns the largest Frobenius norm, over all resource settings, of the map
-    from alphabeta to the circuit's output minus the corrected sum
-    (1/4) sum |i1 j1> (x) (Q x P) B_0|alphabeta> (x) |i2 j2>.  Only one
-    reading should vanish.
-    """
-    return {name: _protocol_residual(_double_protocol(doubled))
-            for name, doubled in (("single-middle", False), ("doubled-middle", True))}
+    return kron(b0, b0, b0) @ kron(I2, b0, b0, I2)
 
 
 @functools.lru_cache(maxsize=None)
-def _double_protocol(doubled_middle: bool = False) -> Protocol:
-    """The double protocol, built once per reading: op leaves the end registers, outcome 4 m1 + m2, in front."""
-    op = _double_layers(doubled_middle).reshape(4, 4, 4, 64).transpose(0, 2, 1, 3).reshape(64, 64)
+def _double_protocol() -> Protocol:
+    """The double protocol, built once: op leaves the end registers, outcome 4 m1 + m2, in front.
+
+    Its every_branch is the largest Frobenius norm, over resource settings, of the map from alphabeta
+    to the circuit's output minus (1/4) sum |i1 j1> (x) (Q x P) B_0|alphabeta> (x) |i2 j2>.
+    """
+    op = _double_layers().reshape(4, 4, 4, 64).transpose(0, 2, 1, 3).reshape(64, 64)
     return Protocol(op, _qp_table(), identity(16), yb_clifford())
 
 

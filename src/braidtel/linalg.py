@@ -138,7 +138,7 @@ def approx_eq(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return max_abs_diff(a, b) <= tol
 
 
-def approx_eq_phase(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL):
+def approx_eq_phase(a: np.ndarray, b: np.ndarray):
     """Return the unit phase theta with a = theta * b, or None.
 
     The phase is read off at the largest-modulus entry of the reference b
@@ -152,14 +152,14 @@ def approx_eq_phase(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL):
     flat_b = b.reshape(-1)
     anchor = int(np.argmax(np.abs(flat_b)))
     pivot = flat_b[anchor]
-    if abs(pivot) <= tol:
-        return 1.0 + 0.0j if approx_eq(a, b, tol) else None
+    if abs(pivot) <= DEFAULT_TOL:
+        return 1.0 + 0.0j if approx_eq(a, b) else None
     theta = a.reshape(-1)[anchor] / pivot
     mag = abs(theta)
     if mag == 0:
         return None
     theta /= mag
-    if max_abs_diff(a, theta * b) <= tol:
+    if max_abs_diff(a, theta * b) <= DEFAULT_TOL:
         return complex(theta)
     return None
 

@@ -40,7 +40,7 @@ from .linalg import (
     transpose,
 )
 from .gates import B_EIGENVALUES, bell_state
-from .teleport import BIT_PAIRS, UnitaryBasis, _stack, check_teleportation_identity
+from .teleport import BIT_PAIRS, UnitaryBasis, _bell_like_protocol, _stack, check_teleportation_identity
 
 CONSTRAINT_IDS = (1, 2, 3, 4)
 
@@ -131,14 +131,13 @@ def _pauli_forms(m: int, n: int):
     return tuple(frozen(t) for t in _u_forms(UnitaryBasis.pauli(), m, n))
 
 
-def concrete_constraint_residuals(phi: float, lambdas: EigenAssignment | None = None):
+def concrete_constraint_residuals(phi: float):
     """Residuals of the four quadratic constraints for the concrete basis.
 
-    Uses the phase-angle basis gates and the braid-gate eigenvalues; the
-    lambdas override exists so a broken premise can be fed in on purpose.
+    Uses the phase-angle basis gates and the braid-gate eigenvalues.
     Returns {constraint id: {(i,j): max-entry residual}}.
     """
-    lam = EigenAssignment([B_EIGENVALUES[p] for p in BIT_PAIRS]) if lambdas is None else lambdas
+    lam = EigenAssignment([B_EIGENVALUES[p] for p in BIT_PAIRS])
     m = UnitaryBasis.bell_like(phi).u
     m00 = m[0]
     mt, mc, md = transpose(m), conj(m), dagger(m)
@@ -154,13 +153,13 @@ def concrete_constraint_residuals(phi: float, lambdas: EigenAssignment | None = 
 def projector_teleportation_residuals(phi: float) -> dict[int, float]:
     """The four state-level identities tied to the quadratic constraints.
 
-    Identities 1 and 2 move an unknown state across the Bell-like resource in either
-    direction: check_teleportation_identity's bell-like and bell-like-transpose.  3 and 4
+    Identities 1 and 2 move an unknown state across the Bell-like resource in either direction:
+    the Bell-like protocol's every_branch and check_teleportation_identity's bell-like-transpose.  3 and 4
     are their bra forms, with every ket, input and correction conjugated; conjugation is
     exact in floating point, so they are the values of 1 and 2 and add no independent
     check.  Residuals are Frobenius norms of the residual maps.
     """
-    ket, mirror = (check_teleportation_identity(v, phi) for v in ("bell-like", "bell-like-transpose"))
+    ket, mirror = _bell_like_protocol(phi).every_branch, check_teleportation_identity("bell-like-transpose", phi)
     return dict(zip(CONSTRAINT_IDS, (ket, mirror, ket, mirror)))
 
 
@@ -189,12 +188,8 @@ def skew_transpose(b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return transpose(b) @ transpose(c)
 
 
-def skew_agreement_deviation(basis: UnitaryBasis, assignment_or_coeffs,
-                             m: int, n: int) -> float:
+def skew_agreement_deviation(basis: UnitaryBasis, coeffs: GateCoefficients, m: int, n: int) -> float:
     """Largest cell-wise gap between the O-notation and original residuals."""
-    coeffs = assignment_or_coeffs
-    if not isinstance(coeffs, GateCoefficients):
-        coeffs = GateCoefficients.diagonal(coeffs)
     original = _constraint_table(coeffs.g, _u_forms(basis, m, n))
     simplified = _constraint_table(coeffs.g, _o_forms(basis, m, n))
     return max(abs(original[c][p] - simplified[c][p]) for c in CONSTRAINT_IDS for p in BIT_PAIRS)

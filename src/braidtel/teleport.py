@@ -30,13 +30,13 @@ multiplies out of it the Bell-like correction table of the one flow it reads.
 The braid table reads the closed-form phases of phase_table; extract_phases
 fits the same phases numerically and is kept as its cross-check.
 
-The identities behind the protocols are also exposed directly as residual
-checks, verified as equalities of maps instead of sampled behaviour: each
-vector or channel variant of check_teleportation_identity, and verify brauer's
-projector identity, is a Protocol read by _protocol_residual; only flow is
-checked on a basis of its own, the four W_ij.  No residual reads a seed:
-only the measurement outcomes are sampled, through a seeded generator, and
-their probabilities come from the Born rule exactly.
+Each protocol's identity is its builder's every_branch, the row its report
+prints: _standard_protocol(), _bell_like_protocol(phi), _braid_protocol(phi),
+and gate_teleport's gate and double protocols.  check_teleportation_identity
+checks the variants no report builds, the -transpose mirrors and projector
+channels, each a Protocol read by _protocol_residual as verify brauer's
+projector identity is; flow is checked on the four W_ij.  No residual reads a
+seed: only outcomes are sampled, with Born-rule probabilities computed exactly.
 """
 
 from __future__ import annotations
@@ -390,11 +390,6 @@ def teleport_with_yb(alpha: np.ndarray, k: int, l: int, phi: float, rng_seed: in
     return _one_qubit(_braid_protocol(phi), alpha, 2 * k + l, rng_seed)
 
 
-def braid_teleportation_residual(phi: float) -> float:
-    """Largest Frobenius norm of alpha -> (B x 1)(1 x B)|alpha>|kl> - 1/2 sum |ij> (x) W_ijkl|alpha>, over kl."""
-    return _protocol_residual(_braid_protocol(phi))
-
-
 def completeness_residuals(phi: float) -> dict:
     """Both measurement families must resolve the identity."""
     bell_sum = sum(outer(bell_state(i, j), bell_state(i, j)) for i, j in BIT_PAIRS)
@@ -406,9 +401,7 @@ def completeness_residuals(phi: float) -> dict:
 
 
 IDENTITY_VARIANTS = (
-    "standard",
     "standard-transpose",
-    "bell-like",
     "bell-like-transpose",
     "projector-channel",
     "projector-channel-transpose",
@@ -417,36 +410,36 @@ IDENTITY_VARIANTS = (
 
 
 def check_teleportation_identity(variant: str, phi: float = 0.0) -> float:
-    """Residual of one teleportation identity: the Frobenius norm of the map x -> lhs - rhs.
+    """Residual of one teleportation identity that no report builds: the Frobenius norm of the map x -> lhs - rhs.
 
-    Each vector identity x (x) v_0 = 1/2 sum_m v_m (x) C_m x is a Protocol, op x -> x (x) v_0 with
-    table C_m, checked by _protocol_residual as an equality of maps.  A
-    -transpose mirror v_0 (x) x = 1/2 sum_m C_m x (x) v_m is read with its output qubits rotated
-    |a b c> -> |b c a>, which puts the measured pair in front.  The projector-channel forms
-    (E00 (x) 1)(a (x) E00) = 1/2 |psi (x) a><psi| and their mirror are that vector identity times
+    The front identities x (x) v_0 = 1/2 sum_m v_m (x) C_m x are _standard_protocol()'s and
+    _bell_like_protocol(phi)'s every_branch.  Their -transpose mirrors v_0 (x) x = 1/2 sum_m C_m x (x) v_m
+    are Protocols, op x -> v_0 (x) x with the output qubits rotated |a b c> -> |b c a> to put the
+    measured pair in front, read by _protocol_residual as equalities of maps.  The projector-channel forms
+    (E00 (x) 1)(a (x) E00) = 1/2 |psi (x) a><psi| and their mirror are the vector identity times
     <psi|, because E00 = |psi><psi|, so they are op (E00 (x) 1)(x (x) psi) over the complete
     Bell-like basis, where only branch 0 survives, uncorrected.  flow compares (1 (x) u)|EPR> with
     (u^T (x) 1)|EPR> for the four W_ij and takes the root-sum-square: the identity is linear in u and
     a unitary u is sum_ij c_ij W_ij with sum_ij |c_ij|^2 = 1, so that bounds its residual at every u.
     """
-    family, front = variant.removesuffix("-transpose"), not variant.endswith("-transpose")
-    if family in ("standard", "bell-like", "projector-channel"):
-        basis = UnitaryBasis.pauli() if family == "standard" else UnitaryBasis.bell_like(phi)
-        resource = basis.states[0][:, None]
-        op = kron(I2, resource) if front else kron(resource, I2)
-        if family == "standard":
-            table = basis.u if front else transpose(basis.u)
-        elif family == "bell-like":
-            table = _bell_like_corrections(phi, mirror=not front)
-        else:
-            e00 = tl_projector(0, 0, phi)
-            op, table = (kron(e00, I2) if front else kron(I2, e00)) @ op, _KEPT_BRANCH
-        if not front:
-            op = op.reshape(2, 2, 2, 2).transpose(1, 2, 0, 3).reshape(8, 2)
-        return _protocol_residual(Protocol(op, table[None], basis.states, I2))
     if variant == "flow":
         return float(np.linalg.norm([kron(I2, u) @ EPR - kron(transpose(u), I2) @ EPR for u in UnitaryBasis.pauli().u]))
-    raise ValueError(f"unknown identity variant {variant!r}")
+    if variant not in IDENTITY_VARIANTS:
+        raise ValueError(f"unknown identity variant {variant!r}")
+    family, front = variant.removesuffix("-transpose"), not variant.endswith("-transpose")
+    basis = UnitaryBasis.pauli() if family == "standard" else UnitaryBasis.bell_like(phi)
+    resource = basis.states[0][:, None]
+    op = kron(I2, resource) if front else kron(resource, I2)
+    if family == "standard":
+        table = transpose(basis.u)
+    elif family == "bell-like":
+        table = _bell_like_corrections(phi, mirror=True)
+    else:
+        e00 = tl_projector(0, 0, phi)
+        op, table = (kron(e00, I2) if front else kron(I2, e00)) @ op, _KEPT_BRANCH
+    if not front:
+        op = op.reshape(2, 2, 2, 2).transpose(1, 2, 0, 3).reshape(8, 2)
+    return _protocol_residual(Protocol(op, table[None], basis.states, I2))
 
 
 def transpose_asymmetry_margin(phi: float) -> float:

@@ -5,6 +5,7 @@ import numpy as np
 from braidtel.entanglement import _local_invariants, _special_unitary
 from braidtel.gate_teleport import _PAULI_BY_LABEL, PauliString
 from braidtel.linalg import basis_ket, is_unitary, ket, kron
+from braidtel.teleport import _bell_like_protocol, _standard_protocol, check_teleportation_identity
 
 
 def random_ket(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
@@ -30,6 +31,19 @@ def local_invariants(u) -> tuple[complex, complex]:
     if u.shape != (4, 4) or not is_unitary(u):
         raise ValueError("expected a 4x4 unitary")
     return _local_invariants(_special_unitary(u))
+
+
+def identity_residual(variant: str, phi: float) -> float:
+    """The residual of a teleportation identity by variant name, front flows included.
+
+    The standard and bell-like front flows are the every-branch rows of their report protocols;
+    every other variant is check_teleportation_identity's.
+    """
+    if variant == "standard":
+        return _standard_protocol().every_branch
+    if variant == "bell-like":
+        return _bell_like_protocol(phi).every_branch
+    return check_teleportation_identity(variant, phi)
 
 
 def pauli_matrix(string: PauliString) -> np.ndarray:

@@ -129,12 +129,12 @@ def test_inconsistent_params_have_nonzero_residual():
 
 
 def test_brauer_suite_passes():
-    for report in check_brauer(n=3, tol=TOL):
+    for report in check_brauer(n=3):
         assert report.passed, report.worst()
 
 
 def test_brauer_suite_four_sites():
-    for report in check_brauer(n=4, tol=TOL):
+    for report in check_brauer(n=4):
         assert report.passed, report.worst()
 
 
@@ -232,7 +232,7 @@ _GENERIC_PARAMS = BmwParams(sigma=1j, w=2.0, d=3.0, lambdas=(1j, 1.0, -1.0))
 def _windowed_and_dense(case, n):
     """check_all (check_brauer for "brauer") and its dense oracle."""
     if case == "brauer":
-        return check_brauer(n=n, tol=TOL), _dense_reports(build_rep(brauer_projector(), permutation_p(), n), None)
+        return check_brauer(n=n), _dense_reports(build_rep(brauer_projector(), permutation_p(), n), None)
     if case == "generic":
         e, b, params = _GENERIC_E, _GENERIC_B, _GENERIC_PARAMS
     else:
@@ -262,7 +262,7 @@ def test_eight_site_worst_residuals_match_three_sites(phi):
 
     def worst(n):
         if phi is None:
-            return {r.family: r.max_residual for r in check_brauer(n=n, tol=TOL)}
+            return {r.family: r.max_residual for r in check_brauer(n=n)}
         return {r.family: r.max_residual for r in _suite(phi, n)}
 
     small = worst(3)

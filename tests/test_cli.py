@@ -117,6 +117,20 @@ def test_identity_reports_do_not_read_the_seed(kind, capsys):
     assert results[0] == results[1]
 
 
+@pytest.mark.parametrize("phi", ["0", "0.3", "-2.1"])
+def test_transfer_identity_1_prints_the_bell_like_every_branch(phi, capsys):
+    """Both rows read one builder, _bell_like_protocol(phi), so they print one string."""
+
+    def residual(label, *argv):
+        code, out = run_cli(capsys, *argv, "--phi", phi, "--format", "json")
+        assert code == 0
+        (row,) = [r for r in json.loads(out)["results"] if r["label"] == label]
+        return row["residual"]
+
+    constraints = residual("transfer-identity-1", "verify", "constraints")
+    assert constraints == residual("every-branch", "teleport", "bell-like", "--count", "1")
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out = run_cli(capsys, "verify", "constraints", "--format", "json", "--output", str(target))

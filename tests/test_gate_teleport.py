@@ -14,10 +14,8 @@ from braidtel import gate_teleport, gates, teleport
 from braidtel.gate_teleport import (
     DoubleOutcome,
     PauliString,
-    b0_forward_residual,
     b0_reverse_residual,
     clifford_check,
-    double_protocol_residuals,
     k_gate,
     l_gate,
     p_correction,
@@ -31,8 +29,8 @@ from braidtel.gate_teleport import (
     teleport_single_gate,
     teleport_two_qubit,
 )
-from braidtel.gates import EPR, H, S, X, Z, elementary, pauli_w, t_gate, yb_clifford
-from braidtel.linalg import basis_ket, dagger, embed, fidelity, is_unitary, kron, max_abs_diff, mul
+from braidtel.gates import EPR, I2, H, S, X, Z, elementary, pauli_w, t_gate, yb_clifford
+from braidtel.linalg import basis_ket, dagger, embed, fidelity, identity, is_unitary, kron, max_abs_diff, mul
 from braidtel.teleport import BIT_PAIRS
 from registers import double_input, pauli_matrix, random_ket
 
@@ -96,7 +94,7 @@ def test_k_at_origin_is_xz():
 
 def test_forward_closed_form_against_protocol():
     # K_{ijkl} is only correct if the expanded two-layer circuit agrees
-    assert b0_forward_residual() < 1e-12
+    assert gate_teleport._gate_protocol(I2).every_branch < 1e-12
 
 
 def test_reverse_closed_form_against_protocol():
@@ -166,7 +164,7 @@ def test_q_and_p_are_signed_paulis():
 
 
 def test_double_protocol_bracketing():
-    residuals = double_protocol_residuals()
+    residuals = _double_protocol_residuals()
     # a single middle braid layer closes the identity; doubling it does not
     assert residuals["single-middle"] < 1e-10
     assert residuals["doubled-middle"] > 0.1
@@ -213,9 +211,19 @@ def _double_layers_by_embed(doubled_middle):
     return mul(embed(b0, 1, 6), embed(b0, 3, 6), embed(b0, 5, 6), prepare)
 
 
-@pytest.mark.parametrize("doubled", [False, True], ids=["single-middle", "doubled-middle"])
-def test_kronecker_layers_give_the_values_of_the_embed_product(doubled):
-    assert np.array_equal(gate_teleport._double_layers(doubled), _double_layers_by_embed(doubled))
+def test_kronecker_layers_give_the_values_of_the_embed_product():
+    assert np.array_equal(gate_teleport._double_layers(), _double_layers_by_embed(False))
+
+
+def _double_protocol_residuals():
+    """Both bracketing readings of the double protocol: the package's, and the doubled-middle negative control.
+
+    The doubled reading, with the 3-4 gate also applied during preparation, is built from the embed
+    product and laid out as _double_protocol lays out its op, with the same table, kets and gate.
+    """
+    op = _double_layers_by_embed(True).reshape(4, 4, 4, 64).transpose(0, 2, 1, 3).reshape(64, 64)
+    doubled = teleport.Protocol(op, gate_teleport._qp_table(), identity(16), yb_clifford())
+    return {"single-middle": gate_teleport._double_protocol().every_branch, "doubled-middle": doubled.every_branch}
 
 
 def _double_protocol_oracle():
@@ -227,7 +235,7 @@ def _double_protocol_oracle():
     b0 = gates.yb_clifford()
     out = {}
     for name, doubled in (("single-middle", False), ("doubled-middle", True)):
-        op = gate_teleport._double_layers(doubled)
+        op = _double_layers_by_embed(doubled)
         worst = 0.0
         for k1, l1, k2, l2 in ALL_TUPLES:
             squares = 0.0
@@ -246,7 +254,7 @@ def _double_protocol_oracle():
 
 
 def test_double_protocol_residuals_match_the_per_term_expansion():
-    stacked, oracle = double_protocol_residuals(), _double_protocol_oracle()
+    stacked, oracle = _double_protocol_residuals(), _double_protocol_oracle()
     assert stacked.keys() == oracle.keys()
     for name in oracle:
         assert abs(stacked[name] - oracle[name]) <= 1e-15, name

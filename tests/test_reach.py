@@ -39,12 +39,11 @@ ALLOWED = {
     **dict.fromkeys(["linalg.approx_eq_phase", "linalg.basis_ket"],
                     "called by extract_phases, which perfbench/run.py reads by name"),
     "linalg.ket": "import-time only: builds gates.EPR (and checks one-instance inputs)",
-    **dict.fromkeys(["gate_teleport.b0_forward_residual", "gate_teleport.b0_reverse_residual",
-                     "gate_teleport.double_protocol_residuals", "gate_teleport.qp_factorization_residual",
+    **dict.fromkeys(["gate_teleport.b0_reverse_residual", "gate_teleport.qp_factorization_residual",
                      "gate_teleport.single_gate_closed_form_residuals", "gate_teleport.r_gate_hadamard",
-                     "gate_teleport.r_gate_t", "gates.yb_spectral", "teleport.braid_teleportation_residual",
-                     "teleport.completeness_residuals", "teleport.transpose_asymmetry_margin",
-                     "teleport.u_gate", "teleport.v_gate", "teleport.w_braid_closed_form"],
+                     "gate_teleport.r_gate_t", "gates.yb_spectral", "teleport.completeness_residuals",
+                     "teleport.transpose_asymmetry_margin", "teleport.u_gate", "teleport.v_gate",
+                     "teleport.w_braid_closed_form"],
                     "waits for ROADMAP item 2's verify identities"),
 }
 

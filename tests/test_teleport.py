@@ -9,7 +9,7 @@ from braidtel.linalg import fidelity, is_unitary, max_abs_diff
 from braidtel.teleport import (
     BIT_PAIRS,
     IDENTITY_VARIANTS,
-    braid_teleportation_residual,
+    _braid_protocol,
     check_teleportation_identity,
     completeness_residuals,
     extract_phases,
@@ -21,7 +21,7 @@ from braidtel.teleport import (
     v_gate,
     w_braid_closed_form,
 )
-from registers import random_ket
+from registers import identity_residual, random_ket
 from tables import w_braid_correction
 
 
@@ -82,7 +82,7 @@ def test_braid_correction_closed_form():
 
 @pytest.mark.parametrize("phi", [0.0, 0.8])
 def test_braid_expansion_residual(phi):
-    assert braid_teleportation_residual(phi) < 1e-12
+    assert _braid_protocol(phi).every_branch < 1e-12
 
 
 def test_both_measurement_families_complete():
@@ -91,15 +91,17 @@ def test_both_measurement_families_complete():
     assert residuals["bell_like"] < 1e-12
 
 
-@pytest.mark.parametrize("variant", IDENTITY_VARIANTS)
+@pytest.mark.parametrize("variant", ("standard", "bell-like", *IDENTITY_VARIANTS))
 @pytest.mark.parametrize("phi", [0.0, 0.9])
 def test_identity_variants(variant, phi):
-    assert check_teleportation_identity(variant, phi=phi) < 1e-10
+    assert identity_residual(variant, phi) < 1e-10
 
 
 def test_unknown_identity_variant_raises():
     with pytest.raises(ValueError):
         check_teleportation_identity("bogus")
+    with pytest.raises(ValueError):  # the front flows are the report protocols' every-branch rows
+        check_teleportation_identity("standard")
 
 
 def test_transpose_route_differs_from_naive_transpose():

@@ -18,9 +18,9 @@ from braidtel import algebra, cli, gate_teleport, tangles, teleport
 from braidtel.algebra import brauer_teleportation_residuals
 from braidtel.gate_teleport import (
     _b0_layers,
-    b0_forward_residual,
+    _double_protocol,
+    _gate_protocol,
     b0_reverse_residual,
-    double_protocol_residuals,
     k_gate,
     l_gate,
     p_correction,
@@ -35,11 +35,10 @@ from braidtel.linalg import basis_ket, conj, dagger, kron, mul, outer, transpose
 from braidtel.teleport import (
     BIT_PAIRS,
     _braid_protocol,
-    braid_teleportation_residual,
     check_teleportation_identity,
     teleport_with_yb,
 )
-from registers import random_ket
+from registers import identity_residual, random_ket
 from tables import table_max
 from test_protocol_constants import _module_caches
 
@@ -131,12 +130,12 @@ def _brauer_oracle():
 @pytest.mark.parametrize("phi", PHIS)
 def test_routed_identities_match_their_kron_oracles(phi):
     for variant in VECTOR_VARIANTS:
-        assert abs(check_teleportation_identity(variant, phi) - _identity_oracle(variant, phi)) <= 1e-15
+        assert abs(identity_residual(variant, phi) - _identity_oracle(variant, phi)) <= 1e-15
     stacked, oracle = tangles.projector_teleportation_residuals(phi), _projector_oracle(phi)
     assert set(stacked) == set(oracle)
     for c in oracle:
         assert abs(stacked[c] - oracle[c]) <= 1e-15, c
-    assert abs(braid_teleportation_residual(phi) - _braid_oracle(phi)) <= 1e-15
+    assert abs(_braid_protocol(phi).every_branch - _braid_oracle(phi)) <= 1e-15
 
 
 # The operator residual D = d <psi| of a projector-channel form has rank one,
@@ -159,7 +158,7 @@ def test_b0_residuals_match_their_kron_oracles():
     front, back = _b0_layers()
     forward = _resource_oracle(mul(front, back), k_gate, kron)
     reverse = _resource_oracle(mul(back, front), l_gate, lambda a, b: kron(b, a))
-    assert abs(b0_forward_residual() - forward) <= 1e-15
+    assert abs(_gate_protocol(I2).every_branch - forward) <= 1e-15
     assert abs(b0_reverse_residual() - reverse) <= 1e-15
 
 
@@ -176,14 +175,14 @@ def test_brauer_residuals_match_their_kron_oracles():
 def _families():
     """Every routed identity as a zero-argument call, at a generic phase."""
     phi = 0.3
-    calls = {variant: (lambda v=variant: check_teleportation_identity(v, phi)) for variant in VECTOR_VARIANTS + CHANNEL_VARIANTS}
+    calls = {variant: (lambda v=variant: identity_residual(v, phi)) for variant in VECTOR_VARIANTS + CHANNEL_VARIANTS}
     calls.update({
         f"transfer-{c}": (lambda c=c: tangles.projector_teleportation_residuals(phi)[c]) for c in (1, 2, 3, 4)
     })
-    calls["braid"] = lambda: braid_teleportation_residual(phi)
-    calls["b0-forward"] = b0_forward_residual
+    calls["braid"] = lambda: _braid_protocol(phi).every_branch
+    calls["b0-forward"] = lambda: _gate_protocol(I2).every_branch
     calls["b0-reverse"] = b0_reverse_residual
-    calls["double"] = lambda: double_protocol_residuals()["single-middle"]
+    calls["double"] = lambda: _double_protocol().every_branch
     calls["brauer-projector"] = lambda: brauer_teleportation_residuals()["projector"]
     return calls
 
@@ -265,7 +264,7 @@ def test_the_brauer_projector_identity_fails_on_a_wrong_projector(cold_tables, m
 def test_each_bell_like_flow_fails_on_the_other_flows_table(monkeypatch, variant, phi):
     real = teleport._bell_like_corrections
     monkeypatch.setattr(teleport, "_bell_like_corrections", lambda p, mirror=False: real(p, not mirror))
-    assert check_teleportation_identity(variant, phi) >= 0.5
+    assert identity_residual(variant, phi) >= 0.5
 
 
 # ------------------------------------------------------ protocol residual
