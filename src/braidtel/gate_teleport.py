@@ -81,26 +81,21 @@ def _pauli_strings(n: int) -> tuple[tuple, np.ndarray]:
 def recognize_pauli(op: np.ndarray) -> PauliString | None:
     """Match op against a PauliString, or return None.
 
-    All 4^n strings P of an op on 1..3 qubits, a cached stack of at most 64 8x8, are tested
-    in one pass, each anchored at its one nonzero entry in row 0: theta is op over P there,
-    scaled to unit modulus, and P matches when max |op - theta P| <= DEFAULT_TOL (at most one
-    does: two strings differ by 1 in some entry).  Its theta must be within DEFAULT_TOL of 1, -1, i or -i.
+    op is projected onto all 4^n strings P of 1..3 qubits (a cached stack of at most 64 8x8),
+    c_P = tr(P^dag op) / 2^n.  The string with the largest |c_P| and the unit phase u in
+    {1, -1, i, -i} nearest its c_P match when max |op - u P| <= DEFAULT_TOL.  That is exactly
+    "op is within DEFAULT_TOL of a signed Pauli string": there every other |c_P| is at most
+    DEFAULT_TOL, and two signed strings differ by at least 1 in some entry, so at most one matches.
     """
     op = np.asarray(op, dtype=complex)
     n = op.shape[0].bit_length() - 1 if op.ndim == 2 else 0
     if not 1 <= n <= 3 or op.shape != (2**n, 2**n):
         raise ValueError("expected a square power-of-two operator on 1..3 qubits")
     names, strings = _pauli_strings(n)
-    anchors = np.argmax(np.abs(strings[:, 0]), axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zero anchor in op gives nan: no match
-        theta = op[0, anchors] / strings[np.arange(len(strings)), 0, anchors]
-        theta = theta / np.abs(theta)
-    hits = np.flatnonzero(np.abs(op - theta[:, None, None] * strings).max(axis=(1, 2)) <= DEFAULT_TOL)
-    if not hits.size:
-        return None
-    theta = theta[hits[0]]
-    snapped = min(_UNIT_PHASES, key=lambda u: abs(u - theta))
-    return PauliString(snapped, names[hits[0]]) if abs(snapped - theta) <= DEFAULT_TOL else None
+    coeffs = np.conj(strings.reshape(len(names), -1)) @ op.reshape(-1) / 2**n
+    best = int(np.argmax(np.abs(coeffs)))
+    phase = min(_UNIT_PHASES, key=lambda u: abs(u - coeffs[best]))
+    return PauliString(phase, names[best]) if max_abs_diff(op, phase * strings[best]) <= DEFAULT_TOL else None
 
 
 def clifford_check(u: np.ndarray):

@@ -45,12 +45,6 @@ def ket(amps, normalize: bool = False) -> np.ndarray:
     return v
 
 
-def basis_ket(index: int, dim: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
-
-
 def kron(*ops: np.ndarray) -> np.ndarray:
     """Tensor product of one or more matrices/vectors/stacks, left to right, with np.kron's bits.
 
@@ -136,32 +130,6 @@ def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
 def approx_eq(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """Entrywise max-distance comparison."""
     return max_abs_diff(a, b) <= tol
-
-
-def approx_eq_phase(a: np.ndarray, b: np.ndarray):
-    """Return the unit phase theta with a = theta * b, or None.
-
-    The phase is read off at the largest-modulus entry of the reference b
-    (ties broken by lowest row-major index), which keeps the result
-    deterministic and avoids dividing by near-zero entries.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    flat_b = b.reshape(-1)
-    anchor = int(np.argmax(np.abs(flat_b)))
-    pivot = flat_b[anchor]
-    if abs(pivot) <= DEFAULT_TOL:
-        return 1.0 + 0.0j if approx_eq(a, b) else None
-    theta = a.reshape(-1)[anchor] / pivot
-    mag = abs(theta)
-    if mag == 0:
-        return None
-    theta /= mag
-    if max_abs_diff(a, theta * b) <= DEFAULT_TOL:
-        return complex(theta)
-    return None
 
 
 def is_unitary(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

@@ -67,8 +67,6 @@ from .gates import (
 from .linalg import (
     DEFAULT_TOL,
     STRICT_TOL,
-    approx_eq_phase,
-    basis_ket,
     conj,
     dagger,
     frozen,
@@ -309,9 +307,10 @@ def phase_table(phi: float) -> PhaseTable:
 def extract_phases(phi: float) -> PhaseTable:
     """Fit the phases in B|ij> = e^{i a}(R x RH)|psi(ji)> and its inverse.
 
-    The phases are measured numerically per index pair (no closed form is
-    assumed) and validated by rebuilding B from them in both directions.
-    The protocols read the closed form phase_table; this fit cross-checks it.
+    Each a is measured (no closed form is assumed) as the argument of <target|col>, and column ij
+    must lie within DEFAULT_TOL of e^{i a} target (else ValueError); the table is then validated
+    by rebuilding B from it in both directions.  The protocols read the closed form phase_table;
+    this fit cross-checks it.
     """
     b = yb_gate(phi)
     local = kron(phase_shift(phi), phase_shift(phi) @ H)
@@ -321,13 +320,14 @@ def extract_phases(phi: float) -> PhaseTable:
     # B|ij> lands on psi(ji), B^dag|ij> on psi(j+1, i+1)
     for name, op, phases, shift in (("B", b, alpha_b, 0), ("B^dag", dagger(b), alpha_bd, 1)):
         for i, j in BIT_PAIRS:
-            col = op @ basis_ket(2 * i + j, 4)
+            col = op[:, 2 * i + j]
             target = local @ bell_state((j + shift) % 2, (i + shift) % 2)
-            theta = approx_eq_phase(col, target)
-            if theta is None:
+            alpha = cmath.phase(np.vdot(target, col))
+            residual = max_abs_diff(col, cmath.exp(1j * alpha) * target)
+            if residual > DEFAULT_TOL:
                 raise ValueError(f"{name}|{i}{j}> is not a phased Bell state at phi={phi}")
-            worst = max(worst, max_abs_diff(col, theta * target))
-            phases[(i, j)] = math.atan2(theta.imag, theta.real)
+            worst = max(worst, residual)
+            phases[(i, j)] = alpha
 
     table = PhaseTable(phi=phi, alpha_b=alpha_b, alpha_b_dagger=alpha_bd, max_residual=worst)
     _checked_gates(table, b)

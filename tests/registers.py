@@ -4,8 +4,15 @@ import numpy as np
 
 from braidtel.entanglement import _local_invariants, _special_unitary
 from braidtel.gate_teleport import _PAULI_BY_LABEL, PauliString
-from braidtel.linalg import basis_ket, is_unitary, ket, kron
+from braidtel.linalg import is_unitary, ket, kron
 from braidtel.teleport import _bell_like_protocol, _standard_protocol, check_teleportation_identity
+
+
+def basis_ket(index: int, dim: int) -> np.ndarray:
+    """The computational basis state |index> of a dim-dimensional register."""
+    v = np.zeros(dim, dtype=complex)
+    v[index] = 1.0
+    return v
 
 
 def random_ket(rng: np.random.Generator, dim: int = 2) -> np.ndarray:

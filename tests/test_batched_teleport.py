@@ -17,9 +17,9 @@ import pytest
 from braidtel import cli, gate_teleport, teleport
 from braidtel.gate_teleport import teleport_single_gate, teleport_two_qubit
 from braidtel.gates import EPR, elementary, yb_clifford
-from braidtel.linalg import basis_ket, conj, dagger, fidelity, identity, kron, mul
+from braidtel.linalg import conj, dagger, fidelity, identity, kron, mul
 from braidtel.teleport import BIT_PAIRS, teleport_bell_like, teleport_standard, teleport_with_yb
-from registers import double_input
+from registers import basis_ket, double_input
 from tables import w_braid_correction
 
 VARIANTS = cli.TELEPORT_VARIANTS

@@ -30,9 +30,9 @@ from braidtel.gate_teleport import (
     teleport_two_qubit,
 )
 from braidtel.gates import EPR, I2, H, S, X, Z, elementary, pauli_w, t_gate, yb_clifford
-from braidtel.linalg import basis_ket, dagger, embed, fidelity, identity, is_unitary, kron, max_abs_diff, mul
+from braidtel.linalg import dagger, embed, fidelity, identity, is_unitary, kron, max_abs_diff, mul
 from braidtel.teleport import BIT_PAIRS
-from registers import double_input, pauli_matrix, random_ket
+from registers import basis_ket, double_input, pauli_matrix, random_ket
 
 ALL_TUPLES = list(itertools.product((0, 1), repeat=4))
 

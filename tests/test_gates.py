@@ -35,13 +35,13 @@ from braidtel.gates import (
 )
 from braidtel.linalg import (
     approx_eq,
-    basis_ket,
     dagger,
     is_unitary,
     kron,
     max_abs_diff,
     mul,
 )
+from registers import basis_ket
 
 BITS = ((0, 0), (0, 1), (1, 0), (1, 1))
 

@@ -1,16 +1,10 @@
 """Unit checks for the dense matrix helpers."""
 
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from braidtel.linalg import (
     approx_eq,
-    approx_eq_phase,
-    basis_ket,
     dagger,
     embed,
     fidelity,
@@ -24,6 +18,7 @@ from braidtel.linalg import (
     outer,
     transpose,
 )
+from registers import basis_ket
 
 X = mat([[0, 1], [1, 0]])
 Z = mat([[1, 0], [0, -1]])
@@ -34,11 +29,6 @@ def test_ket_normalizes_and_validates():
     assert np.linalg.norm(v) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         ket([0, 0], normalize=True)
-
-
-def test_basis_ket_is_one_hot():
-    v = basis_ket(2, 4)
-    assert v[2] == 1 and np.count_nonzero(v) == 1
 
 
 def test_mul_is_left_to_right():
@@ -70,26 +60,6 @@ def test_outer_shape_and_rank():
 def test_dagger_transpose_conjugate():
     a = mat([[1j, 2], [3, 4j]])
     assert approx_eq(dagger(a), transpose(a).conj())
-
-
-def test_approx_eq_phase_recovers_the_phase():
-    theta = approx_eq_phase(1j * X, X)
-    assert theta is not None
-    assert abs(theta - 1j) < 1e-12
-
-
-def test_approx_eq_phase_rejects_non_proportional():
-    assert approx_eq_phase(X, Z) is None
-    assert approx_eq_phase(np.zeros((2, 2)), X) is None
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.floats(min_value=-math.pi, max_value=math.pi))
-def test_phase_extraction_roundtrip(theta):
-    phase = complex(math.cos(theta), math.sin(theta))
-    recovered = approx_eq_phase(phase * X, X)
-    assert recovered is not None
-    assert abs(recovered - phase) < 1e-9
 
 
 def test_is_unitary():

@@ -17,9 +17,9 @@ import braidtel
 from braidtel import algebra, cli, entanglement, gate_teleport, gates, tangles, teleport
 from braidtel.gate_teleport import teleport_single_gate, teleport_two_qubit
 from braidtel.gates import H
-from braidtel.linalg import basis_ket, kron
+from braidtel.linalg import kron
 from braidtel.teleport import BIT_PAIRS, phase_table, teleport_bell_like, teleport_with_yb
-from registers import double_input
+from registers import basis_ket, double_input
 from tables import w_braid_correction
 from test_golden import CASES, GOLDEN_DIR, golden_name
 

@@ -36,8 +36,6 @@ ALLOWED = {
                      "teleport.teleport_standard", "teleport.teleport_bell_like", "teleport.extract_phases",
                      "linalg.embed"], "perfbench/run.py reads it by name"),
     "algebra.RelationReport.entries": "perfbench/tracing.py counts relations by it",
-    **dict.fromkeys(["linalg.approx_eq_phase", "linalg.basis_ket"],
-                    "called by extract_phases, which perfbench/run.py reads by name"),
     "linalg.ket": "import-time only: builds gates.EPR (and checks one-instance inputs)",
     **dict.fromkeys(["gate_teleport.b0_reverse_residual", "gate_teleport.qp_factorization_residual",
                      "gate_teleport.single_gate_closed_form_residuals", "gate_teleport.r_gate_hadamard",

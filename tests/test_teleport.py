@@ -1,11 +1,14 @@
 """State teleportation: protocols, phase tables, and the identity forms."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from braidtel import teleport
 from braidtel.gate_teleport import teleport_single_gate
-from braidtel.gates import H
-from braidtel.linalg import fidelity, is_unitary, max_abs_diff
+from braidtel.gates import H, yb_gate
+from braidtel.linalg import fidelity, identity, is_unitary, max_abs_diff
 from braidtel.teleport import (
     BIT_PAIRS,
     IDENTITY_VARIANTS,
@@ -69,6 +72,22 @@ def test_phase_table_consistency(phi):
     for k, l in BIT_PAIRS:
         assert is_unitary(v_gate(k, l, table))
         assert is_unitary(u_gate(k, l, table))
+
+
+NOT_BELL_TRANSFORMS = {
+    "identity": lambda phi: identity(4),
+    # B with columns 00 and 10 swapped: column 00 is a phase times (R x RH)|psi(01)>, orthogonal to its target
+    "column-00-orthogonal": lambda phi: yb_gate(phi)[:, [2, 1, 0, 3]],
+}
+
+
+@pytest.mark.parametrize("gate", NOT_BELL_TRANSFORMS.values(), ids=NOT_BELL_TRANSFORMS.keys())
+def test_extract_phases_rejects_a_gate_that_is_not_a_phased_bell_transform(gate, monkeypatch):
+    monkeypatch.setattr(teleport, "yb_gate", gate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^B\|00> is not a phased Bell state at phi=0.3$"):
+            extract_phases(0.3)
 
 
 def test_braid_correction_closed_form():

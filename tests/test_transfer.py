@@ -31,14 +31,14 @@ from braidtel.gate_teleport import (
 from braidtel.gates import (
     EPR, I2, bell_like_state, bell_state, brauer_projector, m_gate, pauli_w, permutation_p, t_gate, tl_projector,
 )
-from braidtel.linalg import basis_ket, conj, dagger, kron, mul, outer, transpose
+from braidtel.linalg import conj, dagger, kron, mul, outer, transpose
 from braidtel.teleport import (
     BIT_PAIRS,
     _braid_protocol,
     check_teleportation_identity,
     teleport_with_yb,
 )
-from registers import identity_residual, random_ket
+from registers import basis_ket, identity_residual, random_ket
 from tables import table_max
 from test_protocol_constants import _module_caches
 
