@@ -1,7 +1,12 @@
 """Unit checks for the dense matrix helpers."""
 
+import cmath
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidtel.linalg import (
     approx_eq,
@@ -18,6 +23,8 @@ from braidtel.linalg import (
     outer,
     transpose,
 )
+from braidtel import teleport
+from braidtel.gates import yb_gate
 from registers import basis_ket
 
 X = mat([[0, 1], [1, 0]])
@@ -29,6 +36,27 @@ def test_ket_normalizes_and_validates():
     assert np.linalg.norm(v) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         ket([0, 0], normalize=True)
+
+
+def test_basis_ket_is_one_hot():
+    v = basis_ket(2, 4)
+    assert v[2] == 1 and np.count_nonzero(v) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(min_value=-math.pi, max_value=math.pi))
+def test_phase_extraction_roundtrip(theta):
+    """A global phase e^{i theta} on B is read back by the inner products: +theta on B, -theta on B^dag."""
+    phase = cmath.exp(1j * theta)
+    plain = teleport.extract_phases(0.7)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(teleport, "yb_gate", lambda phi: phase * yb_gate(phi))
+        phased = teleport.extract_phases(0.7)
+    assert phased.max_residual < 1e-12
+    for pair, alpha in plain.alpha_b.items():
+        assert abs(cmath.exp(1j * phased.alpha_b[pair]) - phase * cmath.exp(1j * alpha)) < 1e-9
+    for pair, alpha in plain.alpha_b_dagger.items():
+        assert abs(cmath.exp(1j * phased.alpha_b_dagger[pair]) - cmath.exp(1j * alpha) / phase) < 1e-9
 
 
 def test_mul_is_left_to_right():
