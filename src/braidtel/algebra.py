@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gates import EPR, I2, bell_state, brauer_projector, permutation_p
-from .teleport import BIT_PAIRS, _KEPT_BRANCH, Protocol, _protocol_residual
+from .teleport import BIT_PAIRS, UnitaryBasis, _projector_channel
 from .linalg import (
     DEFAULT_TOL,
     dagger,
@@ -326,18 +326,16 @@ def brauer_teleportation_residuals() -> MappingProxyType:
     Each is checked as an equality of maps on the inputs where it is stated, its residual the Frobenius
     norm of the difference, which bounds the residual at every unit input: the Bell projector pulling a
     state alpha through the resource with weight 1/2, (E x 1)(alpha x EPR) = 1/2 EPR x alpha, as a
-    Protocol; the double swap moving alpha across a basis pair, (1 x P)(P x 1)|alpha>|kl> = |kl>|alpha>,
+    projector channel; the double swap moving alpha across a basis pair, (1 x P)(P x 1)|alpha>|kl> = |kl>|alpha>,
     the largest norm over kl; and the tangle product collapsing to twice the nested projector action,
     (P x 1)(1 x P)(EPR x alpha) = 2 (1 x E)(EPR x alpha).  Also reports the cup-cap expansion of SWAP as
     a matrix identity, its largest entry.  No identity reads phi or a seed.
     """
     E, P = brauer_projector(), permutation_p()
-    bells = np.array([bell_state(i, j) for i, j in BIT_PAIRS])
-    project = Protocol(kron(E, I2) @ kron(I2, EPR[:, None]), _KEPT_BRANCH[None], bells, I2)
     swap = mul(kron(I2, P), kron(P, I2)) - identity(8)[:, np.arange(8).reshape(4, 2).T.ravel()]  # |a kl> -> |kl a>
     tangle = (mul(kron(P, I2), kron(I2, P)) - 2.0 * kron(I2, E)) @ kron(EPR[:, None], I2)
     return MappingProxyType({
-        "projector": _protocol_residual(project),
+        "projector": _projector_channel(UnitaryBasis.pauli(), E, True).every_branch,
         "swap": max(float(np.linalg.norm(swap[:, kl::4])) for kl in range(4)),
         "tangle": float(np.linalg.norm(tangle)),
         "cup-cap": max_abs_diff(swap_cup_cap_expansion(), P),

@@ -9,10 +9,12 @@ projective measurement, classical correction):
              measurement, correction W_{i,j,k,l}
 
 A protocol is always a Protocol: its read-only (op, table, kets) triple, its
-branch tensor and the gate it applies, built together by one builder.  The
-standard and double protocols are built once per process and shared.  The
-Bell-like, braid and gate protocols are built on every call: a report builds
-its protocol once, at its own phi or gate, so a cache of them is never hit.
+branch tensor and the gate it applies, built together.  _basis_protocol builds
+every Bell-type one from a UnitaryBasis, in its front or mirror flow, and
+_projector_channel puts E (x) 1 after it; standard teleportation is the Pauli
+case, where W_00 = 1.  Only the standard and double protocols are cached: a
+report builds its Bell-like, braid or gate protocol once, at its own phi or
+gate, so a cache of them would never be hit.
 branch[r] maps an input ket at resource r to its M unnormalized
 post-measurement states, (<v_m| (x) 1) op with the input placed at r, so
 _branches is one gathered batched matvec.  _teleport samples m by the Born
@@ -25,18 +27,18 @@ every teleport report.
 The teleport_* functions are one-instance calls.  UnitaryBasis is the one
 Bell-like basis: its Pauli instance and its per-phi M_ij instance give the
 protocols their kets and corrections and the tangle constraints their gates.
-The M_ij basis is built, self-checked and frozen once per phi; each call
-multiplies out of it the Bell-like correction table of the one flow it reads.
+The M_ij basis is built, self-checked and frozen once per phi; each build
+of a Bell-like protocol multiplies out of it the table of its one flow.
 The braid table reads the closed-form phases of phase_table; extract_phases
 fits the same phases numerically and is kept as its cross-check.
 
 Each protocol's identity is its builder's every_branch, the row its report
 prints: _standard_protocol(), _bell_like_protocol(phi), _braid_protocol(phi),
 and gate_teleport's gate and double protocols.  check_teleportation_identity
-checks the variants no report builds, the -transpose mirrors and projector
-channels, each a Protocol read by _protocol_residual as verify brauer's
-projector identity is; flow is checked on the four W_ij.  No residual reads a
-seed: only outcomes are sampled, with Born-rule probabilities computed exactly.
+reads the variants no report builds, the mirrors and projector channels, off
+the same two builders, as verify brauer's projector row does; flow is checked
+on the four W_ij.  No residual reads a seed: only outcomes are sampled, with
+Born-rule probabilities computed exactly.
 """
 
 from __future__ import annotations
@@ -242,12 +244,6 @@ def _bell_like_basis(phi: float) -> UnitaryBasis:
     return basis
 
 
-def _bell_like_corrections(phi: float, mirror: bool = False) -> np.ndarray:
-    """M00 M*_ij stacked over ij, the corrections of the front flow, or M00^T M^dag_ij, the mirror flow's."""
-    m = UnitaryBasis.bell_like(phi).u
-    return transpose(m[0]) @ dagger(m) if mirror else m[0] @ conj(m)
-
-
 def _braid_protocol(phi: float) -> Protocol:
     """The braid protocol at phi: op (B x 1)(1 x B), table the B-checked W_ijkl = V_kl U^T_ij, product kets."""
     b = yb_gate(phi)
@@ -264,17 +260,34 @@ def _correction_table(correction, *args) -> np.ndarray:
     return np.array([[correction(i, j, k, l, *args) for i, j in BIT_PAIRS] for k, l in BIT_PAIRS])
 
 
+def _basis_protocol(basis: UnitaryBasis, front: bool) -> Protocol:
+    """basis's protocol, resource v_0 = states[0] and kets v_m = states[m]: x (x) v_0 = 1/2 sum_m v_m (x) C_m x or its mirror.
+
+    Front flow: op x -> x (x) v_0, table C_m = U_00 U*_m.  Mirror flow: op x -> v_0 (x) x with the output
+    rotated |a b c> -> |b c a>, so the measured pair comes first, table C_m = U_00^T U^dag_m.
+    """
+    u, resource = basis.u, basis.states[0][:, None]
+    if front:
+        return Protocol(kron(I2, resource), (u[0] @ conj(u))[None], basis.states, I2)
+    op = kron(resource, I2).reshape(2, 2, 2, 2).transpose(1, 2, 0, 3).reshape(8, 2)
+    return Protocol(op, (transpose(u[0]) @ dagger(u))[None], basis.states, I2)
+
+
+def _projector_channel(basis: UnitaryBasis, e: np.ndarray, front: bool) -> Protocol:
+    """(E (x) 1) applied after _basis_protocol(basis, front)'s op, which puts the measured pair in front in both flows."""
+    op, _, kets = _basis_protocol(basis, front)
+    return Protocol(kron(e, I2) @ op, _KEPT_BRANCH[None], kets, I2)
+
+
 @functools.lru_cache(maxsize=None)
 def _standard_protocol() -> Protocol:
-    """The standard protocol, built once: op alpha -> alpha (x) EPR, table W_ij, Bell kets."""
-    basis = UnitaryBasis.pauli()
-    return Protocol(kron(I2, EPR[:, None]), basis.u[None], basis.states, I2)
+    """The standard protocol, built once: the Pauli basis's front flow, op alpha -> alpha (x) EPR, table W_ij."""
+    return _basis_protocol(UnitaryBasis.pauli(), True)
 
 
 def _bell_like_protocol(phi: float) -> Protocol:
-    """The Bell-like protocol at phi: op alpha -> alpha (x) |Psi_M00>, table M00 M*_ij, E_ij kets."""
-    kets = UnitaryBasis.bell_like(phi).states
-    return Protocol(kron(I2, kets[0][:, None]), _bell_like_corrections(phi)[None], kets, I2)
+    """The Bell-like protocol at phi: the M_ij basis's front flow, op alpha -> alpha (x) |Psi_M00>, table M00 M*_ij."""
+    return _basis_protocol(UnitaryBasis.bell_like(phi), True)
 
 
 def teleport_standard(alpha: np.ndarray, rng_seed: int = 42):
@@ -412,13 +425,10 @@ IDENTITY_VARIANTS = (
 def check_teleportation_identity(variant: str, phi: float = 0.0) -> float:
     """Residual of one teleportation identity that no report builds: the Frobenius norm of the map x -> lhs - rhs.
 
-    The front identities x (x) v_0 = 1/2 sum_m v_m (x) C_m x are _standard_protocol()'s and
-    _bell_like_protocol(phi)'s every_branch.  Their -transpose mirrors v_0 (x) x = 1/2 sum_m C_m x (x) v_m
-    are Protocols, op x -> v_0 (x) x with the output qubits rotated |a b c> -> |b c a> to put the
-    measured pair in front, read by _protocol_residual as equalities of maps.  The projector-channel forms
-    (E00 (x) 1)(a (x) E00) = 1/2 |psi (x) a><psi| and their mirror are the vector identity times
-    <psi|, because E00 = |psi><psi|, so they are op (E00 (x) 1)(x (x) psi) over the complete
-    Bell-like basis, where only branch 0 survives, uncorrected.  flow compares (1 (x) u)|EPR> with
+    The -transpose variants are the mirror flows v_0 (x) x = 1/2 sum_m C_m x (x) v_m, the every_branch of
+    _basis_protocol(basis, False).  The projector-channel forms (E00 (x) 1)(a (x) E00) = 1/2 |psi (x) a><psi|
+    and their mirror are the vector identity times <psi|, because E00 = |psi><psi|: _projector_channel of
+    the complete Bell-like basis, where only branch 0 survives, uncorrected.  flow compares (1 (x) u)|EPR> with
     (u^T (x) 1)|EPR> for the four W_ij and takes the root-sum-square: the identity is linear in u and
     a unitary u is sum_ij c_ij W_ij with sum_ij |c_ij|^2 = 1, so that bounds its residual at every u.
     """
@@ -428,18 +438,9 @@ def check_teleportation_identity(variant: str, phi: float = 0.0) -> float:
         raise ValueError(f"unknown identity variant {variant!r}")
     family, front = variant.removesuffix("-transpose"), not variant.endswith("-transpose")
     basis = UnitaryBasis.pauli() if family == "standard" else UnitaryBasis.bell_like(phi)
-    resource = basis.states[0][:, None]
-    op = kron(I2, resource) if front else kron(resource, I2)
-    if family == "standard":
-        table = transpose(basis.u)
-    elif family == "bell-like":
-        table = _bell_like_corrections(phi, mirror=True)
-    else:
-        e00 = tl_projector(0, 0, phi)
-        op, table = (kron(e00, I2) if front else kron(I2, e00)) @ op, _KEPT_BRANCH
-    if not front:
-        op = op.reshape(2, 2, 2, 2).transpose(1, 2, 0, 3).reshape(8, 2)
-    return _protocol_residual(Protocol(op, table[None], basis.states, I2))
+    if family == "projector-channel":
+        return _projector_channel(basis, tl_projector(0, 0, phi), front).every_branch
+    return _basis_protocol(basis, front).every_branch
 
 
 def transpose_asymmetry_margin(phi: float) -> float:
@@ -449,4 +450,4 @@ def transpose_asymmetry_margin(phi: float) -> float:
     directions; the Bell-like protocol does not, and this margin is the
     entrywise witness of that asymmetry.
     """
-    return max_abs_diff(transpose(_bell_like_corrections(phi)), _bell_like_corrections(phi, mirror=True))
+    return max_abs_diff(transpose(_bell_like_protocol(phi)[1][0]), _basis_protocol(UnitaryBasis.bell_like(phi), False)[1][0])

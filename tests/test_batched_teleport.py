@@ -67,8 +67,9 @@ def _loop_instance(variant: str, phi: float, alpha, bits, rng, tables):
         basis = teleport.UnitaryBasis.pauli()
         state, kets, corrections = kron(alpha, EPR), basis.states, basis.u
     elif variant == "bell-like":
-        kets = teleport.UnitaryBasis.bell_like(phi).states
-        state, corrections = kron(alpha, kets[0]), teleport._bell_like_corrections(phi)
+        basis = teleport.UnitaryBasis.bell_like(phi)
+        kets = basis.states
+        state, corrections = kron(alpha, kets[0]), basis.u[0] @ conj(basis.u)
     elif variant == "yang-baxter":
         op, table, kets = tables
         state, corrections = op @ kron(alpha, basis_ket(r, 4)), table[r]

@@ -31,7 +31,7 @@ from braidtel.tangles import (
     solve_pauli_eigenvalues,
     spectral_constraint_residuals,
 )
-from braidtel.teleport import BIT_PAIRS, _standard_protocol
+from braidtel.teleport import BIT_PAIRS, _basis_protocol, _standard_protocol
 from tables import pauli_scalar_coefficient, random_gate_coefficients, table_max, unimodularity_residual
 
 # sign/frequency patterns printed for the (0,0) system, in solver order
@@ -180,7 +180,14 @@ def test_states_are_the_basis_gates_on_the_epr_pair(basis):
 
 
 def test_the_pauli_basis_is_the_standard_protocols_correction_table():
-    assert np.array_equal(UnitaryBasis.pauli().u, _standard_protocol()[1][0])
+    """W_ij is the front flow's table and W_ij^T the mirror flow's, compared by value and not by bytes.
+
+    The one builder multiplies W_00 = 1 into conj(W) and W^dag, which can flip the sign of a real zero;
+    np.array_equal reads -0.0 == 0.0, and no report prints the table.
+    """
+    w = UnitaryBasis.pauli().u
+    assert np.array_equal(w, _standard_protocol()[1][0])
+    assert np.array_equal(transpose(w), _basis_protocol(UnitaryBasis.pauli(), False)[1][0])
 
 
 def test_assignment_unimodularity_residual():

@@ -193,7 +193,7 @@ FAMILIES = tuple(_families())
 def _patch_evaluators(monkeypatch, protocol):
     """Route every family through a mutated _protocol_residual."""
     original = teleport._protocol_residual
-    for module in (teleport, gate_teleport, algebra):
+    for module in (teleport, gate_teleport):
         monkeypatch.setattr(module, "_protocol_residual", lambda *args: protocol(original, *args))
 
 
@@ -262,8 +262,14 @@ def test_the_brauer_projector_identity_fails_on_a_wrong_projector(cold_tables, m
 @pytest.mark.parametrize("variant", ("bell-like", "bell-like-transpose"))
 @pytest.mark.parametrize("phi", PHIS)
 def test_each_bell_like_flow_fails_on_the_other_flows_table(monkeypatch, variant, phi):
-    real = teleport._bell_like_corrections
-    monkeypatch.setattr(teleport, "_bell_like_corrections", lambda p, mirror=False: real(p, not mirror))
+    real = teleport._basis_protocol
+
+    def other_flows_table(basis, front):
+        protocol = real(basis, front)
+        op, _, kets = protocol
+        return teleport.Protocol(op, real(basis, not front)[1], kets, protocol.gate)
+
+    monkeypatch.setattr(teleport, "_basis_protocol", other_flows_table)
     assert identity_residual(variant, phi) >= 0.5
 
 
