@@ -55,7 +55,6 @@ from .tangles import (
 from .teleport import (
     MeasurementOutcome,
     UnitaryBasis,
-    check_teleportation_identity,
     teleport_bell_like,
     teleport_standard,
     teleport_with_yb,
@@ -84,7 +83,6 @@ __all__ = [
     "canonical_params",
     "check_all",
     "check_brauer",
-    "check_teleportation_identity",
     "clifford_check",
     "decompose_b",
     "derive_params",

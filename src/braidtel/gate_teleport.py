@@ -31,14 +31,7 @@ from .linalg import (
     mul,
 )
 from .gates import I2, X, Y, Z, H, _check_bits, t_gate, pauli_w, x_pow, yb_clifford, z_pow
-from .teleport import (
-    BIT_PAIRS,
-    Protocol,
-    _correction_table,
-    _one,
-    _one_qubit,
-    _protocol_residual,
-)
+from .teleport import BIT_PAIRS, Protocol, _correction_table, _one, _one_qubit
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
 
@@ -184,7 +177,7 @@ def b0_reverse_residual() -> float:
     """
     front, back = _b0_layers()
     rotated = mul(back, front).reshape((2,) * 6).transpose(1, 2, 0, 5, 3, 4).reshape(8, 8)
-    return _protocol_residual(Protocol(rotated, _kl_tables()[1], identity(4), I2))
+    return Protocol(rotated, _kl_tables()[1], identity(4), I2).every_branch
 
 
 def _gate_protocol(u: np.ndarray) -> Protocol:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .linalg import (
     transpose,
 )
 from .gates import B_EIGENVALUES, bell_state
-from .teleport import BIT_PAIRS, UnitaryBasis, _bell_like_protocol, _stack, check_teleportation_identity
+from .teleport import BIT_PAIRS, UnitaryBasis, _basis_protocol, _stack
 
 CONSTRAINT_IDS = (1, 2, 3, 4)
 
@@ -154,12 +154,13 @@ def projector_teleportation_residuals(phi: float) -> dict[int, float]:
     """The four state-level identities tied to the quadratic constraints.
 
     Identities 1 and 2 move an unknown state across the Bell-like resource in either direction:
-    the Bell-like protocol's every_branch and check_teleportation_identity's bell-like-transpose.  3 and 4
-    are their bra forms, with every ket, input and correction conjugated; conjugation is
-    exact in floating point, so they are the values of 1 and 2 and add no independent
-    check.  Residuals are Frobenius norms of the residual maps.
+    they are the every_branch of _basis_protocol(UnitaryBasis.bell_like(phi), front), the front
+    flow (the Bell-like protocol) and the mirror flow.  3 and 4 are their bra forms, with every
+    ket, input and correction conjugated; conjugation is exact in floating point, so they are
+    the values of 1 and 2 and add no independent check.  Residuals are Frobenius norms of the
+    residual maps.
     """
-    ket, mirror = _bell_like_protocol(phi).every_branch, check_teleportation_identity("bell-like-transpose", phi)
+    ket, mirror = (_basis_protocol(UnitaryBasis.bell_like(phi), front).every_branch for front in (True, False))
     return dict(zip(CONSTRAINT_IDS, (ket, mirror, ket, mirror)))
 
 
@@ -238,7 +239,7 @@ class SolutionClass:
 
 _SAMPLE_PHIS = (0.3, 0.7, 1.9)
 
-_DEDUP_PHI = 0.3
+_ORDER_PHI = 0.3
 
 # mu_00 = exp(i phi); the other three entries take every (sign, frequency)
 _PATTERNS = tuple(
@@ -281,13 +282,9 @@ def _pattern_residuals(m: int, n: int, phis=_SAMPLE_PHIS, patterns=_PATTERNS) ->
 @functools.lru_cache(maxsize=None)
 def _solved_classes(m: int, n: int) -> tuple[SolutionClass, ...]:
     passed = (_pattern_residuals(m, n) <= DEFAULT_TOL).all(axis=1)
-    unique = {}  # survivors keyed by their rounded mu at _DEDUP_PHI
-    for pattern in itertools.compress(_PATTERNS, passed):
-        mu = SolutionClass(0, (m, n), (-1) ** n, pattern).mu_of_phi(_DEDUP_PHI).mu.tolist()
-        unique.setdefault(tuple(round(x, 12) for v in mu for x in (v.real, v.imag)), pattern)
-    ordered = sorted(unique.items(), reverse=True)
-    return tuple(SolutionClass(idx, (m, n), (-1) ** n, pattern)
-                 for idx, (_, pattern) in enumerate(ordered, start=1))
+    survivors = [SolutionClass(0, (m, n), (-1) ** n, pattern) for pattern in itertools.compress(_PATTERNS, passed)]
+    survivors.sort(key=lambda c: c.mu_of_phi(_ORDER_PHI).mu.view(float).tolist(), reverse=True)  # (re, im) pairs
+    return tuple(replace(c, class_id=idx) for idx, c in enumerate(survivors, start=1))
 
 
 def solve_pauli_eigenvalues(m: int, n: int) -> list[SolutionClass]:
@@ -296,8 +293,9 @@ def solve_pauli_eigenvalues(m: int, n: int) -> list[SolutionClass]:
     mu_00 is normalized to exp(i phi); the remaining entries range over
     all sign and frequency choices.  A pattern survives only if all four
     constraints hold within DEFAULT_TOL at every sampled phi.  Surviving
-    patterns are deduplicated by their value at phi=0.3 and sorted by that
-    value, flattened to (real, imag) pairs, in descending order.
+    patterns are sorted by their value at phi=0.3, flattened to (real, imag)
+    pairs, in descending order; any two patterns differ there by at least
+    2 sin 0.3 in some entry, so no two classes tie.
 
     Three samples decide the identity exactly.  With Pauli factors every
     chain and right-hand side is constant in phi, and mu_p mu_q =

@@ -34,11 +34,11 @@ fits the same phases numerically and is kept as its cross-check.
 
 Each protocol's identity is its builder's every_branch, the row its report
 prints: _standard_protocol(), _bell_like_protocol(phi), _braid_protocol(phi),
-and gate_teleport's gate and double protocols.  check_teleportation_identity
-reads the variants no report builds, the mirrors and projector channels, off
-the same two builders, as verify brauer's projector row does; flow is checked
-on the four W_ij.  No residual reads a seed: only outcomes are sampled, with
-Born-rule probabilities computed exactly.
+and gate_teleport's gate and double protocols.  The Bell-like mirror flow,
+_basis_protocol(UnitaryBasis.bell_like(phi), False), is verify constraints'
+transfer identity 2, and _projector_channel is verify brauer's projector row.
+No residual reads a seed: only outcomes are sampled, with Born-rule
+probabilities computed exactly.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gates import (
-    EPR,
     H,
     I2,
     _check_bits,
@@ -411,36 +410,6 @@ def completeness_residuals(phi: float) -> dict:
         "bell": max_abs_diff(bell_sum, identity(4)),
         "bell_like": max_abs_diff(tl_sum, identity(4)),
     }
-
-
-IDENTITY_VARIANTS = (
-    "standard-transpose",
-    "bell-like-transpose",
-    "projector-channel",
-    "projector-channel-transpose",
-    "flow",
-)
-
-
-def check_teleportation_identity(variant: str, phi: float = 0.0) -> float:
-    """Residual of one teleportation identity that no report builds: the Frobenius norm of the map x -> lhs - rhs.
-
-    The -transpose variants are the mirror flows v_0 (x) x = 1/2 sum_m C_m x (x) v_m, the every_branch of
-    _basis_protocol(basis, False).  The projector-channel forms (E00 (x) 1)(a (x) E00) = 1/2 |psi (x) a><psi|
-    and their mirror are the vector identity times <psi|, because E00 = |psi><psi|: _projector_channel of
-    the complete Bell-like basis, where only branch 0 survives, uncorrected.  flow compares (1 (x) u)|EPR> with
-    (u^T (x) 1)|EPR> for the four W_ij and takes the root-sum-square: the identity is linear in u and
-    a unitary u is sum_ij c_ij W_ij with sum_ij |c_ij|^2 = 1, so that bounds its residual at every u.
-    """
-    if variant == "flow":
-        return float(np.linalg.norm([kron(I2, u) @ EPR - kron(transpose(u), I2) @ EPR for u in UnitaryBasis.pauli().u]))
-    if variant not in IDENTITY_VARIANTS:
-        raise ValueError(f"unknown identity variant {variant!r}")
-    family, front = variant.removesuffix("-transpose"), not variant.endswith("-transpose")
-    basis = UnitaryBasis.pauli() if family == "standard" else UnitaryBasis.bell_like(phi)
-    if family == "projector-channel":
-        return _projector_channel(basis, tl_projector(0, 0, phi), front).every_branch
-    return _basis_protocol(basis, front).every_branch
 
 
 def transpose_asymmetry_margin(phi: float) -> float:

@@ -2,10 +2,10 @@
 
 import numpy as np
 
+from braidtel import gates, teleport
 from braidtel.entanglement import _local_invariants, _special_unitary
 from braidtel.gate_teleport import _PAULI_BY_LABEL, PauliString
-from braidtel.linalg import is_unitary, ket, kron
-from braidtel.teleport import _bell_like_protocol, _standard_protocol, check_teleportation_identity
+from braidtel.linalg import is_unitary, ket, kron, transpose
 
 
 def basis_ket(index: int, dim: int) -> np.ndarray:
@@ -40,17 +40,38 @@ def local_invariants(u) -> tuple[complex, complex]:
     return _local_invariants(_special_unitary(u))
 
 
-def identity_residual(variant: str, phi: float) -> float:
-    """The residual of a teleportation identity by variant name, front flows included.
+# The teleportation identities by name: the front flows, their -transpose mirrors, the projector channels and flow.
+IDENTITY_VARIANTS = ("standard", "standard-transpose", "bell-like", "bell-like-transpose",
+                     "projector-channel", "projector-channel-transpose", "flow")
 
-    The standard and bell-like front flows are the every-branch rows of their report protocols;
-    every other variant is check_teleportation_identity's.
+
+def identity_residual(variant: str, phi: float) -> float:
+    """The residual of a teleportation identity by variant name, the Frobenius norm of its map x -> lhs - rhs.
+
+    The standard and bell-like front flows are the every-branch rows of their report protocols.  The
+    -transpose variants are the mirror flows v_0 (x) x = 1/2 sum_m C_m x (x) v_m, the every_branch of
+    _basis_protocol(basis, False).  The projector-channel forms (E00 (x) 1)(a (x) E00) = 1/2 |psi (x) a><psi|
+    and their mirror are the vector identity times <psi|, because E00 = |psi><psi|: _projector_channel of
+    the complete Bell-like basis, where only branch 0 survives, uncorrected.  flow compares (1 (x) u)|EPR> with
+    (u^T (x) 1)|EPR> for the four W_ij and takes the root-sum-square: the identity is linear in u and
+    a unitary u is sum_ij c_ij W_ij with sum_ij |c_ij|^2 = 1, so that bounds its residual at every u.
+    The builders and EPR are read as module attributes, so a test that patches them is read here.
     """
     if variant == "standard":
-        return _standard_protocol().every_branch
+        return teleport._standard_protocol().every_branch
     if variant == "bell-like":
-        return _bell_like_protocol(phi).every_branch
-    return check_teleportation_identity(variant, phi)
+        return teleport._bell_like_protocol(phi).every_branch
+    if variant == "flow":
+        epr, i2 = gates.EPR, gates.I2
+        return float(np.linalg.norm([kron(i2, u) @ epr - kron(transpose(u), i2) @ epr
+                                     for u in teleport.UnitaryBasis.pauli().u]))
+    if variant not in IDENTITY_VARIANTS:
+        raise ValueError(f"unknown identity variant {variant!r}")
+    family, front = variant.removesuffix("-transpose"), not variant.endswith("-transpose")
+    basis = teleport.UnitaryBasis.pauli() if family == "standard" else teleport.UnitaryBasis.bell_like(phi)
+    if family == "projector-channel":
+        return teleport._projector_channel(basis, gates.tl_projector(0, 0, phi), front).every_branch
+    return teleport._basis_protocol(basis, front).every_branch
 
 
 def pauli_matrix(string: PauliString) -> np.ndarray:

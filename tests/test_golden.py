@@ -7,9 +7,15 @@ numbers in it, so a refactor that claims "same behaviour" is checked
 mechanically.  Residuals are printed to 15 significant digits, so the
 residual strings pin the numpy/BLAS build that generated the files at
 the 1e-16 level: a different BLAS may move a last digit with no change
-in the maths.  Changing a golden file is a reviewed act.
+in the maths.  Changing a golden file is a reviewed act: regenerate the
+files in a commit of its own, with the moved reports and the reason in
+CHANGES.md.
+
+Regenerate with:  PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
+import io
 from pathlib import Path
 
 import pytest
@@ -56,3 +62,22 @@ def test_report_matches_golden(argv, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN_DIR / golden_name(argv)).read_text(encoding="utf-8")
+
+
+def write_goldens() -> None:
+    """Rewrite tests/golden/ from CASES: one file per case, and no file that no case names."""
+    names = set()
+    for argv in CASES:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv + ["--format", "json"])
+        if code != 0:
+            raise SystemExit(f"{' '.join(argv)} exited {code}")
+        names.add(golden_name(argv))
+        (GOLDEN_DIR / golden_name(argv)).write_text(out.getvalue(), encoding="utf-8")
+    for stale in {path.name for path in GOLDEN_DIR.glob("*.json")} - names:
+        (GOLDEN_DIR / stale).unlink()
+
+
+if __name__ == "__main__":
+    write_goldens()

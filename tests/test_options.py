@@ -35,7 +35,6 @@ ALLOWED = {
     "tangles._constraint_table.scale": "tangles.concrete_constraint_residuals (1.0)",
     "tangles._pattern_residuals.phis": "cli._solve_rows (_PHI_GRID)",
     "tangles._pattern_residuals.patterns": "cli._solve_rows (the solved classes' patterns)",
-    "teleport.check_teleportation_identity.phi": "tangles.projector_teleportation_residuals",
     "teleport.teleport_with_yb.rng_seed": "the README tour",
     "teleport.teleport_standard.rng_seed": _ONE_INSTANCE_SEED,
     "teleport.teleport_bell_like.rng_seed": _ONE_INSTANCE_SEED,

@@ -254,6 +254,15 @@ def test_solver_reproduces_printed_classes(pauli_basis):
     assert all(sol.epsilon == 1 for sol in classes)
 
 
+# Distinct (s, f) put s e^(i f 0.3) at least 2 sin 0.3 apart in their real or imaginary part, so the solved
+# classes, sorted by their mu at _ORDER_PHI flattened to (real, imag) pairs, never tie.
+def test_patterns_lie_pairwise_apart_at_the_order_phase():
+    mus = (SolutionClass(0, (0, 0), 1, pattern).mu_of_phi(tangles._ORDER_PHI).mu for pattern in tangles._PATTERNS)
+    flat = np.array([mu.view(float) for mu in mus])
+    gaps = np.abs(flat[:, None] - flat[None]).max(axis=2)[~np.eye(len(flat), dtype=bool)]
+    assert len(flat) == 64 and gaps.min() >= 2 * np.sin(tangles._ORDER_PHI) * (1 - 1e-15)
+
+
 def test_solver_epsilon_tracks_second_bit():
     assert all(sol.epsilon == -1 for sol in solve_pauli_eigenvalues(0, 1))
     assert all(sol.epsilon == 1 for sol in solve_pauli_eigenvalues(1, 0))

@@ -11,9 +11,7 @@ from braidtel.gates import H, yb_gate
 from braidtel.linalg import fidelity, identity, is_unitary, max_abs_diff
 from braidtel.teleport import (
     BIT_PAIRS,
-    IDENTITY_VARIANTS,
     _braid_protocol,
-    check_teleportation_identity,
     completeness_residuals,
     extract_phases,
     teleport_bell_like,
@@ -24,7 +22,7 @@ from braidtel.teleport import (
     v_gate,
     w_braid_closed_form,
 )
-from registers import identity_residual, random_ket
+from registers import IDENTITY_VARIANTS, identity_residual, random_ket
 from tables import w_braid_correction
 
 
@@ -110,17 +108,10 @@ def test_both_measurement_families_complete():
     assert residuals["bell_like"] < 1e-12
 
 
-@pytest.mark.parametrize("variant", ("standard", "bell-like", *IDENTITY_VARIANTS))
+@pytest.mark.parametrize("variant", IDENTITY_VARIANTS)
 @pytest.mark.parametrize("phi", [0.0, 0.9])
 def test_identity_variants(variant, phi):
     assert identity_residual(variant, phi) < 1e-10
-
-
-def test_unknown_identity_variant_raises():
-    with pytest.raises(ValueError):
-        check_teleportation_identity("bogus")
-    with pytest.raises(ValueError):  # the front flows are the report protocols' every-branch rows
-        check_teleportation_identity("standard")
 
 
 def test_transpose_route_differs_from_naive_transpose():

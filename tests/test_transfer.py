@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from braidtel import algebra, cli, gate_teleport, tangles, teleport
+from braidtel import algebra, cli, gate_teleport, gates, tangles, teleport
 from braidtel.algebra import brauer_teleportation_residuals
 from braidtel.gate_teleport import (
     _b0_layers,
@@ -35,7 +35,6 @@ from braidtel.linalg import conj, dagger, kron, mul, outer, transpose
 from braidtel.teleport import (
     BIT_PAIRS,
     _braid_protocol,
-    check_teleportation_identity,
     teleport_with_yb,
 )
 from registers import basis_ket, identity_residual, random_ket
@@ -143,7 +142,7 @@ def test_routed_identities_match_their_kron_oracles(phi):
 @pytest.mark.parametrize("phi", PHIS)
 def test_channel_and_flow_identities_match_their_loop_oracles(phi):
     for variant in (*CHANNEL_VARIANTS, "flow"):
-        got, want = check_teleportation_identity(variant, phi), _channel_oracle(variant, phi)
+        got, want = identity_residual(variant, phi), _channel_oracle(variant, phi)
         assert abs(got - want) <= 1e-15, variant
 
 
@@ -193,8 +192,7 @@ FAMILIES = tuple(_families())
 def _patch_evaluators(monkeypatch, protocol):
     """Route every family through a mutated _protocol_residual."""
     original = teleport._protocol_residual
-    for module in (teleport, gate_teleport):
-        monkeypatch.setattr(module, "_protocol_residual", lambda *args: protocol(original, *args))
+    monkeypatch.setattr(teleport, "_protocol_residual", lambda *args: protocol(original, *args))
 
 
 # Bell states are symmetric or antisymmetric under a qubit swap, so reversing the output register leaves
@@ -235,8 +233,8 @@ def test_exchanged_corrections_break_every_family(monkeypatch, cold_tables, fami
 # the identity is linear in u and u = sum_ij c_ij W_ij with sum_ij |c_ij|^2 = 1.
 def test_flow_on_the_four_w_bounds_every_unitary(monkeypatch):
     resource = np.array([0.8, 0, 0, 0.6], dtype=complex)
-    monkeypatch.setattr(teleport, "EPR", resource)
-    bound = check_teleportation_identity("flow")
+    monkeypatch.setattr(gates, "EPR", resource)
+    bound = identity_residual("flow", 0.0)
     rng = np.random.default_rng(2611)
     worst = 0.0
     for _ in range(200):
