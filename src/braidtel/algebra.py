@@ -220,14 +220,13 @@ def _inverse(b: np.ndarray) -> np.ndarray:
 def _window_triples(m: int) -> np.ndarray:
     """Palette rows (x, y, z) of each 3-site product x y z, for m operators on sites (1, 2), then on (2, 3).
 
-    The left-hand sides [TL wing, braid, tangle left and right, matrix forms, mixed wing if m = 3]
+    The left-hand sides [TL wing, braid, tangle left and right (the matrix forms reread them), mixed wing if m = 3]
     come first, then the right-hand sides that are triple products: the braid's and the mixed wing's.
     """
     e1, b1, e2, b2, v1, v2 = 0, 1, m, m + 1, 2, m + 2
     lhs = [
         (e1, e2, e1), (e2, e1, e2), (b1, b2, b1),
         (b2, b1, e2), (e1, b2, b1), (b1, b2, e1), (e2, b1, b2),
-        (b1, b2, e1), (b2, b1, e2), (e1, b2, b1), (e2, b1, b2),
     ]  # fmt: skip
     mixed = m == 3
     rows = lhs + [(b2, e1, b2), (b1, e2, b1)] * mixed + [(b2, b1, b2)] + [(v1, e2, v1), (v2, e1, v2)] * mixed
@@ -247,7 +246,7 @@ def _window_residuals(E: np.ndarray, B: np.ndarray, d: float, params: BmwParams 
     first = triples[:, 0] @ triples[:, 1]  # rows 0 and 1 are e1 e2 and e2 e1
     products = first @ triples[:, 2]
     k = len(products) - (1 if params is None else 3)  # the left-hand sides
-    tangle = d * first[[0, 0, 1, 1, 1, 0, 0, 1]]  # d e_i e_j: tangle left and right (j = i +- 1), matrix forms
+    tangle = d * first[[0, 0, 1, 1]]  # d e_i e_j: tangle left and right (j = i +- 1)
     right = np.concatenate([1.0 / (d * d) * triples[:2, 0], products[k : k + 1], tangle, products[k + 1 :]])
     window = np.abs(products[:k] - right).max(axis=(1, 2))
 
@@ -278,13 +277,13 @@ def _suite(rep: Representation, d: float, tol: float, params: BmwParams | None =
          [w[3:5], w[5:7]]),
     ]
     if rep.n >= 3:
-        table.append(("Tangle", [f"tangle.matrix.{k}" for k in range(1, 5)], "once", [w[7:11]]))
+        table.append(("Tangle", [f"tangle.matrix.{k}" for k in range(1, 5)], "once", [[w[5], w[3], w[4], w[6]]]))
     if params is None:
         table.append(("Brauer", ["brauer.v{i}^2=1", "brauer.e{i}v{i}=e{i}", "brauer.v{i}e{i}=e{i}"], "site", [sq[1:]]))
     else:
         forms = ["mixed.b{i}-b{i}^-1=w(1-d.e{i})", "mixed.e{i}b{i}=sigma.e{i}", "mixed.b{i}e{i}=sigma.e{i}"]
         table.append(("Mixed", forms, "site", [sq[1:]]))
-        table.append(("Mixed", ["mixed.b{j}e{i}b{j}=b{i}^-1e{j}b{i}^-1"], "adjacent", [w[11:12], w[12:13]]))
+        table.append(("Mixed", ["mixed.b{j}e{i}b{j}=b{i}^-1e{j}b{i}^-1"], "adjacent", [w[7:8], w[8:9]]))
     blocks: dict[str, list[RelationBlock]] = {}
     for family, forms, sites, rows in table:
         blocks.setdefault(family, []).append(RelationBlock(tuple(forms), tuple(map(tuple, rows)), sites))

@@ -407,8 +407,6 @@ def _json(value, pad: str = "\n") -> str:
     Writes str keys and str, int, bool, None, dict and list values of exactly those types; anything else goes
     to json.dumps, whose raw newlines are all structural, so indenting its output is one replace."""
     kind = type(value)
-    if kind is str:
-        return _quote(value)
     if kind is int:
         return repr(value)
     if kind is bool or value is None:

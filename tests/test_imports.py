@@ -2,17 +2,18 @@
 and every module-level name it defines is read somewhere in the project.
 
 `__init__.py` is left out of the import scan: its imports are the
-package's re-exports.  The defined-name scan reads the package, `tests/`,
-the `perfbench/*.py` scripts and the README's python block.
+package's top-level API, which is exactly the names the README's library
+tour imports from `braidtel`.  The defined-name scan reads the package,
+`tests/`, the `perfbench/*.py` scripts and the README's python block.
 """
 
 import ast
-import re
 from pathlib import Path
 
 import pytest
 
 import braidtel
+from test_readme import readme_tour
 
 PACKAGE = sorted(Path(braidtel.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
@@ -84,8 +85,7 @@ def _dead_names(source: str, read: set[str]) -> list[str]:
 @pytest.fixture(scope="module")
 def project_reads() -> set[str]:
     scripts = [*PACKAGE, *(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
-    readme = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.DOTALL)
-    return set().union(*map(_read_names, [p.read_text(encoding="utf-8") for p in scripts] + readme))
+    return set().union(*map(_read_names, [p.read_text(encoding="utf-8") for p in scripts] + [readme_tour()]))
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=[p.name for p in PACKAGE])
@@ -96,3 +96,11 @@ def test_module_defines_no_dead_name(path, project_reads):
 def test_scan_flags_a_dead_name():
     source = '"""Docstring naming DEAD."""\nDEAD, KEPT = 1, 2\nNAMED = 3\n\n\ndef f():\n    return KEPT, "g.NAMED"\n'
     assert _dead_names(source, _read_names(source)) == ["line 2: DEAD", "line 6: f"]
+
+
+def test_the_package_exports_exactly_what_the_readme_tour_imports():
+    init = ast.parse(Path(braidtel.__file__).read_text(encoding="utf-8"))
+    bound = {alias.asname or alias.name for node in init.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+    tour = {alias.name for node in ast.walk(ast.parse(readme_tour()))
+            if isinstance(node, ast.ImportFrom) and node.module == "braidtel" for alias in node.names}
+    assert set(braidtel.__all__) == bound == tour

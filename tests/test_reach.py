@@ -1,9 +1,10 @@
 """Every package function and method is reached by some report form, or is named here with its reason.
 
 Each of the 64 report forms of test_phi_range._report_forms() runs once in text and once in JSON,
-from cold caches, under sys.setprofile; a function counts as reached when its code object is
-called.  Every package cache, cli._parser and cli._grammar among them, is cleared after the forms
-are read off the parser, so build_parser, _grammar and every cached builder run inside the profile.  A function that no form reaches and that ALLOWED does not name
+and the README tour once, from cold caches, under sys.setprofile; a function counts as reached when
+its code object is called.  Every package cache, cli._parser and cli._grammar among them, is cleared
+after the forms are read off the parser, so build_parser, _grammar and every cached builder run
+inside the profile.  A function that neither the forms nor the tour reach and that ALLOWED does not name
 fails the test: code that only the tests call belongs in tests/ (registers.py, tables.py).  An
 ALLOWED entry that a report does reach fails as well, so the list only shrinks with the package.
 """
@@ -22,21 +23,16 @@ import braidtel
 from braidtel import cli
 from test_phi_range import _report_forms
 from test_protocol_constants import CACHES
+from test_readme import run_readme_tour
 
 PACKAGE_DIR = str(Path(braidtel.__file__).parent)
 
 # qualified name -> why no report reaches it
 ALLOWED = {
-    **dict.fromkeys(["algebra.RelationReport.passed", "entanglement.CanonicalParams.as_tuple",
-                     "entanglement.entangling_power", "gate_teleport.r_gate", "linalg.fidelity",
-                     "teleport.teleport_with_yb"], "the README tour"),
-    **dict.fromkeys(["teleport._one", "teleport._one_qubit"],
-                    "runs the one-instance calls of the README tour and perfbench/"),
     **dict.fromkeys(["gate_teleport.teleport_single_gate", "gate_teleport.teleport_two_qubit",
                      "teleport.teleport_standard", "teleport.teleport_bell_like", "teleport.extract_phases",
                      "linalg.embed"], "perfbench/run.py reads it by name"),
     "algebra.RelationReport.entries": "perfbench/tracing.py counts relations by it",
-    "linalg.ket": "import-time only: builds gates.EPR (and checks one-instance inputs)",
     **dict.fromkeys(["gate_teleport.b0_reverse_residual", "gate_teleport.qp_factorization_residual",
                      "gate_teleport.single_gate_closed_form_residuals", "gate_teleport.r_gate_hadamard",
                      "gate_teleport.r_gate_t", "gates.yb_spectral", "teleport.completeness_residuals",
@@ -72,7 +68,7 @@ def package_functions() -> dict:
 
 
 def reached_codes(forms) -> set:
-    """The code objects called while every form runs once per --format, from cold caches."""
+    """The code objects called while every form runs once per --format, and the README tour once, from cold caches."""
     reached = set()
 
     def profile(frame, event, arg):
@@ -86,6 +82,7 @@ def reached_codes(forms) -> set:
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             codes = [cli.main([*form, "--format", fmt]) for form in forms for fmt in ("text", "json")]
+            run_readme_tour()
     finally:
         sys.setprofile(previous)
     assert codes == [0] * len(codes)

@@ -13,10 +13,19 @@ from test_golden import CASES, golden_name
 README = Path(__file__).parents[1] / "README.md"
 
 
-def test_library_tour_runs():
+def readme_tour() -> str:
+    """The source of the README's one python block, the library tour."""
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
     assert len(blocks) == 1
-    exec(compile(blocks[0], str(README), "exec"), {"__name__": "readme_tour"})
+    return blocks[0]
+
+
+def run_readme_tour():
+    exec(compile(readme_tour(), str(README), "exec"), {"__name__": "readme_tour"})
+
+
+def test_library_tour_runs():
+    run_readme_tour()
 
 
 def _cli_examples() -> list[list[str]]:
