@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -318,9 +317,8 @@ def swap_cup_cap_expansion() -> np.ndarray:
     return sum((-1) ** (i * j) * outer(bell_state(i, j), bell_state(i, j)) for i, j in BIT_PAIRS)
 
 
-@functools.lru_cache(maxsize=None)
-def brauer_teleportation_residuals() -> MappingProxyType:
-    """State-level identities of the swap representation, read-only and computed once per process.
+def brauer_teleportation_residuals() -> dict[str, float]:
+    """State-level identities of the swap representation, in the order projector, swap, tangle, cup-cap.
 
     Each is checked as an equality of maps on the inputs where it is stated, its residual the Frobenius
     norm of the difference, which bounds the residual at every unit input: the Bell projector pulling a
@@ -333,9 +331,9 @@ def brauer_teleportation_residuals() -> MappingProxyType:
     E, P = brauer_projector(), permutation_p()
     swap = mul(kron(I2, P), kron(P, I2)) - identity(8)[:, np.arange(8).reshape(4, 2).T.ravel()]  # |a kl> -> |kl a>
     tangle = (mul(kron(P, I2), kron(I2, P)) - 2.0 * kron(I2, E)) @ kron(EPR[:, None], I2)
-    return MappingProxyType({
+    return {
         "projector": _projector_channel(UnitaryBasis.pauli(), E, True).every_branch,
         "swap": max(float(np.linalg.norm(swap[:, kl::4])) for kl in range(4)),
         "tangle": float(np.linalg.norm(tangle)),
         "cup-cap": max_abs_diff(swap_cup_cap_expansion(), P),
-    })
+    }

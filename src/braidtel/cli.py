@@ -21,11 +21,10 @@ take, is the config every report reads; _REPORTS is the one dispatch table,
 from verify kind or command to report.
 
 Report parts that read neither --phi nor --seed are computed once per process
-and kept as immutable values: _brauer_rows (the verify brauer relation rows,
-by --sites), algebra.brauer_teleportation_residuals (its state identities),
-_solve_rows (solve, by --mn) and _fixed_analysis (analyze of the phi-free
-gates).  No cache holds a pass flag: each report compares the cached
-residuals with its own --tolerance.
+and kept as immutable values: _brauer_rows (the verify brauer relation rows
+and state identities, by --sites), _solve_rows (solve, by --mn) and
+_fixed_analysis (analyze of the phi-free gates).  No cache holds a pass flag:
+each report compares the cached residuals with its own --tolerance.
 """
 
 from __future__ import annotations
@@ -49,14 +48,15 @@ from .gate_teleport import _double_protocol, _gate_protocol, clifford_check
 from .gates import (
     B_EIGENVALUES,
     CZ,
+    FIXED_GATES,
     SWAP,
     decompose_b,
-    elementary,
+    phase_shift,
     tl_projector,
     yb_clifford,
     yb_gate,
 )
-from .linalg import DEFAULT_TOL, conj, max_abs_diff, mul, transpose
+from .linalg import DEFAULT_TOL, conj, max_abs_diff, transpose
 from .tangles import (
     EigenAssignment,
     GateCoefficients,
@@ -80,7 +80,7 @@ _PHI_GRID = tuple(0.1 + 0.3 * k for k in range(10))
 _BLOCK = 1024  # instances per kernel call: peak memory stays flat at any --count
 
 TELEPORT_VARIANTS = ("standard", "bell-like", "yang-baxter", "gate", "two-qubit")
-TELEPORT_GATES = ("H", "S", "T", "X", "Y", "Z", "I", "R")
+TELEPORT_GATES = (*FIXED_GATES, "R")
 ANALYZE_GATES = ("B", "B0", "I", "SWAP", "CZ")
 # the config echo of the options a command does not take
 _CONFIG_DEFAULTS = {"basis": "pauli", "mn": "00", "class_id": 1, "gate": "", "count": 100}
@@ -117,8 +117,8 @@ def _report_entries(rows, tol: float) -> list[dict]:
 
 @functools.lru_cache(maxsize=64)
 def _brauer_rows(sites: int) -> tuple:
-    """_relation_rows of check_brauer(n=sites): E, B and d are fixed, so neither --phi, --seed nor --tolerance enters."""
-    return _relation_rows(check_brauer(n=sites))
+    """check_brauer(n=sites)'s _relation_rows and the (name, residual) state identities, which read no option."""
+    return _relation_rows(check_brauer(n=sites)), tuple(brauer_teleportation_residuals().items())
 
 
 def _verify_bmw(cfg: argparse.Namespace) -> list[dict]:
@@ -140,10 +140,10 @@ def _verify_bmw(cfg: argparse.Namespace) -> list[dict]:
 
 
 def _verify_brauer(cfg: argparse.Namespace) -> list[dict]:
-    results = _report_entries(_brauer_rows(cfg.sites), cfg.tolerance)
-    identities = brauer_teleportation_residuals()
-    for name in ("projector", "swap", "tangle", "cup-cap"):
-        results.append(_check(f"state-identity-{name}", identities[name], cfg.tolerance))
+    rows, identities = _brauer_rows(cfg.sites)
+    results = _report_entries(rows, cfg.tolerance)
+    for name, residual in identities:
+        results.append(_check(f"state-identity-{name}", residual, cfg.tolerance))
     return results
 
 
@@ -202,10 +202,9 @@ def _verify_general(cfg: argparse.Namespace) -> list[dict]:
 def _b_checks(phi: float):
     """B's projector-form residuals by name, and its elementary product's residual, factor names and phase."""
     residuals = braid_projector_forms(phi)
-    phase, factors = decompose_b(phi)
-    product = phase * mul(*[mat for _, mat in factors])
+    phase, factors, drift = decompose_b(phi)
     forms = [(name, residuals[name]) for name in ("projector-sum", "dyad-sum", "unitary-part")]
-    return forms, max_abs_diff(product, yb_gate(phi)), " | ".join(name for name, _ in factors), phase
+    return forms, drift, " | ".join(name for name, _ in factors), phase
 
 
 def _verify_b_forms(cfg: argparse.Namespace) -> list[dict]:
@@ -243,7 +242,7 @@ def _protocol(cfg: argparse.Namespace):
     if cfg.action == "yang-baxter":
         return _braid_protocol(cfg.phi), "W^dag_{key}{res}", []
     if cfg.action == "gate":
-        protocol = _gate_protocol(elementary(cfg.gate, cfg.phi))
+        protocol = _gate_protocol(phase_shift(cfg.phi) if cfg.gate == "R" else FIXED_GATES[cfg.gate])
         # row 0 of u K u^dag is [u XZ u^dag, u Z u^dag, u X u^dag, -1] up to signs, which cancel in C P C^dag; -1 is
         # Clifford and u XZ u^dag the X image times the Z image, so those two decide the row: X first, where R(phi) fails
         clifford = _info("correction-clifford", gate=cfg.gate, value=all(clifford_check(c)[0] for c in protocol[1][0, [2, 1]]))

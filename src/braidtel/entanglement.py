@@ -129,12 +129,6 @@ def entangling_power(u: np.ndarray) -> float:
     return canonical_params(u).entangling_power()
 
 
-def _resource_states(phi: float) -> tuple[np.ndarray, np.ndarray]:
-    flipped = bell_state(1, 0)
-    rotated = kron(I2, phase_shift(2 * reduced_phase(phi))) @ EPR
-    return flipped, rotated
-
-
 def braid_projector_forms(phi: float) -> dict[str, float]:
     """Residuals of the two projector expansions of the braid gate.
 
@@ -144,7 +138,7 @@ def braid_projector_forms(phi: float) -> dict[str, float]:
     """
     b = yb_gate(phi)
     e = tl_projector(0, 0, phi)
-    flipped, rotated = _resource_states(phi)
+    flipped, rotated = bell_state(1, 0), kron(I2, phase_shift(2 * reduced_phase(phi))) @ EPR
     u_tilde = B_GLOBAL_PHASE * np.eye(4) + math.sqrt(2) * (
         outer(flipped, flipped) + outer(rotated, rotated)
     )

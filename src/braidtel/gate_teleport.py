@@ -30,7 +30,7 @@ from .linalg import (
     max_abs_diff,
     mul,
 )
-from .gates import I2, X, Y, Z, H, _check_bits, t_gate, pauli_w, x_pow, yb_clifford, z_pow
+from .gates import I2, T, X, Y, Z, H, _check_bits, pauli_w, x_pow, yb_clifford, z_pow
 from .teleport import BIT_PAIRS, Protocol, _correction_table, _one, _one_qubit
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
@@ -282,8 +282,7 @@ def teleport_two_qubit(alphabeta: np.ndarray, k1: int, l1: int,
 def single_gate_closed_form_residuals() -> dict[str, float]:
     """Compare the stacked R = U K U^dag against the printed closed forms for H and T."""
     k_table = _kl_tables()[0]
-    t = t_gate()
     return {
         "hadamard": max_abs_diff(H @ k_table @ dagger(H), _correction_table(r_gate_hadamard)),
-        "t": max_abs_diff(t @ k_table @ dagger(t), _correction_table(r_gate_t)),
+        "t": max_abs_diff(T @ k_table @ dagger(T), _correction_table(r_gate_t)),
     }

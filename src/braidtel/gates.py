@@ -4,7 +4,8 @@ The central objects are the phase-parameterized Temperley-Lieb projector
 family E_ij and the Yang-Baxter gate B.  Each carries two independent
 definitions (a closed-form matrix and a compositional build from
 single-qubit gates), and the constructors cross-check one against the
-other rather than trusting either alone.
+other rather than trusting either alone.  FIXED_GATES maps each fixed
+--gate name of teleport gate to its matrix, T among them.
 """
 
 from __future__ import annotations
@@ -79,35 +80,11 @@ def reduced_phase(phi: float) -> float:
     return phi if abs(phi) <= math.pi else cmath.phase(cmath.exp(1j * phi))
 
 
-def t_gate() -> np.ndarray:
-    """The T gate, diag(1, e^{i pi/4}), the "pi/8 gate" up to a global phase; T^4 = Z."""
-    return phase_shift(math.pi / 4)
+# The T gate, diag(1, e^{i pi/4}), the "pi/8 gate" up to a global phase; T^4 = Z.
+T = phase_shift(math.pi / 4)
 
-
-_FIXED_GATES = {
-    "I": I2,
-    "X": X,
-    "Y": Y,
-    "Z": Z,
-    "H": H,
-    "S": S,
-    "CZ": CZ,
-    "SWAP": SWAP,
-}
-
-
-def elementary(name: str, phi: float | None = None) -> np.ndarray:
-    """Look up a named gate; R requires phi, the rest ignore it."""
-    key = name.upper()
-    if key == "R":
-        if phi is None:
-            raise ValueError("the phase shift gate R needs a phi value")
-        return phase_shift(phi)
-    if key == "T":
-        return t_gate()
-    if key in _FIXED_GATES:
-        return _FIXED_GATES[key].copy()
-    raise ValueError(f"unknown gate name {name!r}")
+# The fixed single-qubit gates of teleport gate --gate, in its help order; R takes its angle from --phi.
+FIXED_GATES = {"H": H, "S": S, "T": T, "X": X, "Y": Y, "Z": Z, "I": I2}
 
 
 def pauli_w(i: int, j: int) -> np.ndarray:
@@ -232,10 +209,11 @@ def yb_clifford() -> np.ndarray:
 
 
 def decompose_b(phi: float):
-    """Factor B into (scalar phase, list of (name, matrix)) with 2 CZ gates.
+    """Factor B into (scalar phase, list of (name, matrix), drift) with 2 CZ gates.
 
     Multiplying the factors left to right and scaling by the phase
-    reproduces yb_gate(phi) exactly (to 1e-12), phase included.
+    reproduces yb_gate(phi) exactly (to 1e-12), phase included; drift is
+    the max abs entry of that product minus yb_gate(phi).
     """
     r = phase_shift(phi)
     hz = H @ Z
@@ -250,7 +228,7 @@ def decompose_b(phi: float):
     drift = max_abs_diff(product, _yb_closed_form(phi))
     if drift > STRICT_TOL:
         raise AssertionError(f"decomposition drifted from closed form: {drift:.3e}")
-    return B_GLOBAL_PHASE, factors
+    return B_GLOBAL_PHASE, factors, drift
 
 
 def permutation_p() -> np.ndarray:

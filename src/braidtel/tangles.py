@@ -217,12 +217,11 @@ class SolutionClass:
     """A sign-pattern family mu_ij = s_ij exp(i f_ij phi) solving the system.
 
     pattern holds (s_ij, f_ij) with s, f in {+1,-1}, aligned with the
-    lexicographic bit pairs; epsilon records the projector sign (-1)^n.
+    lexicographic bit pairs.
     """
 
     class_id: int
     base_index: tuple[int, int]
-    epsilon: int
     pattern: tuple[tuple[int, int], ...]
 
     def mu_of_phi(self, phi: float) -> EigenAssignment:
@@ -282,7 +281,7 @@ def _pattern_residuals(m: int, n: int, phis=_SAMPLE_PHIS, patterns=_PATTERNS) ->
 @functools.lru_cache(maxsize=None)
 def _solved_classes(m: int, n: int) -> tuple[SolutionClass, ...]:
     passed = (_pattern_residuals(m, n) <= DEFAULT_TOL).all(axis=1)
-    survivors = [SolutionClass(0, (m, n), (-1) ** n, pattern) for pattern in itertools.compress(_PATTERNS, passed)]
+    survivors = [SolutionClass(0, (m, n), pattern) for pattern in itertools.compress(_PATTERNS, passed)]
     survivors.sort(key=lambda c: c.mu_of_phi(_ORDER_PHI).mu.view(float).tolist(), reverse=True)  # (re, im) pairs
     return tuple(replace(c, class_id=idx) for idx, c in enumerate(survivors, start=1))
 

@@ -203,14 +203,14 @@ class UnitaryBasis:
 
     u: np.ndarray
     states: np.ndarray = field(init=False, repr=False)
-    _residual: float = field(init=False, repr=False)
+    residual: float = field(init=False, repr=False)  # max |(1/2) tr(U_b^dag U_a) - delta_ab|
 
     def __post_init__(self):
         object.__setattr__(self, "u", _stack(self.u, (4, 2, 2), "basis"))
         gram = 0.5 * np.einsum("bji,aji->ab", conj(self.u), self.u)  # (1/2) tr(U_b^dag U_a)
-        object.__setattr__(self, "_residual", max_abs_diff(gram, identity(4)))
-        if self._residual > DEFAULT_TOL:
-            raise ValueError(f"basis is not orthonormal, residual {self._residual:.3e}")
+        object.__setattr__(self, "residual", max_abs_diff(gram, identity(4)))
+        if self.residual > DEFAULT_TOL:
+            raise ValueError(f"basis is not orthonormal, residual {self.residual:.3e}")
         object.__setattr__(self, "states", frozen(state_with_gate(self.u)))
 
     @classmethod
@@ -223,10 +223,6 @@ class UnitaryBasis:
         """The M_ij basis, one read-only instance per phi: its states are the Bell-like protocol's kets."""
         return _bell_like_basis(phi)
 
-    def orthonormality_residual(self) -> float:
-        """max |(1/2) tr(U_b^dag U_a) - delta_ab|, taken once when the read-only basis is built."""
-        return self._residual
-
 
 @functools.lru_cache(maxsize=None)
 def _pauli_basis() -> UnitaryBasis:
@@ -238,7 +234,7 @@ def _bell_like_basis(phi: float) -> UnitaryBasis:
     """The M_ij basis at phi, held to the protocols' bound: orthonormal within STRICT_TOL."""
     tl_projector(0, 0, phi)  # raises unless E_00 matches its closed form
     basis = UnitaryBasis(_m_gates(phi))
-    if basis.orthonormality_residual() > STRICT_TOL:
+    if basis.residual > STRICT_TOL:
         raise ValueError(f"measurement kets are not orthonormal at phi={phi}")
     return basis
 

@@ -21,6 +21,13 @@ def random_ket(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
     return ket(amps, normalize=True)
 
 
+def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Haar-random dim x dim unitary: the QR factor of a complex Gaussian matrix, its phases fixed by R's diagonal."""
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
+
+
 def double_input(alphabeta: np.ndarray, k1, l1, k2, l2) -> np.ndarray:
     """Lay out a 6-qubit register: state qubit, pair A, pair B, state qubit.
 

@@ -5,6 +5,7 @@ import numpy as np
 from braidtel.linalg import transpose
 from braidtel.tangles import EigenAssignment, GateCoefficients, _pauli_signs
 from braidtel.teleport import PhaseTable, u_gate, v_gate
+from registers import haar_unitary
 
 
 def table_max(table) -> float:
@@ -28,11 +29,8 @@ def unimodularity_residual(assignment: EigenAssignment) -> float:
 
 
 def random_gate_coefficients(rng: np.random.Generator) -> GateCoefficients:
-    """Coefficients of a Haar-ish random gate in a Bell-like basis."""
-    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    q, r = np.linalg.qr(z)
-    q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-    return GateCoefficients(q)
+    """Coefficients of a Haar-random gate in a Bell-like basis."""
+    return GateCoefficients(haar_unitary(rng, 4))
 
 
 def w_braid_correction(i: int, j: int, k: int, l: int, table: PhaseTable) -> np.ndarray:

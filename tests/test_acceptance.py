@@ -37,8 +37,8 @@ from braidtel.gates import (
     B_EIGENVALUES,
     H,
     I2,
+    T,
     decompose_b,
-    t_gate,
     tl_projector,
     yb_clifford,
     yb_gate,
@@ -120,7 +120,7 @@ def test_criterion_02_parameter_extraction():
 def test_criterion_03_decomposition_fidelity():
     ok = True
     for phi in (0.0, 0.4, 1.0, 1.9, 2.8):
-        phase, factors = decompose_b(phi)
+        phase, factors, _ = decompose_b(phi)
         product = phase * mul(*[m for _, m in factors])
         ok = ok and max_abs_diff(product, yb_gate(phi)) <= 1e-12
         forms = braid_projector_forms(phi)
@@ -189,7 +189,7 @@ def test_criterion_07_clifford_structure():
         ("Z", 2): "+Z.X",
     }
     for bits in itertools.product((0, 1), repeat=4):
-        ok = ok and clifford_check(r_gate(t_gate(), *bits))[0]
+        ok = ok and clifford_check(r_gate(T, *bits))[0]
         ok = ok and max_abs_diff(r_gate(H, *bits), r_gate_hadamard(*bits)) <= 1e-12
     _verdict(7, "clifford structure", ok)
 

@@ -149,12 +149,6 @@ def test_brauer_state_identities():
         assert value < 1e-12, name
 
 
-def test_state_identities_are_read_only_and_computed_once():
-    assert brauer_teleportation_residuals() is brauer_teleportation_residuals()
-    with pytest.raises(TypeError):
-        brauer_teleportation_residuals()["swap"] = 1.0
-
-
 # ------------------------------------------------------- dense oracle
 #
 # The checkers evaluate each relation on its minimal window.  The oracle

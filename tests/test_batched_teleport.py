@@ -16,7 +16,7 @@ import pytest
 
 from braidtel import cli, gate_teleport, teleport
 from braidtel.gate_teleport import teleport_single_gate, teleport_two_qubit
-from braidtel.gates import EPR, elementary, yb_clifford
+from braidtel.gates import EPR, phase_shift, yb_clifford
 from braidtel.linalg import conj, dagger, fidelity, identity, kron, mul
 from braidtel.teleport import BIT_PAIRS, teleport_bell_like, teleport_standard, teleport_with_yb
 from registers import basis_ket, double_input
@@ -74,7 +74,7 @@ def _loop_instance(variant: str, phi: float, alpha, bits, rng, tables):
         op, table, kets = tables
         state, corrections = op @ kron(alpha, basis_ket(r, 4)), table[r]
     else:
-        u = elementary(GATE, phi)
+        u = phase_shift(phi)  # GATE is R
         front, back = gate_teleport._b0_layers()
         state = mul(front, kron(identity(4), u), back) @ kron(alpha, basis_ket(r, 4))
         kets, corrections = identity(4), u @ gate_teleport._kl_tables()[0][r] @ dagger(u)
@@ -96,7 +96,7 @@ def _run_instance(variant: str, phi: float, alpha, bits, rng, tables):
         return key, key, f"(M_00 conj(M_{key}))^dag", p, fidelity(alpha, corrected)
     if variant == "yang-baxter":
         return key, f"{key}|{resource}", f"W^dag_{key}{resource}", p, fidelity(alpha, corrected)
-    u = elementary(GATE, phi)
+    u = phase_shift(phi)  # GATE is R
     return key, f"{key}|{resource}", f"R({GATE})^dag_{key}{resource}", p, fidelity(u @ alpha, corrected)
 
 
@@ -169,7 +169,7 @@ _PUBLIC = {
     "standard": (lambda seed: teleport_standard(_ALPHA, rng_seed=seed), _ALPHA, []),
     "bell-like": (lambda seed: teleport_bell_like(_ALPHA, -2.1, rng_seed=seed), _ALPHA, []),
     "yang-baxter": (lambda seed: teleport_with_yb(_ALPHA, 1, 0, -2.1, rng_seed=seed), _ALPHA, [1, 0]),
-    "gate": (lambda seed: teleport_single_gate(elementary(GATE, -2.1), _ALPHA, 0, 1, rng_seed=seed), _ALPHA, [0, 1]),
+    "gate": (lambda seed: teleport_single_gate(phase_shift(-2.1), _ALPHA, 0, 1, rng_seed=seed), _ALPHA, [0, 1]),
     "two-qubit": (lambda seed: teleport_two_qubit(_ALPHABETA, 1, 0, 0, 1, rng_seed=seed), _ALPHABETA, [1, 0, 0, 1]),
 }
 

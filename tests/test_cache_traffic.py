@@ -73,5 +73,6 @@ def test_cache_is_hit_by_the_benchmark_workloads(warm_hits, name):
 
 
 def test_op_2_of_chain_hits_the_brauer_identity_cache(warm_hits):
-    """verify brauer's state identities read neither --phi nor --seed, so a warm op reads them from the cache."""
-    assert warm_hits["chain"]["braidtel.algebra.brauer_teleportation_residuals"] == 1
+    """verify brauer's relation rows and state identities read neither --phi nor --seed, so a warm op reads both
+    from one cache entry."""
+    assert warm_hits["chain"]["braidtel.cli._brauer_rows"] == 1

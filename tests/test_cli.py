@@ -183,7 +183,7 @@ def test_correction_clifford_reads_as_all_sixteen_checks(gate, phi):
 
 def test_correction_clifford_row_reads_the_z_image(monkeypatch):
     """R(pi/8) H maps X to Z but Z to a non-Clifford image: every listed gate has a Clifford Z image, this one not."""
-    monkeypatch.setattr(cli, "elementary", lambda name, phi: phase_shift(math.pi / 8) @ H)
+    monkeypatch.setattr(cli, "phase_shift", lambda phi: phase_shift(math.pi / 8) @ H)
     protocol, _, extra = cli._protocol(argparse.Namespace(action="gate", gate="R", phi=0.0))
     assert extra[0]["value"] is False
     assert not all(clifford_check(c)[0] for c in protocol[1].reshape(-1, 2, 2))

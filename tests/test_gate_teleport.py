@@ -29,7 +29,7 @@ from braidtel.gate_teleport import (
     teleport_single_gate,
     teleport_two_qubit,
 )
-from braidtel.gates import EPR, I2, H, S, X, Z, elementary, pauli_w, t_gate, yb_clifford
+from braidtel.gates import EPR, FIXED_GATES, I2, H, S, T, X, Z, pauli_w, phase_shift, yb_clifford
 from braidtel.linalg import dagger, embed, fidelity, identity, is_unitary, kron, max_abs_diff, mul
 from braidtel.teleport import BIT_PAIRS
 from registers import basis_ket, double_input, pauli_matrix, random_ket
@@ -77,7 +77,7 @@ def test_clifford_check_on_single_qubit_gates():
     assert str(table[("Z", 1)]) == "+X"
     ok_s, _ = clifford_check(S)
     assert ok_s
-    ok_t, table_t = clifford_check(t_gate())
+    ok_t, table_t = clifford_check(T)
     assert not ok_t and table_t == {}
 
 
@@ -112,12 +112,12 @@ def test_k_and_l_are_signed_paulis(i, j, k, l):
 @pytest.mark.parametrize("i,j,k,l", ALL_TUPLES)
 def test_conjugated_correction_closed_forms(i, j, k, l):
     assert max_abs_diff(r_gate(H, i, j, k, l), r_gate_hadamard(i, j, k, l)) < 1e-14
-    assert max_abs_diff(r_gate(t_gate(), i, j, k, l), r_gate_t(i, j, k, l)) < 1e-14
+    assert max_abs_diff(r_gate(T, i, j, k, l), r_gate_t(i, j, k, l)) < 1e-14
 
 
 @pytest.mark.parametrize("i,j,k,l", ALL_TUPLES)
 def test_t_correction_stays_clifford(i, j, k, l):
-    ok, _ = clifford_check(r_gate(t_gate(), i, j, k, l))
+    ok, _ = clifford_check(r_gate(T, i, j, k, l))
     assert ok
 
 
@@ -134,7 +134,7 @@ def test_single_gate_closed_form_residuals():
 
 @pytest.mark.parametrize("name", ["H", "S", "T", "X"])
 def test_single_gate_teleportation(name):
-    u = elementary(name)
+    u = FIXED_GATES[name]
     alpha = random_ket(np.random.default_rng(13))
     outcome, corrected = teleport_single_gate(u, alpha, 1, 0, rng_seed=13)
     assert fidelity(u @ alpha, corrected) == pytest.approx(1.0, abs=1e-12)
@@ -293,7 +293,7 @@ def test_pauli_basis_holds_w():
         assert np.array_equal(table[2 * i + j], pauli_w(i, j))
 
 
-@pytest.mark.parametrize("u", [H, t_gate(), S, elementary("R", 0.3), elementary("R", -2.1)],
+@pytest.mark.parametrize("u", [H, T, S, phase_shift(0.3), phase_shift(-2.1)],
                          ids=["H", "T", "S", "R(0.3)", "R(-2.1)"])
 def test_stacked_corrections_match_r_gate(u):
     rows = u @ gate_teleport._kl_tables()[0] @ dagger(u)

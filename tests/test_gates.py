@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from braidtel.cli import TELEPORT_GATES
 from braidtel.gates import (
     B_EIGENVALUES,
     B_GLOBAL_PHASE,
@@ -21,13 +22,12 @@ from braidtel.gates import (
     bell_like_state,
     bell_state,
     brauer_projector,
+    FIXED_GATES,
+    T,
     decompose_b,
-    elementary,
     m_gate,
     pauli_w,
     permutation_p,
-    phase_shift,
-    t_gate,
     tl_projector,
     yb_clifford,
     yb_gate,
@@ -58,18 +58,13 @@ def test_pauli_algebra():
 def test_phase_gate_tower():
     assert approx_eq(H @ H, I2)
     assert approx_eq(S @ S, Z)
-    assert approx_eq(t_gate() @ t_gate(), S)
-    assert approx_eq(np.linalg.matrix_power(t_gate(), 4), Z)
+    assert approx_eq(T @ T, S)
+    assert approx_eq(np.linalg.matrix_power(T, 4), Z)
 
 
-def test_elementary_lookup():
-    assert approx_eq(elementary("h"), H)
-    assert approx_eq(elementary("T"), t_gate())
-    assert approx_eq(elementary("R", phi=0.4), phase_shift(0.4))
-    with pytest.raises(ValueError):
-        elementary("R")
-    with pytest.raises(ValueError):
-        elementary("Q")
+def test_fixed_gates_are_the_teleport_gates_but_r():
+    assert (*FIXED_GATES, "R") == TELEPORT_GATES
+    assert FIXED_GATES["T"] is T
 
 
 @pytest.mark.parametrize("i,j", BITS)
@@ -140,9 +135,9 @@ def test_braid_relation_on_three_sites(phi):
 
 @pytest.mark.parametrize("phi", [0.0, 0.2, 0.8, 1.6, 3.1])
 def test_decompose_b_reproduces_the_gate(phi):
-    phase, factors = decompose_b(phi)
+    phase, factors, drift = decompose_b(phi)
     product = phase * mul(*[m for _, m in factors])
-    assert max_abs_diff(product, yb_gate(phi)) < 1e-12
+    assert max_abs_diff(product, yb_gate(phi)) == drift < 1e-12
     names = [name for name, _ in factors]
     assert names.count("CZ") == 2
 

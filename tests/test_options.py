@@ -28,7 +28,6 @@ ALLOWED = {
     "cli._basis_assignment.prefix": "cli._verify_general",
     "cli._json.pad": "recursion: _json passes each nested level its indent",
     "cli.main.argv": "main's argv: perfbench/run.py passes one, the console script none",
-    "gates.elementary.phi": "cli._protocol passes --phi",
     "linalg.ket.normalize": "gates.EPR",
     "linalg.approx_eq.tol": "gates.yb_clifford's self-check (STRICT_TOL) and linalg.is_unitary",
     "linalg.is_unitary.tol": "algebra._inverse (1e-12)",

@@ -89,7 +89,6 @@ def test_cache_scan_finds_the_protocol_caches():
         gate_teleport._double_protocol,
         gate_teleport._b0_layers,
         gate_teleport._kl_tables,
-        algebra.brauer_teleportation_residuals,
         cli._solve_rows,
         cli._fixed_analysis,
         cli._brauer_rows,
@@ -152,7 +151,7 @@ def test_measurement_bases_must_be_orthonormal(cold_caches, monkeypatch):
     # off by 1e-11 the M_ij basis passes the general bound, DEFAULT_TOL, but not the protocols' STRICT_TOL
     real = teleport._m_gates
     monkeypatch.setattr(teleport, "_m_gates", lambda phi: real(phi) * np.array([1, 1, 1, 1 + 1e-11])[:, None, None])
-    assert teleport.UnitaryBasis(teleport._m_gates(0.3)).orthonormality_residual() > 1e-12
+    assert teleport.UnitaryBasis(teleport._m_gates(0.3)).residual > 1e-12
     with pytest.raises(ValueError, match="not orthonormal"):
         teleport.UnitaryBasis.bell_like(0.3)
 

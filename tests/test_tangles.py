@@ -133,12 +133,12 @@ def pauli_basis():
 
 
 def test_pauli_basis_orthonormal(pauli_basis):
-    assert pauli_basis.orthonormality_residual() < 1e-14
+    assert pauli_basis.residual < 1e-14
 
 
 @pytest.mark.parametrize("phi", [0.0, 0.4, 1.8])
 def test_bell_like_basis_orthonormal(phi):
-    assert UnitaryBasis.bell_like(phi).orthonormality_residual() < 1e-12
+    assert UnitaryBasis.bell_like(phi).residual < 1e-12
 
 
 def test_degenerate_basis_is_rejected():
@@ -251,21 +251,15 @@ def test_solver_reproduces_printed_classes(pauli_basis):
     classes = solve_pauli_eigenvalues(0, 0)
     assert [sol.class_id for sol in classes] == [1, 2, 3]
     assert tuple(sol.pattern for sol in classes) == PRINTED_CLASSES
-    assert all(sol.epsilon == 1 for sol in classes)
 
 
 # Distinct (s, f) put s e^(i f 0.3) at least 2 sin 0.3 apart in their real or imaginary part, so the solved
 # classes, sorted by their mu at _ORDER_PHI flattened to (real, imag) pairs, never tie.
 def test_patterns_lie_pairwise_apart_at_the_order_phase():
-    mus = (SolutionClass(0, (0, 0), 1, pattern).mu_of_phi(tangles._ORDER_PHI).mu for pattern in tangles._PATTERNS)
+    mus = (SolutionClass(0, (0, 0), pattern).mu_of_phi(tangles._ORDER_PHI).mu for pattern in tangles._PATTERNS)
     flat = np.array([mu.view(float) for mu in mus])
     gaps = np.abs(flat[:, None] - flat[None]).max(axis=2)[~np.eye(len(flat), dtype=bool)]
     assert len(flat) == 64 and gaps.min() >= 2 * np.sin(tangles._ORDER_PHI) * (1 - 1e-15)
-
-
-def test_solver_epsilon_tracks_second_bit():
-    assert all(sol.epsilon == -1 for sol in solve_pauli_eigenvalues(0, 1))
-    assert all(sol.epsilon == 1 for sol in solve_pauli_eigenvalues(1, 0))
 
 
 @pytest.mark.parametrize("m,n", BIT_PAIRS)
@@ -274,7 +268,7 @@ def test_batched_filter_matches_the_pattern_loop(pauli_basis, m, n):
     batched = tangles._pattern_residuals(m, n)
     assert batched.shape == (64, len(tangles._SAMPLE_PHIS))
     for x, pattern in enumerate(tangles._PATTERNS):
-        probe = SolutionClass(0, (m, n), (-1) ** n, pattern)
+        probe = SolutionClass(0, (m, n), pattern)
         for y, phi in enumerate(tangles._SAMPLE_PHIS):
             coeffs = GateCoefficients.diagonal(probe.mu_of_phi(phi))
             looped = table_max(_loop_table(coeffs.g, forms))

@@ -29,7 +29,7 @@ from braidtel.gate_teleport import (
     teleport_two_qubit,
 )
 from braidtel.gates import (
-    EPR, I2, bell_like_state, bell_state, brauer_projector, m_gate, pauli_w, permutation_p, t_gate, tl_projector,
+    EPR, I2, bell_like_state, bell_state, brauer_projector, m_gate, pauli_w, permutation_p, T, tl_projector,
 )
 from braidtel.linalg import conj, dagger, kron, mul, outer, transpose
 from braidtel.teleport import (
@@ -384,8 +384,8 @@ _ALPHA = random_ket(np.random.default_rng(4))
 @pytest.mark.parametrize(
     "run",
     [
-        lambda: teleport_single_gate(t_gate(), _ALPHA, 0, -1),
-        lambda: teleport_single_gate(t_gate(), _ALPHA, 2, 0),
+        lambda: teleport_single_gate(T, _ALPHA, 0, -1),
+        lambda: teleport_single_gate(T, _ALPHA, 2, 0),
         lambda: teleport_two_qubit(basis_ket(0, 4), 0, -1, 0, 0),
         lambda: teleport_two_qubit(basis_ket(0, 4), 2, 0, 0, 0),
         lambda: teleport_two_qubit(basis_ket(0, 4), 0, 0, 1, 2),
