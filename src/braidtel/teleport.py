@@ -17,9 +17,11 @@ report builds its Bell-like, braid or gate protocol once, at its own phi or
 gate, so a cache of them would never be hit.
 branch[r] maps an input ket at resource r to its M unnormalized
 post-measurement states, (<v_m| (x) 1) op with the input placed at r, so
-_branches is one gathered batched matvec.  _teleport samples m by the Born
-rule, one uniform draw per instance, and corrects with C_m^dag read at call
-time from the protocol's table, indexed [resource, outcome].
+_branches is a gathered batched matvec.  It holds at most 256 KiB of gathered
+branch matrices at a time (_GATHER_BYTES): a block of up to 1024 one-qubit
+instances is one gather, a two-qubit block 64 instances per chunk.  _teleport
+samples m by the Born rule, one uniform draw per instance, and corrects with
+C_m^dag read at call time from the protocol's table, indexed [resource, outcome].
 _protocol_residual, the package's one teleportation-identity kernel, checks
 every branch against the exact identity with the protocol's own gate, as an
 equality of linear maps: it is a protocol's every_branch, the gated row of
@@ -81,6 +83,7 @@ from .linalg import (
 )
 
 BIT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+_GATHER_BYTES = 1 << 18  # _branches gathers branch[r] in chunks of at most this many bytes, each into its rows of one output
 
 
 @dataclass(frozen=True)
@@ -131,7 +134,18 @@ class Protocol(tuple):
 
 def _branches(protocol: Protocol, inputs: np.ndarray, r) -> np.ndarray:
     """branches[n, m]: the unnormalized survivor of outcome m of instance n, input n placed at resource r_n."""
-    return (protocol.branch[r] @ inputs[:, :, None]).reshape(len(inputs), len(protocol[2]), -1)
+    branch, n = protocol.branch, len(inputs)
+    step, size = max(1, min(n, _GATHER_BYTES // branch[0].nbytes)), n * branch.shape[1]
+    # The output and the chunk share one block: two blocks of equal size, freed together, can pass glibc's trim
+    # threshold, so that every call hands the heap back and faults it in again (3x slower at 256 two-qubit).
+    block = np.empty(size + step * branch[0].size, dtype=complex)
+    out, chunk = block[:size].reshape(n, -1, 1), block[size:].reshape(step, *branch.shape[1:])
+    for i in range(0, n, step):
+        k = min(step, n - i)
+        # mode="raise" would copy through a buffer; _teleport's table[r, m] rejects an r out of range
+        np.take(branch, r[i:i + k], axis=0, out=chunk[:k], mode="wrap")
+        np.matmul(chunk[:k], inputs[i:i + k, :, None], out=out[i:i + k])
+    return out.reshape(n, len(protocol[2]), -1)
 
 
 def _protocol_residual(protocol: Protocol) -> float:

@@ -28,6 +28,12 @@ def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
 
 
+def haar_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Haar-random dim x dim real orthogonal matrix: the QR factor of a real Gaussian matrix, its signs fixed by R's diagonal."""
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
+    return q * np.sign(np.diag(r))
+
+
 def double_input(alphabeta: np.ndarray, k1, l1, k2, l2) -> np.ndarray:
     """Lay out a 6-qubit register: state qubit, pair A, pair B, state qubit.
 

@@ -8,7 +8,9 @@ pauli_w the bits of its matrix_power build, the stacked M_ij, V_ij and U_ij
 the bits of their per-gate products, and teleport._teleport, which
 measures with one small matvec per instance on a protocol's branch tensor,
 the outcomes of the einsum and of the dense zero-padded product it replaced
-(kept here as oracles), with every amplitude within 4 ulp.  A static scan
+(kept here as oracles), with every amplitude within 4 ulp.  teleport._branches,
+which gathers the branch tensor in chunks, gives the bits of its one-gather
+form (kept here as the reference) and holds at most one chunk.  A static scan
 keeps every other tensor product in the package on linalg.kron.
 """
 
@@ -17,6 +19,7 @@ import ast
 import functools
 import itertools
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -274,12 +277,18 @@ def _dense_branches(protocol, inputs, r):
     return (split.reshape(-1, len(kets)) @ transpose(conj(kets))).reshape(split.shape).transpose(0, 2, 1)
 
 
+def _one_gather_branches(protocol, inputs, r):
+    """teleport._branches as it was: every instance's branch[r] gathered at once, then one batched matvec."""
+    return (protocol.branch[r] @ inputs[:, :, None]).reshape(len(inputs), len(protocol[2]), -1)
+
+
 REPORT_PROTOCOLS = [(v, "T") for v in ("standard", "bell-like", "yang-baxter", "two-qubit")] + [
     ("gate", g) for g in ("H", "T", "R")
 ]
 
 
-@pytest.mark.parametrize("n", [1, 4, 32, 256, 1024])
+# 63, 64 and 65 straddle the two-qubit chunk of _branches: 64 instances of 4 KiB each.
+@pytest.mark.parametrize("n", [1, 4, 32, 63, 64, 65, 256, 1024])
 @pytest.mark.parametrize("variant, gate", REPORT_PROTOCOLS,
                          ids=[v if v != "gate" else f"gate-{g}" for v, g in REPORT_PROTOCOLS])
 def test_branch_tensor_kernel_matches_the_dense_branches(variant, gate, n, monkeypatch):
@@ -287,10 +296,23 @@ def test_branch_tensor_kernel_matches_the_dense_branches(variant, gate, n, monke
     inputs, r, draws = _instances(protocol, n)
     fused = teleport._branches(protocol, inputs, r)
     assert fused.shape == (n, len(protocol[2]), protocol[0].shape[0] // len(protocol[2]))
+    assert np.array_equal(fused, _one_gather_branches(protocol, inputs, r))
     assert _ulps(fused, _dense_branches(protocol, inputs, r)) <= ULPS
     got = teleport._teleport(protocol, inputs, r, draws)
     monkeypatch.setattr(teleport, "_branches", _dense_branches)
     _assert_same_measurement(got, teleport._teleport(protocol, inputs, r, draws))
+
+
+def test_branches_gather_at_most_one_chunk_of_branch_matrices():
+    protocol = gate_teleport._double_protocol()
+    inputs, r, _ = _instances(protocol, 1024)
+    tracemalloc.start()
+    try:
+        out = teleport._branches(protocol, inputs, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + teleport._GATHER_BYTES + 64 * 1024, peak
 
 
 MODULES = sorted(p for p in Path(braidtel.__file__).parent.glob("*.py") if p.name != "linalg.py")
