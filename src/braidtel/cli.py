@@ -77,7 +77,7 @@ from .teleport import BIT_PAIRS, _bell_like_protocol, _braid_protocol, _standard
 
 # phi grid used to validate solved eigenvalue classes across the family
 _PHI_GRID = tuple(0.1 + 0.3 * k for k in range(10))
-_BLOCK = 1024  # instances per kernel call, gathered 256 KiB of branch matrices at a time: memory stays flat at any --count
+_BLOCK = 1024  # instances per kernel call, gathered 64 KiB of branch matrices at a time: memory stays flat at any --count
 
 TELEPORT_VARIANTS = ("standard", "bell-like", "yang-baxter", "gate", "two-qubit")
 TELEPORT_GATES = (*FIXED_GATES, "R")

@@ -17,11 +17,12 @@ report builds its Bell-like, braid or gate protocol once, at its own phi or
 gate, so a cache of them would never be hit.
 branch[r] maps an input ket at resource r to its M unnormalized
 post-measurement states, (<v_m| (x) 1) op with the input placed at r, so
-_branches is a gathered batched matvec.  It holds at most 256 KiB of gathered
-branch matrices at a time (_GATHER_BYTES): a block of up to 1024 one-qubit
-instances is one gather, a two-qubit block 64 instances per chunk.  _teleport
+_branches is a gathered batched matvec.  It holds at most 64 KiB of gathered
+branch matrices at a time (_GATHER_BYTES): a block of up to 256 one-qubit
+instances is one gather, a two-qubit block 16 instances per chunk.  _teleport
 samples m by the Born rule, one uniform draw per instance, and corrects with
-C_m^dag read at call time from the protocol's table, indexed [resource, outcome].
+C_m^dag read at call time from the protocol's table, indexed [resource, outcome];
+it normalizes the CDF and conjugates its gather of the table in place.
 _protocol_residual, the package's one teleportation-identity kernel, checks
 every branch against the exact identity with the protocol's own gate, as an
 equality of linear maps: it is a protocol's every_branch, the gated row of
@@ -83,7 +84,7 @@ from .linalg import (
 )
 
 BIT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
-_GATHER_BYTES = 1 << 18  # _branches gathers branch[r] in chunks of at most this many bytes, each into its rows of one output
+_GATHER_BYTES = 1 << 16  # _branches gathers branch[r] in chunks of at most this many bytes, each into its rows of one output
 
 
 @dataclass(frozen=True)
@@ -170,16 +171,19 @@ def _teleport(protocol: Protocol, inputs: np.ndarray, r, draws: np.ndarray):
     """
     rows = np.arange(len(inputs))
     branches = _branches(protocol, inputs, r)
-    flat = np.ascontiguousarray(branches).view(float)  # the real and imaginary parts of each amplitude
+    flat = branches.view(float)  # the real and imaginary parts of each amplitude
     probs = np.einsum("nmk,nmk->nm", flat, flat)
     total = probs.sum(axis=1)
     if not (np.abs(total - 1.0) <= 1e-9).all():
         raise ValueError(f"probabilities sum to {total[np.argmax(np.abs(total - 1.0))]}, expected 1")
     cdf = (probs / total[:, None]).cumsum(axis=1)
-    m = (cdf / cdf[:, -1:] <= draws[:, None]).sum(axis=1)  # searchsorted(cdf, draw, side="right") per row
+    np.divide(cdf, cdf[:, -1:], out=cdf)
+    m = (cdf <= draws[:, None]).sum(axis=1)  # searchsorted(cdf, draw, side="right") per row
     p = probs[rows, m]
     survivors = branches[rows, m] / np.sqrt(p)[:, None]
-    return m, p, survivors, (dagger(protocol[1][r, m]) @ survivors[:, :, None])[:, :, 0]
+    corrections = protocol[1][r, m]  # a gathered copy, so conjugating it leaves the read-only table as it is
+    np.conjugate(corrections, out=corrections)
+    return m, p, survivors, (corrections.swapaxes(-1, -2) @ survivors[:, :, None])[:, :, 0]
 
 
 def _one(protocol: Protocol, alpha, resource: int, rng_seed):
@@ -364,17 +368,18 @@ _X_LOW, _Z_HIGH, _X_LOW_PLUS, _Z_HIGH_PLUS = (
 
 
 def _checked_gates(table: PhaseTable, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The V_kl and U_ij stacks of table, once B rebuilt from them as below is within DEFAULT_TOL (else ValueError).
+    """The V_kl and U_ij stacks of table, once sqrt(2) B rebuilt from them as below is within DEFAULT_TOL (else ValueError).
 
-    Column kl of sum_kl (1 (x) V_kl)|Psi><kl| is (1 (x) V_kl)|Psi>,
-    row ij of sum_ij |ij><Psi|(1 (x) U_ij) is ((1 (x) U_ij^dag)|Psi>)^dag.
+    Column kl of sum_kl (1 (x) V_kl)|Psi><kl| is (1 (x) V_kl)|Psi>, V_kl^T flattened / sqrt(2), and
+    row ij of sum_ij |ij><Psi|(1 (x) U_ij) is <Psi|(1 (x) U_ij), U_ij flattened / sqrt(2).
     """
     r = phase_shift(table.phi)
     v_phases = np.array([cmath.exp(1j * table.alpha_b[p]) for p in BIT_PAIRS])[:, None, None]
     u_phases = np.array([cmath.exp(-1j * table.alpha_b_dagger[p]) for p in BIT_PAIRS])[:, None, None]
     v = v_phases * mul(r, H, _X_LOW, _Z_HIGH, r)  # each V_kl and U_ij as v_gate and u_gate multiply them
     u = u_phases * mul(dagger(r), _Z_HIGH_PLUS, _X_LOW_PLUS, H, dagger(r))
-    drift = max(max_abs_diff(transpose(state_with_gate(v)), b), max_abs_diff(conj(state_with_gate(dagger(u))), b))
+    scaled = math.sqrt(2) * b
+    drift = max(max_abs_diff(v.transpose(0, 2, 1).reshape(4, 4).T, scaled), max_abs_diff(u.reshape(4, 4), scaled))
     if drift > DEFAULT_TOL:
         raise ValueError(f"phase table does not reproduce B: drift {drift:.3e}")
     return v, u

@@ -10,8 +10,12 @@ measures with one small matvec per instance on a protocol's branch tensor,
 the outcomes of the einsum and of the dense zero-padded product it replaced
 (kept here as oracles), with every amplitude within 4 ulp.  teleport._branches,
 which gathers the branch tensor in chunks, gives the bits of its one-gather
-form (kept here as the reference) and holds at most one chunk.  A static scan
-keeps every other tensor product in the package on linalg.kron.
+form (kept here as the reference) and holds at most one chunk, and _teleport,
+which normalizes its CDF and conjugates its correction gather in place, gives
+the bits of its form with a divided CDF and a dagger copy (kept here as the
+reference), holds at most the block of _branches and its own temporaries, and
+writes no cached protocol.  A static scan keeps every other tensor product in
+the package on linalg.kron.
 """
 
 import argparse
@@ -282,37 +286,101 @@ def _one_gather_branches(protocol, inputs, r):
     return (protocol.branch[r] @ inputs[:, :, None]).reshape(len(inputs), len(protocol[2]), -1)
 
 
+def _teleport_as_it_was(protocol, inputs, r, draws):
+    """teleport._teleport as it was: the CDF divided into a new array, C_m^dag as a dagger copy of table[r, m]."""
+    rows = np.arange(len(inputs))
+    branches = _one_gather_branches(protocol, inputs, r)
+    flat = np.ascontiguousarray(branches).view(float)
+    probs = np.einsum("nmk,nmk->nm", flat, flat)
+    cdf = (probs / probs.sum(axis=1)[:, None]).cumsum(axis=1)
+    m = (cdf / cdf[:, -1:] <= draws[:, None]).sum(axis=1)
+    p = probs[rows, m]
+    survivors = branches[rows, m] / np.sqrt(p)[:, None]
+    return m, p, survivors, (dagger(protocol[1][r, m]) @ survivors[:, :, None])[:, :, 0]
+
+
 REPORT_PROTOCOLS = [(v, "T") for v in ("standard", "bell-like", "yang-baxter", "two-qubit")] + [
     ("gate", g) for g in ("H", "T", "R")
 ]
 
 
-# 63, 64 and 65 straddle the two-qubit chunk of _branches: 64 instances of 4 KiB each.
-@pytest.mark.parametrize("n", [1, 4, 32, 63, 64, 65, 256, 1024])
+def _chunk(protocol) -> int:
+    """Instances per gather chunk of _branches: 16 for two-qubit, 256 for the one-qubit protocols."""
+    return teleport._GATHER_BYTES // protocol.branch[0].nbytes
+
+
+# Each size is a function of the protocol's chunk: fixed counts, and the three that straddle the chunk.
+SIZES = {**{str(n): lambda chunk, n=n: n for n in (1, 4, 32, 256, 1024)},
+         **{f"chunk{d:+d}" if d else "chunk": lambda chunk, d=d: chunk + d for d in (-1, 0, 1)}}
+
+
+@pytest.mark.parametrize("size", SIZES.values(), ids=SIZES.keys())
 @pytest.mark.parametrize("variant, gate", REPORT_PROTOCOLS,
                          ids=[v if v != "gate" else f"gate-{g}" for v, g in REPORT_PROTOCOLS])
-def test_branch_tensor_kernel_matches_the_dense_branches(variant, gate, n, monkeypatch):
+def test_branch_tensor_kernel_matches_the_dense_branches(variant, gate, size, monkeypatch):
     protocol, *_ = cli._protocol(argparse.Namespace(action=variant, phi=0.3, gate=gate))
+    n = size(_chunk(protocol))
     inputs, r, draws = _instances(protocol, n)
     fused = teleport._branches(protocol, inputs, r)
     assert fused.shape == (n, len(protocol[2]), protocol[0].shape[0] // len(protocol[2]))
     assert np.array_equal(fused, _one_gather_branches(protocol, inputs, r))
     assert _ulps(fused, _dense_branches(protocol, inputs, r)) <= ULPS
     got = teleport._teleport(protocol, inputs, r, draws)
-    monkeypatch.setattr(teleport, "_branches", _dense_branches)
+    for a, b in zip(got, _teleport_as_it_was(protocol, inputs, r, draws), strict=True):
+        assert np.array_equal(a, b)
+    # _teleport views the block of _branches, which is C-contiguous, as floats
+    monkeypatch.setattr(teleport, "_branches", lambda *args: np.ascontiguousarray(_dense_branches(*args)))
     _assert_same_measurement(got, teleport._teleport(protocol, inputs, r, draws))
+
+
+def _traced_peak(kernel, *args) -> int:
+    """tracemalloc's peak, in bytes, over one call of kernel(*args)."""
+    tracemalloc.start()
+    try:
+        kernel(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_branches_gather_at_most_one_chunk_of_branch_matrices():
     protocol = gate_teleport._double_protocol()
     inputs, r, _ = _instances(protocol, 1024)
-    tracemalloc.start()
-    try:
-        out = teleport._branches(protocol, inputs, r)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= out.nbytes + teleport._GATHER_BYTES + 64 * 1024, peak
+    out_bytes = 1024 * protocol.branch[0].nbytes // protocol.branch.shape[2]
+    assert _traced_peak(teleport._branches, protocol, inputs, r) <= out_bytes + teleport._GATHER_BYTES + 64 * 1024
+
+
+# The double protocol's 256-instance block peaked at 731 KiB with a 256 KiB chunk, a divided CDF and a dagger
+# copy of the correction gather, and the standard protocol's 1024-instance block at 642 KiB.
+@pytest.mark.parametrize("build, n, cap_kib", [(gate_teleport._double_protocol, 256, 560),
+                                               (teleport._standard_protocol, 1024, 480)], ids=["double", "standard"])
+def test_teleport_holds_the_branch_block_and_its_measurement_temporaries(build, n, cap_kib):
+    protocol = build()
+    inputs, r, draws = _instances(protocol, n)
+    outcomes, rows = len(protocol[2]), protocol.branch.shape[1]
+    d_out = rows // outcomes
+    bound = (n * rows * 16  # the output of _branches
+             + teleport._GATHER_BYTES  # its gather chunk, in the same block
+             + 2 * n * outcomes * 8  # the probabilities and their CDF
+             + n * d_out * d_out * 16  # the correction gather, conjugated in place
+             + 2 * n * d_out * 16  # the survivors and the corrected states
+             + 64 * 1024)  # slack: the index arrays and numpy's small temporaries
+    assert bound <= cap_kib * 1024
+    assert _traced_peak(teleport._teleport, protocol, inputs, r, draws) <= bound
+
+
+def test_teleport_writes_no_cached_protocol():
+    protocols = (teleport._standard_protocol(), gate_teleport._double_protocol())
+    fields = [(*protocol, protocol.branch, protocol.gate) for protocol in protocols]
+    before = [[field.copy() for field in group] for group in fields]
+    for protocol in protocols:
+        teleport._teleport(protocol, *_instances(protocol, 64))
+    teleport.teleport_standard(np.array([0.6, 0.8j]))
+    teleport.teleport_with_yb(np.array([0.6, 0.8j]), 1, 0, 0.3)
+    for group, copies in zip(fields, before, strict=True):
+        for field, copy in zip(group, copies, strict=True):
+            assert not field.flags.writeable
+            assert field.tobytes() == copy.tobytes()
 
 
 MODULES = sorted(p for p in Path(braidtel.__file__).parent.glob("*.py") if p.name != "linalg.py")

@@ -195,6 +195,17 @@ def test_a_wrong_closed_form_phase_fails_the_rebuild_check(cold_caches, monkeypa
         teleport._braid_protocol(0.3)
 
 
+# A phase of B moves V_ij, a phase of B^dag moves U_ij: each half of the rebuild check is read.
+@pytest.mark.parametrize("ij", BIT_PAIRS, ids=[f"{i}{j}" for i, j in BIT_PAIRS])
+@pytest.mark.parametrize("name", ["_ALPHA_B", "_ALPHA_B_DAGGER"])
+def test_a_phase_off_by_a_micro_radian_fails_the_rebuild_check(cold_caches, monkeypatch, name, ij):
+    phases = getattr(teleport, name)
+    offset, slope = phases[ij]
+    monkeypatch.setitem(phases, ij, (offset + 1e-6, slope))
+    with pytest.raises(ValueError, match="does not reproduce B"):
+        teleport._braid_protocol(0.3)
+
+
 @pytest.mark.parametrize(
     "mapping",
     [lambda: cli._fixed_analysis("B0")[2]],
