@@ -88,11 +88,10 @@ class RelationBlock(NamedTuple):
 
 @dataclass
 class RelationReport:
-    """One family's residuals as blocks; entries expands them per relation and site."""
+    """One family's residuals as blocks; entries expands them by relation and site, passed holds them to DEFAULT_TOL."""
 
     family: str
     site_count: int
-    tolerance: float
     blocks: list[RelationBlock] = field(default_factory=list)
 
     def _filled(self) -> list[RelationBlock]:
@@ -118,7 +117,7 @@ class RelationReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= self.tolerance
+        return self.max_residual <= DEFAULT_TOL
 
     def worst(self) -> tuple[str | None, float]:
         """The first entry with the largest residual, or (None, 0.0) for a report with no relation.
@@ -263,7 +262,7 @@ def _window_residuals(E: np.ndarray, B: np.ndarray, d: float, params: BmwParams 
     return window.tolist(), squares.tolist(), far.tolist()
 
 
-def _suite(rep: Representation, d: float, tol: float, params: BmwParams | None = None) -> dict[str, RelationReport]:
+def _suite(rep: Representation, d: float, params: BmwParams | None = None) -> dict[str, RelationReport]:
     """Reports by family for one (E, B) pair: TL, Braid, Tangle, and Mixed with params or Brauer without."""
     w, sq, far = _window_residuals(rep.E, rep.B, d, params)
     table = [
@@ -286,18 +285,12 @@ def _suite(rep: Representation, d: float, tol: float, params: BmwParams | None =
     blocks: dict[str, list[RelationBlock]] = {}
     for family, forms, sites, rows in table:
         blocks.setdefault(family, []).append(RelationBlock(tuple(forms), tuple(map(tuple, rows)), sites))
-    return {family: RelationReport(family, rep.n, tol, family_blocks) for family, family_blocks in blocks.items()}
+    return {family: RelationReport(family, rep.n, family_blocks) for family, family_blocks in blocks.items()}
 
 
-def check_all(
-    E: np.ndarray,
-    B: np.ndarray,
-    params: BmwParams,
-    n: int = 3,
-    tol: float = DEFAULT_TOL,
-) -> list[RelationReport]:
+def check_all(E: np.ndarray, B: np.ndarray, params: BmwParams, n: int = 3) -> list[RelationReport]:
     """Run the four braid/TL/mixed/tangle families for one (E, B) pair."""
-    reports = _suite(build_rep(E, B, n), params.d, tol, params)
+    reports = _suite(build_rep(E, B, n), params.d, params)
     return [reports[family] for family in ("TL", "Braid", "Mixed", "Tangle")]
 
 
@@ -308,7 +301,7 @@ def check_brauer(n: int = 3) -> list[RelationReport]:
     pointwise (e v = v e = e), so the mixed family is replaced by those
     two identities; everything else matches the deformed case with d = 2.
     """
-    reports = _suite(build_rep(brauer_projector(), permutation_p(), n), 2.0, DEFAULT_TOL)
+    reports = _suite(build_rep(brauer_projector(), permutation_p(), n), 2.0)
     return [reports[family] for family in ("TL", "Braid", "Tangle", "Brauer")]
 
 

@@ -134,7 +134,7 @@ def _verify_bmw(cfg: argparse.Namespace) -> list[dict]:
             consistency=_fmt(params.constraint_residual()),
         )
     ]
-    reports = check_all(e, b, params, n=cfg.sites, tol=cfg.tolerance)
+    reports = check_all(e, b, params, n=cfg.sites)
     results.extend(_report_entries(_relation_rows(reports), cfg.tolerance))
     return results
 

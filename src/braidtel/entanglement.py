@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, identity, is_unitary, kron, max_abs_diff, outer
-from .gates import EPR, B_GLOBAL_PHASE, I2, bell_state, phase_shift, reduced_phase, tl_projector, yb_gate
+from .linalg import dagger, identity, is_unitary, max_abs_diff, outer
+from .gates import B_GLOBAL_PHASE, bell_state, phase_shift, reduced_phase, state_with_gate, tl_projector, yb_gate
 
 # Columns are the Bell-phase states; conjugating into this basis turns the
 # canonical exponential into a diagonal matrix.
@@ -138,7 +138,7 @@ def braid_projector_forms(phi: float) -> dict[str, float]:
     """
     b = yb_gate(phi)
     e = tl_projector(0, 0, phi)
-    flipped, rotated = bell_state(1, 0), kron(I2, phase_shift(2 * reduced_phase(phi))) @ EPR
+    flipped, rotated = bell_state(1, 0), state_with_gate(phase_shift(2 * reduced_phase(phi)))
     u_tilde = B_GLOBAL_PHASE * np.eye(4) + math.sqrt(2) * (
         outer(flipped, flipped) + outer(rotated, rotated)
     )

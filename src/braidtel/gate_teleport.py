@@ -123,12 +123,13 @@ def _sign(exponent: int) -> float:
 
 def k_gate(i: int, j: int, k: int, l: int) -> np.ndarray:
     """Forward correction (-1)^{jl+ij+k} X^{j+k+1} Z^{i+l+1}."""
+    _check_bits(i, j, k, l)
     return _sign(j * l + i * j + k) * pauli_w((j + k + 1) % 2, (i + l + 1) % 2)
 
 
 def l_gate(i: int, j: int, k: int, l: int) -> np.ndarray:
-    """Reverse correction (-1)^{ik+ij+l} X^{i+l+1} Z^{j+k+1}."""
-    return _sign(i * k + i * j + l) * pauli_w((i + l + 1) % 2, (j + k + 1) % 2)
+    """Reverse correction (-1)^{ik+ij+l} X^{i+l+1} Z^{j+k+1}, which is K with i <-> j and k <-> l."""
+    return k_gate(j, i, l, k)
 
 
 def r_gate(u: np.ndarray, i: int, j: int, k: int, l: int) -> np.ndarray:
@@ -214,12 +215,14 @@ class DoubleOutcome:
 
 def q_correction(i1, j1, k1, l1, i2, j2, k2, l2) -> np.ndarray:
     """Left middle-register correction of the double protocol."""
+    _check_bits(i1, j1, k1, l1, i2, j2, k2, l2)
     sign = _sign((k1 + 1) * (i1 + l1 + 1) + 1)
     return sign * mul(x_pow(i1 + i2 + l1 + l2), z_pow(j2 + k2 + 1))
 
 
 def p_correction(i1, j1, k1, l1, i2, j2, k2, l2) -> np.ndarray:
     """Right middle-register correction of the double protocol."""
+    _check_bits(i1, j1, k1, l1, i2, j2, k2, l2)
     sign = _sign(i2 * (k2 + j2 + 1) + 1)
     return sign * mul(z_pow(i1 + l1 + 1), x_pow(j1 + k1 + j2 + k2))
 

@@ -30,29 +30,30 @@ from .linalg import (
     outer,
 )
 
-I2 = identity(2)
-X = mat([[0, 1], [1, 0]])
-Z = mat([[1, 0], [0, -1]])
+# The fixed gates and EPR are read-only: every module shares these arrays.
+I2 = frozen(identity(2))
+X = frozen(mat([[0, 1], [1, 0]]))
+Z = frozen(mat([[1, 0], [0, -1]]))
 # Y = ZX here, which is -i times the textbook Pauli Y.  All closed forms
 # downstream assume this convention.
-Y = Z @ X
-H = mat([[1, 1], [1, -1]]) / math.sqrt(2)
-S = mat([[1, 0], [0, 1j]])
-CZ = np.diag([1, 1, 1, -1]).astype(complex)
-SWAP = mat([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+Y = frozen(Z @ X)
+H = frozen(mat([[1, 1], [1, -1]]) / math.sqrt(2))
+S = frozen(mat([[1, 0], [0, 1j]]))
+CZ = frozen(np.diag([1, 1, 1, -1]).astype(complex))
+SWAP = frozen(mat([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]))
 
 
 def x_pow(n: int) -> np.ndarray:
-    """X^n: the module's own X or I2 array, which callers must not modify."""
+    """X^n: the module's own read-only X or I2 array."""
     return X if n % 2 else I2
 
 
 def z_pow(n: int) -> np.ndarray:
-    """Z^n: the module's own Z or I2 array, which callers must not modify."""
+    """Z^n: the module's own read-only Z or I2 array."""
     return Z if n % 2 else I2
 
 
-EPR = ket([1, 0, 0, 1], normalize=True)
+EPR = frozen(ket([1, 0, 0, 1], normalize=True))
 
 # Eigenvalues of B indexed like the projectors E_ij; the (0,1)/(1,0) pair
 # is degenerate.
@@ -81,7 +82,7 @@ def reduced_phase(phi: float) -> float:
 
 
 # The T gate, diag(1, e^{i pi/4}), the "pi/8 gate" up to a global phase; T^4 = Z.
-T = phase_shift(math.pi / 4)
+T = frozen(phase_shift(math.pi / 4))
 
 # The fixed single-qubit gates of teleport gate --gate, in its help order; R takes its angle from --phi.
 FIXED_GATES = {"H": H, "S": S, "T": T, "X": X, "Y": Y, "Z": Z, "I": I2}
@@ -95,8 +96,7 @@ def pauli_w(i: int, j: int) -> np.ndarray:
 
 def bell_state(i: int, j: int) -> np.ndarray:
     """|psi(ij)> = (1 (x) W_ij) |Psi> with |Psi> the EPR pair."""
-    _check_bits(i, j)
-    return kron(I2, pauli_w(i, j)) @ EPR
+    return state_with_gate(pauli_w(i, j))
 
 
 def state_with_gate(m: np.ndarray) -> np.ndarray:
@@ -219,9 +219,9 @@ def decompose_b(phi: float):
     hz = H @ Z
     factors = [
         ("R(phi) x R(phi)", kron(r, r)),
-        ("CZ", CZ.copy()),
+        ("CZ", CZ),
         ("HZ x HZ", kron(hz, hz)),
-        ("CZ", CZ.copy()),
+        ("CZ", CZ),
         ("R(phi)^dag x R(phi)^dag", kron(dagger(r), dagger(r))),
     ]
     product = B_GLOBAL_PHASE * mul(*[m for _, m in factors])
@@ -232,8 +232,8 @@ def decompose_b(phi: float):
 
 
 def permutation_p() -> np.ndarray:
-    """The SWAP gate P with P|ij> = |ji>."""
-    return SWAP.copy()
+    """The read-only SWAP gate P with P|ij> = |ji>."""
+    return SWAP
 
 
 def brauer_projector() -> np.ndarray:

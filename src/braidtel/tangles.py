@@ -310,11 +310,10 @@ def solve_pauli_eigenvalues(m: int, n: int) -> list[SolutionClass]:
 
 
 def printed_projector(m: int, n: int) -> np.ndarray:
-    """Closed form of the Bell-state projector |psi(mn)><psi(mn)|."""
+    """Closed form of the Bell-state projector |psi(mn)><psi(mn)|; m = 1 flips the second qubit of m = 0."""
     eps = (-1) ** n
-    if m == 0:
-        return 0.5 * mat([[1, 0, 0, eps], [0, 0, 0, 0], [0, 0, 0, 0], [eps, 0, 0, 1]])
-    return 0.5 * mat([[0, 0, 0, 0], [0, 1, eps, 0], [0, eps, 1, 0], [0, 0, 0, 0]])
+    flip = [m, 1 - m, 2 + m, 3 - m]  # |a b> -> |a, b xor m>
+    return (0.5 * mat([[1, 0, 0, eps], [0, 0, 0, 0], [0, 0, 0, 0], [eps, 0, 0, 1]]))[np.ix_(flip, flip)]
 
 
 def printed_gate_forms(m: int, n: int, phi: float) -> dict[str, np.ndarray]:
@@ -322,49 +321,27 @@ def printed_gate_forms(m: int, n: int, phi: float) -> dict[str, np.ndarray]:
 
     Keys name the structure: two rotating forms differing by the sign of
     the off-diagonal cosine block, and one exchange form with pure phases.
+    The m = 1 forms are the m = 0 forms with their rows reversed, (X x X) F.
     """
     eps = (-1) ** n
     c, s = np.cos(phi), np.sin(phi)
     ep, em = cmath.exp(1j * phi), cmath.exp(-1j * phi)
-    if m == 0:
-        rot_plus = mat([
-            [c, 0, 0, 1j * s],
-            [0, -1j * eps * s, c, 0],
-            [0, c, -1j * eps * s, 0],
-            [1j * s, 0, 0, c],
-        ])
-        rot_minus = mat([
-            [c, 0, 0, 1j * s],
-            [0, -1j * eps * s, -c, 0],
-            [0, -c, -1j * eps * s, 0],
-            [1j * s, 0, 0, c],
-        ])
-        exchange = mat([
-            [0, 0, 0, ep],
-            [0, eps * em, 0, 0],
-            [0, 0, eps * em, 0],
-            [ep, 0, 0, 0],
-        ])
-    else:
-        rot_plus = mat([
-            [1j * s, 0, 0, c],
-            [0, c, -1j * eps * s, 0],
-            [0, -1j * eps * s, c, 0],
-            [c, 0, 0, 1j * s],
-        ])
-        rot_minus = mat([
-            [1j * s, 0, 0, c],
-            [0, -c, -1j * eps * s, 0],
-            [0, -1j * eps * s, -c, 0],
-            [c, 0, 0, 1j * s],
-        ])
-        exchange = mat([
-            [ep, 0, 0, 0],
-            [0, 0, eps * em, 0],
-            [0, eps * em, 0, 0],
-            [0, 0, 0, ep],
-        ])
-    return {"rotating:+": rot_plus, "rotating:-": rot_minus, "exchange": exchange}
+    rot_plus = mat([
+        [c, 0, 0, 1j * s],
+        [0, -1j * eps * s, c, 0],
+        [0, c, -1j * eps * s, 0],
+        [1j * s, 0, 0, c],
+    ])
+    rot_minus = rot_plus.copy()
+    rot_minus[[1, 2], [2, 1]] = -c
+    exchange = mat([
+        [0, 0, 0, ep],
+        [0, eps * em, 0, 0],
+        [0, 0, eps * em, 0],
+        [ep, 0, 0, 0],
+    ])
+    forms = {"rotating:+": rot_plus, "rotating:-": rot_minus, "exchange": exchange}
+    return {name: f[::-1] if m else f for name, f in forms.items()}
 
 
 def _matched_name(u4: np.ndarray, forms: dict[str, np.ndarray]) -> str:

@@ -212,11 +212,12 @@ def _stack(values, shape: tuple[int, ...], name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class UnitaryBasis:
-    """Four one-qubit gates labelling an orthonormal Bell-like basis.
+    """Four one-qubit unitaries labelling an orthonormal Bell-like basis.
 
     u[2i + j] is U_ij.  Orthonormality means (1/2) tr(U_ab^dag U_cd) =
     delta delta; it makes the four states (1 x U_ij)|Psi>, the rows of
-    states, an orthonormal two-qubit basis.
+    states, an orthonormal two-qubit basis.  Both it and max |U U^dag - 1|
+    must hold within DEFAULT_TOL, and a NaN fails either.
     """
 
     u: np.ndarray
@@ -227,8 +228,11 @@ class UnitaryBasis:
         object.__setattr__(self, "u", _stack(self.u, (4, 2, 2), "basis"))
         gram = 0.5 * np.einsum("bji,aji->ab", conj(self.u), self.u)  # (1/2) tr(U_b^dag U_a)
         object.__setattr__(self, "residual", max_abs_diff(gram, identity(4)))
-        if self.residual > DEFAULT_TOL:
+        if not self.residual <= DEFAULT_TOL:
             raise ValueError(f"basis is not orthonormal, residual {self.residual:.3e}")
+        unitarity = float(np.abs(self.u @ dagger(self.u) - I2).max())
+        if not unitarity <= DEFAULT_TOL:
+            raise ValueError(f"basis gates are not unitary, max |U U^dag - 1| = {unitarity:.3e}")
         object.__setattr__(self, "states", frozen(state_with_gate(self.u)))
 
     @classmethod

@@ -100,7 +100,7 @@ def test_criterion_01_relation_suite():
     for phi in (0.0, math.pi / 8, 1.234):
         e = tl_projector(0, 0, phi)
         b = yb_gate(phi)
-        for report in check_all(e, b, SECTION_PARAMS, n=3, tol=1e-10):
+        for report in check_all(e, b, SECTION_PARAMS, n=3):
             ok = ok and report.passed
     _verdict(1, "relation suite", ok)
 

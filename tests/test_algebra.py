@@ -40,7 +40,7 @@ REFERENCE_PARAMS = BmwParams(
 def _suite(phi: float, n: int = 3):
     e = tl_projector(0, 0, phi)
     b = yb_gate(phi)
-    return check_all(e, b, REFERENCE_PARAMS, n=n, tol=TOL)
+    return check_all(e, b, REFERENCE_PARAMS, n=n)
 
 
 @pytest.mark.parametrize("phi", [0.0, math.pi / 8, 1.234])
@@ -117,7 +117,7 @@ def test_build_rep_has_no_site_cap_and_keeps_local_shapes():
 
 def test_relation_report_bookkeeping():
     blocks = [RelationBlock((form,), ((residual,),), "once") for form, residual in (("ok", 1e-14), ("bad", 1e-3))]
-    report = RelationReport(family="demo", site_count=3, tolerance=1e-10, blocks=blocks)
+    report = RelationReport(family="demo", site_count=3, blocks=blocks)
     assert report.max_residual == 1e-3
     assert report.worst() == ("bad", 1e-3)
     assert not report.passed
@@ -232,7 +232,7 @@ def _windowed_and_dense(case, n):
     else:
         e, b = tl_projector(0, 0, float(case)), yb_gate(float(case))
         params = derive_params(b)
-    return check_all(e, b, params, n=n, tol=TOL), _dense_reports(build_rep(e, b, n), params)
+    return check_all(e, b, params, n=n), _dense_reports(build_rep(e, b, n), params)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -277,7 +277,7 @@ def _tied_reports(n):
         [block(("h{i}",), ((0.5,),), "site"), block(("m.{step:+d}.{i}",), ((0.25,), (0.5,)), "adjacent")],
     ]
     cases[0].append(block(("once",), ((1.0,),), "once"))
-    return [RelationReport("ties", n, 1.0, blocks) for blocks in cases]
+    return [RelationReport("ties", n, blocks) for blocks in cases]
 
 
 @pytest.mark.parametrize("n", range(3, 8))

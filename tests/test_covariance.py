@@ -20,7 +20,7 @@ import pytest
 from braidtel import algebra
 from braidtel.algebra import build_rep, check_all, derive_params
 from braidtel.gates import I2, SWAP, brauer_projector, permutation_p, phase_shift, tl_projector, yb_gate
-from braidtel.linalg import DEFAULT_TOL, conj, dagger, kron, max_abs_diff, transpose
+from braidtel.linalg import conj, dagger, kron, max_abs_diff, transpose
 from braidtel.tangles import solve_pauli_eigenvalues, spectral_constraint_residuals
 from braidtel.teleport import BIT_PAIRS, Protocol, UnitaryBasis, _basis_protocol
 from registers import haar_orthogonal, haar_unitary
@@ -80,7 +80,7 @@ def test_real_orthogonal_gauge_keeps_the_brauer_relations():
     for _ in range(DRAWS):
         o = haar_orthogonal(rng, 2)
         pair = _conjugated(kron(o, o), brauer_projector(), permutation_p())
-        reports = algebra._suite(build_rep(*pair, 3), 2.0, DEFAULT_TOL)
+        reports = algebra._suite(build_rep(*pair, 3), 2.0)
         worst = max(worst, max(report.max_residual for report in reports.values()))
     assert worst <= GAUGE_TOL
 

@@ -149,6 +149,26 @@ def test_single_gate_teleportation_input_validation():
         teleport_single_gate(np.ones((2, 2)), alpha, 0, 0)
 
 
+def test_l_is_k_with_both_bit_pairs_swapped():
+    for i, j, k, l in itertools.product((0, 1), repeat=4):
+        closed_form = (-1) ** (i * k + i * j + l) * mul(np.linalg.matrix_power(X, i + l + 1),
+                                                        np.linalg.matrix_power(Z, j + k + 1))
+        assert np.array_equal(l_gate(i, j, k, l), closed_form)
+        assert np.array_equal(l_gate(i, j, k, l), k_gate(j, i, l, k))
+
+
+def test_corrections_reject_bit_indices_outside_zero_one():
+    corrections = (k_gate, l_gate, lambda *bits: r_gate(np.eye(2), *bits))
+    for correction, bad in itertools.product(corrections, ((5, 0, 0, 0), (0, 2, 0, 0), (0, 0, -1, 0), (0, 0, 0, 3))):
+        with pytest.raises(ValueError, match="bit index"):
+            correction(*bad)
+    for correction, position in itertools.product((q_correction, p_correction), range(8)):
+        bits = [0] * 8
+        bits[position] = 2
+        with pytest.raises(ValueError, match="bit index"):
+            correction(*bits)
+
+
 def test_two_qubit_correction_factorization():
     # Q (x) P must equal B0 (K (x) L) B0^dag over all 256 index tuples
     assert qp_factorization_residual() < 1e-12

@@ -32,7 +32,10 @@ from braidtel.gates import (
     yb_clifford,
     yb_gate,
     yb_spectral,
+    x_pow,
+    z_pow,
 )
+from braidtel.gate_teleport import _PAULI_BY_LABEL
 from braidtel.linalg import (
     approx_eq,
     dagger,
@@ -167,3 +170,11 @@ def test_brauer_projector_annihilates_orthogonal_bells():
 
 def test_cz_diagonal():
     assert approx_eq(CZ, np.diag([1, 1, 1, -1]).astype(complex))
+
+
+def test_shared_gate_constants_are_read_only():
+    shared = [I2, X, Y, Z, H, S, T, CZ, SWAP, EPR, permutation_p(), x_pow(1), z_pow(0)]
+    shared += [*FIXED_GATES.values(), *_PAULI_BY_LABEL.values(), *(m for name, m in decompose_b(0.3)[1] if name == "CZ")]
+    for a in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]  # the same values, so a writable array is left as it was

@@ -21,7 +21,6 @@ _ONE_INSTANCE_SEED = "a one-instance call that perfbench/run.py reads by name, s
 ALLOWED = {
     "algebra._suite.params": "check_all passes its params; check_brauer leaves None for the Brauer family",
     "algebra.check_all.n": "cli._verify_bmw passes --sites; the README tour",
-    "algebra.check_all.tol": "cli._verify_bmw passes --tolerance; the README tour",
     "algebra.check_brauer.n": "cli._brauer_rows passes --sites",
     "cli._constraint_entries.worst": "cli._verify_constraints",
     "cli._basis_assignment.label": "cli._verify_general",

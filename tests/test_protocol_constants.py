@@ -156,6 +156,14 @@ def test_measurement_bases_must_be_orthonormal(cold_caches, monkeypatch):
         teleport.UnitaryBasis.bell_like(0.3)
 
 
+def test_measurement_bases_must_be_unitary_and_finite():
+    # sqrt 2 E_11, E_12, E_21, E_22 are orthonormal under (1/2) tr, but not one is unitary
+    with pytest.raises(ValueError, match="not unitary"):
+        teleport.UnitaryBasis(np.sqrt(2) * np.eye(4).reshape(4, 2, 2))
+    with pytest.raises(ValueError, match="not orthonormal"):
+        teleport.UnitaryBasis(np.full((4, 2, 2), np.nan))
+
+
 def test_braid_corrections_are_stacked_by_resource_then_outcome():
     table = phase_table(-2.1)
     _, stacked, _ = teleport._braid_protocol(-2.1)

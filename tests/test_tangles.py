@@ -8,9 +8,9 @@ import pytest
 
 from braidtel import tangles
 from braidtel.algebra import check_all, derive_params
-from braidtel.gates import B_EIGENVALUES, m_gate, state_with_gate, yb_gate
+from braidtel.gates import B_EIGENVALUES, I2, X, m_gate, state_with_gate, yb_gate
 from braidtel.cli import main
-from braidtel.linalg import DEFAULT_TOL, conj, dagger, is_unitary, max_abs_diff, mul, transpose
+from braidtel.linalg import DEFAULT_TOL, conj, dagger, is_unitary, kron, max_abs_diff, mul, transpose
 from braidtel.tangles import (
     CONSTRAINT_IDS,
     EigenAssignment,
@@ -421,6 +421,27 @@ def test_printed_projector_shapes(m, n):
 def test_printed_gate_forms_are_unitary(m, n):
     for name, gate in printed_gate_forms(m, n, 0.8).items():
         assert is_unitary(gate), name
+
+
+@pytest.mark.parametrize("n", (0, 1))
+@pytest.mark.parametrize("phi", [0.0, 0.3, -1.1, 2.5, np.pi / 2, -7.0])
+def test_printed_gate_forms_at_m_one_are_x_x_times_those_at_m_zero(n, phi):
+    """Each m = 1 form is (X x X) F of its m = 0 form F, and rotating:- is rotating:+ with its cosine block negated."""
+    at_zero, at_one = printed_gate_forms(0, n, phi), printed_gate_forms(1, n, phi)
+    assert at_zero.keys() == at_one.keys()
+    for name, form in at_zero.items():
+        assert np.array_equal(at_one[name], kron(X, X) @ form), name
+    for forms in (at_zero, at_one):
+        minus = forms["rotating:+"].copy()
+        block = minus[1:3, 1:3]
+        minus[1:3, 1:3] = -block.real + 1j * block.imag  # the middle block's real entries are its cosines
+        assert np.array_equal(forms["rotating:-"], minus)
+
+
+@pytest.mark.parametrize("n", (0, 1))
+def test_printed_projector_at_m_one_flips_the_second_qubit_of_m_zero(n):
+    flip = kron(I2, X)
+    assert np.array_equal(printed_projector(1, n), flip @ printed_projector(0, n) @ flip)
 
 
 @pytest.mark.parametrize("m,n", BIT_PAIRS)
