@@ -23,8 +23,12 @@ from verify kind or command to report.
 Report parts that read neither --phi nor --seed are computed once per process
 and kept as immutable values: _brauer_rows (the verify brauer relation rows
 and state identities, by --sites), _solve_rows (solve, by --mn) and
-_fixed_analysis (analyze of the phi-free gates).  No cache holds a pass flag:
-each report compares the cached residuals with its own --tolerance.
+_fixed_analysis (analyze of the phi-free gates).  _diagonal_table, the
+constraint table that verify spectral and verify general both print, is kept
+per (--basis, --mn, --class, --phi), and the operators that several reports
+at one phi read (E_00, B and the Bell-like protocol) are cached per phi in
+their own modules.  No cache holds a pass flag: each report compares the
+cached residuals with its own --tolerance.
 """
 
 from __future__ import annotations
@@ -64,7 +68,6 @@ from .tangles import (
     _pattern_residuals,
     concrete_constraint_residuals,
     eigenvalue_sum,
-    general_constraint_residuals,
     matched_form,
     projector_teleportation_residuals,
     scalar_system_residual,
@@ -164,26 +167,42 @@ def _verify_constraints(cfg: argparse.Namespace) -> list[dict]:
     return results
 
 
-def _basis_assignment(cfg: argparse.Namespace, label: str = "assignment", prefix: str = ""):
-    """(basis, eigenvalue assignment, m, n, and an info entry named label that shows them) from the config.
+def _assignment(basis: str, mn: str, class_id: int, phi: float):
+    """(basis, eigenvalue assignment, m, n, description) of the --basis, --mn, --class and --phi options.
 
     The pauli basis takes its assignment from the solved class picked by
     --class; bell-like pairs the braid eigenvalues with the rotated Bell
     basis, which satisfies the constraints at their native --mn 00.
     """
-    m, n = int(cfg.mn[0]), int(cfg.mn[1])
-    if cfg.basis == "pauli":
-        sol = solve_pauli_eigenvalues(m, n)[cfg.class_id - 1]
-        basis, mu, desc = UnitaryBasis.pauli(), sol.mu_of_phi(cfg.phi), sol.describe()
-    else:
-        basis, desc = UnitaryBasis.bell_like(cfg.phi), "braid eigenvalues"
-        mu = EigenAssignment([B_EIGENVALUES[p] for p in BIT_PAIRS])
+    m, n = int(mn[0]), int(mn[1])
+    if basis == "pauli":
+        sol = solve_pauli_eigenvalues(m, n)[class_id - 1]
+        return UnitaryBasis.pauli(), sol.mu_of_phi(phi), m, n, sol.describe()
+    mu = EigenAssignment([B_EIGENVALUES[p] for p in BIT_PAIRS])
+    return UnitaryBasis.bell_like(phi), mu, m, n, "braid eigenvalues"
+
+
+def _basis_assignment(cfg: argparse.Namespace, label: str = "assignment", prefix: str = ""):
+    """(basis, eigenvalue assignment, m, n, and an info entry named label that shows them) from the config."""
+    basis, mu, m, n, desc = _assignment(cfg.basis, cfg.mn, cfg.class_id, cfg.phi)
     return basis, mu, m, n, _info(label, value=prefix + desc, mn=cfg.mn, basis=cfg.basis)
+
+
+@functools.lru_cache(maxsize=8)
+def _diagonal_table(basis: str, mn: str, class_id: int, phi: float) -> MappingProxyType:
+    """The constraint residuals of the diagonal gate of _assignment(basis, mn, class_id, phi), read-only.
+
+    verify spectral and verify general print this one table, so a round at one phi evaluates it once.
+    """
+    basis, mu, m, n, _ = _assignment(basis, mn, class_id, phi)
+    table = spectral_constraint_residuals(basis, mu, m, n)
+    return MappingProxyType({c: MappingProxyType(cells) for c, cells in table.items()})
 
 
 def _verify_spectral(cfg: argparse.Namespace) -> list[dict]:
     basis, mu, m, n, info = _basis_assignment(cfg)
-    results = [info, *_constraint_entries(spectral_constraint_residuals(basis, mu, m, n), cfg.tolerance)]
+    table = _diagonal_table(cfg.basis, cfg.mn, cfg.class_id, cfg.phi)
+    results = [info, *_constraint_entries(table, cfg.tolerance)]
     results.append(_check("completeness-sum", abs(eigenvalue_sum(mu, m, n) - 1), cfg.tolerance))
     if cfg.basis == "pauli":
         results.append(_check("scalar-system", scalar_system_residual(mu, m, n), cfg.tolerance))
@@ -191,10 +210,10 @@ def _verify_spectral(cfg: argparse.Namespace) -> list[dict]:
 
 
 def _verify_general(cfg: argparse.Namespace) -> list[dict]:
-    basis, mu, m, n, info = _basis_assignment(cfg, "coefficients", "diagonal: ")
-    coeffs = GateCoefficients.diagonal(mu)
-    results = [info, *_constraint_entries(general_constraint_residuals(coeffs, basis, m, n), cfg.tolerance)]
-    unitary = coeffs.is_gate(basis)
+    basis, mu, _, _, info = _basis_assignment(cfg, "coefficients", "diagonal: ")
+    table = _diagonal_table(cfg.basis, cfg.mn, cfg.class_id, cfg.phi)
+    results = [info, *_constraint_entries(table, cfg.tolerance)]
+    unitary = GateCoefficients.diagonal(mu).is_gate(basis)
     results.append({"label": "assembled-gate-unitary", "value": bool(unitary), "pass": bool(unitary)})
     return results
 
@@ -281,11 +300,14 @@ def _cmd_teleport(cfg: argparse.Namespace) -> list[dict]:
     ket_rng, measure_rng = (np.random.default_rng(s) for s in _streams(cfg.seed))
     seen = np.zeros(outcomes * resources, dtype=bool)  # the (outcome m, resource r) branches met, at m R + r
     min_fid, prob_dev = 1.0, 0.0  # worst fidelity and deviation
+    weights = 1 << np.arange(nbits)[::-1]  # resource bits, most significant first, to r
     for start in range(0, cfg.count, _BLOCK):
         n = min(_BLOCK, cfg.count - start)
-        amps = ket_rng.standard_normal((n, dim)) + 1j * ket_rng.standard_normal((n, dim))
+        real, imag = ket_rng.standard_normal((2, n, dim))  # the bits of two (n, dim) draws, one after the other
+        amps = real + 1j * imag
         inputs = amps / np.linalg.norm(amps, axis=1, keepdims=True)
-        r = ket_rng.integers(0, 2, size=(n, nbits)) @ (1 << np.arange(nbits)[::-1])
+        # one resource has no bits to draw, and a draw of none would take nothing from the stream
+        r = ket_rng.integers(0, 2, size=(n, nbits)) @ weights if nbits else np.zeros(n, dtype=int)
         m, p, _, corrected = _teleport(protocol, inputs, r, measure_rng.random(n))
         fid = np.abs(np.einsum("ij,nj,ni->n", conj(protocol.gate), conj(inputs), corrected)) ** 2  # |<gate input|corrected>|^2
         counts += np.bincount(m, minlength=len(counts))

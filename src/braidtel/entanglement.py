@@ -22,12 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, identity, is_unitary, max_abs_diff, outer
+from .linalg import dagger, frozen, identity, is_unitary, max_abs_diff, outer
 from .gates import B_GLOBAL_PHASE, bell_state, phase_shift, reduced_phase, state_with_gate, tl_projector, yb_gate
 
 # Columns are the Bell-phase states; conjugating into this basis turns the
 # canonical exponential into a diagonal matrix.
-MAGIC = (
+MAGIC = frozen(
     np.column_stack(
         [
             [1, 0, 0, 1],
@@ -38,6 +38,7 @@ MAGIC = (
     )
     / math.sqrt(2)
 )
+_MAGIC_DAGGER = frozen(dagger(MAGIC))
 
 _QUARTER = math.pi / 4
 _HALF = math.pi / 2
@@ -77,7 +78,7 @@ def canonical_gate(a: float, b: float, c: float) -> np.ndarray:
     phases = [
         cmath.exp(1j * (sx * a + sy * b + sz * c)) for sx, sy, sz in _MAGIC_SIGNS
     ]
-    return MAGIC @ np.diag(phases) @ dagger(MAGIC)
+    return MAGIC @ np.diag(phases) @ _MAGIC_DAGGER
 
 
 def _special_unitary(u: np.ndarray) -> np.ndarray:
@@ -85,9 +86,14 @@ def _special_unitary(u: np.ndarray) -> np.ndarray:
     return u / det ** 0.25
 
 
-def _local_invariants(su: np.ndarray) -> tuple[complex, complex]:
-    m = dagger(MAGIC) @ su @ MAGIC
-    gram = m.T @ m
+def _magic_gram(su: np.ndarray) -> np.ndarray:
+    """m^T m, with m the special unitary su written in the magic basis."""
+    m = _MAGIC_DAGGER @ su @ MAGIC
+    return m.T @ m
+
+
+def _local_invariants(gram: np.ndarray) -> tuple[complex, complex]:
+    """The two local invariants of a gate, read off its _magic_gram."""
     t = np.trace(gram)
     return (t * t / 16.0, (t * t - np.trace(gram @ gram)) / 4.0)
 
@@ -113,12 +119,11 @@ def canonical_params(u: np.ndarray) -> CanonicalParams:
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4) or not is_unitary(u):
         raise ValueError("expected a 4x4 unitary")
-    su = _special_unitary(u)
-    target = _local_invariants(su)
-    m = dagger(MAGIC) @ su @ MAGIC
-    l1, l2, _, l4 = np.angle(np.linalg.eigvals(m.T @ m)) / 2.0
+    gram = _magic_gram(_special_unitary(u))
+    target = _local_invariants(gram)
+    l1, l2, _, l4 = np.angle(np.linalg.eigvals(gram)) / 2.0
     a, b, c = (l1 + l4) / 2.0, (l2 + l4) / 2.0, (l1 + l2) / 2.0
-    rebuilt = _local_invariants(canonical_gate(a, b, c))
+    rebuilt = _local_invariants(_magic_gram(canonical_gate(a, b, c)))
     if abs(rebuilt[0] - target[0]) > 1e-8 or abs(rebuilt[1] - target[1]) > 1e-8:
         raise AssertionError("the eigenphase triple does not reproduce the local invariants")
     return CanonicalParams(*sorted((abs(_fold(x)) for x in (a, b, c)), reverse=True))
@@ -127,6 +132,9 @@ def canonical_params(u: np.ndarray) -> CanonicalParams:
 def entangling_power(u: np.ndarray) -> float:
     """Entangling power of a two-qubit gate; see CanonicalParams.entangling_power."""
     return canonical_params(u).entangling_power()
+
+
+_FLIPPED = frozen(bell_state(1, 0))  # |psi(10)>, the phi-free dyad of both expansions
 
 
 def braid_projector_forms(phi: float) -> dict[str, float]:
@@ -138,7 +146,7 @@ def braid_projector_forms(phi: float) -> dict[str, float]:
     """
     b = yb_gate(phi)
     e = tl_projector(0, 0, phi)
-    flipped, rotated = bell_state(1, 0), state_with_gate(phase_shift(2 * reduced_phase(phi)))
+    flipped, rotated = _FLIPPED, state_with_gate(phase_shift(2 * reduced_phase(phi)))
     u_tilde = B_GLOBAL_PHASE * np.eye(4) + math.sqrt(2) * (
         outer(flipped, flipped) + outer(rotated, rotated)
     )

@@ -4,7 +4,9 @@ The central objects are the phase-parameterized Temperley-Lieb projector
 family E_ij and the Yang-Baxter gate B.  Each carries two independent
 definitions (a closed-form matrix and a compositional build from
 single-qubit gates), and the constructors cross-check one against the
-other rather than trusting either alone.  FIXED_GATES maps each fixed
+other rather than trusting either alone.  Both are cached per phi and
+read-only, so each build and self-check runs once per phi for every report
+that reads it.  FIXED_GATES maps each fixed
 --gate name of teleport gate to its matrix, T among them.
 """
 
@@ -147,11 +149,17 @@ def _tl_closed_form(phi: float) -> np.ndarray:
 
 
 def tl_projector(i: int, j: int, phi: float) -> np.ndarray:
-    """Rank-1 projector E_ij onto the Bell-like state of M_ij.
+    """Rank-1 projector E_ij onto the Bell-like state of M_ij, read-only.
 
     E_00 is additionally asserted against its closed-form matrix, which ties
     the compositional M_00 = R H S H R route to the printed entries.
     """
+    return _tl_projector(i, j, phi)
+
+
+@functools.lru_cache(maxsize=8)
+def _tl_projector(i: int, j: int, phi: float) -> np.ndarray:
+    """tl_projector, built and self-checked once per (i, j, phi): the Bell-like basis and several reports read E_00."""
     _check_bits(i, j)
     state = bell_like_state(i, j, phi)
     proj = outer(state, state)
@@ -159,7 +167,7 @@ def tl_projector(i: int, j: int, phi: float) -> np.ndarray:
         drift = max_abs_diff(proj, _tl_closed_form(phi))
         if drift > STRICT_TOL:
             raise AssertionError(f"E_00 closed form mismatch: {drift:.3e}")
-    return proj
+    return frozen(proj)
 
 
 def _yb_closed_form(phi: float) -> np.ndarray:
@@ -179,9 +187,10 @@ def _yb_closed_form(phi: float) -> np.ndarray:
     )
 
 
+@functools.lru_cache(maxsize=8)
 def yb_gate(phi: float) -> np.ndarray:
-    """The Yang-Baxter gate B at phase phi (closed form)."""
-    return _yb_closed_form(phi)
+    """The Yang-Baxter gate B at phase phi (closed form), read-only: one build per phi for every report that reads it."""
+    return frozen(_yb_closed_form(phi))
 
 
 def yb_spectral(phi: float):
@@ -199,10 +208,13 @@ def yb_spectral(phi: float):
     return dict(B_EIGENVALUES), total
 
 
+# HZ (x) HZ, the middle layer of B_0 and of B's elementary product
+_HZ_HZ = frozen(kron(H @ Z, H @ Z))
+
+
 def yb_clifford() -> np.ndarray:
     """B_0 = CZ (HZ (x) HZ) CZ, the phi=0 gate stripped of its global phase."""
-    hz = H @ Z
-    b0 = mul(CZ, kron(hz, hz), CZ)
+    b0 = mul(CZ, _HZ_HZ, CZ)
     if not approx_eq(B_GLOBAL_PHASE * b0, _yb_closed_form(0.0), STRICT_TOL):
         raise AssertionError("B_0 does not match yb_gate(0) up to the fixed phase")
     return b0
@@ -216,16 +228,15 @@ def decompose_b(phi: float):
     the max abs entry of that product minus yb_gate(phi).
     """
     r = phase_shift(phi)
-    hz = H @ Z
     factors = [
         ("R(phi) x R(phi)", kron(r, r)),
         ("CZ", CZ),
-        ("HZ x HZ", kron(hz, hz)),
+        ("HZ x HZ", _HZ_HZ),
         ("CZ", CZ),
         ("R(phi)^dag x R(phi)^dag", kron(dagger(r), dagger(r))),
     ]
     product = B_GLOBAL_PHASE * mul(*[m for _, m in factors])
-    drift = max_abs_diff(product, _yb_closed_form(phi))
+    drift = max_abs_diff(product, yb_gate(phi))
     if drift > STRICT_TOL:
         raise AssertionError(f"decomposition drifted from closed form: {drift:.3e}")
     return B_GLOBAL_PHASE, factors, drift

@@ -40,7 +40,7 @@ from .linalg import (
     transpose,
 )
 from .gates import B_EIGENVALUES, bell_state
-from .teleport import BIT_PAIRS, UnitaryBasis, _basis_protocol, _stack
+from .teleport import BIT_PAIRS, UnitaryBasis, _basis_protocol, _bell_like_protocol, _stack
 
 CONSTRAINT_IDS = (1, 2, 3, 4)
 
@@ -154,13 +154,14 @@ def projector_teleportation_residuals(phi: float) -> dict[int, float]:
     """The four state-level identities tied to the quadratic constraints.
 
     Identities 1 and 2 move an unknown state across the Bell-like resource in either direction:
-    they are the every_branch of _basis_protocol(UnitaryBasis.bell_like(phi), front), the front
-    flow (the Bell-like protocol) and the mirror flow.  3 and 4 are their bra forms, with every
-    ket, input and correction conjugated; conjugation is exact in floating point, so they are
-    the values of 1 and 2 and add no independent check.  Residuals are Frobenius norms of the
-    residual maps.
+    they are the every_branch of the front flow, the cached _bell_like_protocol(phi) that teleport
+    bell-like reads too, and of the mirror flow, _basis_protocol(UnitaryBasis.bell_like(phi), False).
+    3 and 4 are their bra forms, with every ket, input and correction conjugated; conjugation is
+    exact in floating point, so they are the values of 1 and 2 and add no independent check.
+    Residuals are Frobenius norms of the residual maps.
     """
-    ket, mirror = (_basis_protocol(UnitaryBasis.bell_like(phi), front).every_branch for front in (True, False))
+    ket = _bell_like_protocol(phi).every_branch
+    mirror = _basis_protocol(UnitaryBasis.bell_like(phi), False).every_branch
     return dict(zip(CONSTRAINT_IDS, (ket, mirror, ket, mirror)))
 
 

@@ -12,9 +12,12 @@ A protocol is always a Protocol: its read-only (op, table, kets) triple, its
 branch tensor and the gate it applies, built together.  _basis_protocol builds
 every Bell-type one from a UnitaryBasis, in its front or mirror flow, and
 _projector_channel puts E (x) 1 after it; standard teleportation is the Pauli
-case, where W_00 = 1.  Only the standard and double protocols are cached: a
-report builds its Bell-like, braid or gate protocol once, at its own phi or
-gate, so a cache of them would never be hit.
+case, where W_00 = 1.  The standard and double protocols are cached per
+process and the Bell-like one per phi: verify constraints reads its
+every_branch as transfer identity 1 and teleport bell-like as its
+every-branch row, so one build and one residual serve both.  A report builds
+its braid or gate protocol once, at its own phi or gate, so a cache of them
+would never be hit.
 branch[r] maps an input ket at resource r to its M unnormalized
 post-measurement states, (<v_m| (x) 1) op with the input placed at r, so
 _branches is a gathered batched matvec.  It holds at most 64 KiB of gathered
@@ -115,7 +118,7 @@ class Protocol(tuple):
     qubit, so the kets are folded into op once, when the protocol is built, and a survivor is one small
     matvec.  every_branch, the _protocol_residual of the protocol, is computed on its first read, once per
     build, so one-instance calls, which never read it, do not pay for it.  The table stays the tuple's own
-    item, read at call time.  Every field is read-only: the standard and double protocols are shared.
+    item, read at call time.  Every field is read-only: the standard, double and Bell-like protocols are shared.
     """
 
     def __new__(cls, op, table, kets, gate):
@@ -302,8 +305,12 @@ def _standard_protocol() -> Protocol:
     return _basis_protocol(UnitaryBasis.pauli(), True)
 
 
+@functools.lru_cache(maxsize=8)
 def _bell_like_protocol(phi: float) -> Protocol:
-    """The Bell-like protocol at phi: the M_ij basis's front flow, op alpha -> alpha (x) |Psi_M00>, table M00 M*_ij."""
+    """The Bell-like protocol at phi, one read-only instance per phi.
+
+    It is the M_ij basis's front flow: op alpha -> alpha (x) |Psi_M00>, table M00 M*_ij.
+    """
     return _basis_protocol(UnitaryBasis.bell_like(phi), True)
 
 

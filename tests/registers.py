@@ -3,7 +3,7 @@
 import numpy as np
 
 from braidtel import gates, teleport
-from braidtel.entanglement import _local_invariants, _special_unitary
+from braidtel.entanglement import _local_invariants, _magic_gram, _special_unitary
 from braidtel.gate_teleport import _PAULI_BY_LABEL, PauliString
 from braidtel.linalg import is_unitary, ket, kron, transpose
 
@@ -50,7 +50,7 @@ def local_invariants(u) -> tuple[complex, complex]:
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4) or not is_unitary(u):
         raise ValueError("expected a 4x4 unitary")
-    return _local_invariants(_special_unitary(u))
+    return _local_invariants(_magic_gram(_special_unitary(u)))
 
 
 # The teleportation identities by name: the front flows, their -transpose mirrors, the projector channels and flow.

@@ -193,6 +193,22 @@ def test_public_functions_keep_the_choice_outcomes(variant):
         assert np.max(np.abs(corrected - want)) <= 1e-15
 
 
+@pytest.mark.parametrize("n", [1, 4, 1025])
+@pytest.mark.parametrize("dim", [2, 4])
+def test_one_normal_draw_gives_the_bits_of_two(dim, n):
+    """A report draws a block's real and imaginary parts in one call, and a one-resource block draws no bits.
+
+    Both keep the ket stream of two (n, dim) draws and a draw of (n, 0) bits, so the next block reads the
+    same bits either way."""
+    fused, split = np.random.default_rng(17), np.random.default_rng(17)
+    real, imag = fused.standard_normal((2, n, dim))
+    assert np.array_equal(real, split.standard_normal((n, dim)))
+    assert np.array_equal(imag, split.standard_normal((n, dim)))
+    assert split.integers(0, 2, size=(n, 0)).size == 0
+    assert np.array_equal(fused.standard_normal((2, n, dim)), split.standard_normal((2, n, dim)))
+    assert np.array_equal(fused.integers(0, 2, size=(n, 2)), split.integers(0, 2, size=(n, 2)))
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_blocks_bound_the_kernel_batch(variant, monkeypatch, capsys):
     sizes = []

@@ -85,13 +85,17 @@ def test_cache_scan_finds_the_protocol_caches():
         teleport._pauli_basis,
         teleport._bell_like_basis,
         teleport._standard_protocol,
+        teleport._bell_like_protocol,
         gates._m_gates,
+        gates._tl_projector,
+        gates.yb_gate,
         gate_teleport._double_protocol,
         gate_teleport._b0_layers,
         gate_teleport._kl_tables,
         cli._solve_rows,
         cli._fixed_analysis,
         cli._brauer_rows,
+        cli._diagonal_table,
     }
     assert expected <= set(CACHES)
 
@@ -125,13 +129,20 @@ def test_cache_scan_finds_the_protocol_caches():
         lambda: gate_teleport._double_protocol().gate,
         lambda: gates._m_gates(0.3),
         lambda: gates.m_gate(1, 1, 0.3),
+        lambda: gates.yb_gate(0.3),
+        lambda: gates.tl_projector(0, 0, 0.3),
+        lambda: gates.tl_projector(1, 0, 0.3),
+        lambda: gates._HZ_HZ,
+        lambda: entanglement.MAGIC,
+        lambda: entanglement._MAGIC_DAGGER,
+        lambda: entanglement._FLIPPED,
     ],
     ids=["bell", "product", "bell-like", "braid-op", "braid-w", "b0-front", "b0-back",
          "bell-like-front", "pauli", "k", "l",
          "pauli-basis-00", "pauli-basis-01", "pauli-basis-10", "pauli-basis-11", "pauli-states",
          "standard-branch", "bell-like-branch", "braid-branch", "gate-branch", "double-branch",
          "standard-op", "bell-like-op", "gate-op", "gate-table", "double-op", "double-gate",
-         "m-stack", "m-11"],
+         "m-stack", "m-11", "b", "e-00", "e-10", "hz-hz", "magic", "magic-dagger", "flipped"],
 )
 def test_cached_constants_are_read_only(constant):
     array = constant()
@@ -216,8 +227,10 @@ def test_a_phase_off_by_a_micro_radian_fails_the_rebuild_check(cold_caches, monk
 
 @pytest.mark.parametrize(
     "mapping",
-    [lambda: cli._fixed_analysis("B0")[2]],
-    ids=["b0-conjugation"],
+    [lambda: cli._fixed_analysis("B0")[2],
+     lambda: cli._diagonal_table("pauli", "01", 1, 0.3),
+     lambda: cli._diagonal_table("pauli", "01", 1, 0.3)[1]],
+    ids=["b0-conjugation", "diagonal-table", "diagonal-table-row"],
 )
 def test_cached_mappings_are_read_only(mapping):
     table = mapping()
@@ -312,7 +325,7 @@ def test_importing_the_cli_fills_no_cache():
 
 
 def test_protocols_and_their_every_branch_rows_are_built_once(cold_caches, monkeypatch, capsys):
-    """Once per process for standard and two-qubit, once per report for bell-like, yang-baxter and gate."""
+    """Once per process for standard and two-qubit, once per phi for bell-like, once per report for yang-baxter and gate."""
     calls = []
     real = teleport._protocol_residual
     monkeypatch.setattr(teleport, "_protocol_residual", lambda *args: calls.append(len(args[0][2])) or real(*args))
@@ -322,10 +335,11 @@ def test_protocols_and_their_every_branch_rows_are_built_once(cold_caches, monke
             before = len(calls)
             assert cli.main(["teleport", variant, "--phi", "0.3", "--seed", seed, "--count", "5", "--format", "json"]) == 0
             per_report[variant].append(len(calls) - before)
-    assert per_report == {"standard": [1, 0, 0], "bell-like": [1, 1, 1], "yang-baxter": [1, 1, 1],
+    assert per_report == {"standard": [1, 0, 0], "bell-like": [1, 0, 0], "yang-baxter": [1, 1, 1],
                           "gate": [1, 1, 1], "two-qubit": [1, 0, 0]}
-    assert sorted(calls) == [4] * 10 + [16]
+    assert sorted(calls) == [4] * 8 + [16]
     assert teleport._standard_protocol() is teleport._standard_protocol()
+    assert teleport._bell_like_protocol(0.3) is teleport._bell_like_protocol(0.3)
     assert gate_teleport._double_protocol() is gate_teleport._double_protocol()
 
 
@@ -369,3 +383,80 @@ def test_a_warm_rerun_of_a_brauer_or_gate_report_matches_its_golden(argv, cold_c
 def test_warm_rerun_cases_are_every_brauer_and_gate_golden():
     names = {path.name for path in GOLDEN_DIR.glob("*.json") if path.name.startswith(("verify-brauer-", "teleport-gate-"))}
     assert {golden_name(argv) for argv in WARM_RERUN_CASES} == names
+
+
+def test_constraints_and_bell_like_teleport_share_one_front_flow_residual(cold_caches, monkeypatch, capsys):
+    """verify constraints' transfer identity 1 is the Bell-like protocol's every_branch, so teleport bell-like at the
+    same phi reads it without evaluating it again; the mirror flow, identity 2, is built per call."""
+    calls = []
+    real = teleport._protocol_residual
+    monkeypatch.setattr(teleport, "_protocol_residual", lambda protocol: calls.append(protocol) or real(protocol))
+    assert cli.main(["verify", "constraints", "--phi", "0.3", "--format", "json"]) == 0
+    assert cli.main(["teleport", "bell-like", "--phi", "0.3", "--count", "5", "--format", "json"]) == 0
+    front = teleport._bell_like_protocol(0.3)
+    assert [protocol is front for protocol in calls] == [True, False]
+
+
+@pytest.mark.parametrize("basis, mn", [("pauli", "01"), ("bell-like", "00")])
+def test_spectral_and_general_read_one_constraint_table(basis, mn, cold_caches, monkeypatch, capsys):
+    calls = []
+    real = tangles._constraint_table
+    monkeypatch.setattr(tangles, "_constraint_table", lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    for kind in ("spectral", "general"):
+        assert cli.main(["verify", kind, "--basis", basis, "--mn", mn, "--phi", "0.3", "--format", "json"]) == 0
+    assert len(calls) == 1
+
+
+# Each report that reads E_00 or B, and the closed forms it checks them against.
+SELF_CHECKED = {
+    "verify-bmw": (["verify", "bmw"], ("_tl_closed_form", "_yb_closed_form")),
+    "verify-b-forms": (["verify", "b-forms"], ("_tl_closed_form", "_yb_closed_form")),
+    "analyze-B": (["analyze", "--gate", "B"], ("_tl_closed_form", "_yb_closed_form")),
+    "verify-constraints": (["verify", "constraints"], ("_tl_closed_form",)),
+    "teleport-bell-like": (["teleport", "bell-like", "--count", "5"], ("_tl_closed_form",)),
+    "teleport-yang-baxter": (["teleport", "yang-baxter", "--count", "5"], ("_yb_closed_form",)),
+}
+
+
+def _fails(argv) -> bool:
+    """Whether a report raises on a failed self-check or exits 1 on a failed row."""
+    try:
+        return cli.main([*argv, "--format", "json"]) == 1
+    except (AssertionError, ValueError):
+        return True
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("report, form", [(report, form) for report, (_, forms) in SELF_CHECKED.items() for form in forms],
+                         ids=lambda value: value)
+def test_cached_operators_keep_their_closed_form_checks(report, form, warm, cold_caches, monkeypatch, capsys):
+    """A wrong closed form fails every report that reads it at a phi not yet built, also after every report has
+    warmed the caches at another phi: each build and its check run once per phi, not once per process."""
+    for argv, _ in SELF_CHECKED.values() if warm else ():
+        assert cli.main([*argv, "--phi", "0.3", "--format", "json"]) == 0
+    monkeypatch.setattr(gates, form, _wrong)
+    assert _fails([*SELF_CHECKED[report][0], "--phi", "-2.1"])
+
+
+def _table_bytes(table) -> bytes:
+    return np.array([list(cells.values()) for cells in table.values()]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda phi: gates.yb_gate(phi).tobytes(),
+        lambda phi: gates.tl_projector(0, 0, phi).tobytes(),
+        lambda phi: teleport._bell_like_protocol(phi).branch.tobytes(),
+        lambda phi: teleport._bell_like_protocol(phi)[1].tobytes(),
+        lambda phi: _table_bytes(cli._diagonal_table("pauli", "01", 1, phi)),
+        lambda phi: _table_bytes(cli._diagonal_table("bell-like", "00", 1, phi)),
+    ],
+    ids=["b", "e-00", "bell-like-branch", "bell-like-table", "pauli-table", "bell-like-basis-table"],
+)
+def test_signed_zero_phases_build_the_same_bytes(build, cold_caches):
+    """lru_cache takes 0.0 and -0.0 for one key, so a report at -0.0 may read the entry built at 0.0."""
+    at_zero = build(0.0)
+    for cache in CACHES:
+        cache.cache_clear()
+    assert build(-0.0) == at_zero

@@ -259,7 +259,7 @@ def test_the_brauer_projector_identity_fails_on_a_wrong_projector(cold_tables, m
 # (transpose_asymmetry_margin), so each flow fails on the other flow's table.
 @pytest.mark.parametrize("variant", ("bell-like", "bell-like-transpose"))
 @pytest.mark.parametrize("phi", PHIS)
-def test_each_bell_like_flow_fails_on_the_other_flows_table(monkeypatch, variant, phi):
+def test_each_bell_like_flow_fails_on_the_other_flows_table(cold_tables, monkeypatch, variant, phi):
     real = teleport._basis_protocol
 
     def other_flows_table(basis, front):
