@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -48,8 +47,7 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class BmwParams:
+class BmwParams(NamedTuple):
     """The algebra parameters read off a braid matrix spectrum."""
 
     sigma: complex
@@ -86,13 +84,12 @@ class RelationBlock(NamedTuple):
     sites: str
 
 
-@dataclass
-class RelationReport:
+class RelationReport(NamedTuple):
     """One family's residuals as blocks; entries expands them by relation and site, passed holds them to DEFAULT_TOL."""
 
     family: str
     site_count: int
-    blocks: list[RelationBlock] = field(default_factory=list)
+    blocks: tuple[RelationBlock, ...]
 
     def _filled(self) -> list[RelationBlock]:
         return [b for b in self.blocks if _SITE_SETS[b.sites][0](self.site_count)]
@@ -134,8 +131,7 @@ class RelationReport:
         return None, top
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(NamedTuple):
     """Generators e_i = 1 (x) E (x) 1 and b_i = 1 (x) B (x) 1 on n sites.
 
     Only the 4x4 E and B are stored; no 2^n x 2^n generator is ever built,
@@ -285,7 +281,7 @@ def _suite(rep: Representation, d: float, params: BmwParams | None = None) -> di
     blocks: dict[str, list[RelationBlock]] = {}
     for family, forms, sites, rows in table:
         blocks.setdefault(family, []).append(RelationBlock(tuple(forms), tuple(map(tuple, rows)), sites))
-    return {family: RelationReport(family, rep.n, family_blocks) for family, family_blocks in blocks.items()}
+    return {family: RelationReport(family, rep.n, tuple(family_blocks)) for family, family_blocks in blocks.items()}
 
 
 def check_all(E: np.ndarray, B: np.ndarray, params: BmwParams, n: int = 3) -> list[RelationReport]:

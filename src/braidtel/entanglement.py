@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,7 @@ _MAGIC_DAGGER = frozen(dagger(MAGIC))
 _QUARTER = math.pi / 4
 _HALF = math.pi / 2
 
-@dataclass(frozen=True)
-class CanonicalParams:
+class CanonicalParams(NamedTuple):
     """Interaction coefficients (a, b, c), chamber-reduced."""
 
     a: float

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ _PAULI_BY_LABEL = {"I": I2, "X": X, "Y": Y, "Z": Z}
 _UNIT_PHASES = (1 + 0j, -1 + 0j, 1j, -1j)
 
 
-@dataclass(frozen=True)
-class PauliString:
+class PauliString(NamedTuple("PauliString", [("phase", complex), ("factors", tuple[str, ...])])):
     """A signed tensor product of one-qubit Pauli factors.
 
     phase is one of +1, -1, +i, -i and factors is one label per qubit.
@@ -49,15 +48,15 @@ class PauliString:
     the Bell-basis corrections elsewhere in this package.
     """
 
-    phase: complex
-    factors: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.phase not in _UNIT_PHASES:
-            raise ValueError(f"phase {self.phase!r} is not a fourth root of unity")
-        bad = [f for f in self.factors if f not in PAULI_LABELS]
+    def __new__(cls, phase: complex, factors: tuple[str, ...]):
+        if phase not in _UNIT_PHASES:
+            raise ValueError(f"phase {phase!r} is not a fourth root of unity")
+        bad = [f for f in factors if f not in PAULI_LABELS]
         if bad:
             raise ValueError(f"unknown Pauli labels {bad}")
+        return super().__new__(cls, phase, factors)
 
     def __str__(self) -> str:
         sign = {1 + 0j: "+", -1 + 0j: "-", 1j: "+i", -1j: "-i"}[self.phase]
@@ -203,8 +202,7 @@ def teleport_single_gate(u: np.ndarray, alpha: np.ndarray, k: int, l: int,
     return _one_qubit(_gate_protocol(u), alpha, 2 * k + l, rng_seed)
 
 
-@dataclass(frozen=True)
-class DoubleOutcome:
+class DoubleOutcome(NamedTuple):
     """Joint record of the two Bell-register measurements."""
 
     first: tuple[int, int]

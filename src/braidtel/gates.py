@@ -122,7 +122,7 @@ _M_MIDDLE = tuple(frozen(np.array(factors)) for factors in ((H, Z, H), (S, I2, d
 _M_10 = frozen(mul(X, Z))
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=8)
 def _m_gates(phi: float) -> np.ndarray:
     """M_ij stacked at 2i + j, read-only: the three phi-dependent gates as one stacked product, left to right."""
     r = phase_shift(phi)

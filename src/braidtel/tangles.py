@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,27 +45,27 @@ from .teleport import BIT_PAIRS, UnitaryBasis, _basis_protocol, _bell_like_proto
 CONSTRAINT_IDS = (1, 2, 3, 4)
 
 
-@dataclass(frozen=True, eq=False)
-class EigenAssignment:
-    """Eigenvalues mu[2i + j] = mu_ij, one per basis label, for a spectral-sum gate."""
+class EigenAssignment(NamedTuple("EigenAssignment", [("mu", np.ndarray)])):
+    """Eigenvalues mu[2i + j] = mu_ij, one per basis label, for a spectral-sum gate; compared by identity."""
 
-    mu: np.ndarray
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __post_init__(self):
-        object.__setattr__(self, "mu", _stack(self.mu, (4,), "assignment"))
+    def __new__(cls, mu):
+        return super().__new__(cls, _stack(mu, (4,), "assignment"))
 
 
-@dataclass(frozen=True, eq=False)
-class GateCoefficients:
-    """16 coefficients of a two-qubit gate expanded over a Bell-like basis.
+class GateCoefficients(NamedTuple("GateCoefficients", [("g", np.ndarray)])):
+    """16 coefficients of a two-qubit gate expanded over a Bell-like basis; compared by identity.
 
     g[2i + j, 2k + l] is the coefficient of |Psi_ij><Psi_kl|.
     """
 
-    g: np.ndarray
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __post_init__(self):
-        object.__setattr__(self, "g", _stack(self.g, (4, 4), "coefficients"))
+    def __new__(cls, g):
+        return super().__new__(cls, _stack(g, (4, 4), "coefficients"))
 
     @classmethod
     def diagonal(cls, assignment: EigenAssignment) -> "GateCoefficients":
@@ -213,8 +213,7 @@ def scalar_system_residual(assignment: EigenAssignment, m: int, n: int) -> float
     return float(worst)
 
 
-@dataclass(frozen=True)
-class SolutionClass:
+class SolutionClass(NamedTuple):
     """A sign-pattern family mu_ij = s_ij exp(i f_ij phi) solving the system.
 
     pattern holds (s_ij, f_ij) with s, f in {+1,-1}, aligned with the
@@ -284,7 +283,7 @@ def _solved_classes(m: int, n: int) -> tuple[SolutionClass, ...]:
     passed = (_pattern_residuals(m, n) <= DEFAULT_TOL).all(axis=1)
     survivors = [SolutionClass(0, (m, n), pattern) for pattern in itertools.compress(_PATTERNS, passed)]
     survivors.sort(key=lambda c: c.mu_of_phi(_ORDER_PHI).mu.view(float).tolist(), reverse=True)  # (re, im) pairs
-    return tuple(replace(c, class_id=idx) for idx, c in enumerate(survivors, start=1))
+    return tuple(c._replace(class_id=idx) for idx, c in enumerate(survivors, start=1))
 
 
 def solve_pauli_eigenvalues(m: int, n: int) -> list[SolutionClass]:

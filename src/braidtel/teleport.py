@@ -52,7 +52,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,8 +90,7 @@ BIT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 _GATHER_BYTES = 1 << 16  # _branches gathers branch[r] in chunks of at most this many bytes, each into its rows of one output
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
+class MeasurementOutcome(NamedTuple):
     """Outcome |ij> of the front register and the normalized, uncorrected survivor."""
 
     i: int
@@ -100,8 +99,7 @@ class MeasurementOutcome:
     post_state: np.ndarray
 
 
-@dataclass(frozen=True)
-class PhaseTable:
+class PhaseTable(NamedTuple):
     """Phases alpha(i,j) of the braid gate acting as a Bell transform, with the worst residual of their fit."""
 
     phi: float
@@ -213,30 +211,30 @@ def _stack(values, shape: tuple[int, ...], name: str) -> np.ndarray:
     return frozen(a)
 
 
-@dataclass(frozen=True, eq=False)
-class UnitaryBasis:
+class UnitaryBasis(NamedTuple("UnitaryBasis", [("u", np.ndarray), ("states", np.ndarray), ("residual", float)])):
     """Four one-qubit unitaries labelling an orthonormal Bell-like basis.
 
     u[2i + j] is U_ij.  Orthonormality means (1/2) tr(U_ab^dag U_cd) =
     delta delta; it makes the four states (1 x U_ij)|Psi>, the rows of
     states, an orthonormal two-qubit basis.  Both it and max |U U^dag - 1|
-    must hold within DEFAULT_TOL, and a NaN fails either.
+    must hold within DEFAULT_TOL, and a NaN fails either.  residual is
+    max |(1/2) tr(U_b^dag U_a) - delta_ab|.  A basis holds arrays, so it
+    compares and hashes by identity.
     """
 
-    u: np.ndarray
-    states: np.ndarray = field(init=False, repr=False)
-    residual: float = field(init=False, repr=False)  # max |(1/2) tr(U_b^dag U_a) - delta_ab|
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __post_init__(self):
-        object.__setattr__(self, "u", _stack(self.u, (4, 2, 2), "basis"))
-        gram = 0.5 * np.einsum("bji,aji->ab", conj(self.u), self.u)  # (1/2) tr(U_b^dag U_a)
-        object.__setattr__(self, "residual", max_abs_diff(gram, identity(4)))
-        if not self.residual <= DEFAULT_TOL:
-            raise ValueError(f"basis is not orthonormal, residual {self.residual:.3e}")
-        unitarity = float(np.abs(self.u @ dagger(self.u) - I2).max())
+    def __new__(cls, u):
+        u = _stack(u, (4, 2, 2), "basis")
+        gram = 0.5 * np.einsum("bji,aji->ab", conj(u), u)  # (1/2) tr(U_b^dag U_a)
+        residual = max_abs_diff(gram, identity(4))
+        if not residual <= DEFAULT_TOL:
+            raise ValueError(f"basis is not orthonormal, residual {residual:.3e}")
+        unitarity = float(np.abs(u @ dagger(u) - I2).max())
         if not unitarity <= DEFAULT_TOL:
             raise ValueError(f"basis gates are not unitary, max |U U^dag - 1| = {unitarity:.3e}")
-        object.__setattr__(self, "states", frozen(state_with_gate(self.u)))
+        return super().__new__(cls, u, frozen(state_with_gate(u)), residual)
 
     @classmethod
     def pauli(cls) -> "UnitaryBasis":
@@ -254,7 +252,7 @@ def _pauli_basis() -> UnitaryBasis:
     return UnitaryBasis([pauli_w(i, j) for i, j in BIT_PAIRS])
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=8)
 def _bell_like_basis(phi: float) -> UnitaryBasis:
     """The M_ij basis at phi, held to the protocols' bound: orthonormal within STRICT_TOL."""
     tl_projector(0, 0, phi)  # raises unless E_00 matches its closed form

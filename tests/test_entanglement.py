@@ -227,6 +227,8 @@ def test_entangling_power_is_locally_invariant():
 def test_canonical_params_namedtuple_interface():
     params = CanonicalParams(0.3, 0.2, 0.1)
     assert params.as_tuple() == (0.3, 0.2, 0.1)
+    assert tuple(params) == params.as_tuple()
+    assert params._fields == ("a", "b", "c")
 
 
 @pytest.mark.parametrize("gate", [yb_gate(0.0), CZ], ids=["B", "CZ"])

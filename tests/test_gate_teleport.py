@@ -48,6 +48,8 @@ def test_pauli_string_rejects_bad_phase():
     with pytest.raises(ValueError):
         PauliString(0.5, ("X",))
     with pytest.raises(ValueError):
+        PauliString(2, ("X",))
+    with pytest.raises(ValueError):
         PauliString(1, ("Q",))
 
 

@@ -305,6 +305,20 @@ def test_phi_free_report_parts_are_computed_once(cold_caches, monkeypatch, capsy
     assert sorted(calls) == ["canonical_params"] * 4 + ["clifford_check"] + ["matched_form"] * 3
 
 
+def _fresh_interpreter(script: str) -> str:
+    """The stdout of script, run by a new interpreter that imports braidtel from this checkout."""
+    src = str(Path(braidtel.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True,
+                          timeout=60).stdout
+
+
+def test_importing_the_cli_generates_no_code():
+    """Records are tuples, so a fresh import of the CLI loads neither dataclasses nor the copy module it brings."""
+    script = "import sys, braidtel.cli\nprint(sorted({'dataclasses', 'copy'} & set(sys.modules)))\n"
+    assert _fresh_interpreter(script) == "[]\n"
+
+
 def test_importing_the_cli_fills_no_cache():
     """Nothing is precomputed at import, so a fresh process pays for each constant on first use only."""
     script = (
@@ -315,10 +329,7 @@ def test_importing_the_cli_fills_no_cache():
         "        if hasattr(obj, 'cache_info') and obj.__module__ == module.__name__:\n"
         "            print(module.__name__ + '.' + obj.__qualname__, obj.cache_info().currsize)\n"
     )
-    src = str(Path(braidtel.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True, timeout=60)
-    sizes = dict(line.rsplit(" ", 1) for line in done.stdout.splitlines())
+    sizes = dict(line.rsplit(" ", 1) for line in _fresh_interpreter(script).splitlines())
     assert {"braidtel.cli._solve_rows", "braidtel.cli._fixed_analysis", "braidtel.cli._grammar",
             "braidtel.teleport._pauli_basis", "braidtel.teleport._bell_like_basis"} <= set(sizes)
     assert {name: size for name, size in sizes.items() if size != "0"} == {}

@@ -150,8 +150,8 @@ def test_degenerate_basis_is_rejected():
 @pytest.mark.parametrize(
     "build, shape",
     [(UnitaryBasis, (4, 2)), (UnitaryBasis, (3, 2, 2)), (UnitaryBasis, (4, 4)), (UnitaryBasis, (1, 4, 2, 2)),
-     (EigenAssignment, ()), (EigenAssignment, (3,)), (EigenAssignment, (4, 1)), (EigenAssignment, (2, 2)),
-     (GateCoefficients, (16,)), (GateCoefficients, (4, 4, 1))],
+     (EigenAssignment, ()), (EigenAssignment, (2,)), (EigenAssignment, (3,)), (EigenAssignment, (4, 1)),
+     (EigenAssignment, (2, 2)), (GateCoefficients, (16,)), (GateCoefficients, (3, 3)), (GateCoefficients, (4, 4, 1))],
     ids=lambda x: x.__name__ if isinstance(x, type) else "x".join(map(str, x)) or "scalar",
 )
 def test_containers_reject_a_wrong_shape(build, shape):
