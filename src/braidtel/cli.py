@@ -264,7 +264,7 @@ def _protocol(cfg: argparse.Namespace):
         protocol = _gate_protocol(phase_shift(cfg.phi) if cfg.gate == "R" else FIXED_GATES[cfg.gate])
         # row 0 of u K u^dag is [u XZ u^dag, u Z u^dag, u X u^dag, -1] up to signs, which cancel in C P C^dag; -1 is
         # Clifford and u XZ u^dag the X image times the Z image, so those two decide the row: X first, where R(phi) fails
-        clifford = _info("correction-clifford", gate=cfg.gate, value=all(clifford_check(c)[0] for c in protocol[1][0, [2, 1]]))
+        clifford = _info("correction-clifford", gate=cfg.gate, value=all(clifford_check(c)[0] for c in protocol.table[0, [2, 1]]))
         return protocol, f"R({cfg.gate})^dag_{{key}}{{res}}", [clifford]
     return _double_protocol(), "(Q x P)^dag", []
 
@@ -294,7 +294,7 @@ def _cmd_teleport(cfg: argparse.Namespace) -> list[dict]:
     protocol, label, extra = _protocol(cfg)
     # R = 2^nbits resources, inputs of dim amplitudes, M outcomes
     resources, _, dim = protocol.branch.shape
-    outcomes, nbits = len(protocol[2]), resources.bit_length() - 1
+    outcomes, nbits = len(protocol.kets), resources.bit_length() - 1
     counts = np.zeros(outcomes, dtype=int)
     expected = 1 / outcomes
     ket_rng, measure_rng = (np.random.default_rng(s) for s in _streams(cfg.seed))

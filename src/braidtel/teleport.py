@@ -8,16 +8,16 @@ projective measurement, classical correction):
   braid      resource built by the gate pair (B x 1)(1 x B), product-basis
              measurement, correction W_{i,j,k,l}
 
-A protocol is always a Protocol: its read-only (op, table, kets) triple, its
-branch tensor and the gate it applies, built together.  _basis_protocol builds
-every Bell-type one from a UnitaryBasis, in its front or mirror flow, and
-_projector_channel puts E (x) 1 after it; standard teleportation is the Pauli
-case, where W_00 = 1.  The standard and double protocols are cached per
-process and the Bell-like one per phi: verify constraints reads its
-every_branch as transfer identity 1 and teleport bell-like as its
-every-branch row, so one build and one residual serve both.  A report builds
-its braid or gate protocol once, at its own phi or gate, so a cache of them
-would never be hit.
+A protocol is always a Protocol, a read-only record of op, table, kets, the
+gate it applies, its branch tensor and its every_branch residual, all taken
+when it is built.  _basis_protocol builds every Bell-type one from a
+UnitaryBasis, in its front or mirror flow, and _projector_channel puts
+E (x) 1 after it; standard teleportation is the Pauli case, where W_00 = 1.
+The standard and double protocols are cached per process and the Bell-like
+one per phi: verify constraints reads its every_branch as transfer identity 1
+and teleport bell-like as its every-branch row, so one build and one
+residual serve both.  A report builds its braid or gate protocol once, at
+its own phi or gate, so a cache of them would never be hit.
 branch[r] maps an input ket at resource r to its M unnormalized
 post-measurement states, (<v_m| (x) 1) op with the input placed at r, so
 _branches is a gathered batched matvec.  It holds at most 64 KiB of gathered
@@ -28,8 +28,8 @@ C_m^dag read at call time from the protocol's table, indexed [resource, outcome]
 it normalizes the CDF and conjugates its gather of the table in place.
 _protocol_residual, the package's one teleportation-identity kernel, checks
 every branch against the exact identity with the protocol's own gate, as an
-equality of linear maps: it is a protocol's every_branch, the gated row of
-every teleport report.
+equality of linear maps: Protocol takes it once per build as its every_branch
+field, the gated row of every teleport report.
 The teleport_* functions are one-instance calls.  UnitaryBasis is the one
 Bell-like basis: its Pauli instance and its per-phi M_ij instance give the
 protocols their kets and corrections and the tangle constraints their gates.
@@ -38,9 +38,10 @@ of a Bell-like protocol multiplies out of it the table of its one flow.
 The braid table reads the closed-form phases of phase_table; extract_phases
 fits the same phases numerically and is kept as its cross-check.
 
-Each protocol's identity is its builder's every_branch, the row its report
-prints: _standard_protocol(), _bell_like_protocol(phi), _braid_protocol(phi),
-and gate_teleport's gate and double protocols.  The Bell-like mirror flow,
+Each protocol's identity is the every_branch field of what its builder
+returns, the row its report prints: _standard_protocol(),
+_bell_like_protocol(phi), _braid_protocol(phi), and gate_teleport's gate and
+double protocols.  The Bell-like mirror flow,
 _basis_protocol(UnitaryBasis.bell_like(phi), False), is verify constraints'
 transfer identity 2, and _projector_channel is verify brauer's projector row.
 No residual reads a seed: only outcomes are sampled, with Born-rule
@@ -108,30 +109,28 @@ class PhaseTable(NamedTuple):
     max_residual: float
 
 
-class Protocol(tuple):
-    """A built protocol: its read-only (op, table, kets), its branch tensor and the gate it applies.
+class Protocol(NamedTuple("Protocol", [("op", np.ndarray), ("table", np.ndarray), ("kets", np.ndarray),
+                                       ("gate", np.ndarray), ("branch", np.ndarray), ("every_branch", float)])):
+    """A built protocol: its read-only op, table, kets and gate, its branch tensor and its every_branch residual.
 
     branch[r], (M d_out, d_in), maps an input ket at resource r to its M unnormalized survivors: row
     m d_out + j is amplitude j of (<v_m| (x) 1) op applied to the input a (x) c with |r> after its first
     qubit, so the kets are folded into op once, when the protocol is built, and a survivor is one small
-    matvec.  every_branch, the _protocol_residual of the protocol, is computed on its first read, once per
-    build, so one-instance calls, which never read it, do not pay for it.  The table stays the tuple's own
-    item, read at call time.  Every field is read-only: the standard, double and Bell-like protocols are shared.
+    matvec.  every_branch, the _protocol_residual of the protocol, is taken once, when it is built.  The
+    record is read-only, as the standard, double and Bell-like protocols are shared, and it holds arrays,
+    so it compares and hashes by identity.
     """
 
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
     def __new__(cls, op, table, kets, gate):
-        protocol = super().__new__(cls, (frozen(op), frozen(table), frozen(kets)))
-        op, table, kets = protocol
+        op, table, kets, gate = frozen(op), frozen(table), frozen(kets), frozen(gate)
         resources, (outcomes, width) = len(table), kets.shape
         d_in = op.shape[1] // resources
         fused = (conj(kets) @ op.reshape(width, -1)).reshape(outcomes, -1, 2, resources, d_in // 2)
-        protocol.branch = frozen(fused.transpose(3, 0, 1, 2, 4).reshape(resources, -1, d_in))
-        protocol.gate = frozen(gate)
-        return protocol
-
-    @functools.cached_property
-    def every_branch(self) -> float:
-        return _protocol_residual(self)
+        branch = frozen(fused.transpose(3, 0, 1, 2, 4).reshape(resources, -1, d_in))
+        return super().__new__(cls, op, table, kets, gate, branch, _protocol_residual(table, gate, branch))
 
 
 def _branches(protocol: Protocol, inputs: np.ndarray, r) -> np.ndarray:
@@ -147,10 +146,10 @@ def _branches(protocol: Protocol, inputs: np.ndarray, r) -> np.ndarray:
         # mode="raise" would copy through a buffer; _teleport's table[r, m] rejects an r out of range
         np.take(branch, r[i:i + k], axis=0, out=chunk[:k], mode="wrap")
         np.matmul(chunk[:k], inputs[i:i + k, :, None], out=out[i:i + k])
-    return out.reshape(n, len(protocol[2]), -1)
+    return out.reshape(n, len(protocol.kets), -1)
 
 
-def _protocol_residual(protocol: Protocol) -> float:
+def _protocol_residual(table: np.ndarray, gate: np.ndarray, branch: np.ndarray) -> float:
     """Largest Frobenius norm over resources r of the map x -> op (x at r) - M^{-1/2} sum_m v_m (x) C[r, m] gate x.
 
     That is the identity behind a protocol with M outcomes and its gate: every branch is C[r, m] gate x /
@@ -158,9 +157,7 @@ def _protocol_residual(protocol: Protocol) -> float:
     branches: it is D_r = branch[r] - C[r] gate / sqrt(M), all rows of all D_r as one matrix.  The Frobenius
     norm bounds |D_r x| for every unit input x, so the identity is checked as an equality of maps.
     """
-    _, table, kets = protocol
-    gate, branch = protocol.gate, protocol.branch
-    rows = branch.reshape(-1, branch.shape[2]) - table.reshape(-1, len(gate)) @ gate / math.sqrt(len(kets))
+    rows = branch.reshape(-1, branch.shape[2]) - table.reshape(-1, len(gate)) @ gate / math.sqrt(table.shape[1])
     return float(np.sqrt((np.abs(rows) ** 2).reshape(len(table), -1).sum(axis=1).max()))
 
 
@@ -182,7 +179,7 @@ def _teleport(protocol: Protocol, inputs: np.ndarray, r, draws: np.ndarray):
     m = (cdf <= draws[:, None]).sum(axis=1)  # searchsorted(cdf, draw, side="right") per row
     p = probs[rows, m]
     survivors = branches[rows, m] / np.sqrt(p)[:, None]
-    corrections = protocol[1][r, m]  # a gathered copy, so conjugating it leaves the read-only table as it is
+    corrections = protocol.table[r, m]  # a gathered copy, so conjugating it leaves the read-only table as it is
     np.conjugate(corrections, out=corrections)
     return m, p, survivors, (corrections.swapaxes(-1, -2) @ survivors[:, :, None])[:, :, 0]
 
@@ -293,8 +290,8 @@ def _basis_protocol(basis: UnitaryBasis, front: bool) -> Protocol:
 
 def _projector_channel(basis: UnitaryBasis, e: np.ndarray, front: bool) -> Protocol:
     """(E (x) 1) applied after _basis_protocol(basis, front)'s op, which puts the measured pair in front in both flows."""
-    op, _, kets = _basis_protocol(basis, front)
-    return Protocol(kron(e, I2) @ op, _KEPT_BRANCH[None], kets, I2)
+    flow = _basis_protocol(basis, front)
+    return Protocol(kron(e, I2) @ flow.op, _KEPT_BRANCH[None], flow.kets, I2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -443,4 +440,4 @@ def transpose_asymmetry_margin(phi: float) -> float:
     directions; the Bell-like protocol does not, and this margin is the
     entrywise witness of that asymmetry.
     """
-    return max_abs_diff(transpose(_bell_like_protocol(phi)[1][0]), _basis_protocol(UnitaryBasis.bell_like(phi), False)[1][0])
+    return max_abs_diff(transpose(_bell_like_protocol(phi).table[0]), _basis_protocol(UnitaryBasis.bell_like(phi), False).table[0])

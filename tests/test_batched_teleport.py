@@ -71,8 +71,8 @@ def _loop_instance(variant: str, phi: float, alpha, bits, rng, tables):
         kets = basis.states
         state, corrections = kron(alpha, kets[0]), basis.u[0] @ conj(basis.u)
     elif variant == "yang-baxter":
-        op, table, kets = tables
-        state, corrections = op @ kron(alpha, basis_ket(r, 4)), table[r]
+        kets = tables.kets
+        state, corrections = tables.op @ kron(alpha, basis_ket(r, 4)), tables.table[r]
     else:
         u = phase_shift(phi)  # GATE is R
         front, back = gate_teleport._b0_layers()
@@ -239,7 +239,7 @@ def test_braid_table_is_the_per_entry_product_bit_for_bit():
     for phi in np.linspace(-3.1, 3.1, 41):
         phi = float(phi)
         per_entry = teleport._correction_table(w_braid_correction, teleport.phase_table(phi))
-        assert np.array_equal(teleport._braid_protocol(phi)[1], per_entry), phi
+        assert np.array_equal(teleport._braid_protocol(phi).table, per_entry), phi
 
 
 def test_a_draw_on_a_cumulative_boundary_takes_the_next_outcome():

@@ -177,7 +177,7 @@ def test_teleport_gate_reports_clifford_corrections(capsys):
 @pytest.mark.parametrize("gate", cli.TELEPORT_GATES)
 def test_correction_clifford_reads_as_all_sixteen_checks(gate, phi):
     protocol, _, extra = cli._protocol(argparse.Namespace(action="gate", gate=gate, phi=phi))
-    sixteen = all(clifford_check(c)[0] for c in protocol[1].reshape(-1, 2, 2))
+    sixteen = all(clifford_check(c)[0] for c in protocol.table.reshape(-1, 2, 2))
     assert extra == [{"label": "correction-clifford", "gate": gate, "value": sixteen}]
 
 
@@ -186,7 +186,7 @@ def test_correction_clifford_row_reads_the_z_image(monkeypatch):
     monkeypatch.setattr(cli, "phase_shift", lambda phi: phase_shift(math.pi / 8) @ H)
     protocol, _, extra = cli._protocol(argparse.Namespace(action="gate", gate="R", phi=0.0))
     assert extra[0]["value"] is False
-    assert not all(clifford_check(c)[0] for c in protocol[1].reshape(-1, 2, 2))
+    assert not all(clifford_check(c)[0] for c in protocol.table.reshape(-1, 2, 2))
 
 
 def test_teleport_two_qubit_minimum_fidelity(capsys):

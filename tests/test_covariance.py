@@ -130,8 +130,8 @@ def test_unitary_gauge_keeps_every_branch(name, phi, front):
 def test_kets_and_table_of_two_gauges_break_every_branch(name, phi, front):
     basis, rng = _basis(name, phi), np.random.default_rng(SEED)
     for _ in range(CONTROL_DRAWS):
-        kets, table = (_gauged_protocol(basis, haar_unitary(rng, 2), front) for _ in range(2))
-        assert Protocol(kets[0], table[1], kets[2], I2).every_branch >= CONTROL_FLOOR
+        first, second = (_gauged_protocol(basis, haar_unitary(rng, 2), front) for _ in range(2))
+        assert Protocol(first.op, second.table, first.kets, I2).every_branch >= CONTROL_FLOOR
 
 
 def _tables_under(change, phi, rng) -> list[float]:

@@ -189,7 +189,7 @@ def test_pauli_w_gives_the_bits_of_matrix_powers(i, j):
 
 def _teleport_by_einsum(protocol, inputs, r, draws):
     """teleport._teleport as it was, with the measurement as one optimized einsum."""
-    op, table, kets = protocol
+    op, table, kets = protocol.op, protocol.table, protocol.kets
     n = len(inputs)
     rows = np.arange(n)
     padded = np.zeros((n, 2, len(table), inputs.shape[1] // 2), dtype=complex)
@@ -254,9 +254,9 @@ def _assert_same_measurement(got, expected):
 
 def _instances(protocol, n):
     """n seeded normalized inputs of the protocol's input size, resource indices and draws."""
-    op, table, _ = protocol
-    amps = _complex(n, op.shape[1] // len(table))
-    return amps / np.linalg.norm(amps, axis=1, keepdims=True), _RNG.integers(0, len(table), size=n), _RNG.random(n)
+    resources = len(protocol.table)
+    amps = _complex(n, protocol.op.shape[1] // resources)
+    return amps / np.linalg.norm(amps, axis=1, keepdims=True), _RNG.integers(0, resources, size=n), _RNG.random(n)
 
 
 # The fused kernel sums each branch in another order than the einsum did: the outcomes stay exact
@@ -272,7 +272,7 @@ def test_measurement_matmul_matches_the_einsum(name, n):
 
 def _dense_branches(protocol, inputs, r):
     """teleport._branches as it was: each input zero-padded to the full register, op applied, kets projected."""
-    op, table, kets = protocol
+    op, table, kets = protocol.op, protocol.table, protocol.kets
     n = len(inputs)
     padded = np.zeros((n, 2, len(table), inputs.shape[1] // 2), dtype=complex)
     padded[np.arange(n), :, r] = inputs.reshape(n, 2, -1)
@@ -283,7 +283,7 @@ def _dense_branches(protocol, inputs, r):
 
 def _one_gather_branches(protocol, inputs, r):
     """teleport._branches as it was: every instance's branch[r] gathered at once, then one batched matvec."""
-    return (protocol.branch[r] @ inputs[:, :, None]).reshape(len(inputs), len(protocol[2]), -1)
+    return (protocol.branch[r] @ inputs[:, :, None]).reshape(len(inputs), len(protocol.kets), -1)
 
 
 def _teleport_as_it_was(protocol, inputs, r, draws):
@@ -296,7 +296,7 @@ def _teleport_as_it_was(protocol, inputs, r, draws):
     m = (cdf / cdf[:, -1:] <= draws[:, None]).sum(axis=1)
     p = probs[rows, m]
     survivors = branches[rows, m] / np.sqrt(p)[:, None]
-    return m, p, survivors, (dagger(protocol[1][r, m]) @ survivors[:, :, None])[:, :, 0]
+    return m, p, survivors, (dagger(protocol.table[r, m]) @ survivors[:, :, None])[:, :, 0]
 
 
 REPORT_PROTOCOLS = [(v, "T") for v in ("standard", "bell-like", "yang-baxter", "two-qubit")] + [
@@ -322,7 +322,7 @@ def test_branch_tensor_kernel_matches_the_dense_branches(variant, gate, size, mo
     n = size(_chunk(protocol))
     inputs, r, draws = _instances(protocol, n)
     fused = teleport._branches(protocol, inputs, r)
-    assert fused.shape == (n, len(protocol[2]), protocol[0].shape[0] // len(protocol[2]))
+    assert fused.shape == (n, len(protocol.kets), protocol.op.shape[0] // len(protocol.kets))
     assert np.array_equal(fused, _one_gather_branches(protocol, inputs, r))
     assert _ulps(fused, _dense_branches(protocol, inputs, r)) <= ULPS
     got = teleport._teleport(protocol, inputs, r, draws)
@@ -357,7 +357,7 @@ def test_branches_gather_at_most_one_chunk_of_branch_matrices():
 def test_teleport_holds_the_branch_block_and_its_measurement_temporaries(build, n, cap_kib):
     protocol = build()
     inputs, r, draws = _instances(protocol, n)
-    outcomes, rows = len(protocol[2]), protocol.branch.shape[1]
+    outcomes, rows = len(protocol.kets), protocol.branch.shape[1]
     d_out = rows // outcomes
     bound = (n * rows * 16  # the output of _branches
              + teleport._GATHER_BYTES  # its gather chunk, in the same block
@@ -371,7 +371,7 @@ def test_teleport_holds_the_branch_block_and_its_measurement_temporaries(build, 
 
 def test_teleport_writes_no_cached_protocol():
     protocols = (teleport._standard_protocol(), gate_teleport._double_protocol())
-    fields = [(*protocol, protocol.branch, protocol.gate) for protocol in protocols]
+    fields = [(protocol.op, protocol.table, protocol.kets, protocol.gate, protocol.branch) for protocol in protocols]
     before = [[field.copy() for field in group] for group in fields]
     for protocol in protocols:
         teleport._teleport(protocol, *_instances(protocol, 64))

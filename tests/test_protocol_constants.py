@@ -103,15 +103,15 @@ def test_cache_scan_finds_the_protocol_caches():
 @pytest.mark.parametrize(
     "constant",
     [
-        lambda: teleport._standard_protocol()[2],
-        lambda: teleport._braid_protocol(0.3)[2],
+        lambda: teleport._standard_protocol().kets,
+        lambda: teleport._braid_protocol(0.3).kets,
         lambda: teleport.UnitaryBasis.bell_like(0.3).states,
-        lambda: teleport._braid_protocol(0.3)[0],
-        lambda: teleport._braid_protocol(0.3)[1],
+        lambda: teleport._braid_protocol(0.3).op,
+        lambda: teleport._braid_protocol(0.3).table,
         lambda: gate_teleport._b0_layers()[0],
         lambda: gate_teleport._b0_layers()[1],
-        lambda: teleport._bell_like_protocol(0.3)[1],
-        lambda: teleport._standard_protocol()[1],
+        lambda: teleport._bell_like_protocol(0.3).table,
+        lambda: teleport._standard_protocol().table,
         lambda: gate_teleport._kl_tables()[0],
         lambda: gate_teleport._kl_tables()[1],
         *(lambda k=k: tangles.UnitaryBasis.pauli().u[k] for k in range(4)),
@@ -121,11 +121,11 @@ def test_cache_scan_finds_the_protocol_caches():
         lambda: teleport._braid_protocol(0.3).branch,
         lambda: gate_teleport._gate_protocol(H).branch,
         lambda: gate_teleport._double_protocol().branch,
-        lambda: teleport._standard_protocol()[0],
-        lambda: teleport._bell_like_protocol(0.3)[0],
-        lambda: gate_teleport._gate_protocol(H)[0],
-        lambda: gate_teleport._gate_protocol(H)[1],
-        lambda: gate_teleport._double_protocol()[0],
+        lambda: teleport._standard_protocol().op,
+        lambda: teleport._bell_like_protocol(0.3).op,
+        lambda: gate_teleport._gate_protocol(H).op,
+        lambda: gate_teleport._gate_protocol(H).table,
+        lambda: gate_teleport._double_protocol().op,
         lambda: gate_teleport._double_protocol().gate,
         lambda: gates._m_gates(0.3),
         lambda: gates.m_gate(1, 1, 0.3),
@@ -177,7 +177,7 @@ def test_measurement_bases_must_be_unitary_and_finite():
 
 def test_braid_corrections_are_stacked_by_resource_then_outcome():
     table = phase_table(-2.1)
-    _, stacked, _ = teleport._braid_protocol(-2.1)
+    stacked = teleport._braid_protocol(-2.1).table
     for (k, l), (i, j) in itertools.product(BIT_PAIRS, repeat=2):
         assert np.array_equal(stacked[2 * k + l, 2 * i + j], w_braid_correction(i, j, k, l, table))
 
@@ -339,7 +339,7 @@ def test_protocols_and_their_every_branch_rows_are_built_once(cold_caches, monke
     """Once per process for standard and two-qubit, once per phi for bell-like, once per report for yang-baxter and gate."""
     calls = []
     real = teleport._protocol_residual
-    monkeypatch.setattr(teleport, "_protocol_residual", lambda *args: calls.append(len(args[0][2])) or real(*args))
+    monkeypatch.setattr(teleport, "_protocol_residual", lambda *args: calls.append(args[0].shape[1]) or real(*args))
     per_report = {variant: [] for variant in cli.TELEPORT_VARIANTS}
     for seed in ("1", "2", "3"):
         for variant in cli.TELEPORT_VARIANTS:
@@ -401,11 +401,11 @@ def test_constraints_and_bell_like_teleport_share_one_front_flow_residual(cold_c
     same phi reads it without evaluating it again; the mirror flow, identity 2, is built per call."""
     calls = []
     real = teleport._protocol_residual
-    monkeypatch.setattr(teleport, "_protocol_residual", lambda protocol: calls.append(protocol) or real(protocol))
+    monkeypatch.setattr(teleport, "_protocol_residual", lambda *args: calls.append(args[0]) or real(*args))
     assert cli.main(["verify", "constraints", "--phi", "0.3", "--format", "json"]) == 0
     assert cli.main(["teleport", "bell-like", "--phi", "0.3", "--count", "5", "--format", "json"]) == 0
     front = teleport._bell_like_protocol(0.3)
-    assert [protocol is front for protocol in calls] == [True, False]
+    assert [table is front.table for table in calls] == [True, False]
 
 
 @pytest.mark.parametrize("basis, mn", [("pauli", "01"), ("bell-like", "00")])
@@ -459,7 +459,7 @@ def _table_bytes(table) -> bytes:
         lambda phi: gates.yb_gate(phi).tobytes(),
         lambda phi: gates.tl_projector(0, 0, phi).tobytes(),
         lambda phi: teleport._bell_like_protocol(phi).branch.tobytes(),
-        lambda phi: teleport._bell_like_protocol(phi)[1].tobytes(),
+        lambda phi: teleport._bell_like_protocol(phi).table.tobytes(),
         lambda phi: _table_bytes(cli._diagonal_table("pauli", "01", 1, phi)),
         lambda phi: _table_bytes(cli._diagonal_table("bell-like", "00", 1, phi)),
     ],

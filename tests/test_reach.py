@@ -10,6 +10,7 @@ ALLOWED entry that a report does reach fails as well, so the list only shrinks w
 """
 
 import contextlib
+import functools
 import importlib
 import inspect
 import io
@@ -20,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import braidtel
-from braidtel import cli
+from braidtel import cli, teleport
 from test_phi_range import _report_forms
 from test_protocol_constants import CACHES
 from test_readme import run_readme_tour
@@ -107,5 +108,14 @@ def test_every_allowed_function_exists_and_is_unreached(unreached):
 def test_the_scan_sees_cached_functions_methods_and_properties():
     names = package_functions()
     for name in ("cli.build_parser", "teleport._pauli_basis", "teleport.Protocol.__new__",
-                 "teleport.Protocol.every_branch", "teleport.UnitaryBasis.pauli", "algebra.RelationReport.passed"):
+                 "teleport.UnitaryBasis.pauli", "algebra.RelationReport.passed"):
         assert name in names
+
+
+def test_the_scan_unwraps_a_cached_property():
+    """The package defines no cached_property; one that it defined would be seen through its func."""
+
+    class Cached:
+        table = functools.cached_property(teleport.phase_table)
+
+    assert _function(vars(Cached)["table"]) is teleport.phase_table

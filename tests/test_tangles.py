@@ -186,8 +186,8 @@ def test_the_pauli_basis_is_the_standard_protocols_correction_table():
     np.array_equal reads -0.0 == 0.0, and no report prints the table.
     """
     w = UnitaryBasis.pauli().u
-    assert np.array_equal(w, _standard_protocol()[1][0])
-    assert np.array_equal(transpose(w), _basis_protocol(UnitaryBasis.pauli(), False)[1][0])
+    assert np.array_equal(w, _standard_protocol().table[0])
+    assert np.array_equal(transpose(w), _basis_protocol(UnitaryBasis.pauli(), False).table[0])
 
 
 def test_assignment_unimodularity_residual():

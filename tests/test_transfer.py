@@ -4,8 +4,8 @@ Each routed identity is checked against the per-term kron loop it
 replaced, which is kept here as its oracle: the loop runs over the
 computational-basis inputs e_j and takes sqrt(sum_j |lhs(e_j) - rhs(e_j)|^2),
 the Frobenius norm of the residual map, as the kernel does.  A mutated
-kernel, with the front output qubit moved to the back or two corrections
-exchanged, must push every family to an O(1) residual.
+protocol build, with the front output qubit moved to the back or two
+corrections exchanged, must push every family to an O(1) residual.
 """
 
 import argparse
@@ -110,7 +110,8 @@ def _resource_oracle(op, correction, pair):
 
 
 def _braid_oracle(phi):
-    op, corrections, _ = _braid_protocol(phi)
+    protocol = _braid_protocol(phi)
+    op, corrections = protocol.op, protocol.table
     return _resource_oracle(op, lambda i, j, k, l: corrections[2 * k + l, 2 * i + j], kron)
 
 
@@ -189,26 +190,24 @@ def _families():
 FAMILIES = tuple(_families())
 
 
-def _patch_evaluators(monkeypatch, protocol):
-    """Route every family through a mutated _protocol_residual."""
-    original = teleport._protocol_residual
-    monkeypatch.setattr(teleport, "_protocol_residual", lambda *args: protocol(original, *args))
+def _patch_evaluators(monkeypatch, mutation):
+    """Build every protocol, in every module, from mutation(op, table, kets, gate): Protocol is their one constructor."""
+    original = teleport.Protocol.__new__
+    monkeypatch.setattr(teleport.Protocol, "__new__", lambda cls, *fields: original(cls, *mutation(*fields)))
 
 
 # Bell states are symmetric or antisymmetric under a qubit swap, so reversing the output register leaves
 # the mirrored identities intact; moving the front qubit to the back breaks them.
-def _flipped_protocol(original, protocol):
+def _flipped_protocol(op, table, kets, gate):
     """The protocol with its front output qubit moved to the back, so the measured register is read off by one."""
-    op, table, kets = protocol
     n = op.shape[0].bit_length() - 1
     moved = op.reshape((2,) * n + (-1,)).transpose(*range(1, n), 0, n).reshape(op.shape)
-    return original(teleport.Protocol(moved, table, kets, protocol.gate))
+    return moved, table, kets, gate
 
 
-def _exchanged_protocol(original, protocol):
+def _exchanged_protocol(op, table, kets, gate):
     """The protocol with the corrections of outcomes 0 and 1 exchanged at every resource."""
-    op, table, kets = protocol
-    return original(teleport.Protocol(op, table[:, [1, 0, *range(2, table.shape[1])]], kets, protocol.gate))
+    return op, table[:, [1, 0, *range(2, table.shape[1])]], kets, gate
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -264,8 +263,7 @@ def test_each_bell_like_flow_fails_on_the_other_flows_table(cold_tables, monkeyp
 
     def other_flows_table(basis, front):
         protocol = real(basis, front)
-        op, _, kets = protocol
-        return teleport.Protocol(op, real(basis, not front)[1], kets, protocol.gate)
+        return teleport.Protocol(protocol.op, real(basis, not front).table, protocol.kets, protocol.gate)
 
     monkeypatch.setattr(teleport, "_basis_protocol", other_flows_table)
     assert identity_residual(variant, phi) >= 0.5
@@ -289,7 +287,7 @@ PROTOCOL_CASES = [(v, "T") for v in ("standard", "bell-like", "yang-baxter", "tw
                          ids=[v if v != "gate" else f"gate-{g}" for v, g in PROTOCOL_CASES])
 def test_every_protocol_holds_its_identity_on_every_branch(variant, gate, phi):
     protocol = _report_protocol(variant, phi, gate)
-    assert teleport._protocol_residual(protocol) <= 1e-12
+    assert teleport._protocol_residual(protocol.table, protocol.gate, protocol.branch) <= 1e-12
 
 
 @pytest.fixture
@@ -304,8 +302,7 @@ def cold_tables():
 
 def _w_transposed(real=teleport._standard_protocol):
     protocol = real()
-    op, table, kets = protocol
-    return teleport.Protocol(op, transpose(table), kets, protocol.gate)
+    return teleport.Protocol(protocol.op, transpose(protocol.table), protocol.kets, protocol.gate)
 
 
 def _k_row_00_negated(i, j, k, l, real=k_gate):
@@ -332,7 +329,7 @@ def test_protocol_residual_sees_each_seeded_defect(defect, cold_tables, monkeypa
     for module, name, fake in fakes:
         monkeypatch.setattr(module, name, fake)
     protocol = _report_protocol(variant, 0.3)
-    assert teleport._protocol_residual(protocol) >= 0.4
+    assert teleport._protocol_residual(protocol.table, protocol.gate, protocol.branch) >= 0.4
 
 
 # Fidelity ignores phase and the default run never samples the 00,00|00,00 branch, so without the
@@ -350,7 +347,7 @@ def test_each_seeded_defect_fails_only_the_every_branch_row(defect, cold_tables,
 
 def _worst_at_random_inputs(protocol, count=200, seed=2611):
     """max |D_r x| over resources r and count seeded random unit inputs x: D_r = branch[r] - table[r] gate / sqrt(M)."""
-    _, table, kets = protocol
+    table, kets = protocol.table, protocol.kets
     rng, dim = np.random.default_rng(seed), protocol.branch.shape[2]
     amps = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
     inputs = amps / np.linalg.norm(amps, axis=1, keepdims=True)
